@@ -20,7 +20,7 @@ from .immersion import (GeometryReport, ew_integrals, geometry_report,
                         to_quaternionic)
 from .linearproblem import (Wavefunction, integrate_wavefunction, lp_residual,
                             potential_matrix, zcc_residual)
-from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_caches,
+from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_cache,
                    export_mesh, immersion_at, sample_grid)
 from .pathplan import plan_path
 from .special import EULER_GAMMA, ei, eval_special, li2
@@ -36,7 +36,7 @@ __all__ = [
     "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
     "WeierstrassData", "WsurfError", "build_chi", "build_eta", "build_mesh",
     "build_numeric_data", "classical_solution", "closed_form_data",
-    "coefficient_ratios", "contour_quad", "ei", "eval_special", "ew_caches",
+    "coefficient_ratios", "contour_quad", "ei", "eval_special", "ew_cache",
     "ew_integrals", "export_mesh", "geometry_report", "get_equation",
     "get_fixture", "holo_derivative", "immerse_ew", "immersion_at",
     "integrate_wavefunction", "li2", "load_user_ode", "lp_residual",

@@ -10,10 +10,9 @@ import numpy as np
 from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, get_equation,
                       load_user_ode)
 from .errors import WsurfError
-from .immersion import (combine_euclidean, combine_quaternionic,
-                        geometry_report, sym_tafel)
+from .immersion import geometry_report
 from .linearproblem import integrate_wavefunction, lp_residual
-from .mesh import build_mesh, ew_caches, export_mesh
+from .mesh import build_mesh, ew_cache, export_mesh, sample_point
 from .pathplan import plan_path
 from .weierstrass import make_data, verify_weierstrass
 
@@ -238,26 +237,17 @@ def _cmd_sample(args, tol):
     data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam)
     xi0 = args.xi0 if args.xi0 is not None \
         else ode.default_domain.base_point
-    caches = ew_caches(data, xi0, tol)
-    i1, i2, i3 = (c(args.xi) for c in caches)
-    F = combine_euclidean(i1, i2, i3)
-    Ftilde = combine_quaternionic(i1, i2, i3)
-    Fst = sym_tafel(complex(data.chi(args.xi)))
-    u = data.log_conformal_factor(args.xi)
-    q = data.hopf(args.xi)
+    s = sample_point(data, ew_cache(data, xi0, tol), args.xi)
     rep = geometry_report(data, args.xi, tol=min(tol, 1e-12))
     fields = {
         "z": args.xi,
-        "F1": F[0], "F2": F[1], "F3": F[2],
-        "Ftilde00": Ftilde[0, 0], "Ftilde01": Ftilde[0, 1],
-        "Ftilde10": Ftilde[1, 0], "Ftilde11": Ftilde[1, 1],
-        "Fst00": Fst[0, 0], "Fst01": Fst[0, 1],
-        "Fst10": Fst[1, 0], "Fst11": Fst[1, 1],
-        "u": u, "Q": q,
-        "conformality": rep.conformality, "metric": rep.metric,
-        "meanCurvature": rep.mean_curvature,
-        "hopfHolomorphy": rep.hopf_holomorphy,
-        "liouville": rep.liouville,
+        "F1": s.F[0], "F2": s.F[1], "F3": s.F[2],
+        "Ftilde00": s.Ftilde[0, 0], "Ftilde01": s.Ftilde[0, 1],
+        "Ftilde10": s.Ftilde[1, 0], "Ftilde11": s.Ftilde[1, 1],
+        "Fst00": s.Fst[0, 0], "Fst01": s.Fst[0, 1],
+        "Fst10": s.Fst[1, 0], "Fst11": s.Fst[1, 1],
+        "u": s.u, "Q": s.Q,
+        **rep.as_dict(),
     }
     print(" ".join(f"{k}={_fmt(v)}" for k, v in fields.items()))
     return 0

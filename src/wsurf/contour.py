@@ -102,29 +102,27 @@ def straight_path(a, b, excluded_points=(), cut_rays=()):
 def _eval_vectorized(f, nodes):
     try:
         vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape != nodes.shape:
+        if vals.shape[:1] != nodes.shape:
             raise TypeError
     except (TypeError, ValueError):
-        vals = np.array([complex(f(complex(z))) for z in nodes])
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)].flat[0]
-        raise EvaluationFailure(complex(bad))
+        vals = np.array([f(complex(z)) for z in nodes], dtype=complex)
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).reshape(len(nodes), -1).all(axis=1)
+        raise EvaluationFailure(complex(nodes[~finite][0]))
     return vals
 
 
 def _gk15(f, a, b):
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = mid + half * _XK
-    vals = _eval_vectorized(f, nodes)
-    k15 = half * np.sum(_WK * vals)
-    g7 = half * np.sum(_WG * vals[1::2])
-    return k15, abs(k15 - g7)
+    vals = _eval_vectorized(f, 0.5 * (a + b) + half * _XK)
+    k15 = half * (_WK @ vals)
+    g7 = half * (_WG @ vals[1::2])
+    return k15, np.abs(k15 - g7)
 
 
 def _adaptive_segment(f, a, b, tol, depth):
     k15, err = _gk15(f, a, b)
-    if err <= tol or depth >= MAX_DEPTH:
+    if err.max() <= tol or depth >= MAX_DEPTH:
         return k15, err
     mid = 0.5 * (a + b)
     left, el = _adaptive_segment(f, a, mid, tol / 2, depth + 1)
@@ -135,21 +133,20 @@ def _adaptive_segment(f, a, b, tol, depth):
 def contour_quad(f, path, tol=1e-10):
     """Integrate f along a ContourPath to absolute tolerance tol.
 
-    f must accept complex scalars or numpy arrays of them.  Raises
-    ToleranceNotReached when adaptive bisection bottoms out above tol.
+    f must accept complex scalars or numpy arrays of them.  Values of
+    shape (n,) give a complex result; values of shape (n, k) give a (k,)
+    result with every component held to tol.  Raises ToleranceNotReached
+    when adaptive bisection bottoms out above tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     total_len = path.length()
-    result = 0.0 + 0.0j
-    achieved = 0.0
-    for a, b in path.segments():
-        seg_tol = tol * abs(b - a) / total_len
-        val, err = _adaptive_segment(f, a, b, seg_tol, 0)
-        result += val
-        achieved += err
+    parts = [_adaptive_segment(f, a, b, tol * abs(b - a) / total_len, 0)
+             for a, b in path.segments()]
+    result = sum(val for val, _ in parts)
+    achieved = np.max(sum(err for _, err in parts))
     if achieved > tol:
-        raise ToleranceNotReached(result, achieved)
+        raise ToleranceNotReached(result, float(achieved))
     return result
 
 

@@ -17,15 +17,22 @@ PAULI = (
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
-def ew_integrals(data, path, tol=1e-10):
-    """(int eta^2, int chi^2 eta^2, int chi eta^2) along the path."""
+def ew_integrand(data):
+    """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3)."""
     eta_sq, chi = data.eta_sq, data.chi
-    i1 = contour_quad(lambda z: eta_sq(z), path, tol)
-    i2 = contour_quad(lambda z: np.asarray(chi(z)) ** 2 * np.asarray(eta_sq(z)),
-                      path, tol)
-    i3 = contour_quad(lambda z: np.asarray(chi(z)) * np.asarray(eta_sq(z)),
-                      path, tol)
-    return i1, i2, i3
+
+    def integrand(z):
+        e = np.asarray(eta_sq(z))
+        x = np.asarray(chi(z))
+        return np.stack([e, x ** 2 * e, x * e], axis=-1)
+
+    return integrand
+
+
+def ew_integrals(data, path, tol=1e-10):
+    """(int eta^2, int chi^2 eta^2, int chi eta^2) along the path, as an
+    array."""
+    return contour_quad(ew_integrand(data), path, tol)
 
 
 def combine_euclidean(i1, i2, i3):
@@ -70,6 +77,13 @@ def sym_tafel(chi_value):
     ])
 
 
+# residual names in mesh attributes and `wsurf sample` -> report fields
+RESIDUAL_COLUMNS = {"conformality": "conformality", "metric": "metric",
+                    "meanCurvature": "mean_curvature",
+                    "hopfHolomorphy": "hopf_holomorphy",
+                    "liouville": "liouville"}
+
+
 @dataclass(frozen=True)
 class GeometryReport:
     """Finite-difference residuals of the structure equations at a point."""
@@ -85,6 +99,10 @@ class GeometryReport:
     hopf_holomorphy: float       # |dbar Q|
     liouville: float             # |ddbar u - 2|Q|^2 e^-u|
     step: float                  # finite-difference step actually used
+
+    def as_dict(self):
+        """The five residuals keyed by their RESIDUAL_COLUMNS names."""
+        return {k: getattr(self, f) for k, f in RESIDUAL_COLUMNS.items()}
 
 
 def _distance_to_exclusions(data, xi):

@@ -25,6 +25,18 @@ def potential_matrix(data, z):
     return np.array([[s * x, -s], [s * x * x, -s * x]], dtype=complex)
 
 
+def _rhs(ode, a, b):
+    """Right-hand side of the ODE transported along z = a + t (b - a)."""
+    dz = b - a
+
+    def rhs(t, y):
+        z = a + t * dz
+        qp, rp = ode.ratios(z)
+        return np.array([dz * y[1], dz * (-qp * y[1] - rp * y[0])])
+
+    return rhs
+
+
 class Wavefunction:
     """Solution (psi1, psi2) of the linear problem along a contour.
 
@@ -40,23 +52,11 @@ class Wavefunction:
         self.path = path
         self._nodes = np.asarray(nodes)          # complex points on path
         self._states = np.asarray(states)        # (len, 2): psi1, dpsi1
-        self.k1 = None
-        self.k2 = None
-
-    def _rhs_factory(self, a, b):
-        dz = b - a
-
-        def rhs(t, y):
-            z = a + t * dz
-            qp, rp = self.ode.ratios(z)
-            return np.array([dz * y[1], dz * (-qp * y[1] - rp * y[0])])
-
-        return rhs
 
     def _transport(self, z_from, state, z_to):
         if z_from == z_to:
             return state
-        sol = solve_ivp(self._rhs_factory(z_from, z_to), (0.0, 1.0),
+        sol = solve_ivp(_rhs(self.ode, z_from, z_to), (0.0, 1.0),
                         state, method="RK45", rtol=_RTOL, atol=_ATOL)
         if not sol.success:
             raise StepSizeUnderflow(sol.message)
@@ -104,10 +104,9 @@ def integrate_wavefunction(data, ode, init, path, samples_per_segment=24):
     state = np.array([complex(init[0]), complex(init[1])], dtype=complex)
     nodes = [path.start]
     states = [state.copy()]
-    wf = Wavefunction(data, ode, path, [state.copy()], [path.start])
     for a, b in path.segments():
         ts = np.linspace(0.0, 1.0, samples_per_segment + 1)[1:]
-        sol = solve_ivp(wf._rhs_factory(a, b), (0.0, 1.0), state,
+        sol = solve_ivp(_rhs(ode, a, b), (0.0, 1.0), state,
                         method="RK45", rtol=_RTOL, atol=_ATOL, t_eval=ts)
         if not sol.success:
             raise StepSizeUnderflow(sol.message)

@@ -1,7 +1,7 @@
 """Grid sampling, mesh assembly and OBJ/PLY/CSV export."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -9,8 +9,9 @@ from .catalog import SINGULARITY_RADIUS, get_equation
 from .contour import contour_quad, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure,
                      WsurfError)
-from .immersion import (combine_euclidean, combine_quaternionic,
-                        geometry_report, sym_tafel)
+from .immersion import (RESIDUAL_COLUMNS, combine_euclidean,
+                        combine_quaternionic, ew_integrand, geometry_report,
+                        sym_tafel)
 from .weierstrass import CachedAntiderivative, make_data
 
 
@@ -38,15 +39,6 @@ def _node_allowed(z, ode, data):
     return True
 
 
-def _ew_integrands(data):
-    eta_sq, chi = data.eta_sq, data.chi
-    return (
-        lambda z: np.asarray(eta_sq(z)),
-        lambda z: np.asarray(chi(z)) ** 2 * np.asarray(eta_sq(z)),
-        lambda z: np.asarray(chi(z)) * np.asarray(eta_sq(z)),
-    )
-
-
 def _staging_point(data, xi0):
     """None, or a nearby regular point when xi0 sits on a singularity."""
     for c, r in data.exclusions:
@@ -61,7 +53,7 @@ def _staging_point(data, xi0):
 
 
 def _regularized_leg(f, a, b, tol):
-    """int_a^b f along the segment with z = a + (b-a) t^2.
+    """int_a^b f along the segment with z = a + (b-a) t^2, f vector-valued.
 
     The quadratic substitution absorbs inverse-square-root (and milder)
     integrable singularities of f at the start point a.
@@ -70,43 +62,53 @@ def _regularized_leg(f, a, b, tol):
 
     def g(t):
         t = np.asarray(t, dtype=complex)
-        return f(a + dz * t * t) * 2.0 * dz * t
+        return f(a + dz * t * t) * 2.0 * dz * t[..., None]
 
     return contour_quad(g, straight_path(0.0, 1.0), tol)
 
 
-def ew_caches(data, xi0, tol=1e-11):
-    """Memoized antiderivatives of (eta^2, chi^2 eta^2, chi eta^2) from xi0.
+def ew_cache(data, xi0, tol=1e-11):
+    """Memoized antiderivative of ew_integrand(data) from xi0.
 
-    When xi0 lies on a singular point with integrable integrands, the
-    first leg is integrated under a regularizing substitution and the
-    caches are anchored at a nearby regular staging point instead.
+    ``i1, i2, i3 = cache(z)`` are int eta^2, int chi^2 eta^2 and
+    int chi eta^2 from xi0 to z.  When xi0 lies on a singular point with
+    integrable integrands, the first leg is integrated under a
+    regularizing substitution and the cache is anchored at a nearby
+    regular staging point instead.
     """
     xi0 = complex(xi0)
+    f = ew_integrand(data)
     staging = _staging_point(data, xi0)
-    fs = _ew_integrands(data)
     if staging is None:
-        return [CachedAntiderivative(f, xi0, data.exclusions, data.cut_rays,
-                                     tol) for f in fs]
-    return [CachedAntiderivative(
+        return CachedAntiderivative(f, xi0, data.exclusions, data.cut_rays,
+                                    tol, initial_value=np.zeros(3))
+    return CachedAntiderivative(
         f, staging, data.exclusions, data.cut_rays, tol,
-        initial_value=_regularized_leg(f, xi0, staging, tol)) for f in fs]
+        initial_value=_regularized_leg(f, xi0, staging, tol))
 
 
 def immersion_at(data, xi0, z, tol=1e-11):
     """(F, Ftilde) at z for the immersion vanishing at xi0."""
-    i1, i2, i3 = (c(z) for c in ew_caches(data, xi0, tol))
+    i1, i2, i3 = ew_cache(data, xi0, tol)(z)
     return combine_euclidean(i1, i2, i3), combine_quaternionic(i1, i2, i3)
+
+
+def sample_point(data, cache, z):
+    """ImmersionSample at z, without residuals, from an ew_cache."""
+    z = complex(z)
+    i1, i2, i3 = cache(z)
+    return ImmersionSample(
+        z=z, F=combine_euclidean(i1, i2, i3),
+        Ftilde=combine_quaternionic(i1, i2, i3),
+        Fst=sym_tafel(complex(data.chi(z))),
+        u=data.log_conformal_factor(z), Q=data.hopf(z))
 
 
 def _sample_mask(ode, data, grid, with_residuals, tol):
     """Row-major sampling of the grid; returns (samples, mask, fail count)."""
     points = grid.points()
     n1, n2 = points.shape
-    xi0 = complex(grid.base_point)
-
-    chi = data.chi
-    caches = ew_caches(data, xi0, tol)
+    cache = ew_cache(data, grid.base_point, tol)
 
     mask = np.zeros((n1, n2), dtype=bool)
     samples = {}
@@ -117,35 +119,21 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
             if not _node_allowed(z, ode, data):
                 continue
             try:
-                i1, i2, i3 = (c(z) for c in caches)
-                F = combine_euclidean(i1, i2, i3)
-                Ftilde = combine_quaternionic(i1, i2, i3)
-                Fst = sym_tafel(complex(chi(z)))
-                u = data.log_conformal_factor(z)
-                q = data.hopf(z)
-                res = {}
+                sample = sample_point(data, cache, z)
                 if with_residuals:
                     try:
-                        rep = geometry_report(data, z, tol=min(tol, 1e-12))
-                        res = {
-                            "conformality": rep.conformality,
-                            "metric": rep.metric,
-                            "meanCurvature": rep.mean_curvature,
-                            "hopfHolomorphy": rep.hopf_holomorphy,
-                            "liouville": rep.liouville,
-                        }
+                        res = geometry_report(
+                            data, z, tol=min(tol, 1e-12)).as_dict()
                     except WsurfError:
-                        res = {k: math.inf for k in
-                               ("conformality", "metric", "meanCurvature",
-                                "hopfHolomorphy", "liouville")}
-                if not np.all(np.isfinite(F)):
+                        res = dict.fromkeys(RESIDUAL_COLUMNS, math.inf)
+                    sample = replace(sample, residuals=res)
+                if not np.all(np.isfinite(sample.F)):
                     raise EvaluationFailure(z, f"non-finite immersion at {z}")
             except WsurfError:
                 failures += 1
                 continue
             mask[i, j] = True
-            samples[(i, j)] = ImmersionSample(
-                z=z, F=F, Ftilde=Ftilde, Fst=Fst, u=u, Q=q, residuals=res)
+            samples[(i, j)] = sample
     return samples, mask, failures
 
 
@@ -225,7 +213,7 @@ def mesh_from_samples(samples, mask):
     index = -np.ones((n1, n2), dtype=int)
     verts, pts = [], []
     attrs = {"u": [], "absQ": [], "H_residual": []}
-    extra = ("conformality", "metric", "hopfHolomorphy", "liouville")
+    extra = [k for k in RESIDUAL_COLUMNS if k != "meanCurvature"]
     have_extra = any(k in s.residuals for s in samples.values() for k in extra)
     if have_extra:
         for k in extra:

@@ -19,15 +19,17 @@ from .geometry import (segment_crosses_ray, segment_hits_disc,
 MAX_WAYPOINTS = 8
 
 
+def _on_ray(w, anchor, d):
+    """True if w lies within 1e-9 of the ray (anchor, unit direction d)."""
+    t = ((w - anchor) * np.conj(d)).real
+    return t >= 0 and abs(w - (anchor + t * d)) < 1e-9
+
+
 def _point_legal(w, discs, rays):
     for c, r in discs:
         if abs(w - c) <= r:
             return False
-    for anchor, d in rays:
-        t = ((w - anchor) * np.conj(d)).real
-        if t >= 0 and abs(w - (anchor + t * d)) < 1e-9:
-            return False
-    return True
+    return not any(_on_ray(w, anchor, d) for anchor, d in rays)
 
 
 def _segment_clear(a, b, discs, rays):
@@ -106,6 +108,10 @@ def plan_path(xi0, xi, exclusions=(), cuts=()):
         if abs(a - c) < r * (1.0 - 1e-9) or abs(b - c) < r * (1.0 - 1e-9):
             raise PathPlanningFailure(
                 f"endpoint inside exclusion disc at {c} (r={r})")
+    for anchor, d in rays:
+        # segment_crosses_ray counts every segment ending there as a crossing
+        if _on_ray(a, anchor, d) or _on_ray(b, anchor, d):
+            raise PathPlanningFailure(f"endpoint on cut ray from {anchor}")
     if a == b:
         raise PathPlanningFailure("degenerate path: endpoints coincide")
     waypoints = _route(a, b, discs, rays)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sps
 
-from .catalog import SINGULARITY_RADIUS
 from .contour import contour_quad, holo_derivative, straight_path
-from .errors import PathPlanningFailure, SingularPoint
+from .errors import SingularPoint
 from .geometry import segment_crosses_ray, segment_hits_disc
 from .pathplan import plan_path
 
@@ -186,10 +185,12 @@ def _default_base(eq):
 class CachedAntiderivative:
     """Memoized contour antiderivative of a complex integrand.
 
-    Values are extended from the nearest already-integrated point by a
-    short straight segment when that segment is legal, otherwise along a
-    freshly planned path from the anchor.  Safe for concurrent reads with
-    single-writer insertion.
+    The integrand may be vector-valued (see contour_quad); then
+    ``initial_value`` must have its shape, e.g. ``np.zeros(3)``.  Values
+    are extended from the nearest already-integrated point by a short
+    straight segment when that segment is legal, otherwise along a
+    freshly planned path.  Safe for concurrent reads with single-writer
+    insertion.
     """
 
     def __init__(self, integrand, anchor, exclusions=(), cuts=(), tol=1e-11,
@@ -200,14 +201,14 @@ class CachedAntiderivative:
         self.cuts = tuple((complex(a), complex(d) / abs(complex(d)))
                           for a, d in cuts)
         self.tol = tol
-        self._points = [self.anchor]
-        self._values = [complex(initial_value)]
-        self._array = np.array([self.anchor])
+        value = np.asarray(initial_value, dtype=complex)
+        self._points = np.full(16, self.anchor)
+        self._values = np.empty((16,) + value.shape, dtype=complex)
+        self._values[0] = value
+        self._size = 1
         self._lock = threading.Lock()
 
     def _segment_legal(self, a, b):
-        if a == b:
-            return True
         for c, r in self.exclusions:
             if segment_hits_disc(a, b, c, r):
                 return False
@@ -216,45 +217,35 @@ class CachedAntiderivative:
                 return False
         return True
 
-    def _quad_segment(self, a, b):
-        if a == b:
-            return 0j
-        return contour_quad(self.integrand, straight_path(a, b), self.tol)
-
     def __call__(self, z):
         z = complex(z)
-        idx = int(np.argmin(np.abs(self._array - z)))
-        zc, vc = self._points[idx], self._values[idx]
+        n = self._size
+        idx = int(np.argmin(np.abs(self._points[:n] - z)))
+        zc = complex(self._points[idx])
         if zc == z:
-            return vc
+            return self._values[idx].copy()     # never a view of the store
         if self._segment_legal(zc, z):
-            value = vc + self._quad_segment(zc, z)
+            legs = [(zc, z)]
         else:
             # any legal path gives the same value: the cut plane is
             # simply connected, so route from the nearest cached point
-            path = plan_path(zc, z, self.exclusions, self.cuts)
-            value = vc
-            for a, b in path.segments():
-                value += self._quad_segment(a, b)
+            legs = plan_path(zc, z, self.exclusions, self.cuts).segments()
+        value = self._values[idx]
+        for a, b in legs:
+            value = value + contour_quad(self.integrand, straight_path(a, b),
+                                         self.tol)
         with self._lock:
-            self._points.append(z)
-            self._values.append(value)
-            self._array = np.append(self._array, z)
+            n = self._size
+            if n == len(self._points):
+                self._points = np.concatenate([self._points, self._points])
+                self._values = np.concatenate([self._values, self._values])
+            self._points[n] = z
+            self._values[n] = value
+            self._size = n + 1
         return value
 
 
-def default_path_provider(ode, radius=SINGULARITY_RADIUS):
-    """Path provider that avoids the ODE's singularities and cut rays."""
-    exclusions = ode.exclusions(radius)
-
-    def provider(z_from, z_to):
-        return plan_path(z_from, z_to, exclusions, ode.cut_rays)
-
-    return provider
-
-
-def build_eta(ode, c1=1.0, path_provider=None, base_point=None,
-              anchor_value=None, tol=1e-11):
+def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
     """Numeric eta^2 as exp of the antiderivative of -q/p.
 
     The multiplicative constant is pinned by ``anchor_value`` =
@@ -279,7 +270,7 @@ def build_eta(ode, c1=1.0, path_provider=None, base_point=None,
     return eta_sq
 
 
-def build_chi(ode, data, path_provider=None, tol=1e-11):
+def build_chi(ode, data, tol=1e-11):
     """Numeric chi from partial WeierstrassData carrying eta_sq and lam.
 
     chi(z) = chi(z0) - (1/lambda) * int_{z0}^{z} (r/p) / eta^2, so the

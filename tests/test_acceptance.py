@@ -19,7 +19,7 @@ from wsurf.immersion import (IDENTITY2, PAULI, combine_euclidean,
                              immerse_ew, sym_tafel)
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual)
-from wsurf.mesh import ew_caches, sample_grid
+from wsurf.mesh import ew_cache, sample_grid
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
 from wsurf.weierstrass import (build_numeric_data, closed_form_data,
@@ -48,10 +48,10 @@ def _upper_half_points(rng, n, rmin, rmax):
 def test_criterion_01_euclidean_immersion_vs_closed_form(criterion, rng):
     fx, _ode, data = _laguerre_reference_setup()
     start = time.perf_counter()
-    caches = ew_caches(data, fx.base_point, tol=1e-11)
+    cache = ew_cache(data, fx.base_point, tol=1e-11)
     worst = 0.0
     for z in _upper_half_points(rng, 50, 0.1, 3.0):
-        F = combine_euclidean(*(c(z) for c in caches))
+        F = combine_euclidean(*cache(z))
         worst = max(worst, float(np.max(np.abs(F - reference_surface(fx, z)))))
     elapsed = time.perf_counter() - start
     criterion(1, "laguerre Euclidean immersion matches the closed form "
@@ -63,10 +63,10 @@ def test_criterion_01_euclidean_immersion_vs_closed_form(criterion, rng):
 def test_criterion_02_quaternionic_immersion(criterion, rng):
     fx, _ode, data = _laguerre_reference_setup()
     z0 = complex(fx.base_point)
-    caches = ew_caches(data, z0, tol=1e-11)
+    cache = ew_cache(data, z0, tol=1e-11)
     worst_entry = worst_pauli = 0.0
     for z in _upper_half_points(rng, 20, 0.1, 3.0):
-        i1, i2, i3 = (c(z) for c in caches)
+        i1, i2, i3 = cache(z)
         ftilde = combine_quaternionic(i1, i2, i3)
         ref = combine_quaternionic(ei(z) - ei(z0),
                                    ei(-z) - ei(-z0),
@@ -147,9 +147,9 @@ def test_criterion_04_caption_surfaces(criterion, rng):
         data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
                                 fx.constants["lambda"], fx.base_point)
         data.cut_rays = fx.cut_rays
-        caches = ew_caches(data, fx.base_point, tol=1e-11)
+        cache = ew_cache(data, fx.base_point, tol=1e-11)
         for z in _fixture_domain_points(fx, rng, 20):
-            F = combine_euclidean(*(c(z) for c in caches))
+            F = combine_euclidean(*cache(z))
             worst = max(worst,
                         float(np.max(np.abs(F - reference_surface(fx, z)))))
     excluded = "; ".join(_CAPTION_EXCLUDED)

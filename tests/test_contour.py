@@ -6,7 +6,7 @@ import pytest
 
 from wsurf.contour import (ContourPath, contour_quad, holo_derivative,
                            straight_path)
-from wsurf.errors import WsurfError
+from wsurf.errors import ToleranceNotReached, WsurfError
 from wsurf.special import ei
 
 
@@ -73,6 +73,24 @@ class TestContourQuad:
         parts = contour_quad(f, straight_path(0j, 1 + 1j)) + \
             contour_quad(f, straight_path(1 + 1j, 2 + 0j))
         assert abs(whole - parts) <= 1e-12
+
+    def test_vector_integrand_matches_scalar_calls(self):
+        path = ContourPath((0j, 1 + 1j, 2 + 0j))
+        f = lambda z: np.exp(z) * np.cos(z)
+        g = lambda z: z ** 3 - 2j * z
+        val = contour_quad(lambda z: np.stack([f(z), g(z)], axis=-1), path)
+        assert val.shape == (2,)
+        assert abs(val[0] - contour_quad(f, path)) <= 1e-14
+        assert abs(val[1] - contour_quad(g, path)) <= 1e-14
+
+    def test_vector_tolerance_failure_reports_worst_component(self):
+        # the inverse square root at the start point defeats bisection
+        f = lambda z: np.stack([np.ones_like(z), 1.0 / np.sqrt(z)], axis=-1)
+        message = r"quadrature error \d\.\d{3}e-\d+ above tolerance"
+        with pytest.raises(ToleranceNotReached, match=message) as exc:
+            contour_quad(f, straight_path(0j, 1 + 0j), tol=1e-10)
+        assert isinstance(exc.value.achieved_error, float)
+        assert exc.value.achieved_error > 1e-10
 
     def test_singularity_on_path_fails(self):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from wsurf.catalog import get_equation
-from wsurf.contour import straight_path
+from wsurf.catalog import EQUATION_IDS, get_equation
+from wsurf.contour import contour_quad, straight_path
 from wsurf.errors import StencilOutsideDomain
 from wsurf.immersion import (IDENTITY2, PAULI, combine_euclidean,
                              combine_quaternionic, ew_integrals,
@@ -20,6 +20,18 @@ def laguerre_data():
                             1, 0, 1, base_point=1 + 1j)
 
 
+def scalar_ew_integrals(data, path, tol):
+    """Reference: the three integrals as separate scalar quadratures."""
+    eta_sq, chi = data.eta_sq, data.chi
+    return np.array([
+        contour_quad(lambda z: eta_sq(z), path, tol),
+        contour_quad(lambda z: np.asarray(chi(z)) ** 2
+                     * np.asarray(eta_sq(z)), path, tol),
+        contour_quad(lambda z: np.asarray(chi(z)) * np.asarray(eta_sq(z)),
+                     path, tol),
+    ])
+
+
 class TestIntegrals:
     def test_laguerre_closed_forms(self):
         data = laguerre_data()
@@ -27,10 +39,23 @@ class TestIntegrals:
         for z in (2 + 1j, 0.5 + 0.7j, -1 + 1.5j):
             path = plan_path(z0, z, data.exclusions,
                              ((0j, -1 + 0j), (0j, 1 + 0j)))
-            i1, i2, i3 = ew_integrals(data, path, tol=1e-11)
+            fused = ew_integrals(data, path, tol=1e-11)
+            ref = scalar_ew_integrals(data, path, tol=1e-11)
+            assert np.max(np.abs(fused - ref)) <= 1e-12
+            i1, i2, i3 = fused
             assert abs(i1 - (ei(z) - ei(z0))) <= 1e-9
             assert abs(i2 - (ei(-z) - ei(-z0))) <= 1e-9
             assert abs(i3 - (np.log(z) - np.log(z0))) <= 1e-9
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_fused_matches_scalar_quadratures(self, eq):
+        data = closed_form_data(get_equation(eq), 1, 0, 1)
+        z0 = 0.2 + 0.3j
+        for z in (-0.5 + 0.4j, 0.4 - 0.5j, 1.5 + 1j, -1.5 + 0.5j):
+            path = plan_path(z0, z, data.exclusions, data.cut_rays)
+            fused = ew_integrals(data, path, tol=1e-11)
+            ref = scalar_ew_integrals(data, path, tol=1e-11)
+            assert np.max(np.abs(fused - ref)) <= 1e-12, (eq, z)
 
     def test_additivity(self):
         data = laguerre_data()

@@ -5,7 +5,7 @@ import pytest
 
 from wsurf.catalog import GridSpec, get_equation, get_fixture, reference_surface
 from wsurf.errors import EmptyMesh, IoFailure
-from wsurf.mesh import (build_mesh, ew_caches, export_mesh, immersion_at,
+from wsurf.mesh import (build_mesh, ew_cache, export_mesh, immersion_at,
                         import_csv, sample_grid)
 from wsurf.weierstrass import closed_form_data
 
@@ -76,10 +76,10 @@ class TestAnchoredImmersion:
         ode = get_equation("chebyshev1", fx.params)
         data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
                                 fx.constants["lambda"], fx.base_point)
-        caches = ew_caches(data, fx.base_point)
+        cache = ew_cache(data, fx.base_point)
         from wsurf.immersion import combine_euclidean
         for z in (0.5j, 2j, -0.5 + 1j):
-            F = combine_euclidean(*(c(z) for c in caches))
+            F = combine_euclidean(*cache(z))
             assert np.max(np.abs(F - reference_surface(fx, z))) <= 1e-8
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wsurf import pathplan
 from wsurf.errors import PathPlanningFailure
 from wsurf.pathplan import MAX_WAYPOINTS, path_clearance, plan_path
 
@@ -36,6 +37,16 @@ def test_endpoint_inside_disc_rejected():
 def test_degenerate_endpoints_rejected():
     with pytest.raises(PathPlanningFailure):
         plan_path(1 + 1j, 1 + 1j)
+
+
+@pytest.mark.parametrize("a, b", [(1 + 1j, -1 + 0j), (-2 + 0j, 1 + 1j)])
+def test_endpoint_on_cut_ray_fails_fast(monkeypatch, a, b):
+    # no segment ending on a cut ray is legal, so no search is run
+    def no_search(*args):
+        raise AssertionError("_route called")
+    monkeypatch.setattr(pathplan, "_route", no_search)
+    with pytest.raises(PathPlanningFailure, match="cut ray"):
+        plan_path(a, b, cuts=((0j, -1 + 0j),))
 
 
 def test_endpoint_on_disc_boundary_allowed():

@@ -133,18 +133,24 @@ class TestCachedAntiderivative:
         # F(z) = z^2 + 4 with F(1) = 5
         assert abs(cache(2 + 1j) - ((2 + 1j) ** 2 + 4)) <= 1e-10
 
-    def test_order_independent(self):
+    @pytest.mark.parametrize("integrand, anchor_value, primitive", [
+        (lambda z: 1.0 / z, 0j, np.log),
+        (lambda z: np.stack([1.0 / z, 2 * z], axis=-1), np.zeros(2),
+         lambda z: np.array([np.log(z), z * z - 1])),
+    ], ids=["scalar", "vector"])
+    def test_order_independent(self, integrand, anchor_value, primitive):
         def fresh():
             return CachedAntiderivative(
-                lambda z: 1.0 / z, 1 + 0j,
-                exclusions=((0j, 0.02),), cuts=((0j, -1 + 0j),))
+                integrand, 1 + 0j, exclusions=((0j, 0.02),),
+                cuts=((0j, -1 + 0j),), initial_value=anchor_value)
         a = fresh()
         direct = a(-1 + 1j)
         b = fresh()
         for z in (2 + 0j, 2 + 2j, 1j, -0.5 + 0.5j):
             b(z)
-        assert abs(b(-1 + 1j) - direct) <= 1e-9
-        assert abs(direct - np.log(-1 + 1j)) <= 1e-9
+        assert np.max(np.abs(b(-1 + 1j) - direct)) <= 1e-9
+        assert np.max(np.abs(direct - primitive(-1 + 1j))) <= 1e-9
+        assert np.max(np.abs(b(1 + 0j) - anchor_value)) == 0.0
 
     def test_routes_around_obstacles(self):
         cache = CachedAntiderivative(
