@@ -13,6 +13,7 @@ key/value text file.
 
 import ast
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,14 +471,74 @@ def get_fixture(eq_id):
 # ---------------------------------------------------------------------------
 # user-defined equations
 
-_ALLOWED_CALLS = {"exp", "log"}
+_FUNCTIONS = {"exp": np.exp, "log": np.log}
+_FOLD_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_FOLD_UNOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+class _ConstantFolder(ast.NodeTransformer):
+    """Replaces every z-free subexpression by its floating-point value.
+
+    Folding once at compile time keeps huge integer powers such as
+    3^2^22 out of every integrand call; a fold that overflows, divides
+    by zero or leaves a non-finite value raises ValueError.
+    """
+
+    def __init__(self, text, params):
+        self.text = text
+        self.params = params
+
+    def _fold(self, node, fn, *args):
+        try:
+            with np.errstate(all="raise"):
+                value = fn(*(complex(a) if isinstance(a, complex) else float(a)
+                             for a in args))
+        except (ArithmeticError, ValueError):
+            value = math.nan
+        if not np.isfinite(value):
+            raise ValueError(
+                f"constant subexpression is not finite (overflow, division "
+                f"by zero or a log outside its domain) in {self.text!r}")
+        # compile() takes only built-in numbers, not numpy scalars
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+        return ast.copy_location(ast.Constant(value), node)
+
+    def visit_Name(self, node):
+        if node.id in self.params:
+            return self._fold(node, float, self.params[node.id])
+        return node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.left, ast.Constant) \
+                and isinstance(node.right, ast.Constant):
+            return self._fold(node, _FOLD_BINOPS[type(node.op)],
+                              node.left.value, node.right.value)
+        return node
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.operand, ast.Constant):
+            return self._fold(node, _FOLD_UNOPS[type(node.op)],
+                              node.operand.value)
+        return node
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if len(node.args) == 1 and isinstance(node.args[0], ast.Constant):
+            return self._fold(node, _FUNCTIONS[node.func.id],
+                              node.args[0].value)
+        return node
 
 
 def _compile_expr(text, param_names):
     """Compile an arithmetic expression over z and named parameters.
 
     Grammar: + - * / ^ exp log parentheses and numeric literals; ^ means
-    power.
+    power.  Subexpressions free of z are folded to floating-point
+    constants here, once.
     """
     source = text.replace("^", "**")
     tree = ast.parse(source, mode="eval")
@@ -488,22 +549,23 @@ def _compile_expr(text, param_names):
             continue
         if isinstance(node, ast.Call):
             if (isinstance(node.func, ast.Name)
-                    and node.func.id in _ALLOWED_CALLS
+                    and node.func.id in _FUNCTIONS
                     and not node.keywords):
                 continue
             raise ValueError(f"disallowed call in expression: {text!r}")
         if isinstance(node, ast.Name):
-            if node.id in _ALLOWED_CALLS or node.id == "z" or node.id in param_names:
+            if node.id in _FUNCTIONS or node.id == "z" or node.id in param_names:
                 continue
             raise ValueError(f"unknown symbol {node.id!r} in {text!r}")
         if isinstance(node, ast.Load):
             continue
         raise ValueError(f"disallowed syntax in expression: {text!r}")
+    tree = ast.fix_missing_locations(
+        _ConstantFolder(text, dict(param_names)).visit(tree))
     code = compile(tree, "<ode-expression>", "eval")
 
-    def fn(z, _code=code, _params=dict(param_names)):
-        env = {"exp": np.exp, "log": np.log, "z": np.asarray(z, dtype=complex)}
-        env.update(_params)
+    def fn(z, _code=code):
+        env = dict(_FUNCTIONS, z=np.asarray(z, dtype=complex))
         return eval(_code, {"__builtins__": {}}, env)
 
     return fn

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationFailure, ToleranceNotReached
+from .errors import EvaluationFailure, ToleranceNotReached, WsurfError
 from .geometry import segment_crosses_ray, segment_hits_disc
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
@@ -33,6 +33,13 @@ _WG = np.array([
 ])
 
 MAX_DEPTH = 40
+# Panels one segment may keep live on one bisection level.  A tolerance
+# below the integrand's rounding floor near a singularity doubles the
+# live panels on every level; this cap turns that into
+# ToleranceNotReached instead of 2^MAX_DEPTH panels.
+MAX_LIVE_PANELS = 4096
+# Panels per integrand call; bounds the memory of one level.
+CHUNK_PANELS = 1024
 
 
 @dataclass(frozen=True)
@@ -106,28 +113,139 @@ def _eval_vectorized(f, nodes):
             raise TypeError
     except (TypeError, ValueError):
         vals = np.array([f(complex(z)) for z in nodes], dtype=complex)
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).reshape(len(nodes), -1).all(axis=1)
-        raise EvaluationFailure(complex(nodes[~finite][0]))
     return vals
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    vals = _eval_vectorized(f, 0.5 * (a + b) + half * _XK)
+def _gk15_panels(f, lo, hi):
+    """GK15 estimates and their errors, shapes (p, k), on the panels
+    lo[i] -> hi[i], and {panel: WsurfError} for the panels where f
+    raised one or returned a non-finite value.
+
+    One integrand call per CHUNK_PANELS panels, so that a level's memory
+    stays bounded.  Only when a call raises a WsurfError are its panels
+    evaluated one by one, so that one bad panel does not sink the others.
+    """
+    if len(lo) > CHUNK_PANELS:
+        parts = [_gk15_panels(f, lo[s:s + CHUNK_PANELS], hi[s:s + CHUNK_PANELS])
+                 for s in range(0, len(lo), CHUNK_PANELS)]
+        failed = {s * CHUNK_PANELS + i: exc
+                  for s, (_, _, bad) in enumerate(parts)
+                  for i, exc in bad.items()}
+        # a chunk where every panel raised does not know k
+        k = max(part[0].shape[1] for part in parts)
+        k15, err = (np.concatenate([np.broadcast_to(part[j], (len(part[j]), k))
+                                    for part in parts]) for j in (0, 1))
+        return k15, err, failed
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
+    vals, failed = _eval_panels(f, nodes)
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).all(axis=2)
+        for i in np.flatnonzero(~finite.all(axis=1)):
+            failed.setdefault(int(i), EvaluationFailure(
+                complex(nodes[i][np.argmin(finite[i])])))
+    half = half[:, None]
     k15 = half * (_WK @ vals)
-    g7 = half * (_WG @ vals[1::2])
-    return k15, np.abs(k15 - g7)
+    return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
 
 
-def _adaptive_segment(f, a, b, tol, depth):
-    k15, err = _gk15(f, a, b)
-    if err.max() <= tol or depth >= MAX_DEPTH:
-        return k15, err
-    mid = 0.5 * (a + b)
-    left, el = _adaptive_segment(f, a, mid, tol / 2, depth + 1)
-    right, er = _adaptive_segment(f, mid, b, tol / 2, depth + 1)
-    return left + right, el + er
+def _eval_panels(f, nodes):
+    """f on the (p, 15) nodes of p panels, as (p, 15, k) values, and
+    {panel: WsurfError} for the panels where f raised one."""
+    p = len(nodes)
+    try:
+        return _eval_vectorized(f, nodes.ravel()).reshape(p, 15, -1), {}
+    except WsurfError as exc:
+        if p == 1:
+            return np.full((1, 15, 1), np.nan, dtype=complex), {0: exc}
+    rows, failed = [], {}
+    for i in range(p):
+        try:
+            rows.append(_eval_vectorized(f, nodes[i]).reshape(15, -1))
+        except WsurfError as exc:
+            failed[i] = exc
+            rows.append(None)
+    k = max((r.shape[1] for r in rows if r is not None), default=1)
+    return np.stack([np.full((15, k), np.nan, dtype=complex)
+                     if r is None else r for r in rows]), failed
+
+
+def gk15_segments(f, a, b, tol):
+    """Adaptive GK15 integrals of f over the straight segments a[i] -> b[i].
+
+    The segments are integrated together, breadth first: each bisection
+    level evaluates the live panels of every segment with one integrand
+    call per CHUNK_PANELS panels, keeping only their GK15 sums.  A panel
+    is accepted when its GK15 error is within tol[i] / 2^depth in every
+    component, or at MAX_DEPTH; only the other panels are bisected.
+
+    f maps an (n,) complex array to values of shape (n,) or (n, k).
+    Returns ``(values, errors, failures)``: values and errors have shape
+    (m,) or (m, k), errors being the summed GK15 estimates; failures maps
+    the index of every segment that did not run to completion to its
+    WsurfError -- EvaluationFailure naming the first non-finite node, an
+    error the integrand raised, or ToleranceNotReached when one level
+    needed more than MAX_LIVE_PANELS panels.  Entries of failed
+    segments are meaningless.
+    """
+    lo = np.asarray(a, dtype=complex).reshape(-1)
+    hi = np.asarray(b, dtype=complex).reshape(-1)
+    m = len(lo)
+    tol = np.asarray(tol, dtype=float)
+    tol_min = float(tol) if tol.ndim == 0 else tol.min()
+    seg = ptol = values = errors = None
+    failures = {}
+    depth = 0
+    while seg is None or seg.size:
+        k15, err, failed = _gk15_panels(f, lo, hi)
+        if seg is None:
+            # one panel per segment, all within tolerance: the common
+            # case returns here
+            if not failed and err.max() <= tol_min:
+                return _squeezed(k15, err, failures)
+            seg = np.arange(m)
+            ptol = np.broadcast_to(tol, (m,))
+            values = np.zeros((m, k15.shape[1]), dtype=complex)
+            errors = np.zeros((m, k15.shape[1]))
+        if failed:
+            for i in sorted(failed):
+                failures.setdefault(int(seg[i]), failed[i])
+            live = ~np.isin(seg, list(failures))
+            seg, lo, hi, ptol, k15, err = (
+                x[live] for x in (seg, lo, hi, ptol, k15, err))
+        done = err.max(1) <= ptol
+        if depth >= MAX_DEPTH:
+            done[:] = True
+        np.add.at(values, seg[done], k15[done])
+        np.add.at(errors, seg[done], err[done])
+        more = ~done
+        seg, lo, hi, ptol, k15, err = (
+            x[more] for x in (seg, lo, hi, ptol, k15, err))
+        if 2 * len(seg) > MAX_LIVE_PANELS:
+            over = 2 * np.bincount(seg, minlength=m) > MAX_LIVE_PANELS
+            for s in np.flatnonzero(over):
+                rest = seg == s
+                best = values[s] + k15[rest].sum(axis=0)
+                failures.setdefault(int(s), ToleranceNotReached(
+                    best[0] if len(best) == 1 else best,
+                    float(np.max(errors[s] + err[rest].sum(axis=0)))))
+            keep = ~over[seg]
+            seg, lo, hi, ptol = seg[keep], lo[keep], hi[keep], ptol[keep]
+        mid = 0.5 * (lo + hi)
+        seg = np.repeat(seg, 2)
+        ptol = np.repeat(0.5 * ptol, 2)
+        lo = np.stack([lo, mid], axis=1).ravel()
+        hi = np.stack([mid, hi], axis=1).ravel()
+        depth += 1
+    return _squeezed(values, errors, failures)
+
+
+def _squeezed(values, errors, failures):
+    """gk15_segments' result, with (m, 1) columns of a scalar integrand
+    as (m,)."""
+    if values.shape[1] == 1:
+        return values[:, 0], errors[:, 0], failures
+    return values, errors, failures
 
 
 def contour_quad(f, path, tol=1e-10):
@@ -135,19 +253,26 @@ def contour_quad(f, path, tol=1e-10):
 
     f must accept complex scalars or numpy arrays of them.  Values of
     shape (n,) give a complex result; values of shape (n, k) give a (k,)
-    result with every component held to tol.  Raises ToleranceNotReached
-    when adaptive bisection bottoms out above tol.
+    result with every component held to tol.  All segments of the path
+    go through one gk15_segments call, each held to its length's share
+    of tol.  Raises EvaluationFailure naming a node where f is not
+    finite, and ToleranceNotReached when bisection bottoms out above tol
+    or a segment needs more than MAX_LIVE_PANELS panels on one level.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    total_len = path.length()
-    parts = [_adaptive_segment(f, a, b, tol * abs(b - a) / total_len, 0)
-             for a, b in path.segments()]
-    result = sum(val for val, _ in parts)
-    achieved = np.max(sum(err for _, err in parts))
+    points = np.array(path.waypoints)
+    a, b = points[:-1], points[1:]
+    lengths = np.abs(b - a)
+    values, errors, failures = gk15_segments(
+        f, a, b, tol * lengths / lengths.sum())
+    if failures:
+        raise failures[min(failures)]
+    values, errors = values.sum(axis=0), errors.sum(axis=0)
+    achieved = float(errors.max())
     if achieved > tol:
-        raise ToleranceNotReached(result, float(achieved))
-    return result
+        raise ToleranceNotReached(values, achieved)
+    return values
 
 
 def holo_derivative(f, z, order=1, h=None):

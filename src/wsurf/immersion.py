@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import contour_quad, holo_derivative, straight_path
-from .errors import StencilOutsideDomain
+from .contour import contour_quad, gk15_segments, holo_derivative
+from .errors import StencilOutsideDomain, ToleranceNotReached
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -27,6 +27,21 @@ def ew_integrand(data):
         return np.stack([e, x ** 2 * e, x * e], axis=-1)
 
     return integrand
+
+
+def _stencil_legs(data, xi, offsets, tol):
+    """(m, 3) ew_integrals along the straight legs xi -> xi + offsets[k],
+    each leg held to tol, in one gk15_segments call."""
+    ends = xi + offsets
+    values, errors, failures = gk15_segments(
+        ew_integrand(data), np.full(len(ends), xi), ends, tol)
+    if failures:
+        raise failures[min(failures)]
+    worst = errors.max(axis=1)
+    if worst.max() > tol:
+        k = int(np.argmax(worst))
+        raise ToleranceNotReached(values[k], float(worst[k]))
+    return values
 
 
 def ew_integrals(data, path, tol=1e-10):
@@ -134,11 +149,11 @@ def geometry_report(data, xi, h=None, tol=1e-12):
     # z-derivative (twice the displayed F), which is the normalization in
     # which (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.
     offsets = [dx * h + 1j * dy * h
-               for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    F = {}
-    for off in offsets:
-        F[off] = np.zeros(3) if off == 0 else \
-            2.0 * immerse_ew(data, straight_path(xi, xi + off), tol)
+               for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    legs = _stencil_legs(data, xi, np.array(offsets), tol)
+    F = {0: np.zeros(3)}
+    for off, leg in zip(offsets, legs):
+        F[off] = 2.0 * combine_euclidean(*leg)
 
     def at(dx, dy):
         return F[dx * h + 1j * dy * h]

@@ -1,12 +1,12 @@
 """Grid sampling, mesh assembly and OBJ/PLY/CSV export."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import SINGULARITY_RADIUS, get_equation
-from .contour import contour_quad, straight_path
+from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure,
                      WsurfError)
 from .immersion import (RESIDUAL_COLUMNS, combine_euclidean,
@@ -26,17 +26,6 @@ class ImmersionSample:
     u: float
     Q: complex
     residuals: dict = field(default_factory=dict)
-
-
-def _node_allowed(z, ode, data):
-    for c, r in data.exclusions:
-        # boundary slack: grid rings at exactly the exclusion radius stay in
-        if abs(z - c) < max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12):
-            return False
-    if ode is not None and ode.valid_region is not None \
-            and not ode.valid_region(z):
-        return False
-    return True
 
 
 def _staging_point(data, xi0):
@@ -104,37 +93,209 @@ def sample_point(data, cache, z):
         u=data.log_conformal_factor(z), Q=data.hopf(z))
 
 
-def _sample_mask(ode, data, grid, with_residuals, tol):
-    """Row-major sampling of the grid; returns (samples, mask, fail count)."""
-    points = grid.points()
-    n1, n2 = points.shape
-    cache = ew_cache(data, grid.base_point, tol)
+def _allowed_nodes(points, ode, data):
+    """(n1, n2) bool: nodes outside every exclusion disc and inside the
+    equation's validity region."""
+    allowed = np.ones(points.shape, dtype=bool)
+    for c, r in data.exclusions:
+        # boundary slack: grid rings at exactly the exclusion radius stay in
+        allowed &= np.abs(points - c) >= max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12)
+    if ode is not None and ode.valid_region is not None:
+        for k in np.flatnonzero(allowed):
+            allowed.flat[k] = bool(ode.valid_region(complex(points.flat[k])))
+    return allowed
 
-    mask = np.zeros((n1, n2), dtype=bool)
-    samples = {}
-    failures = 0
-    for i in range(n1):
-        for j in range(n2):
-            z = complex(points[i, j])
-            if not _node_allowed(z, ode, data):
+
+def _grid_edges(points, allowed, cache):
+    """Legal 4-neighbour edges between allowed nodes, as flat node index
+    arrays (u, v) with u < v.  Legality is the cache's segment_legal:
+    the edge keeps out of its exclusion discs and crosses no cut ray."""
+    index = np.arange(points.size).reshape(points.shape)
+    u = np.concatenate([index[:-1, :].ravel(), index[:, :-1].ravel()])
+    v = np.concatenate([index[1:, :].ravel(), index[:, 1:].ravel()])
+    keep = allowed.flat[u] & allowed.flat[v]
+    u, v = u[keep], v[keep]
+    legal = np.broadcast_to(
+        cache.segment_legal(points.flat[u], points.flat[v]), u.shape)
+    return u[legal], v[legal]
+
+
+def _adjacency(n, u, v, live):
+    """CSR (indptr, neighbour, edge id) of the live edges, both ways."""
+    e = np.flatnonzero(live)
+    src = np.concatenate([u[e], v[e]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return (indptr, np.concatenate([v[e], u[e]])[order],
+            np.concatenate([e, e])[order])
+
+
+def _bfs(adjacency, sources, visited, parent_edge, levels):
+    """Breadth-first search from sources, level by level.
+
+    Marks every node it reaches in ``visited``, records the edge it came
+    along in ``parent_edge`` and appends each level's nodes to
+    ``levels``; within a level a node takes the first edge in frontier
+    order, so the tree is deterministic.
+    """
+    indptr, neighbour, edge = adjacency
+    frontier = np.asarray(sources, dtype=int)
+    visited[frontier] = True
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        fresh = ~visited[neighbour[pos]]
+        frontier, first = np.unique(neighbour[pos][fresh], return_index=True)
+        visited[frontier] = True
+        parent_edge[frontier] = edge[pos][fresh][first]
+        if frontier.size:
+            levels.append(frontier)
+
+
+def _tree_integrals(points, allowed, cache):
+    """Antiderivative values (n1 * n2, 3) at the allowed nodes, and the
+    mask of nodes that failed.
+
+    The legal grid edges form a graph.  Each connected component is
+    rooted at its node nearest the cache anchor, whose value is one
+    cache lookup; a root whose lookup raises a WsurfError counts as a
+    failed node and the next-nearest node becomes the root.  The edges
+    of a breadth-first spanning forest are integrated in one
+    gk15_segments call, and node values are the root value plus the
+    edge values summed level by level down the tree.  Any edge that
+    does not reach the cache tolerance is dropped and the forest is
+    rebuilt around it.
+    """
+    z = points.ravel()
+    n = z.size
+    u, v = _grid_edges(points, allowed, cache)
+    live = np.ones(len(u), dtype=bool)
+    integrated = np.zeros(len(u), dtype=bool)
+    edge_value = np.zeros((len(u), 3), dtype=complex)
+    failed = np.zeros(n, dtype=bool)
+    roots = {}
+    candidates = np.flatnonzero(allowed.ravel())
+    candidates = candidates[np.argsort(np.abs(z[candidates] - cache.anchor),
+                                       kind="stable")]
+    while True:
+        adjacency = _adjacency(n, u, v, live)
+        visited = failed.copy()
+        parent_edge = np.full(n, -1)
+        levels = []
+        if roots:
+            _bfs(adjacency, list(roots), visited, parent_edge, levels)
+        for node in candidates:
+            if visited[node]:
                 continue
             try:
-                sample = sample_point(data, cache, z)
-                if with_residuals:
-                    try:
-                        res = geometry_report(
-                            data, z, tol=min(tol, 1e-12)).as_dict()
-                    except WsurfError:
-                        res = dict.fromkeys(RESIDUAL_COLUMNS, math.inf)
-                    sample = replace(sample, residuals=res)
-                if not np.all(np.isfinite(sample.F)):
-                    raise EvaluationFailure(z, f"non-finite immersion at {z}")
+                value = cache(complex(z[node]))
+                if not np.isfinite(value).all():
+                    raise EvaluationFailure(complex(z[node]))
             except WsurfError:
-                failures += 1
+                failed[node] = visited[node] = True
                 continue
-            mask[i, j] = True
-            samples[(i, j)] = sample
-    return samples, mask, failures
+            roots[node] = value
+            _bfs(adjacency, [node], visited, parent_edge, levels)
+        tree = parent_edge[parent_edge >= 0]
+        todo = tree[~integrated[tree]]
+        if todo.size == 0:
+            break
+        values, errors, failures = gk15_segments(
+            cache.integrand, z[u[todo]], z[v[todo]], cache.tol)
+        bad = errors.reshape(len(todo), -1).max(axis=1) > cache.tol
+        bad[list(failures)] = True
+        edge_value[todo[~bad]] = values.reshape(len(todo), -1)[~bad]
+        integrated[todo[~bad]] = True
+        if not bad.any():
+            break
+        live[todo[bad]] = False
+
+    value = np.full((n, 3), np.nan, dtype=complex)
+    for node, root_value in roots.items():
+        value[node] = root_value
+    for level in levels:
+        e = parent_edge[level]
+        forward = v[e] == level
+        parent = np.where(forward, u[e], v[e])
+        value[level] = value[parent] + np.where(
+            forward[:, None], edge_value[e], -edge_value[e])
+    return value, failed
+
+
+def _pointwise(fn, zs):
+    """(fn(zs), ok): one array call; when it raises a WsurfError, node
+    by node, with ok False and nan where fn raised."""
+    try:
+        return np.asarray(fn(zs)), np.ones(len(zs), dtype=bool)
+    except WsurfError:
+        pass
+    out = np.full(len(zs), np.nan, dtype=complex)
+    ok = np.zeros(len(zs), dtype=bool)
+    for k, z in enumerate(zs):
+        try:
+            out[k] = fn(z)
+            ok[k] = True
+        except WsurfError:
+            continue
+    return out, ok
+
+
+@dataclass(frozen=True)
+class GridSamples:
+    """Immersion data at the sampled nodes of a grid, row-major."""
+
+    mask: np.ndarray             # (n1, n2) bool, True = sampled node
+    points: np.ndarray           # (n,) complex parameter values
+    integrals: np.ndarray        # (n, 3): int eta^2, chi^2 eta^2, chi eta^2
+    F: np.ndarray                # (n, 3) Euclidean immersion
+    u: np.ndarray                # (n,) log conformal factor
+    Q: np.ndarray                # (n,) Hopf differential coefficient
+    residuals: dict              # RESIDUAL_COLUMNS key -> (n,), or empty
+    failures: int                # admissible nodes that failed
+
+
+def _sample_mask(ode, data, grid, with_residuals, tol):
+    """GridSamples over the grid, with the geometry residuals if asked.
+
+    Makes no per-node quadrature: the integrals come from
+    _tree_integrals, and u and Q from one array call each.  A node
+    fails when its root lookup fails, its immersion is not finite, or
+    u or Q raise a WsurfError there; a residual report that raises gives
+    inf residuals instead.
+    """
+    points = grid.points()
+    allowed = _allowed_nodes(points, ode, data)
+    value, failed = _tree_integrals(
+        points, allowed, ew_cache(data, grid.base_point, tol))
+    ok = allowed.ravel() & ~failed
+    with np.errstate(invalid="ignore"):
+        ok[ok] = np.isfinite(combine_euclidean(*value[ok].T)).all(axis=0)
+    zs = points.ravel()[ok]
+    u, ok_u = _pointwise(data.log_conformal_factor, zs)
+    Q, ok_q = _pointwise(data.hopf, zs)
+    good = ok_u & ok_q
+    ok[ok] = good
+    zs, u, Q = zs[good], u[good].real, Q[good]
+    residuals = {}
+    if with_residuals:
+        rows = []
+        for z in zs:
+            try:
+                rows.append(geometry_report(
+                    data, z, tol=min(tol, 1e-12)).as_dict())
+            except WsurfError:
+                rows.append(dict.fromkeys(RESIDUAL_COLUMNS, math.inf))
+        residuals = {k: np.array([r[k] for r in rows], dtype=float)
+                     for k in RESIDUAL_COLUMNS}
+    integrals = value[ok]
+    return GridSamples(
+        mask=ok.reshape(points.shape), points=zs, integrals=integrals,
+        F=combine_euclidean(*integrals.T).T, u=u.astype(float),
+        Q=Q.astype(complex), residuals=residuals,
+        failures=int(allowed.sum() - ok.sum()))
 
 
 def sample_grid(equation, params=None, constants=None, grid=None,
@@ -142,14 +303,22 @@ def sample_grid(equation, params=None, constants=None, grid=None,
     """Immersion samples over a grid, row-major, masked nodes dropped.
 
     ``equation`` is a catalog id, a LinearODE, or None when prebuilt
-    WeierstrassData is passed directly.  Raises EvaluationFailure when
-    more than half of the admissible nodes fail.
+    WeierstrassData is passed directly.  The samples are built from the
+    arrays of _sample_mask.  Raises EvaluationFailure when more than
+    half of the admissible nodes fail.
     """
-    samples, mask, _ = _sample_with_mask(
+    samples, data = _sample_with_mask(
         equation, params, constants, grid, data, with_residuals, tol)
-    n1, n2 = mask.shape
-    return [samples[(i, j)] for i in range(n1) for j in range(n2)
-            if mask[i, j]]
+    n = len(samples.points)
+    chi = np.broadcast_to(data.chi(samples.points), (n,))
+    return [ImmersionSample(
+        z=complex(samples.points[k]), F=samples.F[k],
+        Ftilde=combine_quaternionic(*samples.integrals[k]),
+        Fst=sym_tafel(chi[k]), u=float(samples.u[k]),
+        Q=complex(samples.Q[k]),
+        residuals={name: float(column[k])
+                   for name, column in samples.residuals.items()})
+        for k in range(n)]
 
 
 def _sample_with_mask(equation, params=None, constants=None, grid=None,
@@ -172,14 +341,15 @@ def _sample_with_mask(equation, params=None, constants=None, grid=None,
             raise ValueError("no grid given and the equation has no default")
         grid = ode.default_domain
 
-    samples, mask, failures = _sample_mask(ode, data, grid, with_residuals, tol)
-    admissible = int(mask.sum()) + failures
+    samples = _sample_mask(ode, data, grid, with_residuals, tol)
+    admissible = len(samples.points) + samples.failures
     if admissible == 0:
         raise EmptyMesh("no admissible grid nodes")
-    if failures > 0.5 * admissible:
+    if samples.failures > 0.5 * admissible:
         raise EvaluationFailure(
-            None, f"{failures}/{admissible} grid nodes failed to evaluate")
-    return samples, mask, grid
+            None, f"{samples.failures}/{admissible} grid nodes failed "
+                  f"to evaluate")
+    return samples, data
 
 
 @dataclass
@@ -192,7 +362,7 @@ class SurfaceMesh:
 
     vertices: np.ndarray         # (n, 3) float
     mask: np.ndarray             # (n1, n2) bool, True = valid node
-    faces: list                  # 4-tuples of vertex indices
+    faces: np.ndarray            # (f, 4) int vertex indices
     points: np.ndarray           # (n,) complex parameter values
     attributes: dict             # name -> (n,) float array
 
@@ -203,64 +373,47 @@ class SurfaceMesh:
 def build_mesh(equation, params=None, constants=None, grid=None,
                data=None, with_residuals=True, tol=1e-10):
     """Sample a grid and assemble the quad mesh over the unmasked nodes."""
-    samples, mask, grid = _sample_with_mask(
+    samples, _ = _sample_with_mask(
         equation, params, constants, grid, data, with_residuals, tol)
-    return mesh_from_samples(samples, mask)
+    return mesh_from_samples(samples)
 
 
-def mesh_from_samples(samples, mask):
-    n1, n2 = mask.shape
-    index = -np.ones((n1, n2), dtype=int)
-    verts, pts = [], []
-    attrs = {"u": [], "absQ": [], "H_residual": []}
-    extra = [k for k in RESIDUAL_COLUMNS if k != "meanCurvature"]
-    have_extra = any(k in s.residuals for s in samples.values() for k in extra)
-    if have_extra:
-        for k in extra:
-            attrs[k] = []
-    count = 0
-    for i in range(n1):
-        for j in range(n2):
-            if not mask[i, j]:
-                continue
-            s = samples[(i, j)]
-            index[i, j] = count
-            count += 1
-            verts.append(s.F)
-            pts.append(s.z)
-            attrs["u"].append(s.u)
-            attrs["absQ"].append(abs(s.Q))
-            attrs["H_residual"].append(s.residuals.get("meanCurvature", 0.0))
-            if have_extra:
-                for k in extra:
-                    attrs[k].append(s.residuals.get(k, 0.0))
-    if count == 0:
+def mesh_from_samples(samples):
+    """SurfaceMesh from GridSamples, all in arrays.
+
+    Vertices are the sampled nodes in row-major order; a face joins
+    every 2x2 block of sampled nodes.  Attributes are u, |Q| and the
+    mean-curvature residual (0 without residuals), plus the other
+    residual columns when the samples carry them.
+    """
+    mask = samples.mask
+    if not mask.any():
         raise EmptyMesh("all grid nodes are masked")
-    faces = []
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            block = index[i:i + 2, j:j + 2]
-            if np.all(block >= 0):
-                faces.append((int(block[0, 0]), int(block[1, 0]),
-                              int(block[1, 1]), int(block[0, 1])))
+    index = np.cumsum(mask.ravel()).reshape(mask.shape) - 1
+    block = mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
+    faces = np.stack([index[:-1, :-1][block], index[1:, :-1][block],
+                      index[1:, 1:][block], index[:-1, 1:][block]], axis=1)
+    n = len(samples.points)
+    attrs = {"u": samples.u, "absQ": np.abs(samples.Q),
+             "H_residual": samples.residuals.get("meanCurvature",
+                                                 np.zeros(n))}
+    attrs.update((k, r) for k, r in samples.residuals.items()
+                 if k != "meanCurvature")
     return SurfaceMesh(
-        vertices=np.array(verts, dtype=float),
-        mask=mask, faces=faces,
-        points=np.array(pts, dtype=complex),
-        attributes={k: np.array(v, dtype=float) for k, v in attrs.items()},
+        vertices=samples.F, mask=mask, faces=faces,
+        points=samples.points,
+        attributes={k: np.asarray(a, dtype=float) for k, a in attrs.items()},
     )
 
 
-def _g17(x):
-    return format(float(x), ".17g")
+def _rows(fmt, array):
+    """One fmt line per row of array; %.17g is the round-trip format."""
+    return [fmt % tuple(row) for row in np.asarray(array).tolist()]
 
 
 def _render_obj(mesh):
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {_g17(v[0])} {_g17(v[1])} {_g17(v[2])}")
-    for f in mesh.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in f))
+    lines = _rows("v %.17g %.17g %.17g", mesh.vertices)
+    lines += _rows("f %d %d %d %d", np.asarray(mesh.faces) + 1)
     return "\n".join(lines) + "\n"
 
 
@@ -276,25 +429,18 @@ def _render_ply(mesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    for v in mesh.vertices:
-        lines.append(f"{_g17(v[0])} {_g17(v[1])} {_g17(v[2])}")
-    for f in mesh.faces:
-        lines.append("4 " + " ".join(str(i) for i in f))
+    lines += _rows("%.17g %.17g %.17g", mesh.vertices)
+    lines += _rows("4 %d %d %d %d", mesh.faces)
     return "\n".join(lines) + "\n"
 
 
 def _render_csv(mesh):
+    a = mesh.attributes
+    columns = np.column_stack([
+        mesh.points.real, mesh.points.imag, mesh.vertices,
+        a["u"], a["absQ"], a["H_residual"]])
     lines = ["re,im,F1,F2,F3,u,absQ,H_residual"]
-    u = mesh.attributes["u"]
-    absq = mesh.attributes["absQ"]
-    hres = mesh.attributes["H_residual"]
-    for k, v in enumerate(mesh.vertices):
-        z = mesh.points[k]
-        lines.append(",".join([
-            _g17(z.real), _g17(z.imag),
-            _g17(v[0]), _g17(v[1]), _g17(v[2]),
-            _g17(u[k]), _g17(absq[k]), _g17(hres[k]),
-        ]))
+    lines += _rows(",".join(["%.17g"] * 8), columns)
     return "\n".join(lines) + "\n"
 
 

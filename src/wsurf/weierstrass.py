@@ -36,13 +36,16 @@ class WeierstrassData:
 
     def chi_prime(self, z):
         if self.dchi is not None:
-            return complex(self.dchi(complex(z)))
-        d, _ = holo_derivative(self.chi, z)
-        return d
+            return _like(z, self.dchi(np.asarray(z, dtype=complex)))
+        if np.ndim(z) == 0:
+            return holo_derivative(self.chi, z)[0]
+        return np.array([holo_derivative(self.chi, w)[0]
+                         for w in np.ravel(z)]).reshape(np.shape(z))
 
     def hopf(self, z):
         """Hopf differential coefficient Q = -eta^2 * chi'."""
-        return -complex(self.eta_sq(complex(z))) * self.chi_prime(z)
+        eta = np.asarray(self.eta_sq(np.asarray(z, dtype=complex)))
+        return _like(z, -eta * self.chi_prime(z))
 
     def conformal_factor(self, z):
         """e^u with e^(u/2) = |eta|^2 (1 + |chi|^2)."""
@@ -51,9 +54,17 @@ class WeierstrassData:
         return half * half
 
     def log_conformal_factor(self, z):
-        z = complex(z)
-        return 2.0 * math.log(
-            abs(complex(self.eta_sq(z))) * (1 + abs(complex(self.chi(z))) ** 2))
+        zs = np.asarray(z, dtype=complex)
+        u = 2.0 * np.log(np.abs(self.eta_sq(zs))
+                         * (1 + np.abs(self.chi(zs)) ** 2))
+        return float(u) if np.ndim(z) == 0 else u
+
+
+def _like(z, value):
+    """value as a Python complex for scalar z, else as an array."""
+    if np.ndim(z) == 0:
+        return complex(value)
+    return np.broadcast_to(value, np.shape(z)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +219,16 @@ class CachedAntiderivative:
         self._size = 1
         self._lock = threading.Lock()
 
-    def _segment_legal(self, a, b):
+    def segment_legal(self, a, b):
+        """True where segment [a, b] keeps out of every exclusion disc and
+        crosses no cut ray.  a and b may be arrays of endpoints; without
+        obstacles the answer is a single True."""
+        illegal = False
         for c, r in self.exclusions:
-            if segment_hits_disc(a, b, c, r):
-                return False
+            illegal = illegal | segment_hits_disc(a, b, c, r)
         for anchor, d in self.cuts:
-            if segment_crosses_ray(a, b, anchor, d):
-                return False
-        return True
+            illegal = illegal | segment_crosses_ray(a, b, anchor, d)
+        return np.logical_not(illegal)
 
     def __call__(self, z):
         z = complex(z)
@@ -224,7 +237,7 @@ class CachedAntiderivative:
         zc = complex(self._points[idx])
         if zc == z:
             return self._values[idx].copy()     # never a view of the store
-        if self._segment_legal(zc, z):
+        if self.segment_legal(zc, z):
             legs = [(zc, z)]
         else:
             # any legal path gives the same value: the cut plane is
@@ -243,6 +256,14 @@ class CachedAntiderivative:
             self._values[n] = value
             self._size = n + 1
         return value
+
+
+def _lookup(cache, z):
+    """cache(z) for a scalar z; for an array, one lookup per element."""
+    if np.ndim(z) == 0:
+        return cache(z)
+    return np.array([cache(w) for w in np.ravel(z)],
+                    dtype=complex).reshape(np.shape(z))
 
 
 def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
@@ -264,7 +285,7 @@ def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
     cache = CachedAntiderivative(qp, z0, ode.exclusions(), ode.cut_rays, tol)
 
     def eta_sq(z):
-        return anchor_value * np.exp(-cache(z))
+        return anchor_value * np.exp(-_lookup(cache, z))
 
     eta_sq.base_point = z0
     return eta_sq
@@ -293,7 +314,7 @@ def build_chi(ode, data, tol=1e-11):
                                  ode.cut_rays, tol)
 
     def chi(z):
-        return chi0 - cache(z) / lam
+        return chi0 - _lookup(cache, z) / lam
 
     chi.base_point = z0
     return chi

@@ -1,5 +1,8 @@
 """Equation catalog: coefficients, classical solutions, grids, user ODEs."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as _cheb
@@ -12,6 +15,7 @@ from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
                            classical_solution, coefficient_ratios, factorial,
                            get_equation, get_fixture, load_user_ode,
                            reference_surface)
+from wsurf.cli import run_pipeline
 from wsurf.errors import (OutsideFixtureDomain, SingularPoint,
                           UnknownEquation)
 
@@ -204,6 +208,31 @@ singularities = 0
     def test_requires_all_coefficients(self):
         with pytest.raises(ValueError):
             load_user_ode("p = z\nq = 1\n")
+
+    def test_folds_constant_subexpressions(self):
+        ode = load_user_ode("params = alpha=3\np = 1\nq = z\nr = alpha^2\n")
+        assert ode.r(2j) == 9.0
+        # folds of exp and log are numpy scalars, which compile() refuses
+        ode = load_user_ode("params = alpha=3\np = exp(alpha)\n"
+                            "q = log(2) - z\nr = exp(1)*z\n")
+        assert ode.p(2j) == pytest.approx(np.exp(3.0), rel=1e-15)
+        assert ode.q(2j) == pytest.approx(np.log(2.0) - 2j, rel=1e-15)
+        assert ode.r(2j) == pytest.approx(np.e * 2j, rel=1e-15)
+        ode = load_user_ode("p = 1\nq = z\nr = log(2)\n")
+        assert ode.r(0.5) == pytest.approx(np.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("expr", ["3^2^22", "1/0"])
+    def test_rejects_hostile_constants(self, expr, tmp_path):
+        # 3^2^22 used to be evaluated as a Python int on every call
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(repr(expr))):
+            load_user_ode(f"p = 1\nq = z\nr = {expr}\n")
+        assert time.perf_counter() - start < 1.0
+        path = tmp_path / "hostile.ode"
+        path.write_text(f"p = 1\nq = z\nr = {expr}\n")
+        out = tmp_path / "s.obj"
+        assert run_pipeline(["surface", "--ode-file", str(path),
+                             "--out", str(out)]) == 2
 
 
 class TestFixtures:

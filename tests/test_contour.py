@@ -1,12 +1,18 @@
 """Contour paths, adaptive quadrature and holomorphic derivatives."""
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
 
-from wsurf.contour import (ContourPath, contour_quad, holo_derivative,
-                           straight_path)
-from wsurf.errors import ToleranceNotReached, WsurfError
+from wsurf.catalog import get_equation
+from wsurf.contour import (ContourPath, contour_quad, gk15_segments,
+                           holo_derivative, straight_path)
+from wsurf.errors import EvaluationFailure, ToleranceNotReached, WsurfError
+from wsurf.immersion import ew_integrand
+from wsurf.pathplan import plan_path
+from wsurf.weierstrass import make_data
 from wsurf.special import ei
 
 
@@ -92,6 +98,18 @@ class TestContourQuad:
         assert isinstance(exc.value.achieved_error, float)
         assert exc.value.achieved_error > 1e-10
 
+    def test_unreachable_tolerance_fails_fast(self):
+        # the planned path passes 0.06 from the 1/z^2 pole, where GK15
+        # cannot reach 1e-11; bisection used to run toward 2^40 panels
+        ode = get_equation("laguerre_assoc")
+        data = make_data(ode)
+        path = plan_path(0.2 + 0.3j, -1.5 - 0.5j, data.exclusions,
+                         data.cut_rays)
+        start = time.perf_counter()
+        with pytest.raises(ToleranceNotReached):
+            contour_quad(ew_integrand(data), path, tol=1e-11)
+        assert time.perf_counter() - start < 5.0
+
     def test_singularity_on_path_fails(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(WsurfError):
@@ -109,6 +127,28 @@ class TestContourQuad:
             return complex(z) ** 2
         val = contour_quad(f, straight_path(0j, 1 + 0j))
         assert abs(val - 1.0 / 3.0) <= 1e-12
+
+
+class TestSegmentBatch:
+    def test_matches_one_quadrature_per_segment(self):
+        # the second segment needs bisection, the third hits the pole
+        f = lambda z: np.stack([np.exp(z) / z, 1.0 / z ** 2], axis=-1)
+        a = np.array([1 + 1j, 0.05 + 0j, -1 + 0j, 2 + 0j])
+        b = np.array([2 + 1j, 1 + 1j, 1 + 0j, 2 + 3j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, errors, failures = gk15_segments(f, a, b, 1e-10)
+        assert list(failures) == [2]
+        assert isinstance(failures[2], EvaluationFailure)
+        for k in (0, 1, 3):
+            ref = contour_quad(f, straight_path(a[k], b[k]), tol=1e-10)
+            assert np.max(np.abs(values[k] - ref)) <= 1e-14
+            assert np.max(errors[k]) <= 1e-10
+
+    def test_scalar_integrand_shape(self):
+        values, errors, failures = gk15_segments(
+            lambda z: z * z, [0j, 1j], [1 + 0j, 2j], 1e-12)
+        assert values.shape == errors.shape == (2,) and not failures
+        assert np.allclose(values, [1 / 3, -7j / 3], atol=1e-14)
 
 
 class TestHoloDerivative:

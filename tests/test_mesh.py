@@ -1,13 +1,20 @@
 """Grid sampling, mesh assembly and export formats."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsurf.catalog import GridSpec, get_equation, get_fixture, reference_surface
-from wsurf.errors import EmptyMesh, IoFailure
-from wsurf.mesh import (build_mesh, ew_cache, export_mesh, immersion_at,
-                        import_csv, sample_grid)
-from wsurf.weierstrass import closed_form_data
+from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
+                           get_equation, get_fixture, reference_surface)
+from wsurf.errors import EmptyMesh, IoFailure, WsurfError
+from wsurf.geometry import segment_crosses_ray, segment_hits_disc
+from wsurf.immersion import combine_euclidean
+from wsurf.mesh import (_sample_mask, build_mesh, ew_cache, export_mesh,
+                        immersion_at, import_csv, sample_grid)
+from wsurf.weierstrass import closed_form_data, make_data
 
 
 def unit_square_grid(n=2):
@@ -56,6 +63,109 @@ class TestSampling:
     def test_needs_equation_or_data(self):
         with pytest.raises(ValueError):
             sample_grid(None, grid=unit_square_grid())
+
+
+# (equation, lambda, grid) of the figure surfaces at criterion-10 resolution
+FIGURE_GRIDS = (
+    ("laguerre", 1.0, None),
+    ("legendre", -2.0, ("polar", ((0.02, 8.0), (0.0, 6 * math.pi)))),
+    ("bessel", -0.5, ("polar", ((0.01, 2.0), (0.0, 2 * math.pi)))),
+    ("chebyshev1", -1.0, ("polar", ((0.02, 10.0), (0.0, 2 * math.pi)))),
+)
+
+
+def figure_case(eq, lam, spec):
+    ode = get_equation(eq)
+    grid = ode.default_domain if spec is None else \
+        GridSpec(spec[0], spec[1], (30, 30), ode.default_domain.base_point)
+    return ode, make_data(ode, lam=lam, base_point=grid.base_point), grid
+
+
+def default_case(eq, n=12):
+    ode = get_equation(eq)
+    d = ode.default_domain
+    grid = GridSpec(d.kind, d.ranges, (n, n), d.base_point)
+    return ode, make_data(ode, base_point=grid.base_point), grid
+
+
+def per_node_reference(ode, data, grid, tol=1e-10):
+    """(mask, failures, F) from one ew_cache lookup per node, row-major:
+    the sampling loop the spanning forest replaced."""
+    points = grid.points()
+    cache = ew_cache(data, grid.base_point, tol)
+    mask = np.zeros(points.shape, dtype=bool)
+    F = np.full(points.shape + (3,), np.nan)
+    failures = 0
+    for (i, j), z in np.ndenumerate(points):
+        z = complex(z)
+        if any(abs(z - c) < max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12)
+               for c, r in data.exclusions):
+            continue
+        if ode.valid_region is not None and not ode.valid_region(z):
+            continue
+        try:
+            value = combine_euclidean(*cache(z))
+            if not np.all(np.isfinite(value)):
+                raise WsurfError(z)
+        except WsurfError:
+            failures += 1
+            continue
+        mask[i, j] = True
+        F[i, j] = value
+    return mask, failures, F
+
+
+def assert_matches_reference(ode, data, grid):
+    mask, failures, F = per_node_reference(ode, data, grid)
+    samples = _sample_mask(ode, data, grid, False, 1e-10)
+    assert np.array_equal(samples.mask, mask)
+    assert samples.failures == failures
+    assert np.max(np.abs(samples.F - F[mask]), initial=0.0) <= 1e-9
+
+
+class TestSpanningForest:
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_default_grids_match_per_node_lookups(self, eq):
+        assert_matches_reference(*default_case(eq))
+
+    @pytest.mark.parametrize("case", FIGURE_GRIDS, ids=lambda c: c[0])
+    def test_figure_grids_match_per_node_lookups(self, case):
+        assert_matches_reference(*figure_case(*case))
+
+    @pytest.mark.parametrize(
+        "case", [default_case(eq) for eq in EQUATION_IDS]
+        + [figure_case(*c) for c in FIGURE_GRIDS],
+        ids=[f"default-{eq}" for eq in EQUATION_IDS]
+        + [f"figure-{c[0]}" for c in FIGURE_GRIDS])
+    def test_array_segment_tests_match_scalar_calls(self, case):
+        # every 4-neighbour edge, on-ray and boundary-ring nodes included
+        ode, data, grid = case
+        z = grid.points()
+        a = np.concatenate([z[:-1, :].ravel(), z[:, :-1].ravel()])
+        b = np.concatenate([z[1:, :].ravel(), z[:, 1:].ravel()])
+        for c, r in data.exclusions:
+            hits = segment_hits_disc(a, b, c, r)
+            assert hits.tolist() == [segment_hits_disc(complex(p), complex(q), c, r)
+                                     for p, q in zip(a, b)]
+        for anchor, d in data.cut_rays:
+            crosses = segment_crosses_ray(a, b, anchor, d)
+            scalar = [segment_crosses_ray(complex(p), complex(q), anchor, d)
+                      for p, q in zip(a, b)]
+            assert crosses.tolist() == scalar
+            assert all(type(x) is bool for x in scalar)
+
+    @settings(max_examples=8, deadline=None)
+    @given(eq=st.sampled_from(["hermite", "laguerre"]),
+           dx=st.floats(0.0, 1.0, exclude_max=True),
+           dy=st.floats(0.0, 1.0, exclude_max=True))
+    def test_shifted_grids_match_per_node_lookups(self, eq, dx, dy):
+        ode, data, grid = default_case(eq)
+        (a0, a1), (b0, b1) = grid.ranges
+        n1, n2 = grid.resolution
+        da, db = dx * (a1 - a0) / (n1 - 1), dy * (b1 - b0) / (n2 - 1)
+        shifted = GridSpec(grid.kind, ((a0 + da, a1 + da), (b0 + db, b1 + db)),
+                           grid.resolution, grid.base_point)
+        assert_matches_reference(ode, data, shifted)
 
 
 class TestAnchoredImmersion:

@@ -159,3 +159,21 @@ class TestCachedAntiderivative:
         # -1+0.01j needs a detour; the value is still log of the endpoint
         z = -1 + 0.01j
         assert abs(cache(z) - np.log(z)) <= 1e-9
+
+
+class TestArrayCalls:
+    @pytest.mark.parametrize("prefer,rtol", [("closed_form", 1e-14),
+                                             ("numeric", 1e-8)])
+    def test_array_calls_match_scalar_calls(self, prefer, rtol):
+        # scalar calls must stay Python scalars: `wsurf sample` formats
+        # complex values by isinstance
+        data = make_data(get_equation("laguerre"), prefer=prefer)
+        zs = np.array(SAFE_POINTS)
+        for name, kind in (("log_conformal_factor", float), ("hopf", complex),
+                           ("chi_prime", complex)):
+            fn = getattr(data, name)
+            scalar = [fn(z) for z in SAFE_POINTS]
+            assert all(type(v) is kind for v in scalar), name
+            batch = fn(zs)
+            assert batch.shape == zs.shape
+            assert np.allclose(batch, scalar, rtol=rtol, atol=0), name
