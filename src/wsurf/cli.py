@@ -207,20 +207,17 @@ def _cmd_verify(args, tol):
     results["linear_problem"] = worst_lp
     results["wavefunction_dbar"] = worst_dbar
 
-    worst = {"conformality": 0.0, "metric": 0.0, "mean_curvature": 0.0,
-             "hopf_holomorphy": 0.0, "liouville": 0.0}
-    for z in points:
-        rep = geometry_report(data, z, tol=min(tol, 1e-12))
-        worst["conformality"] = max(worst["conformality"],
-                                    rep.conformality / rep.conformal_factor)
-        worst["metric"] = max(worst["metric"],
-                              rep.metric / rep.conformal_factor)
-        worst["mean_curvature"] = max(worst["mean_curvature"],
-                                      rep.mean_curvature)
-        worst["hopf_holomorphy"] = max(worst["hopf_holomorphy"],
-                                       rep.hopf_holomorphy)
-        worst["liouville"] = max(worst["liouville"], rep.liouville)
-    results.update(worst)
+    rep = geometry_report(data, np.array(points), tol=min(tol, 1e-12))
+    if rep.failures:
+        raise rep.failures[min(rep.failures)]
+    for name, values in (
+            ("conformality", rep.conformality / rep.conformal_factor),
+            ("metric", rep.metric / rep.conformal_factor),
+            ("mean_curvature", rep.mean_curvature),
+            ("hopf_holomorphy", rep.hopf_holomorphy),
+            ("liouville", rep.liouville)):
+        # the largest value, nan ignored
+        results[name] = float(np.fmax.reduce(values, initial=0.0))
 
     ok = True
     for name, value in results.items():

@@ -282,32 +282,49 @@ def holo_derivative(f, z, order=1, h=None):
     first-order Cauchy-Riemann residual at z; it vanishes for holomorphic
     f up to truncation error.  order=2 returns the second holomorphic
     derivative (with a larger default step to balance rounding).
+
+    z may be an array of points, with h a step or an array of steps of
+    its shape; f is then called once per stencil offset on the whole
+    array.  f may be vector-valued, giving (k,) values at a point and
+    (n, k) on an array; both results then have that shape, the residual
+    per component.  A scalar z and a scalar f give a Python complex and
+    float.  Raises EvaluationFailure naming a point where f is not
+    finite.
     """
-    z = complex(z)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    scalar = np.ndim(z) == 0
+    z = complex(z) if scalar else np.asarray(z, dtype=complex)
     if h is None:
-        h = (1e-5 if order == 1 else 1e-4) * max(1.0, abs(z))
+        h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, np.abs(z))
+    h = float(h) if scalar else np.asarray(h, dtype=float)
 
     def ev(w):
-        v = complex(f(w))
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise EvaluationFailure(w)
+        v = np.asarray(f(w), dtype=complex)
+        if not np.isfinite(v).all():
+            if scalar:
+                raise EvaluationFailure(w)
+            finite = np.isfinite(v).reshape(w.size, -1).all(axis=1)
+            raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
         return v
 
     fr_p, fr_m = ev(z + h), ev(z - h)
     fi_p, fi_m = ev(z + 1j * h), ev(z - 1j * h)
-    fx = (fr_p - fr_m) / (2 * h)
-    fy = (fi_p - fi_m) / (2 * h)
-    d1 = 0.5 * (fx - 1j * fy)
-    cr = abs(0.5 * (fx + 1j * fy))
+    # the step of each point, broadcast over the components of a vector f
+    s = np.reshape(h, np.shape(h) + (1,) * (fr_p.ndim - np.ndim(h)))
+    fx = (fr_p - fr_m) / (2 * s)
+    fy = (fi_p - fi_m) / (2 * s)
+    cr = np.abs(0.5 * (fx + 1j * fy))
     if order == 1:
-        return d1, cr
-    f0 = ev(z)
-    fxx = (fr_p - 2 * f0 + fr_m) / h ** 2
-    fyy = (fi_p - 2 * f0 + fi_m) / h ** 2
-    fpp, fpm = ev(z + h + 1j * h), ev(z + h - 1j * h)
-    fmp, fmm = ev(z - h + 1j * h), ev(z - h - 1j * h)
-    fxy = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
-    d2 = 0.25 * (fxx - fyy - 2j * fxy)
-    return d2, cr
+        d = 0.5 * (fx - 1j * fy)
+    else:
+        f0 = ev(z)
+        fxx = (fr_p - 2 * f0 + fr_m) / s ** 2
+        fyy = (fi_p - 2 * f0 + fi_m) / s ** 2
+        fpp, fpm = ev(z + h + 1j * h), ev(z + h - 1j * h)
+        fmp, fmm = ev(z - h + 1j * h), ev(z - h - 1j * h)
+        fxy = (fpp - fpm - fmp + fmm) / (4 * s ** 2)
+        d = 0.25 * (fxx - fyy - 2j * fxy)
+    if d.ndim == 0:
+        return complex(d), float(cr)
+    return d, cr

@@ -75,23 +75,27 @@ class Wavefunction:
     def dpsi1(self, z):
         return complex(self.state_at(z)[1])
 
-    def psi2(self, z):
-        z = complex(z)
-        p1, d1 = self.state_at(z)
+    def _psi2(self, z, p1, d1):
+        """psi2 = chi psi1 - psi1' / (lambda eta^2) from the state at z."""
         return complex(self.data.chi(z)) * p1 - d1 / (
             self.data.lam * complex(self.data.eta_sq(z)))
 
+    def psi2(self, z):
+        z = complex(z)
+        return complex(self._psi2(z, *self.state_at(z)))
+
     def psi(self, z):
-        return np.array([self.psi1(z), self.psi2(z)], dtype=complex)
+        """(psi1, psi2) at z from one transport."""
+        z = complex(z)
+        p1, d1 = self.state_at(z)
+        return np.array([p1, self._psi2(z, p1, d1)], dtype=complex)
 
     def samples(self):
         """(z, psi1, psi2) triples at the stored path nodes."""
         out = []
         for z, (p1, d1) in zip(self._nodes, self._states):
             z = complex(z)
-            p2 = complex(self.data.chi(z)) * p1 - d1 / (
-                self.data.lam * complex(self.data.eta_sq(z)))
-            out.append((z, complex(p1), complex(p2)))
+            out.append((z, complex(p1), complex(self._psi2(z, p1, d1))))
         return out
 
 
@@ -146,13 +150,12 @@ def lp_residual(data, wf, z, h=None):
     and dbar the largest Cauchy-Riemann residual of the two components.
     """
     z = complex(z)
-    d1, cr1 = holo_derivative(wf.psi1, z, h=h)
-    d2, cr2 = holo_derivative(wf.psi2, z, h=h)
+    d, cr = holo_derivative(wf.psi, z, h=h)
     psi = wf.psi(z)
     u = potential_matrix(data, z)
-    mismatch = np.array([d1, d2]) - u @ psi
+    mismatch = d - u @ psi
     res = float(np.linalg.norm(mismatch) / max(1.0, np.linalg.norm(psi)))
-    return res, float(max(cr1, cr2))
+    return res, float(cr.max())
 
 
 def zcc_residual(data, z, h=None):

@@ -1,6 +1,5 @@
 """Grid sampling, mesh assembly and OBJ/PLY/CSV export."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,9 +8,8 @@ from .catalog import SINGULARITY_RADIUS, get_equation
 from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure,
                      WsurfError)
-from .immersion import (RESIDUAL_COLUMNS, combine_euclidean,
-                        combine_quaternionic, ew_integrand, geometry_report,
-                        sym_tafel)
+from .immersion import (combine_euclidean, combine_quaternionic,
+                        ew_integrand, geometry_report, sym_tafel)
 from .weierstrass import CachedAntiderivative, make_data
 
 
@@ -263,8 +261,8 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
     Makes no per-node quadrature: the integrals come from
     _tree_integrals, and u and Q from one array call each.  A node
     fails when its root lookup fails, its immersion is not finite, or
-    u or Q raise a WsurfError there; a residual report that raises gives
-    inf residuals instead.
+    u or Q raise a WsurfError there; a node whose residual report fails
+    gets inf residuals instead.
     """
     points = grid.points()
     allowed = _allowed_nodes(points, ode, data)
@@ -281,15 +279,7 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
     zs, u, Q = zs[good], u[good].real, Q[good]
     residuals = {}
     if with_residuals:
-        rows = []
-        for z in zs:
-            try:
-                rows.append(geometry_report(
-                    data, z, tol=min(tol, 1e-12)).as_dict())
-            except WsurfError:
-                rows.append(dict.fromkeys(RESIDUAL_COLUMNS, math.inf))
-        residuals = {k: np.array([r[k] for r in rows], dtype=float)
-                     for k in RESIDUAL_COLUMNS}
+        residuals = geometry_report(data, zs, tol=min(tol, 1e-12)).as_dict()
     integrals = value[ok]
     return GridSamples(
         mask=ok.reshape(points.shape), points=zs, integrals=integrals,

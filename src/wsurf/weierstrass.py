@@ -37,10 +37,7 @@ class WeierstrassData:
     def chi_prime(self, z):
         if self.dchi is not None:
             return _like(z, self.dchi(np.asarray(z, dtype=complex)))
-        if np.ndim(z) == 0:
-            return holo_derivative(self.chi, z)[0]
-        return np.array([holo_derivative(self.chi, w)[0]
-                         for w in np.ravel(z)]).reshape(np.shape(z))
+        return holo_derivative(self.chi, z)[0]
 
     def hopf(self, z):
         """Hopf differential coefficient Q = -eta^2 * chi'."""
@@ -49,9 +46,9 @@ class WeierstrassData:
 
     def conformal_factor(self, z):
         """e^u with e^(u/2) = |eta|^2 (1 + |chi|^2)."""
-        z = complex(z)
-        half = abs(complex(self.eta_sq(z))) * (1 + abs(complex(self.chi(z))) ** 2)
-        return half * half
+        zs = np.asarray(z, dtype=complex)
+        half = np.abs(self.eta_sq(zs)) * (1 + np.abs(self.chi(zs)) ** 2)
+        return float(half * half) if np.ndim(z) == 0 else half * half
 
     def log_conformal_factor(self, z):
         zs = np.asarray(z, dtype=complex)

@@ -172,6 +172,46 @@ class TestHoloDerivative:
         _, cr = holo_derivative(np.conj, 0.7 + 0.2j)
         assert abs(cr - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_and_vector_calls_match_scalar_calls(self, order):
+        zs = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.0 - 0.4j, 0.5j])
+        steps = np.array([1e-5, 2e-5, 3e-4, 1e-4])
+
+        def f(w):
+            return np.exp(-w) * w
+
+        def vec(w):
+            return np.stack([f(w), np.sin(w), np.conj(w)], axis=-1)
+
+        # numpy's array and scalar transcendental functions may differ in
+        # the last bit, which the differences divide by h^order
+        tol = 1e-9 if order == 1 else 1e-5
+        for h in (None, steps):
+            d, cr = holo_derivative(f, zs, order=order, h=h)
+            dv, crv = holo_derivative(vec, zs, order=order, h=h)
+            assert d.shape == cr.shape == zs.shape
+            assert dv.shape == crv.shape == zs.shape + (3,)
+            assert np.array_equal(dv[:, 0], d) and np.array_equal(crv[:, 0], cr)
+            for k, z in enumerate(zs):
+                step = None if h is None else h[k]
+                ref = [holo_derivative(g, z, order=order, h=step)
+                       for g in (f, np.sin, np.conj)]
+                assert type(ref[0][0]) is complex
+                assert type(ref[0][1]) is float
+                one, one_cr = holo_derivative(vec, z, order=order, h=step)
+                assert one.shape == one_cr.shape == (3,)
+                for j in range(3):
+                    assert one[j] == ref[j][0] and one_cr[j] == ref[j][1]
+                    assert abs(dv[k, j] - ref[j][0]) <= tol
+                    assert abs(crv[k, j] - ref[j][1]) <= tol
+
+    def test_array_call_names_non_finite_point(self):
+        zs = np.array([1 + 1j, 2 + 0j, 3 + 1j])
+        with pytest.raises(EvaluationFailure) as info:
+            holo_derivative(
+                lambda w: np.where(np.abs(w - 2) < 0.1, np.nan, w), zs)
+        assert abs(info.value.z - 2) <= 1e-4
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             holo_derivative(lambda z: z, 0j, order=3)

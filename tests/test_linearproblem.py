@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import wsurf.linearproblem as linearproblem
 from wsurf.catalog import get_equation
-from wsurf.contour import ContourPath, straight_path
+from wsurf.contour import ContourPath, holo_derivative, straight_path
 from wsurf.errors import SingularPoint
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual,
@@ -124,6 +125,57 @@ class TestTransport:
         res, dbar = lp_residual(data, wf, 1.3 + 0.5j)
         assert res <= 1e-6
         assert dbar <= 1e-7
+
+
+def ten_transport_lp_residual(data, wf, z, h=None):
+    """Reference: psi1 and psi2 differentiated separately and psi built
+    from two queries, ten transports per point."""
+    z = complex(z)
+    d1, cr1 = holo_derivative(wf.psi1, z, h=h)
+    d2, cr2 = holo_derivative(wf.psi2, z, h=h)
+    psi = np.array([wf.psi1(z), wf.psi2(z)], dtype=complex)
+    mismatch = np.array([d1, d2]) - potential_matrix(data, z) @ psi
+    res = float(np.linalg.norm(mismatch) / max(1.0, np.linalg.norm(psi)))
+    return res, float(max(cr1, cr2))
+
+
+class TestResidualTransports:
+    def wavefunction(self):
+        ode = get_equation("laguerre", {"alpha": 1})
+        data = laguerre_data(lam=2 - 1j)
+        psi1, dpsi1, _ = analytic_pair(data, ode)
+        path = ContourPath((1 + 0j, 1 + 1j, 2 + 1j))
+        return data, integrate_wavefunction(
+            data, ode, (psi1(1.0), dpsi1(1.0)), path)
+
+    def test_matches_ten_transport_formula(self):
+        data, wf = self.wavefunction()
+        _, _, analytic = analytic_pair(data, wf.ode)
+        for z in (1 + 0.5j, 1.3 + 0.9j, 2 + 1.2j, 1.7 + 0.1j):
+            for w, h in ((wf, None), (wf, 1e-4), (analytic, None)):
+                assert lp_residual(data, w, z, h=h) == \
+                    ten_transport_lp_residual(data, w, z, h=h)
+
+    def test_psi_is_one_transport(self, monkeypatch):
+        data, wf = self.wavefunction()
+        calls = []
+        solve_ivp = linearproblem.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(linearproblem, "solve_ivp", counted)
+        z = 1.3 + 0.9j
+        psi = wf.psi(z)
+        assert len(calls) == 1
+        assert psi[0] == wf.psi1(z) and psi[1] == wf.psi2(z)
+        calls.clear()
+        # points off the path's stored nodes: each of them needs its own
+        # transport too
+        for k, z in enumerate((1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j), start=1):
+            lp_residual(data, wf, z)
+            assert len(calls) == 5 * k
 
 
 class TestZeroCurvature:

@@ -170,7 +170,8 @@ class TestArrayCalls:
         data = make_data(get_equation("laguerre"), prefer=prefer)
         zs = np.array(SAFE_POINTS)
         for name, kind in (("log_conformal_factor", float), ("hopf", complex),
-                           ("chi_prime", complex)):
+                           ("chi_prime", complex),
+                           ("conformal_factor", float)):
             fn = getattr(data, name)
             scalar = [fn(z) for z in SAFE_POINTS]
             assert all(type(v) is kind for v in scalar), name
