@@ -25,6 +25,7 @@ from scipy import special as _sps
 
 from . import special
 from .errors import OutsideFixtureDomain, SingularPoint, UnknownEquation
+from .geometry import Obstacles
 
 SINGULARITY_RADIUS = 0.02
 
@@ -337,11 +338,7 @@ class ClosedFormFixture:
     excluded: tuple = field(default_factory=tuple)   # (center, radius)
 
     def domain_contains(self, xi):
-        xi = complex(xi)
-        for c, rad in self.excluded:
-            if abs(xi - c) <= rad:
-                return False
-        return True
+        return Obstacles(self.excluded).point_legal(complex(xi))
 
 
 def reference_surface(fixture, xi):

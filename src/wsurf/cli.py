@@ -10,6 +10,7 @@ import numpy as np
 from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, get_equation,
                       load_user_ode)
 from .errors import WsurfError
+from .geometry import Obstacles
 from .immersion import geometry_report
 from .linearproblem import integrate_wavefunction, lp_residual
 from .mesh import build_mesh, ew_cache, export_mesh, sample_point
@@ -165,18 +166,11 @@ def _verification_points(ode, data):
         xi0 = xi0 + 0.5j
     offsets = (0j, 0.2 + 0.15j, -0.15 + 0.3j, 0.1 - 0.2j, 0.3 + 0.4j,
                -0.25 - 0.1j)
-    points = []
-    for off in offsets:
-        z = xi0 + off
-        if _near_singular(data, z, margin=0.1):
-            continue
-        if ode.valid_region is not None and not ode.valid_region(z):
-            continue
-        if any(abs((z - a).imag) < 1e-9 and ((z - a) * np.conj(d)).real > 0
-               for a, d in data.cut_rays):
-            continue
-        points.append(z)
-    return points
+    obstacles = Obstacles(data.exclusions, data.cut_rays)
+    return [z for z in (xi0 + off for off in offsets)
+            if not _near_singular(data, z, margin=0.1)
+            and (ode.valid_region is None or ode.valid_region(z))
+            and not obstacles.on_ray(z)]
 
 
 def _near_singular(data, z, margin=0.05):

@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationFailure, ToleranceNotReached, WsurfError
-from .geometry import segment_crosses_ray, segment_hits_disc
+from .geometry import Obstacles
+# not used here: bench/spans.py counts segment tests through these names
+from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XK = np.array([
@@ -42,45 +44,34 @@ MAX_LIVE_PANELS = 4096
 CHUNK_PANELS = 1024
 
 
+_CLEAR = Obstacles()     # shared by the many paths without obstacles
+
+
 @dataclass(frozen=True)
 class ContourPath:
-    """Piecewise-linear path in the complex plane.
-
-    waypoints       ordered complex points, len >= 2, consecutive distinct
-    excluded_points list of (center, radius) discs no segment may enter
-    cut_rays        list of (anchor, unit direction) half-lines no segment
-                    may cross
-    """
+    """Piecewise-linear path through two or more waypoints, consecutive
+    ones distinct, whose segments are clear of
+    Obstacles(excluded_points, cut_rays): (center, radius) discs and
+    (anchor, direction) rays."""
 
     waypoints: tuple
     excluded_points: tuple = field(default_factory=tuple)
     cut_rays: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        wp = tuple(complex(w) for w in self.waypoints)
+        wp = tuple([complex(w) for w in self.waypoints])
+        obstacles = (Obstacles(self.excluded_points, self.cut_rays)
+                     if self.excluded_points or self.cut_rays else _CLEAR)
         object.__setattr__(self, "waypoints", wp)
-        object.__setattr__(self, "excluded_points",
-                           tuple((complex(c), float(r)) for c, r in self.excluded_points))
-        object.__setattr__(self, "cut_rays",
-                           tuple((complex(a), complex(d) / abs(complex(d)))
-                                 for a, d in self.cut_rays))
+        object.__setattr__(self, "excluded_points", obstacles.discs)
+        object.__setattr__(self, "cut_rays", obstacles.rays)
         if len(wp) < 2:
             raise ValueError("a path needs at least two waypoints")
         for a, b in zip(wp, wp[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
-        for (c, r) in self.excluded_points:
-            if r <= 0:
-                raise ValueError("exclusion radius must be positive")
-            for a, b in self.segments():
-                if segment_hits_disc(a, b, c, r):
-                    raise ValueError(
-                        f"segment {a}->{b} enters exclusion disc at {c} (r={r})")
-        for (anchor, direction) in self.cut_rays:
-            for a, b in self.segments():
-                if segment_crosses_ray(a, b, anchor, direction):
-                    raise ValueError(
-                        f"segment {a}->{b} crosses cut ray from {anchor}")
+            if (blocker := obstacles.blocker(a, b)) is not None:
+                raise ValueError(f"segment {a}->{b} {blocker}")
 
     def segments(self):
         return list(zip(self.waypoints, self.waypoints[1:]))

@@ -2,7 +2,7 @@
 
 Points are complex scalars; segments are (a, b) pairs; a cut ray is an
 (anchor, direction) pair with |direction| = 1, extending from the anchor
-to infinity.
+to infinity.  Obstacles decides which points and segments are legal.
 
 segment_hits_disc and segment_crosses_ray also take numpy arrays of
 segment endpoints and then return bool arrays.  Those go through the
@@ -12,6 +12,8 @@ separate because pathplan's visibility graph calls them thousands of
 times per route, where numpy's per-call overhead would cost several times
 the test itself.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +91,66 @@ def segment_crosses_ray(a, b, anchor, direction):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return _segments_cross_arrays(a, b, anchor, tip)
     return segments_cross(a, b, anchor, tip)
+
+
+@dataclass(frozen=True)
+class Obstacles:
+    """The legality rules for every point and segment of a contour.
+
+    Obstacles(exclusions, cuts) normalises (center, radius) discs to
+    (complex, float) with radius > 0 and (anchor, direction) rays to
+    (complex, unit complex).  The Weierstrass integrals are path
+    independent on the plane punctured by the discs and cut along the rays.
+    """
+
+    discs: tuple = ()
+    rays: tuple = ()
+
+    def __post_init__(self):
+        discs = tuple((complex(c), float(r)) for c, r in self.discs)
+        rays = tuple((complex(p), complex(d)) for p, d in self.rays)
+        if not all(r > 0 for _, r in discs):
+            raise ValueError(f"exclusion radii must be positive: {discs}")
+        if not all(0 < abs(d) < np.inf for _, d in rays):
+            raise ValueError(f"cut ray directions must be finite and "
+                             f"nonzero: {rays}")
+        object.__setattr__(self, "discs", discs)
+        object.__setattr__(self, "rays", tuple((p, d / abs(d)) for p, d in rays))
+
+    def segment_clear(self, a, b):
+        """True if segment [a, b] keeps out of every disc and crosses no
+        ray; for arrays of endpoints, a bool array of their shape."""
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return self.blocker(a, b) is None
+        hit = np.zeros(np.broadcast(a, b).shape, dtype=bool)
+        for c, r in self.discs:
+            hit |= segment_hits_disc(a, b, c, r)
+        for p, d in self.rays:
+            hit |= segment_crosses_ray(a, b, p, d)
+        return ~hit
+
+    def blocker(self, a, b):
+        """None if segment [a, b] is clear, else what it runs into."""
+        for c, r in self.discs:
+            if segment_hits_disc(a, b, c, r):
+                return f"enters exclusion disc at {c} (r={r})"
+        for p, d in self.rays:
+            if segment_crosses_ray(a, b, p, d):
+                return f"crosses cut ray from {p}"
+        return None
+
+    def on_ray(self, w):
+        """True if point w lies within 1e-9 of a cut ray."""
+        for p, d in self.rays:
+            t = ((w - p) * np.conj(d)).real
+            if t >= 0 and abs(w - (p + t * d)) < 1e-9:
+                return True
+        return False
+
+    def point_legal(self, w):
+        """True if w is outside every closed disc and on no ray."""
+        return (not any(abs(w - c) <= r for c, r in self.discs)
+                and not self.on_ray(w))
 
 
 # -- array forms: the scalar formulas over arrays of endpoints a, b -------

@@ -119,10 +119,8 @@ _CROSS = np.array([1, -1, 1j, -1j])
 
 def _distance_to_exclusions(data, xi):
     """(n,) distance of each point to its nearest singular point."""
-    if not data.exclusions:
-        return np.full(len(xi), np.inf)
-    centers = np.array([c for c, _r in data.exclusions])
-    return np.abs(xi[:, None] - centers).min(axis=1)
+    centers = np.array([c for c, _r in data.exclusions], dtype=complex)
+    return np.abs(xi[:, None] - centers).min(axis=1, initial=np.inf)
 
 
 def _stencil_legs(data, xi, h, tol, live, failures):
@@ -204,7 +202,7 @@ def geometry_report(data, xi, h=None, tol=1e-12):
     failures = {}
     # the discs only constrain path planning; the stencil just has to
     # keep clear of the singular points themselves
-    for node in np.flatnonzero(np.isfinite(dist) & (dist < 10 * h)):
+    for node in np.flatnonzero(np.isfinite(dist) & (dist <= 10 * h)):
         failures[int(node)] = StencilOutsideDomain(
             f"stencil at {complex(xi[node])} reaches a singular point "
             f"(distance {float(dist[node])})")

@@ -164,12 +164,6 @@ def zcc_residual(data, z, h=None):
     With the holomorphic gauge the second potential vanishes, so the
     zero-curvature condition reduces to dbar U = 0.
     """
-    z = complex(z)
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            def entry(w, _i=i, _j=j):
-                return potential_matrix(data, w)[_i, _j]
-            _, cr = holo_derivative(entry, z, h=h)
-            worst = max(worst, cr)
-    return worst
+    _, cr = holo_derivative(lambda w: potential_matrix(data, w).ravel(),
+                            complex(z), h=h)
+    return float(cr.max())

@@ -8,6 +8,7 @@ from .catalog import SINGULARITY_RADIUS, get_equation
 from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure,
                      WsurfError)
+from .geometry import Obstacles
 from .immersion import (combine_euclidean, combine_quaternionic,
                         ew_integrand, geometry_report, sym_tafel)
 from .weierstrass import CachedAntiderivative, make_data
@@ -26,16 +27,13 @@ class ImmersionSample:
     residuals: dict = field(default_factory=dict)
 
 
-def _staging_point(data, xi0):
-    """None, or a nearby regular point when xi0 sits on a singularity."""
-    for c, r in data.exclusions:
+def _staging_point(obstacles, xi0):
+    """None, or a nearby regular point when xi0 sits on a singularity:
+    half a unit across the singularity's cut ray, if it has one."""
+    for c, r in obstacles.discs:
         if abs(xi0 - c) <= max(r, SINGULARITY_RADIUS):
-            direction = 1 + 0j
-            for anchor, d in data.cut_rays:
-                if abs(anchor - c) < 1e-9:
-                    direction = complex(d) / abs(complex(d))
-                    break
-            return xi0 + 0.5j * direction
+            return xi0 + 0.5j * next(
+                (d for p, d in obstacles.rays if abs(p - c) < 1e-9), 1 + 0j)
     return None
 
 
@@ -65,13 +63,11 @@ def ew_cache(data, xi0, tol=1e-11):
     """
     xi0 = complex(xi0)
     f = ew_integrand(data)
-    staging = _staging_point(data, xi0)
-    if staging is None:
-        return CachedAntiderivative(f, xi0, data.exclusions, data.cut_rays,
-                                    tol, initial_value=np.zeros(3))
-    return CachedAntiderivative(
-        f, staging, data.exclusions, data.cut_rays, tol,
-        initial_value=_regularized_leg(f, xi0, staging, tol))
+    staging = _staging_point(Obstacles(data.exclusions, data.cut_rays), xi0)
+    anchor, start = (xi0, np.zeros(3)) if staging is None else (
+        staging, _regularized_leg(f, xi0, staging, tol))
+    return CachedAntiderivative(f, anchor, data.exclusions, data.cut_rays,
+                                tol, initial_value=start)
 
 
 def immersion_at(data, xi0, z, tol=1e-11):
@@ -106,15 +102,14 @@ def _allowed_nodes(points, ode, data):
 
 def _grid_edges(points, allowed, cache):
     """Legal 4-neighbour edges between allowed nodes, as flat node index
-    arrays (u, v) with u < v.  Legality is the cache's segment_legal:
-    the edge keeps out of its exclusion discs and crosses no cut ray."""
+    arrays (u, v) with u < v.  Legality is the cache's obstacles: the
+    edge keeps out of its exclusion discs and crosses no cut ray."""
     index = np.arange(points.size).reshape(points.shape)
     u = np.concatenate([index[:-1, :].ravel(), index[:, :-1].ravel()])
     v = np.concatenate([index[1:, :].ravel(), index[:, 1:].ravel()])
     keep = allowed.flat[u] & allowed.flat[v]
     u, v = u[keep], v[keep]
-    legal = np.broadcast_to(
-        cache.segment_legal(points.flat[u], points.flat[v]), u.shape)
+    legal = cache.obstacles.segment_clear(points.flat[u], points.flat[v])
     return u[legal], v[legal]
 
 

@@ -15,7 +15,9 @@ from scipy import special as _sps
 
 from .contour import contour_quad, holo_derivative, straight_path
 from .errors import SingularPoint
-from .geometry import segment_crosses_ray, segment_hits_disc
+from .geometry import Obstacles
+# not used here: bench/spans.py counts segment tests through these names
+from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 from .pathplan import plan_path
 
 
@@ -205,9 +207,7 @@ class CachedAntiderivative:
                  initial_value=0j):
         self.integrand = integrand
         self.anchor = complex(anchor)
-        self.exclusions = tuple((complex(c), float(r)) for c, r in exclusions)
-        self.cuts = tuple((complex(a), complex(d) / abs(complex(d)))
-                          for a, d in cuts)
+        self.obstacles = Obstacles(exclusions, cuts)
         self.tol = tol
         value = np.asarray(initial_value, dtype=complex)
         self._points = np.full(16, self.anchor)
@@ -216,17 +216,6 @@ class CachedAntiderivative:
         self._size = 1
         self._lock = threading.Lock()
 
-    def segment_legal(self, a, b):
-        """True where segment [a, b] keeps out of every exclusion disc and
-        crosses no cut ray.  a and b may be arrays of endpoints; without
-        obstacles the answer is a single True."""
-        illegal = False
-        for c, r in self.exclusions:
-            illegal = illegal | segment_hits_disc(a, b, c, r)
-        for anchor, d in self.cuts:
-            illegal = illegal | segment_crosses_ray(a, b, anchor, d)
-        return np.logical_not(illegal)
-
     def __call__(self, z):
         z = complex(z)
         n = self._size
@@ -234,12 +223,13 @@ class CachedAntiderivative:
         zc = complex(self._points[idx])
         if zc == z:
             return self._values[idx].copy()     # never a view of the store
-        if self.segment_legal(zc, z):
+        if self.obstacles.segment_clear(zc, z):
             legs = [(zc, z)]
         else:
             # any legal path gives the same value: the cut plane is
             # simply connected, so route from the nearest cached point
-            legs = plan_path(zc, z, self.exclusions, self.cuts).segments()
+            legs = plan_path(zc, z, self.obstacles.discs,
+                             self.obstacles.rays).segments()
         value = self._values[idx]
         for a, b in legs:
             value = value + contour_quad(self.integrand, straight_path(a, b),

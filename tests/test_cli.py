@@ -2,10 +2,14 @@
 
 import re
 
+import numpy as np
 import pytest
 
-from wsurf.cli import (_join_negative_literals, parse_complex, parse_grid,
+from wsurf.catalog import EQUATION_IDS, get_equation, load_user_ode
+from wsurf.cli import (_join_negative_literals, _near_singular,
+                       _verification_points, parse_complex, parse_grid,
                        run_pipeline)
+from wsurf.weierstrass import make_data
 
 USER_ODE = """id = mylag
 params = alpha=1
@@ -108,6 +112,47 @@ class TestVerify:
                      "hopf_holomorphy", "liouville"):
             assert re.search(rf"^{name}: max residual .* ok$", out,
                              re.MULTILINE), name
+
+
+# the user equation of the README's "User-defined equations" section
+README_ODE = """id = my-equation
+params = alpha=2
+p = z - 0.5
+q = 1.5 - z
+r = alpha
+singularities = 0.5
+"""
+
+
+def reference_verification_points(ode, data):
+    """The points `wsurf verify` checked with its own inline ray test,
+    which holds only for horizontal rays."""
+    xi0 = complex(ode.default_domain.base_point)
+    if _near_singular(data, xi0):
+        xi0 = xi0 + 0.5j
+    offsets = (0j, 0.2 + 0.15j, -0.15 + 0.3j, 0.1 - 0.2j, 0.3 + 0.4j,
+               -0.25 - 0.1j)
+    points = []
+    for off in offsets:
+        z = xi0 + off
+        if _near_singular(data, z, margin=0.1):
+            continue
+        if ode.valid_region is not None and not ode.valid_region(z):
+            continue
+        if any(abs((z - a).imag) < 1e-9 and ((z - a) * np.conj(d)).real > 0
+               for a, d in data.cut_rays):
+            continue
+        points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("ode", list(EQUATION_IDS) + ["readme"])
+def test_verification_points_unchanged(ode):
+    ode = load_user_ode(README_ODE) if ode == "readme" else get_equation(ode)
+    data = make_data(ode)
+    points = _verification_points(ode, data)
+    assert points
+    assert points == reference_verification_points(ode, data)
 
 
 class TestSample:

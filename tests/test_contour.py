@@ -40,6 +40,16 @@ class TestContourPath:
         assert len(p.segments()) == 2
         assert p.start == -1 - 1j and p.end == -1 + 1j
 
+    @pytest.mark.parametrize("obstacles", [
+        dict(cut_rays=((0j, 0j),)), dict(excluded_points=((0j, 0.0),)),
+        dict(excluded_points=((0j, -0.5),))],
+        ids=["zero-direction", "zero-radius", "negative-radius"])
+    def test_rejects_degenerate_obstacles(self, obstacles):
+        with pytest.raises(ValueError):
+            ContourPath((1 + 1j, 2 + 1j), **obstacles)
+        with pytest.raises(ValueError):
+            straight_path(1 + 1j, 2 + 1j, **obstacles)
+
     def test_length_and_reversed(self):
         p = ContourPath((0j, 3 + 0j, 3 + 4j))
         assert abs(p.length() - 7.0) <= 1e-15

@@ -153,6 +153,19 @@ class TestGeometryReport:
         with pytest.raises(StencilOutsideDomain):
             geometry_report(data, 0.05j, h=0.02)
 
+    @pytest.mark.filterwarnings("error")
+    def test_point_on_a_singular_point(self):
+        # the distance 0 makes the default step 0; the guard still holds,
+        # before any zero-length leg or division by the step
+        data = laguerre_data()
+        with pytest.raises(StencilOutsideDomain):
+            geometry_report(data, 0j)
+        rep = geometry_report(data, np.array([0j, 2 + 1j]))
+        assert list(rep.failures) == [0]
+        assert isinstance(rep.failures[0], StencilOutsideDomain)
+        for name in RESIDUAL_FIELDS + ("u", "conformal_factor", "hopf"):
+            assert np.isfinite(getattr(rep, name)[1]), name
+
 
 def reference_report(data, xi, h=None, tol=1e-12):
     """The report at one point, computed point by point: the per-node

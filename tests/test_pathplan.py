@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wsurf import pathplan
+from wsurf.catalog import get_equation
 from wsurf.errors import PathPlanningFailure
+from wsurf.geometry import Obstacles
 from wsurf.pathplan import MAX_WAYPOINTS, path_clearance, plan_path
 
 
@@ -88,3 +92,35 @@ def test_no_route_raises():
     discs = tuple((c, 1.5) for c in (2 + 0j, -2 + 0j, 2j, -2j))
     with pytest.raises(PathPlanningFailure):
         plan_path(5 + 5j, 0j, exclusions=discs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(cuts=((0j, 0j),)), dict(exclusions=((0j, 0.0),)),
+    dict(exclusions=((0j, -0.5),))],
+    ids=["zero-direction", "zero-radius", "negative-radius"])
+def test_degenerate_obstacles_rejected(kwargs):
+    with pytest.raises(ValueError):
+        plan_path(1j, 2j, **kwargs)
+
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("eq", ["bessel", "legendre"])
+@settings(max_examples=40, deadline=None)
+@given(x0=coordinate, y0=coordinate, x1=coordinate, y1=coordinate)
+def test_planned_paths_are_legal(eq, x0, y0, x1, y1):
+    ode = get_equation(eq)
+    obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
+    a, b = complex(x0, y0), complex(x1, y1)
+    for w in (a, b):
+        assume(all(abs(w - c) >= r for c, r in obstacles.discs))
+        assume(not obstacles.on_ray(w))
+    assume(a != b)
+    try:
+        path = plan_path(a, b, ode.exclusions(), ode.cut_rays)
+    except PathPlanningFailure:
+        return
+    assert path.start == a and path.end == b
+    assert len(path.waypoints) <= MAX_WAYPOINTS
+    assert all(obstacles.segment_clear(p, q) for p, q in path.segments())
