@@ -3,9 +3,8 @@
 Any second-order linear ODE given as p w'' + q w' + r w = 0 can be fed
 to the pipeline as a flat text definition; the Weierstrass pair is then
 constructed by numerical contour integration.  Here we define a shifted
-variant of the Laguerre equation, verify its pair, export a small mesh,
-and spot-check the surface geometry.  (Everything below runs through
-nested numerical quadrature, so the grid is kept deliberately small.)
+variant of the Laguerre equation, verify its pair, export a mesh, and
+spot-check the surface geometry.
 """
 
 from wsurf import (GridSpec, build_mesh, export_mesh, geometry_report,
@@ -28,7 +27,7 @@ report = verify_weierstrass(data, ode, points)
 print(f"numeric pair identity residuals: eta {report.eta_residual:.2e}, "
       f"chi {report.chi_residual:.2e}")
 
-grid = GridSpec("polar", ((0.7, 2.0), (0.0, 6.283185307179586)), (10, 10),
+grid = GridSpec("polar", ((0.7, 2.0), (0.0, 6.283185307179586)), (30, 30),
                 base_point=2 + 0j)
 mesh = build_mesh(ode, data=data, grid=grid, with_residuals=False)
 written = export_mesh(mesh, "obj", "custom_surface.obj")

@@ -88,7 +88,22 @@ class LinearODE:
 
 
 def coefficient_ratios(ode, z):
-    """(q/p, r/p) at z, raising SingularPoint at zeros of p."""
+    """(q/p, r/p) at z, raising SingularPoint at zeros of p.
+
+    For an array z, two arrays of its shape, and SingularPoint names the
+    first point where p vanishes or is not finite.
+    """
+    if np.ndim(z) != 0:
+        z = np.asarray(z, dtype=complex)
+        bad = np.zeros(z.shape, dtype=bool)
+        for s in ode.singularities:
+            bad |= np.abs(z - s) < 1e-12
+        pv = np.asarray(ode.p(z), dtype=complex)
+        bad |= (pv == 0) | ~np.isfinite(pv)
+        if bad.any():
+            raise SingularPoint(complex(z.flat[np.argmax(bad.ravel())]))
+        return (np.asarray(ode.q(z), dtype=complex) / pv,
+                np.asarray(ode.r(z), dtype=complex) / pv)
     zc = complex(z)
     for s in ode.singularities:
         if abs(zc - s) < 1e-12:
@@ -563,7 +578,11 @@ def _compile_expr(text, param_names):
 
     def fn(z, _code=code):
         env = dict(_FUNCTIONS, z=np.asarray(z, dtype=complex))
-        return eval(_code, {"__builtins__": {}}, env)
+        value = eval(_code, {"__builtins__": {}}, env)
+        if np.shape(value) != np.shape(z):
+            # a z-free expression is one constant; give it z's shape
+            value = np.full(np.shape(z), value, dtype=complex)
+        return value
 
     return fn
 

@@ -98,12 +98,12 @@ def straight_path(a, b, excluded_points=(), cut_rays=()):
 
 
 def _eval_vectorized(f, nodes):
-    try:
-        vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape[:1] != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([f(complex(z)) for z in nodes], dtype=complex)
+    """f on a 1-D array of nodes; raises TypeError unless the values have
+    one row per node."""
+    vals = np.asarray(f(nodes), dtype=complex)
+    if vals.shape[:1] != nodes.shape:
+        raise TypeError(f"integrand returned values of shape {vals.shape} "
+                        f"for nodes of shape {nodes.shape}")
     return vals
 
 
@@ -242,11 +242,12 @@ def _squeezed(values, errors, failures):
 def contour_quad(f, path, tol=1e-10):
     """Integrate f along a ContourPath to absolute tolerance tol.
 
-    f must accept complex scalars or numpy arrays of them.  Values of
-    shape (n,) give a complex result; values of shape (n, k) give a (k,)
-    result with every component held to tol.  All segments of the path
-    go through one gk15_segments call, each held to its length's share
-    of tol.  Raises EvaluationFailure naming a node where f is not
+    f must map a 1-D numpy array of n complex nodes to values of shape
+    (n,) or (n, k); values whose first axis is not n raise TypeError.
+    Values of shape (n,) give a complex result; values of shape (n, k)
+    give a (k,) result with every component held to tol.  All segments
+    of the path go through one gk15_segments call, each held to its
+    length's share of tol.  Raises EvaluationFailure naming a node where f is not
     finite, and ToleranceNotReached when bisection bottoms out above tol
     or a segment needs more than MAX_LIVE_PANELS panels on one level.
     """

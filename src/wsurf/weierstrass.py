@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sps
+from scipy.spatial import cKDTree
 
-from .contour import contour_quad, holo_derivative, straight_path
-from .errors import SingularPoint
+from .contour import (contour_quad, gk15_segments, holo_derivative,
+                      straight_path)
+from .errors import (EvaluationFailure, SingularPoint, ToleranceNotReached,
+                     WsurfError)
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -201,6 +204,11 @@ class CachedAntiderivative:
     straight segment when that segment is legal, otherwise along a
     freshly planned path.  Safe for concurrent reads with single-writer
     insertion.
+
+    A scalar z gives one value; an array z gives values of shape
+    ``z.shape + value shape`` from one gk15_segments call for all its
+    new points (see _extend).  Returned values are never views of the
+    store.
     """
 
     def __init__(self, integrand, anchor, exclusions=(), cuts=(), tol=1e-11,
@@ -214,9 +222,13 @@ class CachedAntiderivative:
         self._values = np.empty((16,) + value.shape, dtype=complex)
         self._values[0] = value
         self._size = 1
+        # kd-trees over the store ranges [start, stop), in store order
+        self._blocks = []
         self._lock = threading.Lock()
 
     def __call__(self, z):
+        if np.ndim(z) != 0:
+            return self._lookup_array(np.asarray(z, dtype=complex))
         z = complex(z)
         n = self._size
         idx = int(np.argmin(np.abs(self._points[:n] - z)))
@@ -234,23 +246,146 @@ class CachedAntiderivative:
         for a, b in legs:
             value = value + contour_quad(self.integrand, straight_path(a, b),
                                          self.tol)
-        with self._lock:
-            n = self._size
-            if n == len(self._points):
-                self._points = np.concatenate([self._points, self._points])
-                self._values = np.concatenate([self._values, self._values])
-            self._points[n] = z
-            self._values[n] = value
-            self._size = n + 1
+        self._insert(np.array([z]), np.asarray(value)[None])
         return value
 
+    def _lookup_array(self, z):
+        """__call__ on an array: raises the WsurfError of the first point,
+        in input order, that could not be reached."""
+        points, inverse = np.unique(z.ravel(), return_inverse=True)
+        values, failures = self._extend(points)
+        if failures:
+            first = np.flatnonzero(np.isin(inverse, list(failures)))[0]
+            raise failures[int(inverse[first])]
+        return values[inverse].reshape(z.shape + values.shape[1:])
 
-def _lookup(cache, z):
-    """cache(z) for a scalar z; for an array, one lookup per element."""
-    if np.ndim(z) == 0:
-        return cache(z)
-    return np.array([cache(w) for w in np.ravel(z)],
-                    dtype=complex).reshape(np.shape(z))
+    def _extend(self, points):
+        """Values at distinct points, and {index: WsurfError} for the
+        points that failed.
+
+        Each point starts from its nearest stored point: a stored point
+        is an exact hit, the others are reached by a legal straight leg,
+        else by a legal straight leg from the nearest point planned
+        earlier in this batch, else along a planned path.  Each leg is
+        held to tol, as in a scalar call.  All legs go through one
+        gk15_segments call, and the new points that succeeded are
+        stored in one insert.
+        """
+        vshape = self._values.shape[1:]
+        values = np.zeros((len(points),) + vshape, dtype=complex)
+        failures = {int(i): EvaluationFailure(complex(points[i]))
+                    for i in np.flatnonzero(~np.isfinite(points))}
+        idx = np.flatnonzero(np.isfinite(points))
+        near = self._nearest(points[idx])
+        origin = self._points[near]
+        values[idx] = self._values[near]
+        new = origin != points[idx]
+        idx, origin = idx[new], origin[new]
+        clear = self.obstacles.segment_clear(origin, points[idx])
+        starts, ends, owners = [origin[clear]], [points[idx[clear]]], \
+            [idx[clear]]
+        planned, parent = [], {}
+        for i, zc in zip(idx[~clear], origin[~clear]):
+            z = points[i]
+            if planned:
+                # a clear leg from a point planned in this batch is cheaper
+                # than planning another path
+                j = planned[int(np.argmin(np.abs(points[planned] - z)))]
+                if self.obstacles.segment_clear(points[j], z):
+                    parent[i] = j
+                    starts.append([points[j]])
+                    ends.append([z])
+                    owners.append([i])
+                    continue
+            try:
+                path = plan_path(zc, z, self.obstacles.discs,
+                                 self.obstacles.rays)
+            except WsurfError as exc:
+                failures[int(i)] = exc
+                continue
+            planned.append(i)
+            a, b = np.array(path.segments()).T
+            starts.append(a)
+            ends.append(b)
+            owners.append(np.full(len(a), i))
+        owner = np.concatenate(owners)
+        if owner.size:
+            legs, errors, failed = gk15_segments(
+                self.integrand, np.concatenate(starts), np.concatenate(ends),
+                self.tol)
+            worst = errors.reshape(owner.size, -1).max(axis=1)
+            for leg in np.flatnonzero(worst > self.tol):
+                failed.setdefault(int(leg), ToleranceNotReached(
+                    legs[leg], float(worst[leg])))
+            for leg in sorted(failed):
+                failures.setdefault(int(owner[leg]), failed[leg])
+            for i, j in parent.items():
+                if j in failures:
+                    failures.setdefault(i, failures[j])
+            ok = ~np.isin(owner, list(failures))
+            # a chained point is its planned point's value plus its leg
+            chained = np.array(list(parent), dtype=int)
+            values[chained] = 0.0
+            np.add.at(values, owner[ok], legs[ok].reshape((-1,) + vshape))
+            values[chained] += values[[parent[i] for i in chained]]
+        done = idx[~np.isin(idx, list(failures))]
+        self._insert(points[done], values[done])
+        return values, failures
+
+    def _insert(self, points, values):
+        with self._lock:
+            n, m = self._size, len(points)
+            if n + m > len(self._points):
+                size = max(2 * len(self._points), n + m)
+                self._points = np.resize(self._points, size)
+                self._values = np.resize(self._values,
+                                         (size,) + self._values.shape[1:])
+            self._points[n:n + m] = points
+            self._values[n:n + m] = values
+            self._size = n + m
+
+    def _nearest(self, z):
+        """Store index of the stored point nearest to each of z.
+
+        The store is covered by kd-trees over consecutive ranges, each
+        more than twice the size of the next (Bentley-Saxe): the points
+        stored since the last lookup get a tree of their own, merged
+        with every preceding tree at most twice its size, so that a
+        point is re-indexed O(log n) times over the store's life.
+        """
+        with self._lock:
+            size = self._size
+            start = self._blocks[-1][1] if self._blocks else 0
+            if start < size:
+                while (self._blocks and self._blocks[-1][1]
+                       - self._blocks[-1][0] <= 2 * (size - start)):
+                    start = self._blocks.pop()[0]
+                self._blocks.append((start, size, cKDTree(
+                    _xy(self._points[start:size]), balanced_tree=False,
+                    compact_nodes=False)))
+            blocks = list(self._blocks)
+        xy = _xy(z)
+        best = np.full(len(z), np.inf)
+        near = np.zeros(len(z), dtype=int)
+        for start, _, tree in blocks:
+            dist, i = tree.query(xy)
+            closer = dist < best
+            best[closer] = dist[closer]
+            near[closer] = start + i[closer]
+        return near
+
+
+def _xy(z):
+    return np.column_stack([z.real, z.imag])
+
+
+def _nonzero_p(ode, z):
+    """p(z), raising SingularPoint at the first node where p vanishes."""
+    pv = np.asarray(ode.p(z), dtype=complex)
+    zero = np.ravel(pv == 0)
+    if zero.any():
+        raise SingularPoint(complex(np.ravel(z)[np.argmax(zero)]))
+    return pv
 
 
 def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
@@ -264,15 +399,13 @@ def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
                                 which="eta")
 
     def qp(z):
-        pv = np.asarray(ode.p(z), dtype=complex)
-        if np.any(pv == 0):
-            raise SingularPoint(z if np.ndim(z) == 0 else complex(np.asarray(z).flat[0]))
+        pv = _nonzero_p(ode, z)
         return np.asarray(ode.q(z), dtype=complex) / pv
 
     cache = CachedAntiderivative(qp, z0, ode.exclusions(), ode.cut_rays, tol)
 
     def eta_sq(z):
-        return anchor_value * np.exp(-_lookup(cache, z))
+        return anchor_value * np.exp(-cache(z))
 
     eta_sq.base_point = z0
     return eta_sq
@@ -290,9 +423,7 @@ def build_chi(ode, data, tol=1e-11):
     eta_sq = data.eta_sq
 
     def integrand(z):
-        pv = np.asarray(ode.p(z), dtype=complex)
-        if np.any(pv == 0):
-            raise SingularPoint(complex(np.asarray(z).flat[0]))
+        pv = _nonzero_p(ode, z)
         rv = np.asarray(ode.r(z), dtype=complex)
         ev = np.asarray(eta_sq(z), dtype=complex)
         return rv / pv / ev
@@ -301,7 +432,7 @@ def build_chi(ode, data, tol=1e-11):
                                  ode.cut_rays, tol)
 
     def chi(z):
-        return chi0 - _lookup(cache, z) / lam
+        return chi0 - cache(z) / lam
 
     chi.base_point = z0
     return chi
@@ -373,19 +504,16 @@ class WeierstrassReport:
 
 
 def verify_weierstrass(data, ode, samples):
-    """Finite-difference check of both coefficient identities."""
-    worst_eta = 0.0
-    worst_chi = 0.0
-    rows = []
-    for z in samples:
-        z = complex(z)
-        qp, rp = ode.ratios(z)
-        deta, _ = holo_derivative(data.eta_sq, z)
-        ev = complex(data.eta_sq(z))
-        res_eta = abs(qp + deta / ev)          # 2 eta'/eta = (eta^2)'/eta^2
-        dchi = data.chi_prime(z)
-        res_chi = abs(rp + data.lam * ev * dchi)
-        rows.append((z, res_eta, res_chi))
-        worst_eta = max(worst_eta, res_eta)
-        worst_chi = max(worst_chi, res_chi)
-    return WeierstrassReport(worst_eta, worst_chi, tuple(rows))
+    """Finite-difference check of both coefficient identities, with one
+    array call of each function on all the samples."""
+    z = np.array([complex(w) for w in samples], dtype=complex)
+    if z.size == 0:
+        return WeierstrassReport(0.0, 0.0, ())
+    qp, rp = ode.ratios(z)
+    deta, _ = holo_derivative(data.eta_sq, z)
+    ev = np.asarray(data.eta_sq(z), dtype=complex)
+    res_eta = np.abs(qp + deta / ev)           # 2 eta'/eta = (eta^2)'/eta^2
+    res_chi = np.abs(rp + data.lam * ev * data.chi_prime(z))
+    rows = tuple((complex(w), float(a), float(b))
+                 for w, a, b in zip(z, res_eta, res_chi))
+    return WeierstrassReport(float(res_eta.max()), float(res_chi.max()), rows)

@@ -205,6 +205,26 @@ singularities = 0
         with pytest.raises(ValueError):
             load_user_ode("p = w\nq = 1\nr = 1\n")
 
+    def test_z_free_coefficients_take_the_shape_of_z(self):
+        ode = load_user_ode("p = 1\nq = 0\nr = 1\n")
+        values = ode.p(np.zeros(4))
+        assert values.shape == (4,)
+        assert np.all(values == 1)
+        assert ode.q(np.ones((2, 3))).shape == (2, 3)
+        assert np.ndim(ode.p(0.5j)) == 0 and ode.p(0.5j) == 1
+
+    def test_coefficient_ratios_on_arrays(self):
+        ode = load_user_ode("p = z - 0.5\nq = 1\nr = z\n"
+                            "singularities = 0.5\n")
+        z = np.array([2 + 1j, -1 + 0.5j])
+        qp, rp = ode.ratios(z)
+        assert qp.shape == rp.shape == (2,)
+        assert np.allclose(qp, [ode.ratios(w)[0] for w in z], rtol=1e-15)
+        assert np.allclose(rp, [ode.ratios(w)[1] for w in z], rtol=1e-15)
+        with pytest.raises(SingularPoint) as info:
+            ode.ratios(np.array([2 + 1j, 0.5 + 0j]))
+        assert info.value.z == 0.5
+
     def test_requires_all_coefficients(self):
         with pytest.raises(ValueError):
             load_user_ode("p = z\nq = 1\n")

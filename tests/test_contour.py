@@ -130,13 +130,17 @@ class TestContourQuad:
         with pytest.raises(ValueError):
             contour_quad(lambda z: z, straight_path(0j, 1j), tol=0.0)
 
-    def test_scalar_only_integrand_fallback(self):
+    def test_scalar_only_integrand_raises(self):
+        # one call, no node-by-node retry: the shape error surfaces at once
+        calls = []
+
         def f(z):
-            if not np.isscalar(z) and np.ndim(z) != 0:
-                raise TypeError("scalar only")
-            return complex(z) ** 2
-        val = contour_quad(f, straight_path(0j, 1 + 0j))
-        assert abs(val - 1.0 / 3.0) <= 1e-12
+            calls.append(np.shape(z))
+            return complex(np.ravel(z)[0]) ** 2
+        with pytest.raises(TypeError, match=r"shape \(\) for nodes of "
+                                            r"shape \(15,\)"):
+            contour_quad(f, straight_path(0j, 1 + 0j))
+        assert calls == [(15,)]
 
 
 class TestSegmentBatch:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsurf.catalog import get_equation, load_user_ode
+from wsurf.catalog import EQUATION_IDS, get_equation, load_user_ode
+from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
+                          SingularPoint)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_chi, build_eta, build_numeric_data,
                                closed_form_data, make_data,
@@ -93,6 +97,17 @@ class TestNumericRoute:
             assert abs(complex(data.eta_sq(z)) - complex(cf.eta_sq(z))) <= 1e-9
             assert abs(complex(data.chi(z)) - complex(cf.chi(z))) <= 1e-9
 
+    def test_singular_point_names_the_zero_of_p(self):
+        # the leg -1 -> 1 puts the middle Kronrod node, not the first
+        # one, on the zero of p
+        ode = load_user_ode("p = z\nq = 1\nr = 1\n")
+        for fn in (build_eta(ode, base_point=-1.0),
+                   build_numeric_data(ode, base_point=-1.0).chi):
+            for z in (1 + 0j, np.array([1 + 0j])):
+                with pytest.raises(SingularPoint) as info:
+                    fn(z)
+                assert info.value.z == 0
+
     def test_make_data_prefers_closed_form(self):
         ode = get_equation("laguerre")
         assert make_data(ode).source == "closed_form"
@@ -120,6 +135,17 @@ class TestVerification:
         assert clean <= 1e-8
         assert r1 > 1e-3
         assert abs(r1 / r2 - 10.0) <= 2.0     # residual scales linearly in eps
+
+    def test_samples_are_python_scalars(self):
+        ode = get_equation("laguerre")
+        report = verify_weierstrass(make_data(ode, prefer="numeric"), ode,
+                                    SAFE_POINTS)
+        assert [row[0] for row in report.samples] == list(SAFE_POINTS)
+        assert all(type(z) is complex and type(a) is float
+                   and type(b) is float for z, a, b in report.samples)
+        assert report.max_residual() == max(
+            max(a, b) for _, a, b in report.samples)
+        assert verify_weierstrass(make_data(ode), ode, []).samples == ()
 
 
 class TestCachedAntiderivative:
@@ -178,3 +204,121 @@ class TestArrayCalls:
             batch = fn(zs)
             assert batch.shape == zs.shape
             assert np.allclose(batch, scalar, rtol=rtol, atol=0), name
+
+
+def _per_point(cache, z):
+    """The cache's values at an array z, one scalar call per element."""
+    values = np.array([cache(complex(w)) for w in z.ravel()])
+    return values.reshape(z.shape + values.shape[1:])
+
+
+def _close(a, b, tol=1e-9):
+    return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
+
+
+# (integrand, primitive, anchor, exclusions, cuts): bessel's cut plane and
+# legendre's two discs with their outward cuts
+_OBSTACLE_CASES = {
+    "bessel": (lambda z: 1.0 / z, np.log, 1 + 0j, ((0j, 0.02),),
+               ((0j, -1 + 0j),)),
+    "legendre": (lambda z: 1.0 / (1 - z * z), np.arctanh, 0j,
+                 ((1 + 0j, 0.02), (-1 + 0j, 0.02)),
+                 ((1 + 0j, 1 + 0j), (-1 + 0j, -1 + 0j))),
+}
+# each one's nearest point in a first batch of the others lies across a cut
+_ACROSS_CUTS = (-1.5 + 0.3j, -1.5 - 0.3j, 1.5 + 0.3j, 1.5 - 0.3j,
+                -0.3 + 0.1j, -0.3 - 0.1j)
+
+
+class TestBatchedAntiderivative:
+    """Array calls of CachedAntiderivative against one scalar call per
+    point, which is kept here as the reference."""
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS + ("user",))
+    def test_numeric_data_matches_per_point_lookups(self, eq, monkeypatch):
+        ode = (load_user_ode("id = my-equation\nparams = alpha=2\n"
+                             "p = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+                             "singularities = 0.5\n")
+               if eq == "user" else get_equation(eq))
+        # the conjugates of 1.5 + 0.3j and -1.5 + 0.3j lie across a cut
+        first = np.array([2 + 1j, -0.7 + 1.4j, 1.5 + 0.3j, -1.5 + 0.3j])
+        second = np.conj(first)
+        batched = build_numeric_data(ode)
+        with monkeypatch.context() as patch:
+            # every lookup, the nested ones too, one point at a time
+            patch.setattr(CachedAntiderivative, "_lookup_array", _per_point)
+            reference = build_numeric_data(ode)
+            expected = [(f(first), f(second))
+                        for f in (reference.eta_sq, reference.chi)]
+        for f, (want1, want2) in zip((batched.eta_sq, batched.chi), expected):
+            assert _close(f(first), want1), eq
+            assert _close(f(second), want2), eq
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(sorted(_OBSTACLE_CASES)),
+           points=st.lists(st.complex_numbers(max_magnitude=3.0).filter(
+               lambda z: abs(z.imag) > 1e-3 and min(abs(z - 1), abs(z + 1),
+                                                   abs(z)) > 0.05),
+               min_size=1, max_size=12),
+           repeats=st.lists(st.integers(0, 11), max_size=6),
+           stored=st.integers(0, 4))
+    def test_point_sets(self, case, points, repeats, stored):
+        integrand, primitive, anchor, exclusions, cuts = _OBSTACLE_CASES[case]
+
+        def fresh():
+            return CachedAntiderivative(integrand, anchor, exclusions, cuts)
+        batched, reference = fresh(), fresh()
+        first = np.array(_ACROSS_CUTS[::2] + tuple(points[:stored]))
+        second = np.array(_ACROSS_CUTS[1::2] + tuple(points)
+                          + tuple(points[k % len(points)] for k in repeats)
+                          + tuple(first[:2]))         # exact store hits
+        for z in (first, second):
+            got, want = batched(z), _per_point(reference, z)
+            assert got.shape == z.shape
+            assert _close(got, want)
+            assert _close(got, primitive(z))
+
+    def test_failed_point_raises_its_error(self):
+        integrand, primitive, anchor, exclusions, cuts = \
+            _OBSTACLE_CASES["bessel"]
+        cache = CachedAntiderivative(integrand, anchor, exclusions, cuts)
+        inside = 0.005 + 0.005j                       # in the disc at 0
+        good = np.array([2 + 1j, -1 + 1j, -1 - 0.5j])
+        with pytest.raises(PathPlanningFailure, match="inside exclusion"):
+            cache(np.array([good[0], inside, good[1], np.nan, good[2]]))
+        with pytest.raises(EvaluationFailure):
+            cache(np.array([good[0], np.nan, inside]))
+        later = np.concatenate([good, [0.5j, -2 - 2j]])
+        assert _close(cache(later), primitive(later))
+        assert _close(cache(-2 - 2.1j), np.log(-2 - 2.1j))
+
+    def test_point_chained_to_a_failed_path_fails_too(self):
+        # -1.4-0.3j starts from -1.5-0.3j, whose path around bessel's cut
+        # passes the origin, where the integrand is broken for a while
+        broken = [False]
+
+        def integrand(z):
+            return np.where(broken[0] & (np.abs(z) < 0.5), np.nan, 1.0 / z)
+        cache = CachedAntiderivative(integrand, 1 + 0j, ((0j, 0.02),),
+                                     ((0j, -1 + 0j),))
+        cache(-1.5 + 0.3j)
+        broken[0] = True
+        with pytest.raises(EvaluationFailure):
+            cache(np.array([-1.5 - 0.3j, -1.4 - 0.3j]))
+        broken[0] = False
+        z = np.array([-1.4 - 0.3j, -1.5 - 0.3j])
+        assert _close(cache(z), np.log(z))
+
+    def test_values_are_not_views_of_the_store(self):
+        cache = CachedAntiderivative(
+            lambda z: np.stack([np.exp(z), 2 * z], axis=-1), 0j,
+            initial_value=np.array([1.0, 0.0]))
+        z = np.array([[1 + 1j, 0j], [-1 + 0.5j, 1 + 1j]])
+        for _ in range(2):                     # new points, then all hits
+            values = cache(z)
+            assert values.shape == (2, 2, 2)
+            assert not np.shares_memory(values, cache._values)
+            values[...] = 99.0
+        assert _close(cache(z)[..., 0], np.exp(z))
+        assert _close(cache(z)[..., 1], z * z)
+        assert _close(cache(1 + 1j), [np.exp(1 + 1j), 2j])
