@@ -8,7 +8,7 @@ spot-check the surface geometry.
 """
 
 from wsurf import (GridSpec, build_mesh, export_mesh, geometry_report,
-                   load_user_ode, make_data, verify_weierstrass)
+                   make_data, parse_user_ode, verify_weierstrass)
 
 DEFINITION = """
 id = shifted-laguerre
@@ -19,7 +19,7 @@ r = alpha
 singularities = 0.5
 """
 
-ode = load_user_ode(DEFINITION)
+ode = parse_user_ode(DEFINITION)
 data = make_data(ode, c1=1, c2=0, lam=1, base_point=2 + 0j)
 
 points = [2 + 1j, 1.5 - 0.8j, 3 + 0.5j]

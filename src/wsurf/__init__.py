@@ -9,7 +9,8 @@ every construction step verifiable numerically.
 
 from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, LinearODE,
                       classical_solution, coefficient_ratios, get_equation,
-                      get_fixture, load_user_ode, reference_surface)
+                      get_fixture, load_user_ode, parse_user_ode,
+                      reference_surface)
 from .contour import ContourPath, contour_quad, holo_derivative, straight_path
 from .errors import (BranchCutViolation, DomainError, EmptyMesh,
                      EvaluationFailure, IoFailure, PathPlanningFailure,
@@ -23,7 +24,7 @@ from .linearproblem import (Wavefunction, integrate_wavefunction, lp_residual,
 from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_cache,
                    export_mesh, immersion_at, sample_grid)
 from .pathplan import plan_path
-from .special import EULER_GAMMA, ei, eval_special, li2
+from .special import EULER_GAMMA, ei
 from .weierstrass import (WeierstrassData, build_chi, build_eta,
                           build_numeric_data, closed_form_data, make_data,
                           verify_weierstrass)
@@ -36,11 +37,11 @@ __all__ = [
     "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
     "WeierstrassData", "WsurfError", "build_chi", "build_eta", "build_mesh",
     "build_numeric_data", "classical_solution", "closed_form_data",
-    "coefficient_ratios", "contour_quad", "ei", "eval_special", "ew_cache",
-    "ew_integrals", "export_mesh", "geometry_report", "get_equation",
-    "get_fixture", "holo_derivative", "immerse_ew", "immersion_at",
-    "integrate_wavefunction", "li2", "load_user_ode", "lp_residual",
-    "make_data", "pauli_decompose", "plan_path", "potential_matrix",
+    "coefficient_ratios", "contour_quad", "ei", "ew_cache", "ew_integrals",
+    "export_mesh", "geometry_report", "get_equation", "get_fixture",
+    "holo_derivative", "immerse_ew", "immersion_at",
+    "integrate_wavefunction", "load_user_ode", "lp_residual", "make_data",
+    "parse_user_ode", "pauli_decompose", "plan_path", "potential_matrix",
     "reference_surface", "sample_grid", "straight_path", "sym_tafel",
     "to_quaternionic", "verify_weierstrass",
 ]

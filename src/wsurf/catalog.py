@@ -595,26 +595,27 @@ def _parse_complex_literal(text):
         raise ValueError(f"cannot parse complex literal {text!r}") from None
 
 
-def load_user_ode(path_or_text):
-    """Load a user-defined LinearODE from flat key = value text.
+def load_user_ode(path):
+    """Load a user-defined LinearODE from the file at path; see
+    parse_user_ode for its format."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_user_ode(fh.read())
+
+
+def parse_user_ode(text):
+    """A user-defined LinearODE from flat key = value text.
 
     Recognized keys: id, params (comma list of name=value), p, q, r,
     singularities (comma list of complex literals).  Coefficients are
     arithmetic expressions over z and the named parameters.
     """
-    if "\n" in str(path_or_text) or "=" in str(path_or_text):
-        text = str(path_or_text)
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
     entries = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip() if key.strip() != "params" \
-            else line.partition("=")[2].strip()
+        entries[key.strip()] = value.strip()
     if "p" not in entries or "q" not in entries or "r" not in entries:
         raise ValueError("user ODE needs p, q and r entries")
     params = {}

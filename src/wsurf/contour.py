@@ -1,11 +1,13 @@
 """Contour paths, adaptive Gauss-Kronrod quadrature and holomorphic
 finite-difference derivatives in the complex plane."""
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import EvaluationFailure, ToleranceNotReached, WsurfError
+from .errors import EvaluationFailure, ToleranceNotReached, isolate_failures
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -98,13 +100,14 @@ def straight_path(a, b, excluded_points=(), cut_rays=()):
 
 
 def _eval_vectorized(f, nodes):
-    """f on a 1-D array of nodes; raises TypeError unless the values have
-    one row per node."""
-    vals = np.asarray(f(nodes), dtype=complex)
-    if vals.shape[:1] != nodes.shape:
+    """f on the nodes of an array, as values of shape nodes.shape + (k,);
+    raises TypeError unless f gives one row per node."""
+    flat = nodes.ravel()
+    vals = np.asarray(f(flat), dtype=complex)
+    if vals.shape[:1] != flat.shape:
         raise TypeError(f"integrand returned values of shape {vals.shape} "
-                        f"for nodes of shape {nodes.shape}")
-    return vals
+                        f"for nodes of shape {flat.shape}")
+    return vals.reshape(nodes.shape + (math.prod(vals.shape[1:]),))
 
 
 def _gk15_panels(f, lo, hi):
@@ -113,8 +116,8 @@ def _gk15_panels(f, lo, hi):
     raised one or returned a non-finite value.
 
     One integrand call per CHUNK_PANELS panels, so that a level's memory
-    stays bounded.  Only when a call raises a WsurfError are its panels
-    evaluated one by one, so that one bad panel does not sink the others.
+    stays bounded; isolate_failures evaluates a chunk's panels one by
+    one only when its call raises a WsurfError.
     """
     if len(lo) > CHUNK_PANELS:
         parts = [_gk15_panels(f, lo[s:s + CHUNK_PANELS], hi[s:s + CHUNK_PANELS])
@@ -122,14 +125,12 @@ def _gk15_panels(f, lo, hi):
         failed = {s * CHUNK_PANELS + i: exc
                   for s, (_, _, bad) in enumerate(parts)
                   for i, exc in bad.items()}
-        # a chunk where every panel raised does not know k
-        k = max(part[0].shape[1] for part in parts)
-        k15, err = (np.concatenate([np.broadcast_to(part[j], (len(part[j]), k))
-                                    for part in parts]) for j in (0, 1))
+        k15, err = (np.concatenate([part[j] for part in parts])
+                    for j in (0, 1))
         return k15, err, failed
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-    vals, failed = _eval_panels(f, nodes)
+    vals, failed = isolate_failures(partial(_eval_vectorized, f), nodes)
     if not np.isfinite(vals).all():
         finite = np.isfinite(vals).all(axis=2)
         for i in np.flatnonzero(~finite.all(axis=1)):
@@ -138,27 +139,6 @@ def _gk15_panels(f, lo, hi):
     half = half[:, None]
     k15 = half * (_WK @ vals)
     return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
-
-
-def _eval_panels(f, nodes):
-    """f on the (p, 15) nodes of p panels, as (p, 15, k) values, and
-    {panel: WsurfError} for the panels where f raised one."""
-    p = len(nodes)
-    try:
-        return _eval_vectorized(f, nodes.ravel()).reshape(p, 15, -1), {}
-    except WsurfError as exc:
-        if p == 1:
-            return np.full((1, 15, 1), np.nan, dtype=complex), {0: exc}
-    rows, failed = [], {}
-    for i in range(p):
-        try:
-            rows.append(_eval_vectorized(f, nodes[i]).reshape(15, -1))
-        except WsurfError as exc:
-            failed[i] = exc
-            rows.append(None)
-    k = max((r.shape[1] for r in rows if r is not None), default=1)
-    return np.stack([np.full((15, k), np.nan, dtype=complex)
-                     if r is None else r for r in rows]), failed
 
 
 def gk15_segments(f, a, b, tol):

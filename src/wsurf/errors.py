@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all wsurf modules."""
+"""Exception hierarchy shared by all wsurf modules, and the policy that
+keeps one failing item of an array call from sinking the others."""
+
+import numpy as np
 
 
 class WsurfError(Exception):
@@ -72,3 +75,35 @@ class EmptyMesh(WsurfError):
 
 class IoFailure(WsurfError):
     """Filesystem error during mesh export."""
+
+
+def isolate_failures(fn, items):
+    """(values, {index: WsurfError}) of fn on an array of items.
+
+    fn maps items to an array with one row per item.  It is called once
+    on all items; only when that call raises a WsurfError, and there is
+    more than one item, is it called again on each one-item slice
+    items[i:i + 1].  An item where fn raised gets a nan row, shaped like
+    the rows that came back, or like fn's value on no items when none
+    did.  Non-finite values are left to the caller.
+    """
+    try:
+        return fn(items), {}
+    except WsurfError as exc:
+        failures = {0: exc}
+    rows = [None]
+    if len(items) != 1:
+        rows, failures = [], {}
+        for i in range(len(items)):
+            try:
+                rows.append(fn(items[i:i + 1]))
+            except WsurfError as exc:
+                rows.append(None)
+                failures[i] = exc
+    like = next((row for row in rows if row is not None), None)
+    if like is None:
+        like = fn(items[:0])
+    blank = np.full((1,) + like.shape[1:], np.nan,
+                    dtype=np.result_type(like, float))
+    return np.concatenate([blank if row is None else row
+                           for row in rows]), failures

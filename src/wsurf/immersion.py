@@ -7,7 +7,7 @@ import numpy as np
 
 from .contour import contour_quad, gk15_segments, holo_derivative
 from .errors import (EvaluationFailure, StencilOutsideDomain,
-                     ToleranceNotReached, WsurfError)
+                     ToleranceNotReached, isolate_failures)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -147,26 +147,20 @@ def _stencil_legs(data, xi, h, tol, live, failures):
     return legs
 
 
-def _evaluate(fn, xi, live, failures):
+def _live_values(fn, xi, live, failures):
     """(n,) values of fn at the live nodes, nan elsewhere.
 
-    fn(idx) gives the values at the node indices idx; it is called once
-    on all live nodes, and only when that call raises a WsurfError node
-    by node.  A node where fn raises or is not finite goes into failures
-    and out of live.
+    fn(idx) gives the values at the node indices idx, evaluated through
+    isolate_failures.  A node where fn raises or is not finite goes into
+    failures and out of live.
     """
     out = np.full(len(xi), np.nan, dtype=complex)
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return out
-    try:
-        out[idx] = fn(idx)
-    except WsurfError:
-        for node in idx:
-            try:
-                out[node] = fn(np.array([node]))[0]
-            except WsurfError as exc:
-                failures.setdefault(int(node), exc)
+    out[idx], failed = isolate_failures(fn, idx)
+    for i in sorted(failed):
+        failures.setdefault(int(idx[i]), failed[i])
     for node in idx[~np.isfinite(out[idx])]:
         failures.setdefault(int(node), EvaluationFailure(complex(xi[node])))
     live[list(failures)] = False
@@ -218,11 +212,11 @@ def geometry_report(data, xi, h=None, tol=1e-12):
     def at(dx, dy):
         return 0.0 if dx == dy == 0 else F[:, _LEG[dx, dy]]
 
-    u = _evaluate(lambda i: data.log_conformal_factor(xi[i]),
-                  xi, live, failures).real
-    e_u = _evaluate(lambda i: data.conformal_factor(xi[i]),
-                    xi, live, failures).real
-    q = _evaluate(lambda i: data.hopf(xi[i]), xi, live, failures)
+    u = _live_values(lambda i: data.log_conformal_factor(xi[i]),
+                     xi, live, failures).real
+    e_u = _live_values(lambda i: data.conformal_factor(xi[i]),
+                       xi, live, failures).real
+    q = _live_values(lambda i: data.hopf(xi[i]), xi, live, failures)
 
     # Holomorphy of the Hopf coefficient.  The nested second-difference
     # route is hopelessly ill-conditioned near singular sets, so the
@@ -231,7 +225,7 @@ def geometry_report(data, xi, h=None, tol=1e-12):
     h_q = 1e-4 * np.maximum(1.0, np.abs(xi))
     h_q = np.where(np.isfinite(dist),
                    np.minimum(h_q, np.maximum(5e-4 * dist * dist, 1e-6)), h_q)
-    hopf_holomorphy = _evaluate(
+    hopf_holomorphy = _live_values(
         lambda i: holo_derivative(data.hopf, xi[i], h=h_q[i])[1],
         xi, live, failures).real
 
@@ -240,7 +234,7 @@ def geometry_report(data, xi, h=None, tol=1e-12):
         uv = data.log_conformal_factor(xi[i, None] + _CROSS * h[i, None])
         return uv[:, 0] + uv[:, 1] + uv[:, 2] + uv[:, 3]
 
-    cross = _evaluate(cross_sum, xi, live, failures).real
+    cross = _live_values(cross_sum, xi, live, failures).real
 
     hh = h[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -6,8 +6,8 @@ import numpy as np
 
 from .catalog import SINGULARITY_RADIUS, get_equation
 from .contour import contour_quad, gk15_segments, straight_path
-from .errors import (EmptyMesh, EvaluationFailure, IoFailure,
-                     WsurfError)
+from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
+                     isolate_failures)
 from .geometry import Obstacles
 from .immersion import (combine_euclidean, combine_quaternionic,
                         ew_integrand, geometry_report, sym_tafel)
@@ -218,24 +218,6 @@ def _tree_integrals(points, allowed, cache):
     return value, failed
 
 
-def _pointwise(fn, zs):
-    """(fn(zs), ok): one array call; when it raises a WsurfError, node
-    by node, with ok False and nan where fn raised."""
-    try:
-        return np.asarray(fn(zs)), np.ones(len(zs), dtype=bool)
-    except WsurfError:
-        pass
-    out = np.full(len(zs), np.nan, dtype=complex)
-    ok = np.zeros(len(zs), dtype=bool)
-    for k, z in enumerate(zs):
-        try:
-            out[k] = fn(z)
-            ok[k] = True
-        except WsurfError:
-            continue
-    return out, ok
-
-
 @dataclass(frozen=True)
 class GridSamples:
     """Immersion data at the sampled nodes of a grid, row-major."""
@@ -267,9 +249,10 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
     with np.errstate(invalid="ignore"):
         ok[ok] = np.isfinite(combine_euclidean(*value[ok].T)).all(axis=0)
     zs = points.ravel()[ok]
-    u, ok_u = _pointwise(data.log_conformal_factor, zs)
-    Q, ok_q = _pointwise(data.hopf, zs)
-    good = ok_u & ok_q
+    u, failed_u = isolate_failures(data.log_conformal_factor, zs)
+    Q, failed_q = isolate_failures(data.hopf, zs)
+    good = np.ones(len(zs), dtype=bool)
+    good[list(failed_u) + list(failed_q)] = False
     ok[ok] = good
     zs, u, Q = zs[good], u[good].real, Q[good]
     residuals = {}

@@ -1,29 +1,21 @@
 """Complex special functions on fixed principal branches.
 
-All functions accept scalars or numpy arrays of complex numbers and are
+Both functions accept scalars or numpy arrays of complex numbers and are
 vectorized.  Branch conventions used throughout the package:
 
-* ``log``     cut on (-inf, 0]; principal value, Im(log) in (-pi, pi].
-* ``sqrt``    and general powers are defined as exp(a*log z), inheriting
-  the log cut.
 * ``arcsin``  cuts on (-inf, -1) and (1, inf); the endpoints +-1 are
   allowed (the value is finite there).
 * ``Ei``      defined by its power series plus log z + gamma, with log|z|
   substituted on the negative real axis so the standard real principal
   value is returned there; no cut violation is raised, only z = 0 is
   excluded.
-* ``Li2``     cut on [1, inf).
-* ``erf``     entire.
 """
 
 import numpy as np
-from scipy import special as _sps
 
 from .errors import BranchCutViolation, DomainError
 
 EULER_GAMMA = 0.57721566490153286061
-
-_PI2_6 = np.pi ** 2 / 6.0
 
 
 def _asarray(z):
@@ -40,39 +32,6 @@ def _check_finite_input(a, name):
         raise DomainError(f"non-finite input to {name}")
 
 
-def log(z):
-    """Principal-branch complex logarithm; cut on (-inf, 0]."""
-    a, scalar = _asarray(z)
-    _check_finite_input(a, "log")
-    on_cut = (a.imag == 0) & (a.real <= 0)
-    if np.any(on_cut):
-        bad = a[on_cut].flat[0] if not scalar else complex(a)
-        if bad == 0:
-            raise DomainError("log(0) is undefined")
-        raise BranchCutViolation("log", bad)
-    return _result(np.log(a), scalar)
-
-
-def sqrt(z):
-    """Principal square root; cut on (-inf, 0)."""
-    a, scalar = _asarray(z)
-    _check_finite_input(a, "sqrt")
-    on_cut = (a.imag == 0) & (a.real < 0)
-    if np.any(on_cut):
-        raise BranchCutViolation("sqrt", a[on_cut].flat[0] if not scalar else complex(a))
-    return _result(np.sqrt(a), scalar)
-
-
-def power(z, a):
-    """z**a defined as exp(a*log z); inherits the log cut."""
-    b, scalar = _asarray(z)
-    _check_finite_input(b, "power")
-    on_cut = (b.imag == 0) & (b.real <= 0)
-    if np.any(on_cut):
-        raise BranchCutViolation("power", b[on_cut].flat[0] if not scalar else complex(b))
-    return _result(np.exp(np.asarray(a, dtype=complex) * np.log(b)), scalar)
-
-
 def arcsin(z):
     """Principal arcsine; cuts on (-inf, -1) and (1, inf)."""
     a, scalar = _asarray(z)
@@ -81,13 +40,6 @@ def arcsin(z):
     if np.any(on_cut):
         raise BranchCutViolation("arcsin", a[on_cut].flat[0] if not scalar else complex(a))
     return _result(np.arcsin(a), scalar)
-
-
-def erf(z):
-    """Error function, entire."""
-    a, scalar = _asarray(z)
-    _check_finite_input(a, "erf")
-    return _result(_sps.erf(a), scalar)
 
 
 def ei(z):
@@ -117,112 +69,3 @@ def ei(z):
         # drop the i*pi so the negative axis carries the real principal value
         branch = np.where(on_axis, branch.real.astype(complex), branch)
     return _result(total + branch + EULER_GAMMA, scalar)
-
-
-# Bernoulli numbers B_0, B_1, ... for the Debye-type series of Li2.
-def _bernoulli(n):
-    b = np.zeros(n + 1)
-    b[0] = 1.0
-    for m in range(1, n + 1):
-        s = 0.0
-        for k in range(m):
-            s += _binom(m + 1, k) * b[k]
-        b[m] = -s / (m + 1)
-    return b
-
-
-def _binom(n, k):
-    out = 1.0
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
-
-
-_BERNOULLI = _bernoulli(60)
-
-
-def _li2_series(z):
-    # direct sum, |z| <= 0.5
-    total = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(1, 200):
-        term = term * z
-        inc = term / k ** 2
-        total += inc
-        if np.all(np.abs(inc) < 1e-18 * np.maximum(np.abs(total), 1e-300)):
-            break
-    return total
-
-
-def _li2_debye(z):
-    # Li2(z) = sum_n B_n u^{n+1}/(n+1)!, u = -log(1-z); converges |u| < 2*pi
-    u = -np.log(1.0 - z)
-    total = np.zeros_like(z)
-    upow = np.ones_like(z)
-    fact = 1.0
-    small_run = 0
-    for n in range(len(_BERNOULLI)):
-        upow = upow * u
-        fact *= n + 1
-        inc = _BERNOULLI[n] * upow / fact
-        total += inc
-        # odd Bernoulli numbers vanish, so demand two small terms in a row
-        if n > 4 and np.all(np.abs(inc) < 1e-18 * np.maximum(np.abs(total), 1e-300)):
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-    return total
-
-
-def _li2_scalar(z):
-    if abs(z) <= 0.5:
-        return _li2_series(np.asarray(z, dtype=complex))
-    if abs(1.0 - z) <= 0.5:
-        if z == 1.0:
-            return complex(_PI2_6)
-        return _PI2_6 - np.log(z) * np.log(1.0 - z) - _li2_scalar(1.0 - z)
-    if abs(z) >= 2.0:
-        return -_PI2_6 - 0.5 * np.log(-z) ** 2 - _li2_scalar(1.0 / z)
-    return _li2_debye(np.asarray(z, dtype=complex))
-
-
-def li2(z):
-    """Dilogarithm on the principal branch; cut on [1, inf)."""
-    a, scalar = _asarray(z)
-    _check_finite_input(a, "Li2")
-    on_cut = (a.imag == 0) & (a.real > 1)
-    if np.any(on_cut):
-        raise BranchCutViolation("Li2", a[on_cut].flat[0] if not scalar else complex(a))
-    flat = a.reshape(-1)
-    out = np.array([_li2_scalar(complex(w)) for w in flat], dtype=complex)
-    out = out.reshape(a.shape)
-    return _result(out, scalar)
-
-
-_FUNCTIONS = {
-    "Ei": ei,
-    "log": log,
-    "arcsin": arcsin,
-    "sqrt": sqrt,
-    "erf": erf,
-    "Li2": li2,
-}
-
-
-def eval_special(fn_id, z, exponent=None):
-    """Evaluate one of the named special functions at z.
-
-    ``fn_id`` is one of Ei, log, arcsin, sqrt, power, erf, Li2.  The
-    ``power`` entry additionally requires ``exponent``.
-    """
-    if fn_id == "power":
-        if exponent is None:
-            raise ValueError("power requires an exponent")
-        return power(z, exponent)
-    try:
-        fn = _FUNCTIONS[fn_id]
-    except KeyError:
-        raise ValueError(f"unknown special function id {fn_id!r}") from None
-    return fn(z)

@@ -14,7 +14,7 @@ from scipy import special as sps
 from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
                            classical_solution, coefficient_ratios, factorial,
                            get_equation, get_fixture, load_user_ode,
-                           reference_surface)
+                           parse_user_ode, reference_surface)
 from wsurf.cli import run_pipeline
 from wsurf.errors import (OutsideFixtureDomain, SingularPoint,
                           UnknownEquation)
@@ -180,7 +180,7 @@ singularities = 0
 """
 
     def test_load_and_ratios(self):
-        ode = load_user_ode(self.TEXT)
+        ode = parse_user_ode(self.TEXT)
         assert ode.id == "mylag"
         qp, rp = coefficient_ratios(ode, 2.0)
         assert abs(qp + 0.5) <= 1e-14
@@ -194,19 +194,19 @@ singularities = 0
         assert abs(complex(ode.p(3.0)) - 3.0) <= 1e-15
 
     def test_power_caret(self):
-        ode = load_user_ode("p = 1 - z^2\nq = -2*z\nr = 2\n")
+        ode = parse_user_ode("p = 1 - z^2\nq = -2*z\nr = 2\n")
         assert abs(complex(ode.p(2j)) - 5.0) <= 1e-14
 
     def test_rejects_disallowed_symbols(self):
         with pytest.raises(ValueError):
-            load_user_ode("p = __import__('os')\nq = 1\nr = 1\n")
+            parse_user_ode("p = __import__('os')\nq = 1\nr = 1\n")
         with pytest.raises(ValueError):
-            load_user_ode("p = open\nq = 1\nr = 1\n")
+            parse_user_ode("p = open\nq = 1\nr = 1\n")
         with pytest.raises(ValueError):
-            load_user_ode("p = w\nq = 1\nr = 1\n")
+            parse_user_ode("p = w\nq = 1\nr = 1\n")
 
     def test_z_free_coefficients_take_the_shape_of_z(self):
-        ode = load_user_ode("p = 1\nq = 0\nr = 1\n")
+        ode = parse_user_ode("p = 1\nq = 0\nr = 1\n")
         values = ode.p(np.zeros(4))
         assert values.shape == (4,)
         assert np.all(values == 1)
@@ -214,8 +214,8 @@ singularities = 0
         assert np.ndim(ode.p(0.5j)) == 0 and ode.p(0.5j) == 1
 
     def test_coefficient_ratios_on_arrays(self):
-        ode = load_user_ode("p = z - 0.5\nq = 1\nr = z\n"
-                            "singularities = 0.5\n")
+        ode = parse_user_ode("p = z - 0.5\nq = 1\nr = z\n"
+                             "singularities = 0.5\n")
         z = np.array([2 + 1j, -1 + 0.5j])
         qp, rp = ode.ratios(z)
         assert qp.shape == rp.shape == (2,)
@@ -227,18 +227,18 @@ singularities = 0
 
     def test_requires_all_coefficients(self):
         with pytest.raises(ValueError):
-            load_user_ode("p = z\nq = 1\n")
+            parse_user_ode("p = z\nq = 1\n")
 
     def test_folds_constant_subexpressions(self):
-        ode = load_user_ode("params = alpha=3\np = 1\nq = z\nr = alpha^2\n")
+        ode = parse_user_ode("params = alpha=3\np = 1\nq = z\nr = alpha^2\n")
         assert ode.r(2j) == 9.0
         # folds of exp and log are numpy scalars, which compile() refuses
-        ode = load_user_ode("params = alpha=3\np = exp(alpha)\n"
-                            "q = log(2) - z\nr = exp(1)*z\n")
+        ode = parse_user_ode("params = alpha=3\np = exp(alpha)\n"
+                             "q = log(2) - z\nr = exp(1)*z\n")
         assert ode.p(2j) == pytest.approx(np.exp(3.0), rel=1e-15)
         assert ode.q(2j) == pytest.approx(np.log(2.0) - 2j, rel=1e-15)
         assert ode.r(2j) == pytest.approx(np.e * 2j, rel=1e-15)
-        ode = load_user_ode("p = 1\nq = z\nr = log(2)\n")
+        ode = parse_user_ode("p = 1\nq = z\nr = log(2)\n")
         assert ode.r(0.5) == pytest.approx(np.log(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("expr", ["3^2^22", "1/0"])
@@ -246,7 +246,7 @@ singularities = 0
         # 3^2^22 used to be evaluated as a Python int on every call
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(repr(expr))):
-            load_user_ode(f"p = 1\nq = z\nr = {expr}\n")
+            parse_user_ode(f"p = 1\nq = z\nr = {expr}\n")
         assert time.perf_counter() - start < 1.0
         path = tmp_path / "hostile.ode"
         path.write_text(f"p = 1\nq = z\nr = {expr}\n")

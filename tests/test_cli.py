@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wsurf.catalog import EQUATION_IDS, get_equation, load_user_ode
+from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.cli import (_join_negative_literals, _near_singular,
                        _verification_points, parse_complex, parse_grid,
                        run_pipeline)
@@ -113,6 +113,12 @@ class TestVerify:
             assert re.search(rf"^{name}: max residual .* ok$", out,
                              re.MULTILINE), name
 
+    def test_ode_file_name_with_equals_sign(self, tmp_path):
+        # an "=" in the path used to make the path itself parse as the ODE
+        ode_file = tmp_path / "alpha=2.ode"
+        ode_file.write_text(README_ODE)
+        assert run_pipeline(["verify", "--ode-file", str(ode_file)]) == 0
+
 
 # the user equation of the README's "User-defined equations" section
 README_ODE = """id = my-equation
@@ -148,7 +154,7 @@ def reference_verification_points(ode, data):
 
 @pytest.mark.parametrize("ode", list(EQUATION_IDS) + ["readme"])
 def test_verification_points_unchanged(ode):
-    ode = load_user_ode(README_ODE) if ode == "readme" else get_equation(ode)
+    ode = parse_user_ode(README_ODE) if ode == "readme" else get_equation(ode)
     data = make_data(ode)
     points = _verification_points(ode, data)
     assert points

@@ -6,10 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from wsurf import contour
 from wsurf.catalog import get_equation
 from wsurf.contour import (ContourPath, contour_quad, gk15_segments,
                            holo_derivative, straight_path)
-from wsurf.errors import EvaluationFailure, ToleranceNotReached, WsurfError
+from wsurf.errors import (EvaluationFailure, SingularPoint,
+                          ToleranceNotReached, WsurfError)
 from wsurf.immersion import ew_integrand
 from wsurf.pathplan import plan_path
 from wsurf.weierstrass import make_data
@@ -153,6 +155,30 @@ class TestSegmentBatch:
             values, errors, failures = gk15_segments(f, a, b, 1e-10)
         assert list(failures) == [2]
         assert isinstance(failures[2], EvaluationFailure)
+        for k in (0, 1, 3):
+            ref = contour_quad(f, straight_path(a[k], b[k]), tol=1e-10)
+            assert np.max(np.abs(values[k] - ref)) <= 1e-14
+            assert np.max(errors[k]) <= 1e-10
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_raising_segment_isolated(self, chunk, monkeypatch):
+        # f raises (not nan) near Im z = 5, on the third segment only; with
+        # one panel per chunk, that chunk has no panel that tells k
+        if chunk:
+            monkeypatch.setattr(contour, "CHUNK_PANELS", chunk)
+
+        def f(z):
+            hit = np.abs(z.imag - 5) < 1
+            if hit.any():
+                raise SingularPoint(complex(z[hit][0]))
+            return np.stack([np.exp(z) / z, z ** 2], axis=-1)
+
+        a = np.array([1 + 1j, 0.05 + 0j, 5j, 2 + 0j])
+        b = np.array([2 + 1j, 1 + 1j, 1 + 5j, 2 + 3j])
+        values, errors, failures = gk15_segments(f, a, b, 1e-10)
+        assert list(failures) == [2]
+        assert isinstance(failures[2], SingularPoint)
+        assert values.shape == errors.shape == (4, 2)
         for k in (0, 1, 3):
             ref = contour_quad(f, straight_path(a[k], b[k]), tol=1e-10)
             assert np.max(np.abs(values[k] - ref)) <= 1e-14

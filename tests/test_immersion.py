@@ -335,6 +335,26 @@ class TestBatchedReport:
         with pytest.raises(error):
             geometry_report(data, zs[1])
 
+    def test_every_leg_raising_is_recorded(self):
+        # eta^2 raises right of Re z = 4, so no stencil leg of the one
+        # point returns a value that would tell the integrand's width
+        def eta_sq(z):
+            z = np.asarray(z, dtype=complex)
+            if np.any(z.real > 4):
+                raise SingularPoint(complex(z.flat[np.argmax(z.real)]))
+            return 1 + 0 * z
+
+        data = WeierstrassData(
+            eta_sq=eta_sq, chi=lambda z: 0.1 * np.asarray(z, dtype=complex),
+            dchi=lambda z: 0.1 + 0 * z, c1=1.0, c2=0.0, lam=1.0,
+            base_point=0j, source="closed_form")
+        rep = geometry_report(data, np.array([5 + 0j]))
+        assert list(rep.failures) == [0]
+        assert isinstance(rep.failures[0], SingularPoint)
+        assert np.isinf(rep.metric[0]) and np.isnan(rep.hopf[0])
+        with pytest.raises(SingularPoint):
+            geometry_report(data, 5 + 0j)
+
     def test_scalar_call_returns_python_scalars(self):
         rep = geometry_report(laguerre_data(), 2 + 1j)
         assert type(rep.z) is complex and type(rep.hopf) is complex

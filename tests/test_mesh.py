@@ -1,5 +1,6 @@
 """Grid sampling, mesh assembly and export formats."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
                            get_equation, get_fixture, reference_surface)
-from wsurf.errors import EmptyMesh, IoFailure, WsurfError
+from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
-from wsurf.mesh import (_sample_mask, build_mesh, ew_cache, export_mesh,
-                        immersion_at, import_csv, sample_grid)
-from wsurf.weierstrass import closed_form_data, make_data
+from wsurf.mesh import (_sample_mask, _sample_with_mask, build_mesh, ew_cache,
+                        export_mesh, immersion_at, import_csv, sample_grid)
+from wsurf.weierstrass import WeierstrassData, closed_form_data, make_data
 
 
 def unit_square_grid(n=2):
@@ -59,6 +60,34 @@ class TestSampling:
         assert samples
         for s in samples:
             assert abs(s.z) < 1 and abs(s.z + 1) < 2
+
+    def test_raising_hopf_masks_only_its_node(self):
+        # Q raises (not nan) at one node, so the array calls of u and Q
+        # are retried node by node
+        ode = get_equation("hermite")
+        grid = GridSpec("cartesian", ((-1.0, 1.0), (-1.0, 1.0)), (5, 5), 0j)
+        data = make_data(ode, base_point=0j)
+        bad = complex(grid.points()[1, 2])
+
+        class FaultyHopf(WeierstrassData):
+            def hopf(self, z):
+                if np.any(np.asarray(z) == bad):
+                    raise SingularPoint(bad)
+                return super().hopf(z)
+
+        faulty = FaultyHopf(**{f.name: getattr(data, f.name)
+                               for f in dataclasses.fields(data)})
+        ref, _ = _sample_with_mask(ode, data=data, grid=grid)
+        got, _ = _sample_with_mask(ode, data=faulty, grid=grid)
+        assert ref.failures == 0 and got.failures == 1
+        assert np.array_equal(got.mask, ref.mask & (grid.points() != bad))
+        keep = ref.points != bad
+        for name in ("points", "integrals", "F", "u", "Q"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(ref, name)[keep]), name
+        assert got.residuals.keys() == ref.residuals.keys()
+        for name, column in ref.residuals.items():
+            assert np.array_equal(got.residuals[name], column[keep]), name
 
     def test_needs_equation_or_data(self):
         with pytest.raises(ValueError):

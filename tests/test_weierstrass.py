@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsurf.catalog import EQUATION_IDS, get_equation, load_user_ode
+from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
@@ -72,7 +72,7 @@ class TestNumericRoute:
             assert abs(complex(eta(z)) - np.exp(z) / (2 * z)) <= 1e-9
 
     def test_build_eta_constant_when_q_zero(self):
-        ode = load_user_ode("p = 1\nq = 0\nr = 1\n")
+        ode = parse_user_ode("p = 1\nq = 0\nr = 1\n")
         eta = build_eta(ode, c1=1.0)
         vals = [complex(eta(z)) for z in (0.5j, 1 + 1j, -2 + 0.3j)]
         assert max(abs(v - vals[0]) for v in vals) <= 1e-11
@@ -84,7 +84,7 @@ class TestNumericRoute:
             assert abs(complex(eta(z)) - 1.0 / z) <= 1e-9
 
     def test_build_chi_constant_when_r_zero(self):
-        ode = load_user_ode("p = 1\nq = 1\nr = 0\n")
+        ode = parse_user_ode("p = 1\nq = 1\nr = 0\n")
         data = build_numeric_data(ode, c1=1, c2=3.0, lam=2.0)
         for z in (0.4 + 0.2j, -1 + 1j):
             assert abs(complex(data.chi(z)) - 1.5) <= 1e-10
@@ -100,7 +100,7 @@ class TestNumericRoute:
     def test_singular_point_names_the_zero_of_p(self):
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
         # one, on the zero of p
-        ode = load_user_ode("p = z\nq = 1\nr = 1\n")
+        ode = parse_user_ode("p = z\nq = 1\nr = 1\n")
         for fn in (build_eta(ode, base_point=-1.0),
                    build_numeric_data(ode, base_point=-1.0).chi):
             for z in (1 + 0j, np.array([1 + 0j])):
@@ -111,7 +111,7 @@ class TestNumericRoute:
     def test_make_data_prefers_closed_form(self):
         ode = get_equation("laguerre")
         assert make_data(ode).source == "closed_form"
-        user = load_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
+        user = parse_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
         assert make_data(user).source == "numeric"
 
 
@@ -236,9 +236,9 @@ class TestBatchedAntiderivative:
 
     @pytest.mark.parametrize("eq", EQUATION_IDS + ("user",))
     def test_numeric_data_matches_per_point_lookups(self, eq, monkeypatch):
-        ode = (load_user_ode("id = my-equation\nparams = alpha=2\n"
-                             "p = z - 0.5\nq = 1.5 - z\nr = alpha\n"
-                             "singularities = 0.5\n")
+        ode = (parse_user_ode("id = my-equation\nparams = alpha=2\n"
+                              "p = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+                              "singularities = 0.5\n")
                if eq == "user" else get_equation(eq))
         # the conjugates of 1.5 + 0.3j and -1.5 + 0.3j lie across a cut
         first = np.array([2 + 1j, -0.7 + 1.4j, 1.5 + 0.3j, -1.5 + 0.3j])
