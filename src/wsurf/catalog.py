@@ -552,8 +552,10 @@ def _compile_expr(text, param_names):
     power.  Subexpressions free of z are folded to floating-point
     constants here, once.
     """
-    source = text.replace("^", "**")
-    tree = ast.parse(source, mode="eval")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise ValueError(f"malformed expression: {text!r}") from None
     for node in ast.walk(tree):
         if isinstance(node, (ast.Expression, ast.Constant, ast.BinOp,
                              ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
@@ -607,7 +609,8 @@ def parse_user_ode(text):
 
     Recognized keys: id, params (comma list of name=value), p, q, r,
     singularities (comma list of complex literals).  Coefficients are
-    arithmetic expressions over z and the named parameters.
+    arithmetic expressions over z and the named parameters.  A catalog
+    id is refused: get_equation gives those equations.
     """
     entries = {}
     for line in text.splitlines():
@@ -618,6 +621,10 @@ def parse_user_ode(text):
         entries[key.strip()] = value.strip()
     if "p" not in entries or "q" not in entries or "r" not in entries:
         raise ValueError("user ODE needs p, q and r entries")
+    ode_id = entries.get("id", "user")
+    if ode_id in EQUATION_IDS:
+        raise ValueError(f"user ODE id {ode_id!r} names a catalog equation; "
+                         f"use --eq {ode_id} for it, or pick another id")
     params = {}
     for item in entries.get("params", "").split(","):
         item = item.strip()
@@ -632,7 +639,7 @@ def parse_user_ode(text):
                  for s in entries.get("singularities", "").split(",") if s.strip())
     domain = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), 0j)
     return LinearODE(
-        id=entries.get("id", "user"), params=params, p=p, q=q, r=r,
+        id=ode_id, params=params, p=p, q=q, r=r,
         singularities=sing, default_domain=domain,
         valid_region=None, cut_rays=(),
     )

@@ -32,13 +32,15 @@ _VERIFY_THRESHOLDS = {
 
 
 def _tolerance():
+    """WSURF_TOL, or the default; None unless it is finite and > 0."""
     raw = os.environ.get("WSURF_TOL")
     if raw is None:
         return _DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         return None
+    return tol if 0 < tol < np.inf else None
 
 
 def parse_complex(text):
@@ -285,7 +287,8 @@ def run_pipeline(argv=None):
         return 2 if exc.code not in (0, None) else 0
     tol = _tolerance()
     if tol is None:
-        print("error: WSURF_TOL is not a decimal literal", file=sys.stderr)
+        print("error: WSURF_TOL is not a finite positive decimal literal",
+              file=sys.stderr)
         return 2
     try:
         if args.command == "list":

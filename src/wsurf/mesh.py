@@ -168,7 +168,9 @@ def _tree_integrals(points, allowed, cache):
     live = np.ones(len(u), dtype=bool)
     integrated = np.zeros(len(u), dtype=bool)
     edge_value = np.zeros((len(u), 3), dtype=complex)
-    failed = np.zeros(n, dtype=bool)
+    # nodes on a cut ray (except the anchor) fail without a lookup:
+    # plan_path refuses them as endpoints and every edge to them crosses it
+    failed = allowed.ravel() & cache.obstacles.on_ray(z) & (z != cache.anchor)
     roots = {}
     candidates = np.flatnonzero(allowed.ravel())
     candidates = candidates[np.argsort(np.abs(z[candidates] - cache.anchor),

@@ -2,9 +2,9 @@
 and branch-cut rays.
 
 Routing runs Dijkstra over a small visibility graph: the endpoints plus
-a fixed set of candidate waypoints generated from the obstacles.  With
-at most a handful of discs and rays this stays well under a thousand
-segment tests and is fully deterministic.
+a fixed set of candidate waypoints generated from the obstacles, with
+the segments between all of them tested in one array call.  It is fully
+deterministic.
 """
 
 import heapq
@@ -13,7 +13,7 @@ import numpy as np
 
 from .contour import ContourPath
 from .errors import PathPlanningFailure
-from .geometry import Obstacles, seg_point_distance
+from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 
@@ -37,23 +37,29 @@ def _candidates(a, b, obstacles):
             for t in (0.7, 2.0):
                 out.append(anchor + t * scale * d + s * scale * perp)
                 out.append(anchor + t * scale * d - s * scale * perp)
-    return [w for w in out if obstacles.point_legal(w)]
+    legal = obstacles.point_legal(np.array(out))
+    return [w for w, ok in zip(out, legal) if ok]
+
+
+def _visibility_graph(nodes, obstacles):
+    """adj[i]: (j, |nodes[i] - nodes[j]|) per visible j, in (i, j) order."""
+    adj = [[] for _ in nodes]
+    first, second = np.triu_indices(len(nodes), 1)
+    z = np.array(nodes, dtype=complex)
+    clear = obstacles.segment_clear(z[first], z[second])
+    for i, j in zip(first[clear].tolist(), second[clear].tolist()):
+        w = abs(nodes[i] - nodes[j])
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
 
 
 def _route(a, b, obstacles):
     if obstacles.segment_clear(a, b):
         return [a, b]
     nodes = [a, b] + _candidates(a, b, obstacles)
-    n = len(nodes)
     max_hops = MAX_WAYPOINTS - 1
-    # adjacency by mutual visibility
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if obstacles.segment_clear(nodes[i], nodes[j]):
-                w = abs(nodes[i] - nodes[j])
-                adj[i].append((j, w))
-                adj[j].append((i, w))
+    adj = _visibility_graph(nodes, obstacles)
     # Dijkstra with a hop cap; ties broken by node index for determinism
     best = {(0, 0): 0.0}
     queue = [(0.0, 0, 0, (0,))]
@@ -97,8 +103,3 @@ def plan_path(xi0, xi, exclusions=(), cuts=()):
         if w != cleaned[-1]:
             cleaned.append(w)
     return ContourPath(tuple(cleaned), obstacles.discs, obstacles.rays)
-
-
-def path_clearance(path, point):
-    """Minimum distance from any path segment to a point."""
-    return min(seg_point_distance(a, b, point) for a, b in path.segments())

@@ -100,8 +100,9 @@ def _hyp2f1_terminating(a_neg_int, b, c, w):
 def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     """Closed-form WeierstrassData for a cataloged equation.
 
-    Returns None when the table row needs special functions outside the
-    in-scope set (e.g. non-integer-parameter incomplete gammas).
+    Returns None for an id outside the catalog, and when the table row
+    needs special functions outside the in-scope set (e.g.
+    non-integer-parameter incomplete gammas).
     """
     par = ode.params
     eq = ode.id
@@ -230,8 +231,7 @@ class CachedAntiderivative:
         if np.ndim(z) != 0:
             return self._lookup_array(np.asarray(z, dtype=complex))
         z = complex(z)
-        n = self._size
-        idx = int(np.argmin(np.abs(self._points[:n] - z)))
+        idx = int(self._nearest(np.array([z]))[0])
         zc = complex(self._points[idx])
         if zc == z:
             return self._values[idx].copy()     # never a view of the store
@@ -458,8 +458,7 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
     """Full numeric WeierstrassData (integral route) for any LinearODE."""
     eta_sq = build_eta(ode, c1=c1, base_point=base_point, tol=tol)
     z0 = eta_sq.base_point
-    cf = closed_form_data(ode, c1, c2, lam, base_point=z0) \
-        if ode.id in _CLOSED_FORM_IDS else None
+    cf = closed_form_data(ode, c1, c2, lam, base_point=z0)
     partial = WeierstrassData(
         eta_sq=eta_sq, chi=cf.chi if cf is not None else None,
         c1=complex(c1), c2=complex(c2), lam=complex(lam),
@@ -471,18 +470,11 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
     return partial
 
 
-_CLOSED_FORM_IDS = {
-    "laguerre", "legendre", "legendre_assoc", "bessel", "chebyshev1",
-    "chebyshev2", "laguerre_assoc", "hermite", "gegenbauer", "jacobi",
-}
-
-
 def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
               prefer="closed_form", tol=1e-11):
     """WeierstrassData for an ODE, closed form when available."""
     if prefer == "closed_form":
-        data = closed_form_data(ode, c1, c2, lam, base_point) \
-            if ode.id in _CLOSED_FORM_IDS else None
+        data = closed_form_data(ode, c1, c2, lam, base_point)
         if data is not None:
             return data
     return build_numeric_data(ode, c1, c2, lam, base_point, tol)

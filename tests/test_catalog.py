@@ -225,6 +225,18 @@ singularities = 0
             ode.ratios(np.array([2 + 1j, 0.5 + 0j]))
         assert info.value.z == 0.5
 
+    @pytest.mark.parametrize("eq", ["laguerre", "bessel"])
+    def test_rejects_catalog_ids(self, eq):
+        # a catalog id would pick that equation's closed form, whatever
+        # the coefficients say
+        with pytest.raises(ValueError, match=f"--eq {eq}"):
+            parse_user_ode(f"id = {eq}\np = z\nq = 1 - z\nr = 1\n")
+
+    @pytest.mark.parametrize("text", ["", "z +", "(z"])
+    def test_rejects_malformed_coefficients(self, text):
+        with pytest.raises(ValueError, match="malformed expression"):
+            parse_user_ode(f"p = {text}\nq = 1\nr = 1\n")
+
     def test_requires_all_coefficients(self):
         with pytest.raises(ValueError):
             parse_user_ode("p = z\nq = 1\n")

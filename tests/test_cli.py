@@ -195,6 +195,26 @@ class TestErrorHandling:
         monkeypatch.setenv("WSURF_TOL", "not-a-number")
         assert run_pipeline(["list"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+    def test_tolerance_env_must_be_finite_and_positive(self, monkeypatch,
+                                                       capsys, value):
+        monkeypatch.setenv("WSURF_TOL", value)
+        assert run_pipeline(["list"]) == 2
+        assert "WSURF_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "id = laguerre\np = z\nq = 1 - z\nr = 2\n",
+        "id = bessel\np = z^2\nq = z\nr = z^2\n",
+        "p = z +\nq = 1\nr = 1\n",
+        "p =\nq = 1\nr = 1\n",
+    ], ids=["catalog-id", "catalog-id-missing-param", "dangling-operator",
+            "empty-coefficient"])
+    def test_hostile_ode_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ode"
+        path.write_text(text)
+        assert run_pipeline(["verify", "--ode-file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_tolerance_env_honored(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WSURF_TOL", "1e-8")
         out = tmp_path / "s.obj"

@@ -6,7 +6,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsurf.catalog import get_equation
-from wsurf.geometry import Obstacles
+from wsurf.geometry import RAY_LENGTH, Obstacles
+
+
+# -- reference: the scalar forms of the segment tests, which the array
+#    forms replaced; kept so that those are checked against other code
+
+def reference_seg_point_distance(a, b, p):
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(p - a)
+    t = ((p - a) * np.conj(d)).real / L2
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * d))
+
+
+def _reference_orient(a, b, c):
+    return (b - a).real * (c - a).imag - (b - a).imag * (c - a).real
+
+
+def _reference_between(a, b, p):
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(p - a) < 1e-12
+    t = ((p - a) * np.conj(d)).real / L2
+    return -1e-12 < t < 1.0 + 1e-12
+
+
+def reference_segments_cross(a, b, c, d, eps=1e-12):
+    def tol(p, q, r):
+        return eps * abs(q - p) * max(abs(q - p), abs(r - p), 1e-30)
+
+    o1, t1 = _reference_orient(a, b, c), tol(a, b, c)
+    o2, t2 = _reference_orient(a, b, d), tol(a, b, d)
+    o3, t3 = _reference_orient(c, d, a), tol(c, d, a)
+    o4, t4 = _reference_orient(c, d, b), tol(c, d, b)
+    if ((o1 > t1 and o2 < -t2) or (o1 < -t1 and o2 > t2)) and (
+        (o3 > t3 and o4 < -t4) or (o3 < -t3 and o4 > t4)
+    ):
+        return True
+    for o, t, p, q, r in ((o1, t1, a, b, c), (o2, t2, a, b, d),
+                          (o3, t3, c, d, a), (o4, t4, c, d, b)):
+        if abs(o) <= t and _reference_between(p, q, r):
+            return True
+    return False
+
+
+def reference_segment_hits_disc(a, b, center, radius):
+    return bool(reference_seg_point_distance(a, b, center)
+                < radius * (1.0 - 1e-9))
+
+
+def reference_segment_crosses_ray(a, b, anchor, direction):
+    return reference_segments_cross(a, b, anchor,
+                                    anchor + RAY_LENGTH * direction)
+
+
+def reference_segment_clear(obs, a, b):
+    return not (any(reference_segment_hits_disc(a, b, c, r)
+                    for c, r in obs.discs)
+                or any(reference_segment_crosses_ray(a, b, p, d)
+                       for p, d in obs.rays))
 
 
 class TestConstruction:
@@ -66,6 +128,17 @@ class TestRules:
         assert not obs.on_ray(3 + 3j + 1e-8j)
         assert not obs.on_ray(0j)                   # behind the anchor
 
+    def test_point_rules_on_arrays(self):
+        obs = Obstacles(((0j, 0.5),), ((2 + 0j, 1 + 0j),))
+        w = np.array([[0.5 + 0j, 0.5 + 1e-12 + 0j], [3 + 0j, 1 + 0j]])
+        for rule in (obs.on_ray, obs.point_legal):
+            result = rule(w)
+            assert result.dtype == bool and result.shape == w.shape
+            scalar = [rule(complex(x)) for x in w.ravel()]
+            assert all(type(x) is bool for x in scalar)
+            assert result.ravel().tolist() == scalar
+        assert Obstacles().on_ray(w).shape == w.shape
+
     def test_point_legal_uses_the_closed_disc(self):
         obs = Obstacles(((0j, 0.5),), ((2 + 0j, 1 + 0j),))
         assert not obs.point_legal(0.5 + 0j)        # on the boundary
@@ -106,5 +179,8 @@ def test_array_segment_clear_matches_scalar_calls(eq, data):
     a, b = np.array(pairs, dtype=complex).T
     clear = obs.segment_clear(a, b)
     assert clear.dtype == bool and clear.shape == a.shape
-    assert clear.tolist() == [obs.segment_clear(complex(p), complex(q))
-                              for p, q in pairs]
+    scalar = [obs.segment_clear(complex(p), complex(q)) for p, q in pairs]
+    assert all(type(x) is bool for x in scalar)
+    assert clear.tolist() == scalar == [
+        reference_segment_clear(obs, complex(p), complex(q))
+        for p, q in pairs]

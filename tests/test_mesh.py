@@ -15,7 +15,11 @@ from wsurf.geometry import segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
 from wsurf.mesh import (_sample_mask, _sample_with_mask, build_mesh, ew_cache,
                         export_mesh, immersion_at, import_csv, sample_grid)
-from wsurf.weierstrass import WeierstrassData, closed_form_data, make_data
+from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
+                               closed_form_data, make_data)
+
+from test_geometry import (reference_segment_crosses_ray,
+                           reference_segment_hits_disc)
 
 
 def unit_square_grid(n=2):
@@ -172,16 +176,33 @@ class TestSpanningForest:
         z = grid.points()
         a = np.concatenate([z[:-1, :].ravel(), z[:, :-1].ravel()])
         b = np.concatenate([z[1:, :].ravel(), z[:, 1:].ravel()])
+        pairs = [(complex(p), complex(q)) for p, q in zip(a, b)]
         for c, r in data.exclusions:
             hits = segment_hits_disc(a, b, c, r)
-            assert hits.tolist() == [segment_hits_disc(complex(p), complex(q), c, r)
-                                     for p, q in zip(a, b)]
+            scalar = [segment_hits_disc(p, q, c, r) for p, q in pairs]
+            assert all(type(x) is bool for x in scalar)
+            assert hits.tolist() == scalar == [
+                reference_segment_hits_disc(p, q, c, r) for p, q in pairs]
         for anchor, d in data.cut_rays:
             crosses = segment_crosses_ray(a, b, anchor, d)
-            scalar = [segment_crosses_ray(complex(p), complex(q), anchor, d)
-                      for p, q in zip(a, b)]
-            assert crosses.tolist() == scalar
+            scalar = [segment_crosses_ray(p, q, anchor, d) for p, q in pairs]
             assert all(type(x) is bool for x in scalar)
+            assert crosses.tolist() == scalar == [
+                reference_segment_crosses_ray(p, q, anchor, d)
+                for p, q in pairs]
+
+    def test_nodes_on_a_cut_fail_without_a_lookup(self, monkeypatch):
+        # legendre's figure grid has 52 allowed nodes on its cut rays;
+        # only the root of its one component needs a cache lookup
+        ode, data, grid = figure_case(*FIGURE_GRIDS[1])
+        calls = []
+        lookup = CachedAntiderivative.__call__
+        monkeypatch.setattr(CachedAntiderivative, "__call__",
+                            lambda cache, z: calls.append(z) or lookup(cache, z))
+        samples = _sample_mask(ode, data, grid, False, 1e-10)
+        assert samples.failures == 52
+        assert samples.mask.sum() == 848
+        assert len(calls) == 1
 
     @settings(max_examples=8, deadline=None)
     @given(eq=st.sampled_from(["hermite", "laguerre"]),

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from wsurf import pathplan
 from wsurf.catalog import get_equation
 from wsurf.errors import PathPlanningFailure
-from wsurf.geometry import Obstacles
-from wsurf.pathplan import MAX_WAYPOINTS, path_clearance, plan_path
+from wsurf.geometry import Obstacles, seg_point_distance
+from wsurf.pathplan import (MAX_WAYPOINTS, _candidates, _visibility_graph,
+                            plan_path)
+
+
+def path_clearance(path, point):
+    """Minimum distance from any path segment to a point."""
+    a, b = np.array(path.segments()).T
+    return seg_point_distance(a, b, point).min()
 
 
 def test_free_space_is_straight():
@@ -124,3 +131,33 @@ def test_planned_paths_are_legal(eq, x0, y0, x1, y1):
     assert path.start == a and path.end == b
     assert len(path.waypoints) <= MAX_WAYPOINTS
     assert all(obstacles.segment_clear(p, q) for p, q in path.segments())
+
+
+def double_loop_graph(nodes, obstacles):
+    """The visibility graph as it was built before: one scalar segment
+    test per node pair, in (i, j) order."""
+    n = len(nodes)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if obstacles.segment_clear(nodes[i], nodes[j]):
+                w = abs(nodes[i] - nodes[j])
+                adj[i].append((j, w))
+                adj[j].append((i, w))
+    return adj
+
+
+@pytest.mark.parametrize("eq, a, b", [
+    ("bessel", -1 + 0.3j, -1 - 0.3j),
+    ("bessel", -0.5 + 0.05j, 1.5 - 0.2j),
+    ("legendre", -1.5 + 0.3j, -1.5 - 0.3j),
+    ("legendre", 2 + 0.5j, -0.5 - 0.1j),
+])
+def test_visibility_graph_matches_double_loop(eq, a, b):
+    ode = get_equation(eq)
+    obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
+    nodes = [a, b] + _candidates(a, b, obstacles)
+    adj = _visibility_graph(nodes, obstacles)
+    # the same neighbours in the same order, so Dijkstra breaks ties alike
+    assert adj == double_loop_graph(nodes, obstacles)
+    assert sum(map(len, adj)) > 0

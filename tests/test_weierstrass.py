@@ -114,6 +114,14 @@ class TestNumericRoute:
         user = parse_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
         assert make_data(user).source == "numeric"
 
+    @pytest.mark.parametrize("kw", [{"c1": 0}, {"lam": 0}],
+                             ids=["c1", "lambda"])
+    def test_zero_constant_rejected_for_user_odes(self, kw):
+        # the numeric route divides by both constants
+        user = parse_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
+        with pytest.raises(ValueError, match="must be nonzero"):
+            make_data(user, **kw)
+
 
 class TestVerification:
     def test_detects_perturbation_with_linear_scaling(self):
