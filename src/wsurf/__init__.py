@@ -25,9 +25,8 @@ from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_cache,
                    export_mesh, immersion_at, sample_grid)
 from .pathplan import plan_path
 from .special import EULER_GAMMA, ei
-from .weierstrass import (WeierstrassData, build_chi, build_eta,
-                          build_numeric_data, closed_form_data, make_data,
-                          verify_weierstrass)
+from .weierstrass import (WeierstrassData, build_numeric_data,
+                          closed_form_data, make_data, verify_weierstrass)
 
 __all__ = [
     "BranchCutViolation", "ContourPath", "DEFAULT_PARAMS", "DomainError",
@@ -35,15 +34,14 @@ __all__ = [
     "GeometryReport", "GridSpec", "ImmersionSample", "IoFailure",
     "LinearODE", "PathPlanningFailure", "SingularPoint", "StepSizeUnderflow",
     "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
-    "WeierstrassData", "WsurfError", "build_chi", "build_eta", "build_mesh",
-    "build_numeric_data", "classical_solution", "closed_form_data",
-    "coefficient_ratios", "contour_quad", "ei", "ew_cache", "ew_integrals",
-    "export_mesh", "geometry_report", "get_equation", "get_fixture",
-    "holo_derivative", "immerse_ew", "immersion_at",
-    "integrate_wavefunction", "load_user_ode", "lp_residual", "make_data",
-    "parse_user_ode", "pauli_decompose", "plan_path", "potential_matrix",
-    "reference_surface", "sample_grid", "straight_path", "sym_tafel",
-    "to_quaternionic", "verify_weierstrass",
+    "WeierstrassData", "WsurfError", "build_mesh", "build_numeric_data",
+    "classical_solution", "closed_form_data", "coefficient_ratios",
+    "contour_quad", "ei", "ew_cache", "ew_integrals", "export_mesh",
+    "geometry_report", "get_equation", "get_fixture", "holo_derivative",
+    "immerse_ew", "immersion_at", "integrate_wavefunction", "load_user_ode",
+    "lp_residual", "make_data", "parse_user_ode", "pauli_decompose",
+    "plan_path", "potential_matrix", "reference_surface", "sample_grid",
+    "straight_path", "sym_tafel", "to_quaternionic", "verify_weierstrass",
 ]
 
 __version__ = "0.1.0"

@@ -589,12 +589,18 @@ def _compile_expr(text, param_names):
     return fn
 
 
-def _parse_complex_literal(text):
-    text = text.strip().replace(" ", "")
+def parse_complex(text):
+    """A finite complex number from a literal a+bi (or plain a, bi).
+
+    Raises ValueError for a malformed literal and for nan or inf parts.
+    """
     try:
-        return complex(text.replace("i", "j"))
+        value = complex(text.strip().replace(" ", "").replace("i", "j"))
     except ValueError:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def load_user_ode(path):
@@ -635,7 +641,7 @@ def parse_user_ode(text):
     p = _compile_expr(entries["p"], params)
     q = _compile_expr(entries["q"], params)
     r = _compile_expr(entries["r"], params)
-    sing = tuple(_parse_complex_literal(s)
+    sing = tuple(parse_complex(s)
                  for s in entries.get("singularities", "").split(",") if s.strip())
     domain = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), 0j)
     return LinearODE(
@@ -644,6 +650,3 @@ def parse_user_ode(text):
         valid_region=None, cut_rays=(),
     )
 
-
-def factorial(n):
-    return math.factorial(int(n))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, get_equation,
-                      load_user_ode)
+                      load_user_ode, parse_complex)
 from .errors import WsurfError
 from .geometry import Obstacles
 from .immersion import geometry_report
@@ -43,16 +43,6 @@ def _tolerance():
     return tol if 0 < tol < np.inf else None
 
 
-def parse_complex(text):
-    """Parse a complex literal of the form a+bi (or plain a, bi)."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        return complex(cleaned)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse complex literal {text!r}") from None
-
-
 def parse_grid(text):
     """polar:r0,r1,t0,t1,n1,n2 or cartesian:x0,x1,y0,y1,n1,n2."""
     kind, _, rest = text.partition(":")
@@ -69,16 +59,21 @@ def parse_grid(text):
 
 
 def _parse_params(items):
+    """--param k=v items as a dict; ValueError (exit 2) for a malformed
+    item or a value that is not a finite number."""
     out = {}
     for item in items or []:
         name, sep, value = item.partition("=")
         if not sep:
-            raise argparse.ArgumentTypeError(f"--param needs k=v, got {item!r}")
+            raise ValueError(f"--param needs k=v, got {item!r}")
         try:
-            out[name.strip()] = float(value)
+            number = float(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(
+            raise ValueError(
                 f"cannot parse parameter value {value!r}") from None
+        if not np.isfinite(number):
+            raise ValueError(f"parameter value {value!r} is not finite")
+        out[name.strip()] = number
     return out
 
 
@@ -227,9 +222,10 @@ def _cmd_verify(args, tol):
 
 def _cmd_sample(args, tol):
     ode = _resolve_ode(args)
-    data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam)
     xi0 = args.xi0 if args.xi0 is not None \
         else ode.default_domain.base_point
+    data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam,
+                     base_point=xi0)
     s = sample_point(data, ew_cache(data, xi0, tol), args.xi)
     rep = geometry_report(data, args.xi, tol=min(tol, 1e-12))
     fields = {

@@ -5,7 +5,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .contour import holo_derivative
-from .errors import SingularPoint, StepSizeUnderflow
+from .errors import EvaluationFailure, SingularPoint, StepSizeUnderflow
 
 _RTOL = 1e-10
 _ATOL = 1e-12
@@ -37,43 +37,39 @@ def _rhs(ode, a, b):
     return rhs
 
 
-class Wavefunction:
-    """Solution (psi1, psi2) of the linear problem along a contour.
+def _solve(ode, a, b, state, t_eval=None):
+    """solve_ivp of the ODE along the segment a -> b from state at a."""
+    rhs = _rhs(ode, a, b)
+    if not np.all(np.isfinite(rhs(0.0, state))):
+        # from a non-finite slope RK45 picks a nan first step and never
+        # leaves its step loop
+        raise EvaluationFailure(
+            a, f"ODE right-hand side is not finite at z={a}")
+    sol = solve_ivp(rhs, (0.0, 1.0), state, method="RK45", rtol=_RTOL,
+                    atol=_ATOL, t_eval=t_eval)
+    if not sol.success:
+        raise StepSizeUnderflow(sol.message)
+    return sol
 
-    psi1 solves p psi1'' + q psi1' + r psi1 = 0 transported along the
-    path; psi2 = chi psi1 - psi1' / (lambda eta^2).  Off-path queries are
-    answered by re-integrating a short straight segment from the nearest
-    stored path point, which keeps the extension holomorphic.
+
+class Wavefunction:
+    """Solution (psi1, psi2) of the linear problem.
+
+    ``state_at`` maps z to (psi1, dpsi1/dz), where psi1 solves
+    p psi1'' + q psi1' + r psi1 = 0; psi2 = chi psi1 - psi1' /
+    (lambda eta^2).
     """
 
-    def __init__(self, data, ode, path, states, nodes):
+    def __init__(self, data, ode, state_at):
         self.data = data
         self.ode = ode
-        self.path = path
-        self._nodes = np.asarray(nodes)          # complex points on path
-        self._states = np.asarray(states)        # (len, 2): psi1, dpsi1
-
-    def _transport(self, z_from, state, z_to):
-        if z_from == z_to:
-            return state
-        sol = solve_ivp(_rhs(self.ode, z_from, z_to), (0.0, 1.0),
-                        state, method="RK45", rtol=_RTOL, atol=_ATOL)
-        if not sol.success:
-            raise StepSizeUnderflow(sol.message)
-        return sol.y[:, -1]
-
-    def state_at(self, z):
-        """(psi1, dpsi1/dz) at z, extended from the nearest path node."""
-        z = complex(z)
-        idx = int(np.argmin(np.abs(self._nodes - z)))
-        return self._transport(complex(self._nodes[idx]),
-                               self._states[idx], z)
+        self.state_at = state_at
 
     def psi1(self, z):
-        return complex(self.state_at(z)[0])
+        return complex(self.state_at(complex(z))[0])
 
     def dpsi1(self, z):
-        return complex(self.state_at(z)[1])
+        return complex(self.state_at(complex(z))[1])
 
     def _psi2(self, z, p1, d1):
         """psi2 = chi psi1 - psi1' / (lambda eta^2) from the state at z."""
@@ -85,62 +81,45 @@ class Wavefunction:
         return complex(self._psi2(z, *self.state_at(z)))
 
     def psi(self, z):
-        """(psi1, psi2) at z from one transport."""
+        """(psi1, psi2) at z from one state evaluation."""
         z = complex(z)
         p1, d1 = self.state_at(z)
         return np.array([p1, self._psi2(z, p1, d1)], dtype=complex)
-
-    def samples(self):
-        """(z, psi1, psi2) triples at the stored path nodes."""
-        out = []
-        for z, (p1, d1) in zip(self._nodes, self._states):
-            z = complex(z)
-            out.append((z, complex(p1), complex(self._psi2(z, p1, d1))))
-        return out
 
 
 def integrate_wavefunction(data, ode, init, path, samples_per_segment=24):
     """Transport (psi1, psi1') from the path start along a ContourPath.
 
-    init is the pair (psi1, dpsi1/dz) at path.start.  Returns a
-    Wavefunction sampled at ``samples_per_segment`` nodes per segment.
+    init is the pair (psi1, dpsi1/dz) at path.start.  The state is stored
+    at ``samples_per_segment`` nodes per segment; off-path queries are
+    answered by re-integrating a short straight segment from the nearest
+    stored node, which keeps the extension holomorphic.
     """
     state = np.array([complex(init[0]), complex(init[1])], dtype=complex)
     nodes = [path.start]
     states = [state.copy()]
     for a, b in path.segments():
         ts = np.linspace(0.0, 1.0, samples_per_segment + 1)[1:]
-        sol = solve_ivp(_rhs(ode, a, b), (0.0, 1.0), state,
-                        method="RK45", rtol=_RTOL, atol=_ATOL, t_eval=ts)
-        if not sol.success:
-            raise StepSizeUnderflow(sol.message)
+        sol = _solve(ode, a, b, state, t_eval=ts)
         for t, y in zip(sol.t, sol.y.T):
             nodes.append(a + t * (b - a))
             states.append(y.copy())
         state = sol.y[:, -1].copy()
-    return Wavefunction(data, ode, path, states, nodes)
+    nodes = np.asarray(nodes)
+
+    def state_at(z):
+        idx = int(np.argmin(np.abs(nodes - z)))
+        if nodes[idx] == z:
+            return states[idx]
+        return _solve(ode, complex(nodes[idx]), z, states[idx]).y[:, -1]
+
+    return Wavefunction(data, ode, state_at)
 
 
 def closed_form_wavefunction(data, ode, psi1, dpsi1):
-    """Wrap analytic (psi1, psi1') callables as a Wavefunction-like object."""
-
-    class _Analytic:
-        def __init__(self):
-            self.data = data
-            self.ode = ode
-
-        def psi1(self, z):
-            return complex(psi1(complex(z)))
-
-        def psi2(self, z):
-            z = complex(z)
-            return complex(data.chi(z)) * self.psi1(z) - complex(dpsi1(z)) / (
-                data.lam * complex(data.eta_sq(z)))
-
-        def psi(self, z):
-            return np.array([self.psi1(z), self.psi2(z)], dtype=complex)
-
-    return _Analytic()
+    """The Wavefunction of analytic (psi1, psi1') callables."""
+    return Wavefunction(data, ode,
+                        lambda z: (complex(psi1(z)), complex(dpsi1(z))))
 
 
 def lp_residual(data, wf, z, h=None):

@@ -16,8 +16,7 @@ from scipy.spatial import cKDTree
 
 from .contour import (contour_quad, gk15_segments, holo_derivative,
                       straight_path)
-from .errors import (EvaluationFailure, SingularPoint, ToleranceNotReached,
-                     WsurfError)
+from .errors import EvaluationFailure, ToleranceNotReached, WsurfError
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -379,104 +378,49 @@ def _xy(z):
     return np.column_stack([z.real, z.imag])
 
 
-def _nonzero_p(ode, z):
-    """p(z), raising SingularPoint at the first node where p vanishes."""
-    pv = np.asarray(ode.p(z), dtype=complex)
-    zero = np.ravel(pv == 0)
-    if zero.any():
-        raise SingularPoint(complex(np.ravel(z)[np.argmax(zero)]))
-    return pv
-
-
-def build_eta(ode, c1=1.0, base_point=None, anchor_value=None, tol=1e-11):
-    """Numeric eta^2 as exp of the antiderivative of -q/p.
-
-    The multiplicative constant is pinned by ``anchor_value`` =
-    eta^2(base_point); it defaults to the closed-form value when the
-    catalog has one, otherwise to 1/c1.
-    """
-    z0, anchor_value = _anchors(ode, c1, 0.0, 1.0, base_point, anchor_value,
-                                which="eta")
-
-    def qp(z):
-        pv = _nonzero_p(ode, z)
-        return np.asarray(ode.q(z), dtype=complex) / pv
-
-    cache = CachedAntiderivative(qp, z0, ode.exclusions(), ode.cut_rays, tol)
-
-    def eta_sq(z):
-        return anchor_value * np.exp(-cache(z))
-
-    eta_sq.base_point = z0
-    return eta_sq
-
-
-def build_chi(ode, data, tol=1e-11):
-    """Numeric chi from partial WeierstrassData carrying eta_sq and lam.
-
-    chi(z) = chi(z0) - (1/lambda) * int_{z0}^{z} (r/p) / eta^2, so the
-    coefficient identity r/p = -lambda eta^2 chi' holds by construction.
-    """
-    z0 = complex(data.base_point)
-    chi0 = complex(data.chi(z0)) if data.chi is not None else data.c2 / data.lam
-    lam = complex(data.lam)
-    eta_sq = data.eta_sq
-
-    def integrand(z):
-        pv = _nonzero_p(ode, z)
-        rv = np.asarray(ode.r(z), dtype=complex)
-        ev = np.asarray(eta_sq(z), dtype=complex)
-        return rv / pv / ev
-
-    cache = CachedAntiderivative(integrand, z0, ode.exclusions(),
-                                 ode.cut_rays, tol)
-
-    def chi(z):
-        return chi0 - cache(z) / lam
-
-    chi.base_point = z0
-    return chi
-
-
-def _anchors(ode, c1, c2, lam, base_point, anchor_value, which):
-    cf = closed_form_data(ode, c1 if c1 else 1.0, c2, lam)
-    if base_point is None:
-        base_point = cf.base_point if cf is not None else _default_base(ode.id)
-    z0 = complex(base_point)
-    if anchor_value is None:
-        if cf is not None:
-            anchor_value = complex(cf.eta_sq(z0)) if which == "eta" \
-                else complex(cf.chi(z0))
-        else:
-            anchor_value = 1.0 / complex(c1) if which == "eta" \
-                else complex(c2) / complex(lam)
-    return z0, complex(anchor_value)
-
-
 def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
                        tol=1e-11):
-    """Full numeric WeierstrassData (integral route) for any LinearODE."""
-    eta_sq = build_eta(ode, c1=c1, base_point=base_point, tol=tol)
-    z0 = eta_sq.base_point
-    cf = closed_form_data(ode, c1, c2, lam, base_point=z0)
-    partial = WeierstrassData(
-        eta_sq=eta_sq, chi=cf.chi if cf is not None else None,
-        c1=complex(c1), c2=complex(c2), lam=complex(lam),
-        base_point=z0, source="numeric",
-        exclusions=ode.exclusions(), cut_rays=ode.cut_rays,
-    )
-    chi = build_chi(ode, partial, tol=tol)
-    partial.chi = chi
-    return partial
+    """Numeric WeierstrassData (integral route) for any LinearODE.
+
+    eta^2(z) = eta^2(z0) exp(-int_{z0}^{z} q/p) and
+    chi(z) = chi(z0) - (1/lambda) int_{z0}^{z} (r/p) / eta^2, so both
+    coefficient identities hold by construction.  The values at the base
+    point z0 are the closed form's where the catalog has one, so that
+    numeric and closed-form data agree; otherwise they are 1/c1 and
+    c2/lambda.
+    """
+    cf = closed_form_data(ode, c1, c2, lam, base_point)
+    c1, c2, lam = complex(c1), complex(c2), complex(lam)
+    z0 = complex(base_point) if base_point is not None \
+        else _default_base(ode.id)
+    if cf is not None:
+        eta0, chi0 = complex(cf.eta_sq(z0)), complex(cf.chi(z0))
+    else:
+        eta0, chi0 = 1.0 / c1, c2 / lam
+    exclusions = ode.exclusions()
+    q_integral = CachedAntiderivative(lambda z: ode.ratios(z)[0], z0,
+                                      exclusions, ode.cut_rays, tol)
+
+    def eta_sq(z):
+        return eta0 * np.exp(-q_integral(z))
+
+    r_integral = CachedAntiderivative(lambda z: ode.ratios(z)[1] / eta_sq(z),
+                                      z0, exclusions, ode.cut_rays, tol)
+
+    def chi(z):
+        return chi0 - r_integral(z) / lam
+
+    return WeierstrassData(
+        eta_sq=eta_sq, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,
+        source="numeric", exclusions=exclusions, cut_rays=ode.cut_rays)
 
 
-def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
-              prefer="closed_form", tol=1e-11):
-    """WeierstrassData for an ODE, closed form when available."""
-    if prefer == "closed_form":
-        data = closed_form_data(ode, c1, c2, lam, base_point)
-        if data is not None:
-            return data
+def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None, tol=1e-11):
+    """WeierstrassData for an ODE: the closed form when the catalog has
+    one, else the numeric route."""
+    data = closed_form_data(ode, c1, c2, lam, base_point)
+    if data is not None:
+        return data
     return build_numeric_data(ode, c1, c2, lam, base_point, tol)
 
 

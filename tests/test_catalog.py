@@ -12,7 +12,7 @@ from numpy.polynomial import legendre as _leg
 from scipy import special as sps
 
 from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
-                           classical_solution, coefficient_ratios, factorial,
+                           classical_solution, coefficient_ratios,
                            get_equation, get_fixture, load_user_ode,
                            parse_user_ode, reference_surface)
 from wsurf.cli import run_pipeline
@@ -287,8 +287,3 @@ class TestFixtures:
         assert not fx.domain_contains(0.0)
         with pytest.raises(OutsideFixtureDomain):
             reference_surface(fx, 0.001 + 0.001j)
-
-
-def test_factorial():
-    assert factorial(5) == 120
-    assert factorial(0) == 1

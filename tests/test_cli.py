@@ -1,6 +1,9 @@
 """CLI subcommands, argument parsing and exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +29,9 @@ class TestParsing:
         assert parse_complex("-1+0i") == -1 + 0j
         assert parse_complex("2") == 2 + 0j
         assert parse_complex("-0.5i") == -0.5j
-        with pytest.raises(Exception):
-            parse_complex("one")
+        for text in ("one", "nan", "nan+1i", "1e999", "1-nani", "inf"):
+            with pytest.raises(ValueError):
+                parse_complex(text)
 
     def test_parse_grid(self):
         kind, ranges, res = parse_grid("polar:0.1,3,0,6.28,50,60")
@@ -175,6 +179,55 @@ class TestSample:
             assert key in fields
 
 
+class TestSampleAnchor:
+    def test_user_ode_built_at_xi0(self, tmp_path, capsys):
+        # the default base point 0 is the user ODE's singular point
+        ode_file = tmp_path / "s.ode"
+        ode_file.write_text("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
+        assert run_pipeline(["sample", "--ode-file", str(ode_file),
+                             "--xi0", "1+1i", "--xi", "2+1i"]) == 0
+        fields = dict(item.split("=", 1)
+                      for item in capsys.readouterr().out.split())
+        assert fields["z"] == "2+1i"
+
+
+def _cli(args, cwd, timeout=60):
+    """wsurf in a child process, so that a hang fails instead of stalling
+    the suite."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "wsurf.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+class TestNonFinite:
+    def test_rhs_not_finite_at_transport_start(self, tmp_path):
+        # r = z/z is nan at the base point 0, where the transport starts
+        ode_file = tmp_path / "nan.ode"
+        ode_file.write_text("p = 1\nq = 0\nr = z/z\n")
+        done = _cli(["verify", "--ode-file", str(ode_file)], tmp_path)
+        assert done.returncode == 1
+        assert "not finite at z=0j" in done.stderr
+
+    def test_nan_param_is_a_usage_error(self, tmp_path):
+        done = _cli(["verify", "--eq", "hermite", "--param", "n=nan"],
+                    tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--c1", "nan"], ["--c2", "1e999"], ["--lambda", "nan+1i"],
+        ["--xi0", "nan"], ["--xi", "nan"], ["--param", "alpha=inf"],
+        ["--param", "alpha=x"], ["--param", "alpha"]])
+    def test_bad_numbers_exit_2(self, argv):
+        assert run_pipeline(["sample", "--eq", "laguerre", "--xi", "2+1i",
+                             *argv]) == 2
+
+
 class TestErrorHandling:
     def test_missing_equation(self):
         assert run_pipeline(["verify"]) == 2
@@ -207,8 +260,10 @@ class TestErrorHandling:
         "id = bessel\np = z^2\nq = z\nr = z^2\n",
         "p = z +\nq = 1\nr = 1\n",
         "p =\nq = 1\nr = 1\n",
+        "p = z\nq = 1 - z\nr = 1\nsingularities = nan\n",
+        "p = z\nq = 1 - z\nr = 1\nsingularities = 0, 1e999\n",
     ], ids=["catalog-id", "catalog-id-missing-param", "dangling-operator",
-            "empty-coefficient"])
+            "empty-coefficient", "nan-singularity", "inf-singularity"])
     def test_hostile_ode_file_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ode"
         path.write_text(text)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
+import wsurf.weierstrass as weierstrass
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
-                               build_chi, build_eta, build_numeric_data,
-                               closed_form_data, make_data,
-                               verify_weierstrass)
+                               build_numeric_data, closed_form_data,
+                               make_data, verify_weierstrass)
 
 SAFE_POINTS = (2 + 1j, 0.5 + 0.8j, -0.7 + 1.4j, 1.5 + 0.3j, -1.2 + 2j)
 
@@ -67,19 +67,19 @@ class TestClosedForms:
 class TestNumericRoute:
     def test_build_eta_laguerre(self):
         ode = get_equation("laguerre")
-        eta = build_eta(ode, c1=2.0)
+        eta = build_numeric_data(ode, c1=2.0).eta_sq
         for z in (2 + 0.5j, 0.8 + 1.2j, -1 + 1j):
             assert abs(complex(eta(z)) - np.exp(z) / (2 * z)) <= 1e-9
 
     def test_build_eta_constant_when_q_zero(self):
         ode = parse_user_ode("p = 1\nq = 0\nr = 1\n")
-        eta = build_eta(ode, c1=1.0)
+        eta = build_numeric_data(ode, c1=1.0).eta_sq
         vals = [complex(eta(z)) for z in (0.5j, 1 + 1j, -2 + 0.3j)]
         assert max(abs(v - vals[0]) for v in vals) <= 1e-11
 
     def test_build_eta_bessel(self):
         ode = get_equation("bessel")
-        eta = build_eta(ode, c1=1.0)
+        eta = build_numeric_data(ode, c1=1.0).eta_sq
         for z in (0.5 + 0.5j, 1.5 + 1j, -1 + 0.8j):
             assert abs(complex(eta(z)) - 1.0 / z) <= 1e-9
 
@@ -101,7 +101,7 @@ class TestNumericRoute:
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
         # one, on the zero of p
         ode = parse_user_ode("p = z\nq = 1\nr = 1\n")
-        for fn in (build_eta(ode, base_point=-1.0),
+        for fn in (build_numeric_data(ode, base_point=-1.0).eta_sq,
                    build_numeric_data(ode, base_point=-1.0).chi):
             for z in (1 + 0j, np.array([1 + 0j])):
                 with pytest.raises(SingularPoint) as info:
@@ -113,6 +113,34 @@ class TestNumericRoute:
         assert make_data(ode).source == "closed_form"
         user = parse_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
         assert make_data(user).source == "numeric"
+
+    @pytest.mark.parametrize("eq", ["laguerre", "laguerre_assoc", "user"])
+    def test_one_closed_form_lookup(self, eq, monkeypatch):
+        # laguerre has a closed form, laguerre_assoc at alpha = 0.5 and
+        # the user ODE have none
+        ode = (parse_user_ode("p = z\nq = 1 - z\nr = 1\nsingularities = 0\n")
+               if eq == "user" else get_equation(
+                   eq, {"alpha": 0.5} if eq == "laguerre_assoc" else None))
+        calls = []
+        closed_form = weierstrass.closed_form_data
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
+        monkeypatch.setattr(weierstrass, "closed_form_data", counted)
+        data = build_numeric_data(ode, c1=2.0, c2=0.5, lam=1.5,
+                                  base_point=1 + 1j)
+        z = np.array([2 + 1j, 0.5 + 1.5j])
+        data.eta_sq(z), data.chi(z)
+        assert len(calls) == 1
+        assert (data.source, data.base_point) == ("numeric", 1 + 1j)
+        assert (data.c1, data.c2, data.lam) == (2.0, 0.5, 1.5)
+        # the pair is anchored at the base point
+        cf = closed_form(ode, 2.0, 0.5, 1.5)
+        eta0, chi0 = ((cf.eta_sq(1 + 1j), cf.chi(1 + 1j)) if cf is not None
+                      else (1 / 2.0, 0.5 / 1.5))
+        assert abs(complex(data.eta_sq(1 + 1j)) - eta0) == 0.0
+        assert abs(complex(data.chi(1 + 1j)) - chi0) == 0.0
 
     @pytest.mark.parametrize("kw", [{"c1": 0}, {"lam": 0}],
                              ids=["c1", "lambda"])
@@ -146,7 +174,7 @@ class TestVerification:
 
     def test_samples_are_python_scalars(self):
         ode = get_equation("laguerre")
-        report = verify_weierstrass(make_data(ode, prefer="numeric"), ode,
+        report = verify_weierstrass(build_numeric_data(ode), ode,
                                     SAFE_POINTS)
         assert [row[0] for row in report.samples] == list(SAFE_POINTS)
         assert all(type(z) is complex and type(a) is float
@@ -196,12 +224,14 @@ class TestCachedAntiderivative:
 
 
 class TestArrayCalls:
-    @pytest.mark.parametrize("prefer,rtol", [("closed_form", 1e-14),
+    @pytest.mark.parametrize("source,rtol", [("closed_form", 1e-14),
                                              ("numeric", 1e-8)])
-    def test_array_calls_match_scalar_calls(self, prefer, rtol):
+    def test_array_calls_match_scalar_calls(self, source, rtol):
         # scalar calls must stay Python scalars: `wsurf sample` formats
         # complex values by isinstance
-        data = make_data(get_equation("laguerre"), prefer=prefer)
+        build = {"closed_form": closed_form_data,
+                 "numeric": build_numeric_data}[source]
+        data = build(get_equation("laguerre"))
         zs = np.array(SAFE_POINTS)
         for name, kind in (("log_conformal_factor", float), ("hopf", complex),
                            ("chi_prime", complex),
