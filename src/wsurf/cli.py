@@ -174,6 +174,11 @@ def _near_singular(data, z, margin=0.05):
     return any(abs(z - c) < r + margin for c, r in data.exclusions)
 
 
+def _worst(values):
+    """The largest residual, nan if any is nan (so that it fails)."""
+    return float(np.max(values, initial=0.0))
+
+
 def _cmd_verify(args, tol):
     ode = _resolve_ode(args)
     data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam,
@@ -190,13 +195,9 @@ def _cmd_verify(args, tol):
     path = plan_path(points[0], points[-1] + 0.05j, data.exclusions,
                      data.cut_rays)
     wf = integrate_wavefunction(data, ode, (1.0, 0.0), path)
-    worst_lp = worst_dbar = 0.0
-    for z in points[1:]:
-        res, dbar = lp_residual(data, wf, z)
-        worst_lp = max(worst_lp, res)
-        worst_dbar = max(worst_dbar, dbar)
-    results["linear_problem"] = worst_lp
-    results["wavefunction_dbar"] = worst_dbar
+    res, dbar = lp_residual(data, wf, np.array(points[1:]))
+    results["linear_problem"] = _worst(res)
+    results["wavefunction_dbar"] = _worst(dbar)
 
     rep = geometry_report(data, np.array(points), tol=min(tol, 1e-12))
     if rep.failures:
@@ -207,8 +208,7 @@ def _cmd_verify(args, tol):
             ("mean_curvature", rep.mean_curvature),
             ("hopf_holomorphy", rep.hopf_holomorphy),
             ("liouville", rep.liouville)):
-        # the largest value, nan ignored
-        results[name] = float(np.fmax.reduce(values, initial=0.0))
+        results[name] = _worst(values)
 
     ok = True
     for name, value in results.items():

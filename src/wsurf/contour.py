@@ -256,10 +256,13 @@ def holo_derivative(f, z, order=1, h=None):
     derivative (with a larger default step to balance rounding).
 
     z may be an array of points, with h a step or an array of steps of
-    its shape; f is then called once per stencil offset on the whole
-    array.  f may be vector-valued, giving (k,) values at a point and
-    (n, k) on an array; both results then have that shape, the residual
-    per component.  A scalar z and a scalar f give a Python complex and
+    its shape; f is then called once, on every stencil point of every z
+    stacked into an array of shape (4,) + z.shape (order 1) or (9,) +
+    z.shape (order 2).  A scalar z calls f once per stencil offset with
+    a scalar, so scalar-only callables may be passed with one.  f may be
+    vector-valued, giving (k,) values at a point and z.shape + (k,) on
+    an array; both results then have that shape, the residual per
+    component.  A scalar z and a scalar f give a Python complex and
     float.  Raises EvaluationFailure naming a point where f is not
     finite.
     """
@@ -280,8 +283,12 @@ def holo_derivative(f, z, order=1, h=None):
             raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
         return v
 
-    fr_p, fr_m = ev(z + h), ev(z - h)
-    fi_p, fi_m = ev(z + 1j * h), ev(z - 1j * h)
+    stencil = [z + h, z - h, z + 1j * h, z - 1j * h]
+    if order == 2:
+        stencil += [z, z + h + 1j * h, z + h - 1j * h, z - h + 1j * h,
+                    z - h - 1j * h]
+    values = [ev(w) for w in stencil] if scalar else ev(np.stack(stencil))
+    fr_p, fr_m, fi_p, fi_m = values[:4]
     # the step of each point, broadcast over the components of a vector f
     s = np.reshape(h, np.shape(h) + (1,) * (fr_p.ndim - np.ndim(h)))
     fx = (fr_p - fr_m) / (2 * s)
@@ -290,11 +297,9 @@ def holo_derivative(f, z, order=1, h=None):
     if order == 1:
         d = 0.5 * (fx - 1j * fy)
     else:
-        f0 = ev(z)
+        f0, fpp, fpm, fmp, fmm = values[4:]
         fxx = (fr_p - 2 * f0 + fr_m) / s ** 2
         fyy = (fi_p - 2 * f0 + fi_m) / s ** 2
-        fpp, fpm = ev(z + h + 1j * h), ev(z + h - 1j * h)
-        fmp, fmm = ev(z - h + 1j * h), ev(z - h - 1j * h)
         fxy = (fpp - fpm - fmp + fmm) / (4 * s ** 2)
         d = 0.25 * (fxx - fyy - 2j * fxy)
     if d.ndim == 0:

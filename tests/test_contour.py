@@ -5,6 +5,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wsurf import contour
 from wsurf.catalog import get_equation
@@ -58,6 +60,10 @@ class TestContourPath:
         assert p.reversed().waypoints == (3 + 4j, 3 + 0j, 0j)
 
 
+# complex numbers in a square inside the disc of radius 2
+_SMALL = st.builds(complex, st.floats(-1.4, 1.4), st.floats(-1.4, 1.4))
+
+
 class TestContourQuad:
     def test_constant_integrand(self):
         val = contour_quad(lambda z: np.ones_like(z),
@@ -69,6 +75,27 @@ class TestContourQuad:
         path = ContourPath((1 + 0j, 1 + 1j, -1 + 1j, -1 + 0j))
         val = contour_quad(lambda z: 1.0 / z, path, tol=1e-12)
         assert abs(val - 1j * np.pi) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(_SMALL, min_size=1, max_size=5), a=_SMALL,
+           waypoints=st.lists(_SMALL, min_size=2, max_size=3))
+    def test_entire_integrands_match_mpmath(self, coeffs, a, waypoints):
+        """A polynomial times exp(a z) along a one- or two-segment path;
+        errors are relative to the integral of |f| along the path, which
+        cancellation in the integral itself cannot make small."""
+        assume(min(abs(w - v) for v, w in zip(waypoints, waypoints[1:]))
+               > 1e-3)
+        path = ContourPath(tuple(waypoints))
+        with mpmath.workdps(25):
+            f = lambda z: mpmath.polyval(coeffs, z) * mpmath.exp(a * z)
+            ref = complex(mpmath.quad(f, waypoints))
+            scale = float(sum(
+                mpmath.quad(lambda t: abs(f(v + t * (w - v))), [0, 1])
+                * abs(w - v) for v, w in zip(waypoints, waypoints[1:])))
+        assume(scale > 1e-6)
+        val = contour_quad(lambda z: np.polyval(coeffs, z) * np.exp(a * z),
+                           path, tol=1e-11 * scale)
+        assert abs(val - ref) <= 1e-9 * scale
 
     def test_exponential_integral_kernel(self):
         val = contour_quad(lambda z: np.exp(z) / z,
@@ -244,6 +271,21 @@ class TestHoloDerivative:
                     assert one[j] == ref[j][0] and one_cr[j] == ref[j][1]
                     assert abs(dv[k, j] - ref[j][0]) <= tol
                     assert abs(crv[k, j] - ref[j][1]) <= tol
+
+        # an array z is one call on its whole stencil; a scalar z is one
+        # scalar call per stencil offset
+        shapes = []
+
+        def counted(w):
+            shapes.append(np.shape(w))
+            return f(w)
+
+        points = 4 if order == 1 else 9
+        holo_derivative(counted, zs, order=order)
+        assert shapes == [(points,) + zs.shape]
+        shapes.clear()
+        holo_derivative(counted, zs[1], order=order)
+        assert shapes == [()] * points
 
     def test_array_call_names_non_finite_point(self):
         zs = np.array([1 + 1j, 2 + 0j, 3 + 1j])

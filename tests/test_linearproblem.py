@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsurf.linearproblem as linearproblem
 from wsurf.catalog import get_equation
@@ -49,6 +51,19 @@ class TestPotentialMatrix:
     def test_singular_point_rejected(self):
         with pytest.raises(SingularPoint):
             potential_matrix(laguerre_data(), 0.01)
+
+    def test_array_matches_scalar_calls(self):
+        data = laguerre_data(lam=2 - 1j)
+        zs = np.array([[1 + 0.5j, 2.0, -1.5 + 0.7j], [0.3j, 3 - 1j, -2j]])
+        u = potential_matrix(data, zs)
+        assert u.shape == (2, 3, 2, 2)
+        ref = np.array([[potential_matrix(data, z) for z in row]
+                        for row in zs])
+        # exp on an array and on a point may differ in the last bit
+        np.testing.assert_allclose(u, ref, rtol=1e-14, atol=0)
+        with pytest.raises(SingularPoint) as info:
+            potential_matrix(data, np.array([1 + 1j, 0.01, 0.02j]))
+        assert info.value.z == 0.01
 
 
 class TestAnalyticWavefunction:
@@ -176,6 +191,48 @@ class TestResidualTransports:
         for k, z in enumerate((1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j), start=1):
             lp_residual(data, wf, z)
             assert len(calls) == 5 * k
+
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_array_residual_is_two_transports(self, k, monkeypatch):
+        data, wf = self.wavefunction()
+        zs = np.array([1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j, 1.3 + 0.9j,
+                       1.5 + 0.6j, 1.1 + 1.3j][:k])
+        calls = []
+        solve_ivp = linearproblem.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(linearproblem, "solve_ivp", counted)
+        res, dbar = lp_residual(data, wf, zs)
+        # the whole stencil is one transport, the points another
+        assert len(calls) == 2
+        assert res.shape == dbar.shape == (k,)
+        assert np.all(res <= 1e-6) and np.all(dbar <= 1e-7)
+
+
+_LAGUERRE = TestResidualTransports().wavefunction()
+# the path's start, a stored node: its lane is not transported
+_NODE = 1 + 0j
+_BOX = st.tuples(st.floats(0.8, 2.4), st.floats(-0.3, 1.5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(box=st.lists(_BOX, min_size=1, max_size=5),
+       near=st.floats(1e-6, 1e-3), angle=st.floats(0.0, 2 * np.pi))
+def test_batched_transport_matches_analytic(box, near, angle):
+    """Lanes of very different lengths and an exact-node lane in one
+    batch each match the analytic wavefunction."""
+    data, wf = _LAGUERRE
+    _, _, analytic = analytic_pair(data, wf.ode)
+    zs = np.array([_NODE, 1.5 + 1j + near * np.exp(1j * angle)]
+                  + [complex(x, y) for x, y in box])
+    psi = wf.psi(zs)
+    assert psi.shape == zs.shape + (2,)
+    want = np.array([analytic.psi(z) for z in zs])
+    assert np.max(np.abs(psi - want)) <= 1e-8
 
 
 class TestZeroCurvature:
