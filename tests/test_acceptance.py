@@ -93,7 +93,8 @@ def test_criterion_03_numeric_pairs_match_closed_rows(criterion, rng):
                        * np.exp(1j * rng.uniform(0.15 * np.pi, 0.85 * np.pi)))
                for _ in range(20)]
         for z in pts:
-            for fn_cf, fn_num in ((cf.eta_sq, num.eta_sq), (cf.chi, num.chi)):
+            for fn_cf, fn_num in ((cf.eta_sq, num.eta_sq), (cf.chi, num.chi),
+                                  (cf.chi_prime, num.chi_prime)):
                 a, b = complex(fn_cf(z)), complex(fn_num(z))
                 worst_pair = max(worst_pair, abs(a - b) / max(1.0, abs(a)))
         report = verify_weierstrass(cf, ode, pts)

@@ -254,7 +254,7 @@ class TestZeroCurvature:
             + 0.01 * np.conj(np.asarray(z, dtype=complex)),
             chi=base.chi, c1=1, c2=0, lam=1,
             base_point=base.base_point, source="closed_form",
-            exclusions=base.exclusions, cut_rays=base.cut_rays)
+            dchi=base.dchi, exclusions=base.exclusions, cut_rays=base.cut_rays)
         worst = zcc_residual(bad, 2.0)
         # the (1,2) entry of U picks up exactly -0.01 dbar(conj z)
         assert abs(worst - 0.01) <= 0.002

@@ -97,6 +97,20 @@ class TestNumericRoute:
             assert abs(complex(data.eta_sq(z)) - complex(cf.eta_sq(z))) <= 1e-9
             assert abs(complex(data.chi(z)) - complex(cf.chi(z))) <= 1e-9
 
+    @pytest.mark.parametrize("lam", [1.0, 2 - 1j])
+    def test_hopf_is_exact(self, lam):
+        # chi' = -(r/p)/(lambda eta^2) by construction, so Q = r/(lambda p)
+        # with no difference quotient of chi; the README ODE's r/p is
+        # 2/(z - 0.5)
+        ode = parse_user_ode("params = alpha=2\np = z - 0.5\nq = 1.5 - z\n"
+                             "r = alpha\nsingularities = 0.5\n")
+        data = build_numeric_data(ode, lam=lam)
+        zs = np.array(SAFE_POINTS)
+        exact = 2 / (lam * (zs - 0.5))
+        scalar = np.array([data.hopf(z) for z in SAFE_POINTS])
+        for q in (scalar, data.hopf(zs)):
+            assert np.max(np.abs(q - exact) / np.abs(exact)) <= 1e-14
+
     def test_singular_point_names_the_zero_of_p(self):
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
         # one, on the zero of p
@@ -162,7 +176,7 @@ class TestVerification:
                 eta_sq=base.eta_sq,
                 chi=lambda z, e=eps: np.exp(-np.asarray(z, dtype=complex)) + e * np.asarray(z),
                 c1=1, c2=0, lam=1, base_point=base.base_point,
-                source="closed_form",
+                source="closed_form", dchi=base.dchi,
                 exclusions=base.exclusions, cut_rays=base.cut_rays)
 
         clean = verify_weierstrass(base, ode, pts).max_residual()
@@ -171,6 +185,11 @@ class TestVerification:
         assert clean <= 1e-8
         assert r1 > 1e-3
         assert abs(r1 / r2 - 10.0) <= 2.0     # residual scales linearly in eps
+
+    def test_dchi_is_required(self):
+        with pytest.raises(TypeError, match="dchi"):
+            WeierstrassData(eta_sq=np.exp, chi=np.exp, c1=1, c2=0, lam=1,
+                            base_point=0j, source="closed_form")
 
     def test_samples_are_python_scalars(self):
         ode = get_equation("laguerre")
