@@ -2,13 +2,36 @@
 along contours and residual checks."""
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev as _chebyshev
+# not used here: bench/spans.py counts ODE solves through this name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .contour import holo_derivative
 from .errors import EvaluationFailure, SingularPoint, StepSizeUnderflow
 
-_RTOL = 1e-10
-_ATOL = 1e-12
+# A panel [t, t + h] of a lane's parameter t in [0, 1] is sampled at
+# _M second-kind Chebyshev points, _U on [0, 1] in ascending order, so
+# that its first and last points are its ends.  _S maps values at them
+# to the integral from 0 at them (its first row is exactly 0, so a
+# panel starts at exactly the state it was given), and _TAIL maps them
+# to their interpolant's last three Chebyshev coefficients.
+_M = 24
+_U = (1 - np.cos(np.pi * np.arange(_M) / (_M - 1))) / 2
+_VALUES_TO_COEFFS = np.linalg.inv(_chebyshev.chebvander(2 * _U - 1, _M - 1))
+_S = (_chebyshev.chebvander(2 * _U - 1, _M)
+      @ _chebyshev.chebint(np.eye(_M), lbnd=-1) @ _VALUES_TO_COEFFS) / 2
+_S[0] = 0.0
+_TAIL = _VALUES_TO_COEFFS[-3:]
+# a panel is accepted when both components' tails are below this times
+# their largest value on it
+_TAIL_TOL = 1e-14
+# a lane whose panel would be shorter than this part of it raises
+# StepSizeUnderflow: it is approaching a singular point
+_H_MIN = 1e-10
+# panels one transport may try per lane before it raises
+# StepSizeUnderflow, so that a solution oscillating too fast to
+# resolve fails instead of hanging
+_MAX_PANELS = 10_000
 
 
 def _first(bad, z):
@@ -38,41 +61,79 @@ def potential_matrix(data, z):
                      np.stack([s * x * x, -s * x], axis=-1)], axis=-2)
 
 
-def _solve(ode, a, b, states, t_eval=None):
-    """solve_ivp of the ODE along the n segments a -> b, one lane each.
+def transport(ode, a, b, states):
+    """Transport (psi1, dpsi1/dz) along the n segments a -> b, one lane each.
 
     a and b are (n,) arrays and states the (2, n) values of (psi1,
-    dpsi1/dz) at a; every lane runs on t in [0, 1] with z = a + t (b - a)
-    and the solution's y stacks the psi1 lanes over the dpsi1 lanes.
+    dpsi1/dz) at a.  Each lane runs on t in [0, 1] with z = a + t (b - a),
+    in panels [t, t + h]: on one, the linear ODE for Y = (psi1, dpsi1/dz)
+    is the integral equation Y = Y(t) + S (A Y), with A = (b - a) h
+    [[0, 1], [-r/p, -q/p]] at the panel's Chebyshev points, solved as one
+    2M x 2M linear system.  A panel is accepted when the Chebyshev tails
+    of both components are small, and h then doubles (up to the rest of
+    the lane); otherwise h halves.  Every step samples the ratios of all
+    active lanes in one ``ode.ratios`` call and solves their systems in
+    one stacked ``np.linalg.solve``, but a lane's panels depend only on
+    that lane, so its result does not depend on its batch.
+
+    Returns (ends, panels): ends the (2, n) states at b, and panels the
+    accepted panels in order, as (lanes, z, y) with z the (k, M) points
+    and y the (k, 2, M) states of the k lanes indexed by ``lanes``.
     """
     a = np.asarray(a, dtype=complex)
-    dz = np.asarray(b, dtype=complex) - a
-    n = a.size
-
-    def rhs(t, y):
-        qp, rp = ode.ratios(a + t * dz)
-        p, d = y[:n], y[n:]
-        return np.concatenate([dz * d, dz * (-qp * d - rp * p)])
-
-    y0 = np.asarray(states, dtype=complex).ravel()
-    finite = np.isfinite(rhs(0.0, y0).reshape(2, n)).all(axis=0)
-    if not finite.all():
-        # from a non-finite slope RK45 picks a nan first step and never
-        # leaves its step loop
-        z = _first(~finite, a)
-        raise EvaluationFailure(
-            z, f"ODE right-hand side is not finite at z={z}")
-    # RK45 accepts a step when the RMS over all 2n components of
-    # err / (atol + rtol |y|) is <= 1.  Dividing both tolerances by
-    # sqrt(n) makes that the condition that the sum of squares over all
-    # lanes is <= 2, so every lane meets the criterion it would meet on
-    # its own; one lane keeps the tolerances unchanged.
-    scale = np.sqrt(n)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", rtol=_RTOL / scale,
-                    atol=_ATOL / scale, t_eval=t_eval)
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    return sol
+    b = np.asarray(b, dtype=complex)
+    dz = b - a
+    y = np.asarray(states, dtype=complex).reshape(2, -1).T.copy()
+    t = np.zeros(a.size)
+    h = np.ones(a.size)
+    lanes = np.arange(a.size)
+    panels = []
+    for _ in range(_MAX_PANELS):
+        if not lanes.size:
+            return y.T, panels
+        tk, hk, last = t[lanes], h[lanes], h[lanes] == 1 - t[lanes]
+        z = a[lanes, None] + (tk[:, None] + hk[:, None] * _U) \
+            * dz[lanes, None]
+        z[last, -1] = b[lanes[last]]
+        qp, rp = ode.ratios(z)
+        # a panel starts where an accepted one ended, so this can only
+        # fire at the start of a lane
+        start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
+                  & np.isfinite(y[lanes]).all(axis=1))
+        if start.any():
+            w = _first(start, z[:, 0])
+            raise EvaluationFailure(
+                w, f"ODE right-hand side is not finite at z={w}")
+        c = (dz[lanes] * hk)[:, None, None]
+        system = np.zeros((lanes.size, 2, _M, 2, _M), dtype=complex)
+        system[:, 0, :, 0] = system[:, 1, :, 1] = np.eye(_M)
+        system[:, 0, :, 1] = -c * _S
+        system[:, 1, :, 0] = c * _S * rp[:, None, :]
+        system[:, 1, :, 1] += c * _S * qp[:, None, :]
+        rhs = np.repeat(y[lanes], _M, axis=1)
+        ys = np.linalg.solve(system.reshape(-1, 2 * _M, 2 * _M),
+                             rhs[..., None]).reshape(-1, 2, _M)
+        # a panel where the solution overflowed is rejected, not warned of
+        with np.errstate(invalid="ignore", over="ignore"):
+            tail = np.abs((ys[:, :, None, :] * _TAIL).sum(axis=-1))
+            ok = np.isfinite(ys).all(axis=(1, 2)) & np.all(
+                tail.max(axis=-1) <= _TAIL_TOL * np.abs(ys).max(axis=-1),
+                axis=1)
+        done = lanes[ok]
+        if done.size:
+            panels.append((done, z[ok], ys[ok]))
+        y[done] = ys[ok, :, -1]
+        t[done] += h[done]
+        h[done] = np.minimum(2 * h[done], 1 - t[done])
+        h[lanes[~ok]] /= 2
+        short = ~ok & (hk / 2 < _H_MIN)
+        if short.any():
+            w = _first(short, z[:, 0])
+            raise StepSizeUnderflow(
+                f"transport panel below {_H_MIN:g} of its segment at z={w}")
+        lanes = lanes[~(ok & last)]
+    raise StepSizeUnderflow(
+        f"transport took more than {_MAX_PANELS} panels")
 
 
 class Wavefunction:
@@ -113,25 +174,25 @@ class Wavefunction:
         return np.stack([p1, self._psi2(z, p1, d1)], axis=-1)
 
 
-def integrate_wavefunction(data, ode, init, path, samples_per_segment=24):
+def integrate_wavefunction(data, ode, init, path):
     """Transport (psi1, psi1') from the path start along a ContourPath.
 
     init is the pair (psi1, dpsi1/dz) at path.start.  The state is stored
-    at ``samples_per_segment`` nodes per segment; off-path queries are
-    answered by re-integrating a short straight segment from each query's
-    nearest stored node, which keeps the extension holomorphic.  All the
-    off-node points of one query are the lanes of one transport; a point
-    that is a stored node is not transported.
+    at the Chebyshev points of the accepted panels of every segment;
+    off-path queries are answered by transporting along a short straight
+    segment from each query's nearest stored node, which keeps the
+    extension holomorphic.  All the off-node points of one query are the
+    lanes of one transport; a point that is a stored node is not
+    transported.
     """
     state = np.array([[complex(init[0])], [complex(init[1])]])
     nodes = [np.array([path.start], dtype=complex)]
     states = [state]
     for a, b in path.segments():
-        ts = np.linspace(0.0, 1.0, samples_per_segment + 1)[1:]
-        sol = _solve(ode, [a], [b], state, t_eval=ts)
-        nodes.append(a + sol.t * (b - a))
-        states.append(sol.y)
-        state = sol.y[:, -1:]
+        state, panels = transport(ode, [a], [b], state)
+        # a panel's first point is the previous one's last
+        nodes.extend(z[0, 1:] for _, z, _ in panels)
+        states.extend(y[0, :, 1:] for _, _, y in panels)
     nodes = np.concatenate(nodes)
     states = np.concatenate(states, axis=1)
 
@@ -142,8 +203,8 @@ def integrate_wavefunction(data, ode, init, path, samples_per_segment=24):
         out = states[:, idx]
         off = nodes[idx] != flat
         if off.any():
-            out[:, off] = _solve(ode, nodes[idx[off]], flat[off],
-                                 out[:, off]).y[:, -1].reshape(2, -1)
+            out[:, off] = transport(ode, nodes[idx[off]], flat[off],
+                                    out[:, off])[0]
         return out.reshape((2,) + z.shape)
 
     return Wavefunction(data, ode, state_at)

@@ -1,17 +1,23 @@
 """The su(2) linear problem: potential, transport, residuals."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import wsurf.linearproblem as linearproblem
-from wsurf.catalog import get_equation
+from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.contour import ContourPath, holo_derivative, straight_path
 from wsurf.errors import SingularPoint
+from wsurf.geometry import seg_point_distance
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual,
-                                 potential_matrix, zcc_residual)
+                                 potential_matrix, transport, zcc_residual)
 from wsurf.special import ei
 from wsurf.weierstrass import WeierstrassData, closed_form_data
 
@@ -174,13 +180,13 @@ class TestResidualTransports:
     def test_psi_is_one_transport(self, monkeypatch):
         data, wf = self.wavefunction()
         calls = []
-        solve_ivp = linearproblem.solve_ivp
+        transport = linearproblem.transport
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return transport(*args, **kwargs)
 
-        monkeypatch.setattr(linearproblem, "solve_ivp", counted)
+        monkeypatch.setattr(linearproblem, "transport", counted)
         z = 1.3 + 0.9j
         psi = wf.psi(z)
         assert len(calls) == 1
@@ -199,18 +205,29 @@ class TestResidualTransports:
         zs = np.array([1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j, 1.3 + 0.9j,
                        1.5 + 0.6j, 1.1 + 1.3j][:k])
         calls = []
-        solve_ivp = linearproblem.solve_ivp
+        transport = linearproblem.transport
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return transport(*args, **kwargs)
 
-        monkeypatch.setattr(linearproblem, "solve_ivp", counted)
+        monkeypatch.setattr(linearproblem, "transport", counted)
         res, dbar = lp_residual(data, wf, zs)
         # the whole stencil is one transport, the points another
         assert len(calls) == 2
         assert res.shape == dbar.shape == (k,)
         assert np.all(res <= 1e-6) and np.all(dbar <= 1e-7)
+
+    def test_point_equidistant_from_two_nodes(self):
+        # 3 - 1j is as far from the path start 1 as from its end 2 + 1j;
+        # its stencil points start from either node, so the residual's
+        # difference quotients divide the two transports' errors by 2h
+        data, wf = self.wavefunction()
+        z = 3 - 1j
+        res, dbar = lp_residual(data, wf, z)
+        assert res <= 1e-9 and dbar <= 1e-9
+        res, dbar = lp_residual(data, wf, np.array([z, 1.2 + 0.4j]))
+        assert np.all(res <= 1e-9) and np.all(dbar <= 1e-9)
 
 
 _LAGUERRE = TestResidualTransports().wavefunction()
@@ -233,6 +250,92 @@ def test_batched_transport_matches_analytic(box, near, angle):
     assert psi.shape == zs.shape + (2,)
     want = np.array([analytic.psi(z) for z in zs])
     assert np.max(np.abs(psi - want)) <= 1e-8
+
+
+# the user equation of the README's "User-defined equations" section
+_README_ODE = parse_user_ode("params = alpha=2\np = z - 0.5\nq = 1.5 - z\n"
+                             "r = alpha\nsingularities = 0.5\n")
+
+
+def dop853(ode, a, b, state):
+    """Reference state at b: DOP853 at rtol 1e-13 on z = a + t (b - a)."""
+    dz = b - a
+
+    def rhs(t, y):
+        qp, rp = ode.ratios(a + t * dz)
+        return np.array([dz * y[1], dz * (-qp * y[1] - rp * y[0])])
+
+    return solve_ivp(rhs, (0.0, 1.0), state, method="DOP853", rtol=1e-13,
+                     atol=1e-15).y[:, -1]
+
+
+@pytest.mark.parametrize("eq", EQUATION_IDS + ("readme",))
+def test_transport_matches_dop853(eq):
+    ode = _README_ODE if eq == "readme" else get_equation(eq)
+    rng = np.random.default_rng(sum(map(ord, eq)))
+    segments = []
+    while len(segments) < 6:
+        a, b = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+        if all(seg_point_distance(a, b, s) >= 0.08
+               for s in ode.singularities):
+            segments.append((a, b))
+    a, b = np.array(segments).T
+    states = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    ends, _ = transport(ode, a, b, states)
+    for k in range(6):
+        want = dop853(ode, a[k], b[k], states[:, k])
+        assert np.max(np.abs(ends[:, k] - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+
+
+_LANE = st.tuples(*[st.floats(lo, hi) for lo, hi in
+                    ((-0.6, 0.6), (0.2, 1.5), (-0.6, 0.6), (0.2, 1.5),
+                     (-2, 2), (-2, 2), (-2, 2), (-2, 2))])
+
+
+def _lanes(rows):
+    """(a, b, states) of lanes given as rows of eight floats."""
+    v = np.array(rows)
+    return (v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3],
+            np.array([v[:, 4] + 1j * v[:, 5], v[:, 6] + 1j * v[:, 7]]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lane=_LANE, others=st.lists(_LANE, min_size=1, max_size=5),
+       at=st.integers(0, 5))
+def test_lane_does_not_depend_on_its_batch(lane, others, at):
+    """A lane's end state is bit-identical alone and among other lanes
+    (legendre, segments in the upper half plane, clear of +-1)."""
+    ode = get_equation("legendre")
+    rows = list(others)
+    at = min(at, len(rows))
+    rows.insert(at, lane)
+    alone, _ = transport(ode, *_lanes([lane]))
+    batch, _ = transport(ode, *_lanes(rows))
+    assert np.array_equal(batch[:, at], alone[:, 0])
+
+
+def test_transport_into_unlisted_singular_point_fails_fast():
+    # p = z - 0.5 with no singularities line: no disc keeps the lane away
+    # from 0.5, so the transport itself must refuse, in a child process
+    # so that a hang fails instead of stalling the suite
+    script = (
+        "from wsurf.catalog import parse_user_ode\n"
+        "from wsurf.errors import WsurfError\n"
+        "from wsurf.linearproblem import transport\n"
+        "ode = parse_user_ode('p = z - 0.5\\nq = 1\\nr = 1\\n')\n"
+        "try:\n"
+        "    transport(ode, [0j], [0.5 + 1e-13j], [[1.0], [0.0]])\n"
+        "except WsurfError as exc:\n"
+        "    print(type(exc).__name__)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["StepSizeUnderflow"]
 
 
 class TestZeroCurvature:
