@@ -31,7 +31,7 @@ for z in (-1 + 1j, 0.5 + 0.5j, 1.5 + 0.2j):
           f"error {abs(got - (1 - z)):.2e}")
 
 print("\nlinear-problem residuals ||dPsi - U Psi|| off the path:")
-# one array call: every point's stencil is one batched transport
+# one array call: the circles of all points are one batched transport
 zs = np.array([0.8 + 0.9j, 1.4 + 0.6j, -0.5 + 1.2j])
 res, dbar = lp_residual(data, wf, zs)
 for z, r, d in zip(zs, res, dbar):

@@ -14,8 +14,8 @@ from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, LinearODE,
 from .contour import ContourPath, contour_quad, holo_derivative, straight_path
 from .errors import (BranchCutViolation, DomainError, EmptyMesh,
                      EvaluationFailure, IoFailure, PathPlanningFailure,
-                     SingularPoint, StepSizeUnderflow, ToleranceNotReached,
-                     UnknownEquation, WsurfError)
+                     SingularPoint, SolutionOverflow, StepSizeUnderflow,
+                     ToleranceNotReached, UnknownEquation, WsurfError)
 from .immersion import (GeometryReport, ew_integrals, geometry_report,
                         immerse_ew, pauli_decompose, sym_tafel,
                         to_quaternionic)
@@ -32,8 +32,8 @@ __all__ = [
     "BranchCutViolation", "ContourPath", "DEFAULT_PARAMS", "DomainError",
     "EmptyMesh", "EQUATION_IDS", "EULER_GAMMA", "EvaluationFailure",
     "GeometryReport", "GridSpec", "ImmersionSample", "IoFailure",
-    "LinearODE", "PathPlanningFailure", "SingularPoint", "StepSizeUnderflow",
-    "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
+    "LinearODE", "PathPlanningFailure", "SingularPoint", "SolutionOverflow",
+    "StepSizeUnderflow", "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
     "WeierstrassData", "WsurfError", "build_mesh", "build_numeric_data",
     "classical_solution", "closed_form_data", "coefficient_ratios",
     "contour_quad", "ei", "ew_cache", "ew_integrals", "export_mesh",

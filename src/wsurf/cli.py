@@ -1,6 +1,7 @@
 """Command-line interface: list, surface, verify, sample."""
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -89,7 +90,10 @@ def _add_common(sub):
     sub.add_argument("--xi0", type=parse_complex, default=None, metavar="c")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call; parse_args keeps
+    nothing of one call for the next."""
     parser = argparse.ArgumentParser(
         prog="wsurf",
         description="Minimal surfaces from second-order complex ODEs "
@@ -274,11 +278,10 @@ def _join_negative_literals(argv):
 
 def run_pipeline(argv=None):
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_literals(list(argv)))
+        args = _parser().parse_args(_join_negative_literals(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     tol = _tolerance()

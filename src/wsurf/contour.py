@@ -1,5 +1,5 @@
 """Contour paths, adaptive Gauss-Kronrod quadrature and holomorphic
-finite-difference derivatives in the complex plane."""
+derivatives on small circles in the complex plane."""
 
 import math
 from dataclasses import dataclass, field
@@ -45,6 +45,11 @@ MAX_LIVE_PANELS = 4096
 # Panels per integrand call; bounds the memory of one level.
 CHUNK_PANELS = 1024
 
+# Points on the circle of holo_derivative's rule: its estimates of f(z)
+# and f'(z) alias f's Taylor terms of order N and N + 1, a term of order
+# r^N relative to the one estimated.
+CIRCLE_POINTS = 8
+_CIRCLE = np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
 
 _CLEAR = Obstacles()     # shared by the many paths without obstacles
 
@@ -247,61 +252,33 @@ def contour_quad(f, path, tol=1e-10):
     return values
 
 
-def holo_derivative(f, z, order=1, h=None):
-    """Central-difference estimate of the holomorphic derivative of f.
+def holo_derivative(f, z, r=None):
+    """Circle mean, holomorphic derivative and antiholomorphy residual of
+    f at z, by the Cauchy-circle rule (Lyness & Moler, SIAM J. Numer.
+    Anal. 4, 1967).
 
-    Returns (derivative, cr_residual) where cr_residual = |dbar f| is the
-    first-order Cauchy-Riemann residual at z; it vanishes for holomorphic
-    f up to truncation error.  order=2 returns the second holomorphic
-    derivative (with a larger default step to balance rounding).
+    f is called once, on the CIRCLE_POINTS points z + r e^{2 pi i k / N}
+    of the circle around every z, stacked into an array of shape (N,) +
+    z.shape, and the discrete Fourier coefficients c_j of its values over
+    that axis give (c_0, c_1 / r, |c_-1| / r).  For holomorphic f these
+    are f(z) and f'(z) up to O(r^N), and a residual that vanishes up to
+    O(r^(N-2)); a term c conj(z) adds |c| to the residual.  The radius r
+    defaults to 1e-3 max(1, |z|) and may be an array of z's shape.
 
-    z may be an array of points, with h a step or an array of steps of
-    its shape; f is then called once, on every stencil point of every z
-    stacked into an array of shape (4,) + z.shape (order 1) or (9,) +
-    z.shape (order 2).  A scalar z calls f once per stencil offset with
-    a scalar, so scalar-only callables may be passed with one.  f may be
-    vector-valued, giving (k,) values at a point and z.shape + (k,) on
-    an array; both results then have that shape, the residual per
-    component.  A scalar z and a scalar f give a Python complex and
-    float.  Raises EvaluationFailure naming a point where f is not
-    finite.
+    f may be vector-valued, giving values of shape w.shape + (k,) at the
+    points w; the three results then have shape z.shape + (k,), the
+    residual per component.  Raises EvaluationFailure naming a point
+    where f is not finite.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    scalar = np.ndim(z) == 0
-    z = complex(z) if scalar else np.asarray(z, dtype=complex)
-    if h is None:
-        h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, np.abs(z))
-    h = float(h) if scalar else np.asarray(h, dtype=float)
-
-    def ev(w):
-        v = np.asarray(f(w), dtype=complex)
-        if not np.isfinite(v).all():
-            if scalar:
-                raise EvaluationFailure(w)
-            finite = np.isfinite(v).reshape(w.size, -1).all(axis=1)
-            raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
-        return v
-
-    stencil = [z + h, z - h, z + 1j * h, z - 1j * h]
-    if order == 2:
-        stencil += [z, z + h + 1j * h, z + h - 1j * h, z - h + 1j * h,
-                    z - h - 1j * h]
-    values = [ev(w) for w in stencil] if scalar else ev(np.stack(stencil))
-    fr_p, fr_m, fi_p, fi_m = values[:4]
-    # the step of each point, broadcast over the components of a vector f
-    s = np.reshape(h, np.shape(h) + (1,) * (fr_p.ndim - np.ndim(h)))
-    fx = (fr_p - fr_m) / (2 * s)
-    fy = (fi_p - fi_m) / (2 * s)
-    cr = np.abs(0.5 * (fx + 1j * fy))
-    if order == 1:
-        d = 0.5 * (fx - 1j * fy)
-    else:
-        f0, fpp, fpm, fmp, fmm = values[4:]
-        fxx = (fr_p - 2 * f0 + fr_m) / s ** 2
-        fyy = (fi_p - 2 * f0 + fi_m) / s ** 2
-        fxy = (fpp - fpm - fmp + fmm) / (4 * s ** 2)
-        d = 0.25 * (fxx - fyy - 2j * fxy)
-    if d.ndim == 0:
-        return complex(d), float(cr)
-    return d, cr
+    z = np.asarray(z, dtype=complex)
+    r = 1e-3 * np.maximum(1.0, np.abs(z)) if r is None \
+        else np.asarray(r, dtype=float)
+    w = z + r * _CIRCLE.reshape((-1,) + (1,) * z.ndim)
+    v = np.asarray(f(w), dtype=complex)
+    finite = np.isfinite(v).reshape(w.size, -1).all(axis=1)
+    if not finite.all():
+        raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
+    c = np.fft.fft(v, axis=0) / CIRCLE_POINTS
+    # the radius of each point, broadcast over the components of a vector f
+    r = np.reshape(r, np.shape(r) + (1,) * (v.ndim - 1 - np.ndim(r)))
+    return c[0], c[1] / r, np.abs(c[-1]) / r

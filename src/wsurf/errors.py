@@ -57,6 +57,10 @@ class StepSizeUnderflow(WsurfError):
     """ODE integrator step collapsed, typically approaching a singularity."""
 
 
+class SolutionOverflow(WsurfError):
+    """ODE solution grew beyond the floating-point range."""
+
+
 class UnknownEquation(WsurfError, KeyError):
     """Requested equation id is not in the catalog."""
 

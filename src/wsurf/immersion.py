@@ -218,15 +218,13 @@ def geometry_report(data, xi, h=None, tol=1e-12):
                        xi, live, failures).real
     q = _live_values(lambda i: data.hopf(xi[i]), xi, live, failures)
 
-    # Holomorphy of the Hopf coefficient.  The nested second-difference
-    # route is hopelessly ill-conditioned near singular sets, so the
-    # Cauchy-Riemann residual is taken on Q = -eta^2 chi' directly, with
-    # a step shrinking quadratically in the singularity distance.
-    h_q = 1e-4 * np.maximum(1.0, np.abs(xi))
-    h_q = np.where(np.isfinite(dist),
-                   np.minimum(h_q, np.maximum(5e-4 * dist * dist, 1e-6)), h_q)
+    # Holomorphy of the Hopf coefficient, taken on Q = -eta^2 chi'
+    # directly (nested second differences of F are ill-conditioned near
+    # singular sets), on circles a tenth of the way to the nearest
+    # singular point.
+    r_q = np.minimum(1e-3 * np.maximum(1.0, np.abs(xi)), 0.1 * dist)
     hopf_holomorphy = _live_values(
-        lambda i: holo_derivative(data.hopf, xi[i], h=h_q[i])[1],
+        lambda i: holo_derivative(data.hopf, xi[i], r=r_q[i])[2],
         xi, live, failures).real
 
     # Liouville: ddbar u = 2 |Q|^2 e^-u, u taken from the data directly

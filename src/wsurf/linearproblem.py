@@ -7,7 +7,8 @@ from numpy.polynomial import chebyshev as _chebyshev
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .contour import holo_derivative
-from .errors import EvaluationFailure, SingularPoint, StepSizeUnderflow
+from .errors import (EvaluationFailure, SingularPoint, SolutionOverflow,
+                     StepSizeUnderflow)
 
 # A panel [t, t + h] of a lane's parameter t in [0, 1] is sampled at
 # _M second-kind Chebyshev points, _U on [0, 1] in ascending order, so
@@ -23,8 +24,10 @@ _S = (_chebyshev.chebvander(2 * _U - 1, _M)
 _S[0] = 0.0
 _TAIL = _VALUES_TO_COEFFS[-3:]
 # a panel is accepted when both components' tails are below this times
-# their largest value on it
+# their largest value on it, or below the smallest normal float for a
+# component decaying into subnormals
 _TAIL_TOL = 1e-14
+_TAIL_FLOOR = np.finfo(float).tiny / _TAIL_TOL
 # a lane whose panel would be shorter than this part of it raises
 # StepSizeUnderflow: it is approaching a singular point
 _H_MIN = 1e-10
@@ -116,9 +119,10 @@ def transport(ode, a, b, states):
         # a panel where the solution overflowed is rejected, not warned of
         with np.errstate(invalid="ignore", over="ignore"):
             tail = np.abs((ys[:, :, None, :] * _TAIL).sum(axis=-1))
-            ok = np.isfinite(ys).all(axis=(1, 2)) & np.all(
-                tail.max(axis=-1) <= _TAIL_TOL * np.abs(ys).max(axis=-1),
-                axis=1)
+            finite = np.isfinite(tail).all(axis=(1, 2))
+            scale = np.maximum(np.abs(ys).max(axis=-1), _TAIL_FLOOR)
+            ok = finite & np.all(tail.max(axis=-1) <= _TAIL_TOL * scale,
+                                 axis=1)
         done = lanes[ok]
         if done.size:
             panels.append((done, z[ok], ys[ok]))
@@ -128,9 +132,13 @@ def transport(ode, a, b, states):
         h[lanes[~ok]] /= 2
         short = ~ok & (hk / 2 < _H_MIN)
         if short.any():
-            w = _first(short, z[:, 0])
+            k = np.argmax(short)
+            if not finite[k]:
+                raise SolutionOverflow(
+                    f"transport solution overflowed at z={z[k, 0]}")
             raise StepSizeUnderflow(
-                f"transport panel below {_H_MIN:g} of its segment at z={w}")
+                f"transport panel below {_H_MIN:g} of its segment at "
+                f"z={z[k, 0]}")
         lanes = lanes[~(ok & last)]
     raise StepSizeUnderflow(
         f"transport took more than {_MAX_PANELS} panels")
@@ -142,7 +150,8 @@ class Wavefunction:
     ``state_at`` maps z, a point or an array, to the stacked (psi1,
     dpsi1/dz) of shape (2,) + z.shape, where psi1 solves
     p psi1'' + q psi1' + r psi1 = 0; psi2 = chi psi1 - psi1' /
-    (lambda eta^2).  ``psi`` and ``psi2`` take arrays too.
+    (lambda eta^2).  ``psi`` takes arrays too; ``psi1``, ``dpsi1`` and
+    ``psi2`` take a point.
     """
 
     def __init__(self, data, ode, state_at):
@@ -211,23 +220,23 @@ def integrate_wavefunction(data, ode, init, path):
 
 
 def closed_form_wavefunction(data, ode, psi1, dpsi1):
-    """The Wavefunction of analytic (psi1, psi1') callables."""
+    """The Wavefunction of analytic (psi1, psi1') callables; a callable
+    giving a constant is broadcast to the points it is called on."""
     return Wavefunction(data, ode, lambda z: np.array(
-        [psi1(z), dpsi1(z)], dtype=complex))
+        np.broadcast_arrays(psi1(z), dpsi1(z), z)[:2], dtype=complex))
 
 
-def lp_residual(data, wf, z, h=None):
+def lp_residual(data, wf, z):
     """Relative linear-problem residual and antiholomorphy residual at z.
 
     Returns (res, dbar) with res = ||dPsi - U Psi|| / max(1, ||Psi||)
     and dbar the largest Cauchy-Riemann residual of the two components:
-    floats for a point, arrays of z's shape for an array.  For an array
-    the stencil of every point is one ``wf.psi`` call and Psi at the
-    points another, so an integrated wavefunction makes two batched
-    transports whatever the number of points.
+    floats for a point, arrays of z's shape for an array.  Psi, dPsi and
+    dbar all come from one holo_derivative call, so one ``wf.psi`` call
+    on the circles of every point: an integrated wavefunction makes one
+    batched transport whatever the number of points.
     """
-    d, cr = holo_derivative(wf.psi, z, h=h)
-    psi = wf.psi(z)
+    psi, d, cr = holo_derivative(wf.psi, z)
     mismatch = d - (potential_matrix(data, z) @ psi[..., None])[..., 0]
     res = _norm(mismatch) / np.maximum(1.0, _norm(psi))
     return res, cr.max(axis=-1)
@@ -239,12 +248,12 @@ def _norm(v):
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-def zcc_residual(data, z, h=None):
+def zcc_residual(data, z):
     """Antiholomorphy residual ||dbar U|| of the potential matrix.
 
     With the holomorphic gauge the second potential vanishes, so the
     zero-curvature condition reduces to dbar U = 0.
     """
-    _, cr = holo_derivative(lambda w: potential_matrix(data, w).ravel(),
-                            complex(z), h=h)
+    _, _, cr = holo_derivative(
+        lambda w: potential_matrix(data, w).reshape(w.shape + (4,)), z)
     return float(cr.max())

@@ -443,16 +443,17 @@ class WeierstrassReport:
 
 
 def verify_weierstrass(data, ode, samples):
-    """Finite-difference check of both coefficient identities on eta^2 and
+    """Cauchy-circle check of both coefficient identities on eta^2 and
     chi themselves (never dchi): one holo_derivative call on the stacked
-    pair, so one array call of each function on all the stencil points."""
+    pair, so one array call of each function on all the circle points,
+    whose mean gives eta^2 at the samples."""
     z = np.array([complex(w) for w in samples], dtype=complex)
     if z.size == 0:
         return WeierstrassReport(0.0, 0.0, ())
     qp, rp = ode.ratios(z)
-    d, _ = holo_derivative(
+    mean, d, _ = holo_derivative(
         lambda w: np.stack([data.eta_sq(w), data.chi(w)], axis=-1), z)
-    ev = np.asarray(data.eta_sq(z), dtype=complex)
+    ev = mean[:, 0]
     res_eta = np.abs(qp + d[:, 0] / ev)        # 2 eta'/eta = (eta^2)'/eta^2
     res_chi = np.abs(rp + data.lam * ev * d[:, 1])
     rows = tuple((complex(w), float(a), float(b))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import wsurf.cli as cli
-from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
+from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, get_equation,
+                           parse_user_ode)
 from wsurf.cli import (_join_negative_literals, _near_singular,
                        _verification_points, parse_complex, parse_grid,
                        run_pipeline)
@@ -127,16 +128,27 @@ class TestVerify:
 
     @pytest.mark.parametrize("eq", EQUATION_IDS)
     def test_catalog_outcome(self, eq, capsys):
-        # hermite's central-difference dbar estimate is the one known
-        # failure; every other catalog id passes every residual line
+        # every catalog id passes every residual line
         code = run_pipeline(["verify", "--eq", eq])
-        failing = [line.split(":")[0] for line in
-                   capsys.readouterr().out.splitlines()
-                   if line.endswith(" FAIL")]
-        if eq == "hermite":
-            assert code == 1 and failing == ["wavefunction_dbar"]
-        else:
-            assert code == 0 and failing == []
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 8
+        assert all(line.endswith(" ok") for line in lines), lines
+
+    def test_parsed_state_does_not_leak(self, monkeypatch, capsys):
+        # the parser is built once per process: the --param of one call
+        # must not reach the next, which runs hermite at its default n
+        seen = []
+        real = cli.get_equation
+        monkeypatch.setattr(cli, "get_equation", lambda eq, params: (
+            seen.append(params) or real(eq, params)))
+        n = DEFAULT_PARAMS["hermite"]["n"]
+        runs = [["--param", "n=2"], [], ["--param", f"n={n}"]]
+        outs = []
+        for extra in runs:
+            assert run_pipeline(["verify", "--eq", "hermite", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert seen == [{"n": 2.0}, {}, {"n": n}]
+        assert outs[1] == outs[2] != outs[0]
 
     def test_nan_linear_problem_residual_fails(self, monkeypatch, capsys):
         real = cli.lp_residual

@@ -220,29 +220,26 @@ class TestSegmentBatch:
 
 class TestHoloDerivative:
     def test_polynomial(self):
-        d, cr = holo_derivative(lambda z: z * z, 3.0)
+        mean, d, cr = holo_derivative(lambda z: z * z, 3.0)
+        assert abs(mean - 9.0) <= 1e-12
         assert abs(d - 6.0) <= 1e-9
         assert cr <= 1e-10
 
     def test_exponential(self):
         z = 1 + 1j
-        d, cr = holo_derivative(lambda w: np.exp(-w), z)
+        _, d, cr = holo_derivative(lambda w: np.exp(-w), z)
         assert abs(d + np.exp(-z)) <= 1e-9
         assert cr <= 1e-9
 
-    def test_second_order(self):
-        z = 1 + 1j
-        d2, _ = holo_derivative(lambda w: w ** 3, z, order=2)
-        assert abs(d2 - 6 * z) <= 1e-6
-
     def test_antiholomorphic_detected(self):
-        _, cr = holo_derivative(np.conj, 0.7 + 0.2j)
+        _, _, cr = holo_derivative(np.conj, 0.7 + 0.2j)
         assert abs(cr - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_array_and_vector_calls_match_scalar_calls(self, order):
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_array_and_vector_calls_match_scalar_calls(self, ndim):
         zs = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.0 - 0.4j, 0.5j])
-        steps = np.array([1e-5, 2e-5, 3e-4, 1e-4])
+        radii = np.array([1e-3, 2e-3, 3e-2, 1e-2])
+        shape = (4,) if ndim == 1 else (2, 2)
 
         def f(w):
             return np.exp(-w) * w
@@ -250,50 +247,69 @@ class TestHoloDerivative:
         def vec(w):
             return np.stack([f(w), np.sin(w), np.conj(w)], axis=-1)
 
-        # numpy's array and scalar transcendental functions may differ in
-        # the last bit, which the differences divide by h^order
-        tol = 1e-9 if order == 1 else 1e-5
-        for h in (None, steps):
-            d, cr = holo_derivative(f, zs, order=order, h=h)
-            dv, crv = holo_derivative(vec, zs, order=order, h=h)
-            assert d.shape == cr.shape == zs.shape
-            assert dv.shape == crv.shape == zs.shape + (3,)
-            assert np.array_equal(dv[:, 0], d) and np.array_equal(crv[:, 0], cr)
-            for k, z in enumerate(zs):
-                step = None if h is None else h[k]
-                ref = [holo_derivative(g, z, order=order, h=step)
-                       for g in (f, np.sin, np.conj)]
-                assert type(ref[0][0]) is complex
-                assert type(ref[0][1]) is float
-                one, one_cr = holo_derivative(vec, z, order=order, h=step)
-                assert one.shape == one_cr.shape == (3,)
-                for j in range(3):
-                    assert one[j] == ref[j][0] and one_cr[j] == ref[j][1]
-                    assert abs(dv[k, j] - ref[j][0]) <= tol
-                    assert abs(crv[k, j] - ref[j][1]) <= tol
+        for r in (None, radii.reshape(shape)):
+            z = zs.reshape(shape)
+            out = holo_derivative(f, z, r=r)
+            outv = holo_derivative(vec, z, r=r)
+            for x, xv in zip(out, outv):
+                assert x.shape == shape and xv.shape == shape + (3,)
+                assert np.array_equal(xv[..., 0], x)
+            for k, w in enumerate(zs):
+                at = np.unravel_index(k, shape)
+                step = None if r is None else radii[k]
+                one = holo_derivative(vec, w, r=step)
+                for x, xv in zip(one, outv):
+                    assert x.shape == (3,)
+                    assert np.array_equal(x, xv[at])
+                for j, g in enumerate((f, np.sin, np.conj)):
+                    ref = holo_derivative(g, w, r=step)
+                    assert all(x[j] == y for x, y in zip(one, ref))
 
-        # an array z is one call on its whole stencil; a scalar z is one
-        # scalar call per stencil offset
+        # a point or an array is one call on the stacked circles
         shapes = []
 
         def counted(w):
             shapes.append(np.shape(w))
             return f(w)
 
-        points = 4 if order == 1 else 9
-        holo_derivative(counted, zs, order=order)
-        assert shapes == [(points,) + zs.shape]
+        n = contour.CIRCLE_POINTS
+        holo_derivative(counted, zs.reshape(shape))
+        assert shapes == [(n,) + shape]
         shapes.clear()
-        holo_derivative(counted, zs[1], order=order)
-        assert shapes == [()] * points
+        holo_derivative(counted, zs[1])
+        assert shapes == [(n,)]
 
     def test_array_call_names_non_finite_point(self):
         zs = np.array([1 + 1j, 2 + 0j, 3 + 1j])
         with pytest.raises(EvaluationFailure) as info:
             holo_derivative(
                 lambda w: np.where(np.abs(w - 2) < 0.1, np.nan, w), zs)
-        assert abs(info.value.z - 2) <= 1e-4
+        # a point on the circle of the default radius around z = 2
+        assert abs(abs(info.value.z - 2) - 2e-3) <= 1e-15
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            holo_derivative(lambda z: z, 0j, order=3)
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.complex_numbers(max_magnitude=3),
+           b=st.complex_numbers(max_magnitude=2),
+           cubic=st.lists(st.complex_numbers(max_magnitude=3),
+                          min_size=4, max_size=4),
+           c=st.complex_numbers(max_magnitude=3),
+           z=st.complex_numbers(max_magnitude=2))
+    def test_matches_exact_derivative(self, a, b, cubic, c, z):
+        """On a exp(b z) + cubic, f' matches the exact derivative and the
+        residual vanishes; adding c conj(z) makes the residual read |c|."""
+        p = np.polynomial.Polynomial(cubic)
+
+        def f(w):
+            return a * np.exp(b * w) + p(w)
+
+        exact = a * b * np.exp(b * z) + p.deriv()(z)
+        # a bound on f and its first derivatives near the circle
+        scale = max(1.0, abs(a) * max(1.0, abs(b)) ** 2
+                    * np.exp(abs(b) * (abs(z) + 0.01)),
+                    sum(abs(x) for x in cubic) * (abs(z) + 1.01) ** 3)
+        _, d, cr = holo_derivative(f, z)
+        assert abs(d - exact) <= 1e-9 * scale
+        assert cr <= 1e-11 * scale
+        _, d, cr = holo_derivative(lambda w: f(w) + c * np.conj(w), z)
+        assert abs(d - exact) <= 1e-9 * scale
+        assert abs(cr - abs(c)) <= 1e-11 * scale

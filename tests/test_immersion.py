@@ -206,11 +206,8 @@ def reference_report(data, xi, h=None, tol=1e-12):
     fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h ** 2)
     d2F = 0.25 * (fxx - fyy - 2j * fxy)
     q = data.hopf(xi)
-    if np.isfinite(dist):
-        h_q = min(1e-4 * max(1.0, abs(xi)), max(5e-4 * dist * dist, 1e-6))
-    else:
-        h_q = 1e-4 * max(1.0, abs(xi))
-    _, hopf_holomorphy = holo_derivative(data.hopf, xi, h=h_q)
+    r_q = min(1e-3 * max(1.0, abs(xi)), 0.1 * dist)
+    _, _, hopf_holomorphy = holo_derivative(data.hopf, xi, r=r_q)
     uval = [data.log_conformal_factor(xi + dz * h) for dz in (1, -1, 1j, -1j)]
     lap_u = (sum(uval) - 4 * u) / h ** 2
     return dict(

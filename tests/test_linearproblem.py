@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 import wsurf.linearproblem as linearproblem
 from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.contour import ContourPath, holo_derivative, straight_path
-from wsurf.errors import SingularPoint
+from wsurf.errors import SingularPoint, SolutionOverflow
 from wsurf.geometry import seg_point_distance
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual,
@@ -148,13 +148,12 @@ class TestTransport:
         assert dbar <= 1e-7
 
 
-def ten_transport_lp_residual(data, wf, z, h=None):
-    """Reference: psi1 and psi2 differentiated separately and psi built
-    from two queries, ten transports per point."""
-    z = complex(z)
-    d1, cr1 = holo_derivative(wf.psi1, z, h=h)
-    d2, cr2 = holo_derivative(wf.psi2, z, h=h)
-    psi = np.array([wf.psi1(z), wf.psi2(z)], dtype=complex)
+def componentwise_lp_residual(data, wf, z):
+    """Reference: psi1 and psi2 each from their own circle call, so two
+    transports per point."""
+    p1, d1, cr1 = holo_derivative(lambda w: wf.psi(w)[..., 0], z)
+    p2, d2, cr2 = holo_derivative(lambda w: wf.psi(w)[..., 1], z)
+    psi = np.array([p1, p2])
     mismatch = np.array([d1, d2]) - potential_matrix(data, z) @ psi
     res = float(np.linalg.norm(mismatch) / max(1.0, np.linalg.norm(psi)))
     return res, float(max(cr1, cr2))
@@ -169,13 +168,13 @@ class TestResidualTransports:
         return data, integrate_wavefunction(
             data, ode, (psi1(1.0), dpsi1(1.0)), path)
 
-    def test_matches_ten_transport_formula(self):
+    def test_matches_componentwise_formula(self):
         data, wf = self.wavefunction()
         _, _, analytic = analytic_pair(data, wf.ode)
         for z in (1 + 0.5j, 1.3 + 0.9j, 2 + 1.2j, 1.7 + 0.1j):
-            for w, h in ((wf, None), (wf, 1e-4), (analytic, None)):
-                assert lp_residual(data, w, z, h=h) == \
-                    ten_transport_lp_residual(data, w, z, h=h)
+            for w in (wf, analytic):
+                assert lp_residual(data, w, z) == \
+                    componentwise_lp_residual(data, w, z)
 
     def test_psi_is_one_transport(self, monkeypatch):
         data, wf = self.wavefunction()
@@ -192,15 +191,14 @@ class TestResidualTransports:
         assert len(calls) == 1
         assert psi[0] == wf.psi1(z) and psi[1] == wf.psi2(z)
         calls.clear()
-        # points off the path's stored nodes: each of them needs its own
-        # transport too
+        # a point's residual is one transport of its whole circle
         for k, z in enumerate((1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j), start=1):
             lp_residual(data, wf, z)
-            assert len(calls) == 5 * k
+            assert len(calls) == k
 
 
     @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_array_residual_is_two_transports(self, k, monkeypatch):
+    def test_array_residual_is_one_transport(self, k, monkeypatch):
         data, wf = self.wavefunction()
         zs = np.array([1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j, 1.3 + 0.9j,
                        1.5 + 0.6j, 1.1 + 1.3j][:k])
@@ -213,15 +211,15 @@ class TestResidualTransports:
 
         monkeypatch.setattr(linearproblem, "transport", counted)
         res, dbar = lp_residual(data, wf, zs)
-        # the whole stencil is one transport, the points another
-        assert len(calls) == 2
+        # the circles of all the points are one transport
+        assert len(calls) == 1
         assert res.shape == dbar.shape == (k,)
         assert np.all(res <= 1e-6) and np.all(dbar <= 1e-7)
 
     def test_point_equidistant_from_two_nodes(self):
         # 3 - 1j is as far from the path start 1 as from its end 2 + 1j;
-        # its stencil points start from either node, so the residual's
-        # difference quotients divide the two transports' errors by 2h
+        # its circle points start from either node, so the residual's
+        # Fourier coefficients divide the two transports' errors by r
         data, wf = self.wavefunction()
         z = 3 - 1j
         res, dbar = lp_residual(data, wf, z)
@@ -313,6 +311,21 @@ def test_lane_does_not_depend_on_its_batch(lane, others, at):
     alone, _ = transport(ode, *_lanes([lane]))
     batch, _ = transport(ode, *_lanes(rows))
     assert np.array_equal(batch[:, at], alone[:, 0])
+
+
+def test_transport_converges_into_subnormals():
+    # psi = 2 - e^-z: psi' passes through the subnormals near z = 710 and
+    # the panels' tails are held to a floor there, not to psi' itself
+    ode = parse_user_ode("p = 1\nq = 1\nr = 0\n")
+    ends, _ = transport(ode, [0j], [1e9 + 0j], [[1.0], [1.0]])
+    assert np.allclose(ends[:, 0], [2, 0], rtol=1e-12, atol=0)
+
+
+def test_overflowing_solution_is_named():
+    # psi = cosh(1000 z) leaves the floating-point range near z = 0.71
+    ode = parse_user_ode("p = 1\nq = 0\nr = -1e6\n")
+    with pytest.raises(SolutionOverflow, match="solution overflowed"):
+        transport(ode, [0j], [3 + 0j], [[1.0], [0.0]])
 
 
 def test_transport_into_unlisted_singular_point_fails_fast():
