@@ -34,7 +34,7 @@ written = export_mesh(mesh, "obj", "custom_surface.obj")
 print(f"wrote custom_surface.obj: {mesh.vertex_count()} vertices, "
       f"{len(mesh.faces)} quads, {written} bytes")
 
-print("\ngeometry spot checks (finite differences of the numeric surface):")
+print("\ngeometry spot checks (Cauchy circles on the numeric surface):")
 for z in (1.5 + 0.5j, -1 + 1j):
     rep = geometry_report(data, z)
     print(f"  z = {z}: |H| = {rep.mean_curvature:.2e}, "

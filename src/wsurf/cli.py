@@ -27,6 +27,7 @@ _VERIFY_THRESHOLDS = {
     "conformality": 1e-5,     # relative to e^u
     "metric": 1e-5,           # relative to e^u
     "mean_curvature": 1e-4,
+    "hopf_residual": 1e-6,    # |F_zz . N - Q|
     "hopf_holomorphy": 1e-6,
     "liouville": 1e-3,
 }
@@ -210,6 +211,7 @@ def _cmd_verify(args, tol):
             ("conformality", rep.conformality / rep.conformal_factor),
             ("metric", rep.metric / rep.conformal_factor),
             ("mean_curvature", rep.mean_curvature),
+            ("hopf_residual", rep.hopf_residual),
             ("hopf_holomorphy", rep.hopf_holomorphy),
             ("liouville", rep.liouville)):
         results[name] = _worst(values)

@@ -70,7 +70,7 @@ class OutsideFixtureDomain(DomainError):
 
 
 class StencilOutsideDomain(DomainError):
-    """Finite-difference stencil would leave the working domain."""
+    """A geometry report at a singular point, where its circle vanishes."""
 
 
 class EmptyMesh(WsurfError):

@@ -1,13 +1,13 @@
 """The three immersion representations (Euclidean, quaternionic,
-Sym-Tafel) and the finite-difference geometry report."""
+Sym-Tafel) and the Cauchy-circle geometry report."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import contour_quad, gk15_segments, holo_derivative
-from .errors import (EvaluationFailure, StencilOutsideDomain,
-                     ToleranceNotReached, isolate_failures)
+from .contour import (CIRCLE, CIRCLE_POINTS, contour_quad, gk15_segments,
+                      holo_derivative)
+from .errors import EvaluationFailure, StencilOutsideDomain, isolate_failures
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -81,14 +81,15 @@ def sym_tafel(chi_value):
 # residual names in mesh attributes and `wsurf sample` -> report fields
 RESIDUAL_COLUMNS = {"conformality": "conformality", "metric": "metric",
                     "meanCurvature": "mean_curvature",
+                    "hopfResidual": "hopf_residual",
                     "hopfHolomorphy": "hopf_holomorphy",
                     "liouville": "liouville"}
 
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Finite-difference residuals of the structure equations at a point,
-    or (n,) arrays of them at n points."""
+    """Cauchy-circle residuals of the structure equations at a point, or
+    (n,) arrays of them at n points."""
 
     z: complex
     u: float                     # log conformal factor from the data
@@ -97,24 +98,16 @@ class GeometryReport:
     conformality: float          # |(dF|dF)|
     metric: float                # |(dF|dbarF) - e^u/2|
     mean_curvature: float        # |H|
-    hopf_residual: float         # |Q_fd - Q|
+    hopf_residual: float         # |F_zz . N - Q|
     hopf_holomorphy: float       # |dbar Q|
     liouville: float             # |ddbar u - 2|Q|^2 e^-u|
-    step: float                  # finite-difference step actually used
+    step: float                  # radius of the circle actually used
     # {index: WsurfError} of the points whose report failed (array calls)
     failures: dict = field(default_factory=dict, compare=False)
 
     def as_dict(self):
-        """The five residuals keyed by their RESIDUAL_COLUMNS names."""
+        """The residuals keyed by their RESIDUAL_COLUMNS names."""
         return {k: getattr(self, f) for k, f in RESIDUAL_COLUMNS.items()}
-
-
-# stencil offsets (dx, dy) of the 8 legs from xi, in units of the step
-_DX = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
-_DY = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
-_LEG = {(dx, dy): k for k, (dx, dy) in enumerate(zip(_DX, _DY))}
-# the Liouville stencil's neighbours
-_CROSS = np.array([1, -1, 1j, -1j])
 
 
 def _distance_to_exclusions(data, xi):
@@ -123,26 +116,22 @@ def _distance_to_exclusions(data, xi):
     return np.abs(xi[:, None] - centers).min(axis=1, initial=np.inf)
 
 
-def _stencil_legs(data, xi, h, tol, live, failures):
-    """(n, 8, 3) ew_integrals along the legs from xi to its 8 stencil
-    neighbours at step h, the legs of all live nodes in one gk15_segments
-    call.  A node with a failed leg, or a leg above tol, goes into
-    failures with that leg's error and out of live."""
-    legs = np.full((len(xi), 8, 3), np.nan, dtype=complex)
+def _circle_legs(data, xi, h, tol, live, failures):
+    """(n, CIRCLE_POINTS, 3) ew_integrals along the legs from xi to the
+    points xi + h CIRCLE of its circle, the legs of all live nodes in one
+    gk15_segments call.  A node with a failed leg goes into failures
+    with that leg's error and out of live."""
+    legs = np.full((len(xi), CIRCLE_POINTS, 3), np.nan, dtype=complex)
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return legs
-    ends = xi[idx, None] + (_DX * h[idx, None] + 1j * _DY * h[idx, None])
-    values, errors, failed = gk15_segments(
-        ew_integrand(data), np.repeat(xi[idx], 8), ends.ravel(), tol)
-    legs[idx] = values.reshape(-1, 8, 3)
+    ends = xi[idx, None] + h[idx, None] * CIRCLE
+    values, _, failed = gk15_segments(
+        ew_integrand(data), np.repeat(xi[idx], CIRCLE_POINTS), ends.ravel(),
+        tol)
+    legs[idx] = values.reshape(-1, CIRCLE_POINTS, 3)
     for leg in sorted(failed):
-        failures.setdefault(int(idx[leg // 8]), failed[leg])
-    worst = errors.max(axis=1).reshape(-1, 8)
-    for i in np.flatnonzero(worst.max(axis=1) > tol):
-        k = int(np.argmax(worst[i]))
-        failures.setdefault(int(idx[i]), ToleranceNotReached(
-            values[8 * i + k], float(worst[i, k])))
+        failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
     live[list(failures)] = False
     return legs
 
@@ -167,96 +156,77 @@ def _live_values(fn, xi, live, failures):
     return out
 
 
-def geometry_report(data, xi, h=None, tol=1e-12):
+def geometry_report(data, xi, tol=1e-12):
     """Numerically verify the differential-geometric identities at xi.
 
-    The surface residuals are computed by finite differences of the
-    quadrature surface itself (not from closed-form shortcuts), so the
-    report can catch errors in the immersion integrals.  Steps shrink
-    with the distance to the nearest singularity to keep truncation
-    error bounded there.
+    The surface residuals come from the quadrature surface itself (not
+    from closed-form shortcuts), so the report can catch errors in the
+    immersion integrals.  Every derivative comes from the Cauchy-circle
+    rule of contour.holo_derivative on one circle, xi + h CIRCLE with
+    h = 1e-3 min(max(1, |xi|), distance to the nearest singular point).
+    The legs from xi give the surface F on the circle, with F(xi) = 0;
+    its Fourier coefficients c_j over the circle give F_z = c_1 / h,
+    F_zz = 2 c_2 / h^2 and Delta F = 4 Re c_0 / h^2.  The circle mean of
+    u, u + h^2 Delta u / 4 + O(h^4), gives the Liouville residual, and
+    the antiholomorphy residual of Q on the circle its holomorphy.
 
     xi is a point or a 1-D array of points.  A point gives Python scalar
     fields and raises the WsurfError of a failed report.  An array gives
-    (n,) array fields, with one gk15_segments call for all 8 n stencil
-    legs and one array call per evaluation; a point whose report fails
-    (its stencil reaches a singular point, a leg fails or misses tol, or
-    an evaluation raises a WsurfError or is not finite) gets inf
-    residuals and nan data, its error in ``failures``, and does not
-    affect the other points.
+    (n,) array fields, with one gk15_segments call for all N n legs and
+    one array call per evaluation; a point whose report fails (it lies
+    on a singular point, a leg fails, or an evaluation raises a
+    WsurfError or is not finite) gets inf residuals and nan data, its
+    error in ``failures``, and does not affect the other points.
     """
     scalar = np.ndim(xi) == 0
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    n = len(xi)
     dist = _distance_to_exclusions(data, xi)
-    if h is None:
-        h = 1e-3 * np.minimum(np.maximum(1.0, np.abs(xi)),
-                              np.where(np.isfinite(dist), dist, 1.0))
-    h = np.full(n, h, dtype=float)
+    h = 1e-3 * np.minimum(np.maximum(1.0, np.abs(xi)),
+                          np.where(np.isfinite(dist), dist, 1.0))
     failures = {}
-    # the discs only constrain path planning; the stencil just has to
-    # keep clear of the singular points themselves
-    for node in np.flatnonzero(np.isfinite(dist) & (dist <= 10 * h)):
+    # the discs only constrain path planning; the circle, a thousandth
+    # of the way to the nearest singular point, only vanishes on one
+    for node in np.flatnonzero(h == 0):
         failures[int(node)] = StencilOutsideDomain(
-            f"stencil at {complex(xi[node])} reaches a singular point "
-            f"(distance {float(dist[node])})")
-    live = np.ones(n, dtype=bool)
-    live[list(failures)] = False
+            f"no circle around {complex(xi[node])}: it lies on a singular "
+            f"point (distance {float(dist[node])})")
+    live = h != 0
 
-    # The stencil surface carries the full Weierstrass integrand as its
-    # z-derivative (twice the displayed F), which is the normalization in
-    # which (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.
-    legs = _stencil_legs(data, xi, h, tol, live, failures)
+    # The legs carry the full Weierstrass integrand as F's z-derivative
+    # (twice the displayed F), which is the normalization in which
+    # (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.
+    legs = _circle_legs(data, xi, h, tol, live, failures)
     F = 2.0 * np.moveaxis(combine_euclidean(*np.moveaxis(legs, 2, 0)), 0, 2)
-
-    def at(dx, dy):
-        return 0.0 if dx == dy == 0 else F[:, _LEG[dx, dy]]
+    c = np.fft.fft(F, axis=1) / CIRCLE_POINTS
 
     u = _live_values(lambda i: data.log_conformal_factor(xi[i]),
                      xi, live, failures).real
     e_u = _live_values(lambda i: data.conformal_factor(xi[i]),
                        xi, live, failures).real
     q = _live_values(lambda i: data.hopf(xi[i]), xi, live, failures)
-
-    # Holomorphy of the Hopf coefficient, taken on Q = -eta^2 chi'
-    # directly (nested second differences of F are ill-conditioned near
-    # singular sets), on circles a tenth of the way to the nearest
-    # singular point.
-    r_q = np.minimum(1e-3 * np.maximum(1.0, np.abs(xi)), 0.1 * dist)
-    hopf_holomorphy = _live_values(
-        lambda i: holo_derivative(data.hopf, xi[i], r=r_q[i])[2],
+    u_mean = _live_values(
+        lambda i: holo_derivative(data.log_conformal_factor, xi[i], r=h[i])[0],
         xi, live, failures).real
-
-    # Liouville: ddbar u = 2 |Q|^2 e^-u, u taken from the data directly
-    def cross_sum(i):
-        uv = data.log_conformal_factor(xi[i, None] + _CROSS * h[i, None])
-        return uv[:, 0] + uv[:, 1] + uv[:, 2] + uv[:, 3]
-
-    cross = _live_values(cross_sum, xi, live, failures).real
+    hopf_holomorphy = _live_values(
+        lambda i: holo_derivative(data.hopf, xi[i], r=h[i])[2],
+        xi, live, failures).real
 
     hh = h[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        fx = (at(1, 0) - at(-1, 0)) / (2 * hh)
-        fy = (at(0, 1) - at(0, -1)) / (2 * hh)
-        dF = 0.5 * (fx - 1j * fy)
+        dF = c[:, 1] / hh
+        d2F = 2.0 * c[:, 2] / hh ** 2
+        lap = 4.0 * c[:, 0].real / hh ** 2
         conformality = np.abs(np.sum(dF * dF, axis=1))
         metric = np.abs(np.sum(dF * np.conj(dF), axis=1).real - 0.5 * e_u)
 
-        normal = np.cross(fx, fy)
+        # F_x = 2 Re F_z and F_y = -2 Im F_z
+        normal = np.cross(dF.real, -dF.imag)
         normal = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-
-        lap = (at(1, 0) + at(-1, 0) + at(0, 1) + at(0, -1)
-               - 4 * at(0, 0)) / hh ** 2
         mean_curvature = np.abs(2.0 / e_u * np.sum(0.25 * lap * normal,
                                                    axis=1))
-
-        fxx = (at(1, 0) - 2 * at(0, 0) + at(-1, 0)) / hh ** 2
-        fyy = (at(0, 1) - 2 * at(0, 0) + at(0, -1)) / hh ** 2
-        fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * hh ** 2)
-        d2F = 0.25 * (fxx - fyy - 2j * fxy)
         hopf_residual = np.abs(np.sum(d2F * normal, axis=1) - q)
 
-        lap_u = (cross - 4 * u) / h ** 2
+        lap_u = 4.0 * (u_mean - u) / h ** 2
         liouville = np.abs(0.25 * lap_u - 2.0 * np.abs(q) ** 2 / e_u)
 
     residuals = dict(conformality=conformality, metric=metric,

@@ -198,9 +198,9 @@ def _tree_integrals(points, allowed, cache):
         todo = tree[~integrated[tree]]
         if todo.size == 0:
             break
-        values, errors, failures = gk15_segments(
+        values, _, failures = gk15_segments(
             cache.integrand, z[u[todo]], z[v[todo]], cache.tol)
-        bad = errors.reshape(len(todo), -1).max(axis=1) > cache.tol
+        bad = np.zeros(len(todo), dtype=bool)
         bad[list(failures)] = True
         edge_value[todo[~bad]] = values.reshape(len(todo), -1)[~bad]
         integrated[todo[~bad]] = True

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .contour import (contour_quad, gk15_segments, holo_derivative,
                       straight_path)
-from .errors import EvaluationFailure, ToleranceNotReached, WsurfError
+from .errors import EvaluationFailure, WsurfError
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -307,13 +307,9 @@ class CachedAntiderivative:
             owners.append(np.full(len(a), i))
         owner = np.concatenate(owners)
         if owner.size:
-            legs, errors, failed = gk15_segments(
+            legs, _, failed = gk15_segments(
                 self.integrand, np.concatenate(starts), np.concatenate(ends),
                 self.tol)
-            worst = errors.reshape(owner.size, -1).max(axis=1)
-            for leg in np.flatnonzero(worst > self.tol):
-                failed.setdefault(int(leg), ToleranceNotReached(
-                    legs[leg], float(worst[leg])))
             for leg in sorted(failed):
                 failures.setdefault(int(owner[leg]), failed[leg])
             for i, j in parent.items():

@@ -15,6 +15,7 @@ from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, get_equation,
 from wsurf.cli import (_join_negative_literals, _near_singular,
                        _verification_points, parse_complex, parse_grid,
                        run_pipeline)
+from wsurf.immersion import RESIDUAL_COLUMNS
 from wsurf.weierstrass import make_data
 
 USER_ODE = """id = mylag
@@ -131,7 +132,7 @@ class TestVerify:
         # every catalog id passes every residual line
         code = run_pipeline(["verify", "--eq", eq])
         lines = capsys.readouterr().out.splitlines()
-        assert code == 0 and len(lines) == 8
+        assert code == 0 and len(lines) == 9
         assert all(line.endswith(" ok") for line in lines), lines
 
     def test_parsed_state_does_not_leak(self, monkeypatch, capsys):
@@ -235,6 +236,14 @@ class TestSample:
         assert fields["Q"] == "0.4-0.2i"
         for key in ("F1", "F2", "F3", "u", "conformality", "liouville"):
             assert key in fields
+
+    def test_prints_every_residual_column(self, capsys):
+        # the Hopf residual |F_zz . N - Q| among them
+        assert run_pipeline(["sample", "--eq", "laguerre", "--xi", "2+1i"]) == 0
+        fields = dict(item.split("=", 1)
+                      for item in capsys.readouterr().out.split())
+        assert set(RESIDUAL_COLUMNS) <= set(fields)
+        assert float(fields["hopfResidual"]) <= 1e-10
 
 
 class TestSampleAnchor:

@@ -211,6 +211,20 @@ class TestSegmentBatch:
             assert np.max(np.abs(values[k] - ref)) <= 1e-14
             assert np.max(errors[k]) <= 1e-10
 
+    def test_segment_above_tol_at_max_depth_fails(self):
+        # 1/sqrt(z) from 0 keeps one panel above its share of tol down to
+        # MAX_DEPTH; that segment fails, the other one is untouched
+        f = lambda z: 1.0 / np.sqrt(z)
+        a = np.array([0j, 1 + 0j])
+        b = np.array([1 + 0j, 2 + 0j])
+        values, errors, failures = gk15_segments(f, a, b, 1e-10)
+        assert list(failures) == [0]
+        assert isinstance(failures[0], ToleranceNotReached)
+        assert failures[0].achieved_error > 1e-10
+        assert abs(failures[0].best_estimate - 2.0) <= 1e-5
+        assert abs(values[1] - 2 * (np.sqrt(2) - 1)) <= 1e-14
+        assert errors[1] <= 1e-10
+
     def test_scalar_integrand_shape(self):
         values, errors, failures = gk15_segments(
             lambda z: z * z, [0j, 1j], [1 + 0j, 2j], 1e-12)

@@ -1,16 +1,18 @@
-"""Immersion representations and the finite-difference geometry report."""
+"""Immersion representations and the Cauchy-circle geometry report."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation
-from wsurf.contour import (contour_quad, gk15_segments, holo_derivative,
+from wsurf.contour import (CIRCLE_POINTS, contour_quad, holo_derivative,
                            straight_path)
 from wsurf.errors import (EvaluationFailure, SingularPoint,
-                          StencilOutsideDomain, ToleranceNotReached,
-                          WsurfError)
+                          StencilOutsideDomain, WsurfError)
 from wsurf.immersion import (IDENTITY2, PAULI, RESIDUAL_COLUMNS,
                              combine_euclidean, combine_quaternionic,
                              ew_integrals, ew_integrand, geometry_report,
@@ -128,6 +130,27 @@ class TestGeometryReport:
         assert rep.mean_curvature <= 1e-10
         assert rep.liouville <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(z=st.complex_numbers(max_magnitude=3))
+    def test_enneper_closed_forms(self, z):
+        """Enneper's surface, eta^2 = 1 and chi = z: Q = -1 and
+        e^(u/2) = 1 + |z|^2, and every residual but Liouville's vanishes
+        to rounding."""
+        data = WeierstrassData(
+            eta_sq=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
+            chi=lambda w: np.asarray(w, dtype=complex),
+            dchi=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form")
+        rep = geometry_report(data, z)
+        e_u = (1 + abs(z) ** 2) ** 2
+        assert rep.hopf == -1
+        assert abs(rep.conformal_factor - e_u) <= 1e-12 * e_u
+        assert rep.conformality <= 1e-10 * e_u
+        assert rep.metric <= 1e-10 * e_u
+        assert rep.mean_curvature <= 1e-10
+        assert rep.hopf_residual <= 1e-10
+        assert rep.liouville <= 1e-3
+
     def test_laguerre_point(self):
         data = laguerre_data()
         z = 2 + 1j
@@ -149,9 +172,12 @@ class TestGeometryReport:
         assert near.mean_curvature <= 1e-4
 
     def test_stencil_domain_guard(self):
-        data = laguerre_data()
-        with pytest.raises(StencilOutsideDomain):
-            geometry_report(data, 0.05j, h=0.02)
+        # the circle shrinks with the distance to the nearest singular
+        # point, so only the singular points themselves have none
+        data = closed_form_data(get_equation("legendre"), 1, 0, 1)
+        for c, _r in data.exclusions:
+            with pytest.raises(StencilOutsideDomain):
+                geometry_report(data, c)
 
     @pytest.mark.filterwarnings("error")
     def test_point_on_a_singular_point(self):
@@ -167,49 +193,37 @@ class TestGeometryReport:
             assert np.isfinite(getattr(rep, name)[1]), name
 
 
-def reference_report(data, xi, h=None, tol=1e-12):
-    """The report at one point, computed point by point: the per-node
-    code the batched report replaced, kept as the reference."""
+def reference_report(data, xi, tol=1e-12):
+    """The report at one point, computed point by point: one contour_quad
+    per leg of the circle, and the circle's Fourier coefficients of F as
+    explicit sums."""
     xi = complex(xi)
     dist = min((abs(xi - c) for c, _r in data.exclusions), default=np.inf)
-    if h is None:
-        h = 1e-3 * min(max(1.0, abs(xi)), dist if np.isfinite(dist) else 1.0)
-    if np.isfinite(dist) and dist < 10 * h:
-        raise StencilOutsideDomain(f"stencil at {xi} (distance {dist})")
-    offsets = [dx * h + 1j * dy * h
-               for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
-    values, errors, failures = gk15_segments(
-        ew_integrand(data), np.full(8, xi), xi + np.array(offsets), tol)
-    if failures:
-        raise failures[min(failures)]
-    worst = errors.max(axis=1)
-    if worst.max() > tol:
-        k = int(np.argmax(worst))
-        raise ToleranceNotReached(values[k], float(worst[k]))
-    F = {0: np.zeros(3)}
-    for off, leg in zip(offsets, values):
-        F[off] = 2.0 * combine_euclidean(*leg)
+    h = 1e-3 * min(max(1.0, abs(xi)), dist if np.isfinite(dist) else 1.0)
+    if h == 0:
+        raise StencilOutsideDomain(f"{xi} lies on a singular point")
+    n = CIRCLE_POINTS
+    roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    F = [2.0 * combine_euclidean(*contour_quad(
+        ew_integrand(data), straight_path(xi, xi + h * w), tol))
+        for w in roots]
 
-    def at(dx, dy):
-        return F[dx * h + 1j * dy * h]
+    def coefficient(j):
+        return sum(Fk * w ** -j for Fk, w in zip(F, roots)) / n
 
-    fx = (at(1, 0) - at(-1, 0)) / (2 * h)
-    fy = (at(0, 1) - at(0, -1)) / (2 * h)
-    dF = 0.5 * (fx - 1j * fy)
+    dF = coefficient(1) / h
+    d2F = 2.0 * coefficient(2) / h ** 2
+    lap = 4.0 * coefficient(0).real / h ** 2
     u = data.log_conformal_factor(xi)
     e_u = data.conformal_factor(xi)
-    normal = np.cross(fx, fy)
-    normal = normal / np.linalg.norm(normal)
-    lap = (at(1, 0) + at(-1, 0) + at(0, 1) + at(0, -1) - 4 * at(0, 0)) / h ** 2
-    fxx = (at(1, 0) - 2 * at(0, 0) + at(-1, 0)) / h ** 2
-    fyy = (at(0, 1) - 2 * at(0, 0) + at(0, -1)) / h ** 2
-    fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h ** 2)
-    d2F = 0.25 * (fxx - fyy - 2j * fxy)
     q = data.hopf(xi)
-    r_q = min(1e-3 * max(1.0, abs(xi)), 0.1 * dist)
-    _, _, hopf_holomorphy = holo_derivative(data.hopf, xi, r=r_q)
-    uval = [data.log_conformal_factor(xi + dz * h) for dz in (1, -1, 1j, -1j)]
-    lap_u = (sum(uval) - 4 * u) / h ** 2
+    # F_x = 2 Re F_z and F_y = -2 Im F_z
+    normal = np.cross(dF.real, -dF.imag)
+    normal = normal / np.linalg.norm(normal)
+    # rounding costs the circle mean of u about ulp(u) / h^2 in Delta u,
+    # so it is summed in the report's own order
+    u_mean, _, _ = holo_derivative(data.log_conformal_factor, xi, r=h)
+    _, _, hopf_holomorphy = holo_derivative(data.hopf, xi, r=h)
     return dict(
         u=u, conformal_factor=e_u, hopf=q, step=h,
         conformality=abs(np.sum(dF * dF)),
@@ -217,21 +231,21 @@ def reference_report(data, xi, h=None, tol=1e-12):
         mean_curvature=abs(2.0 / e_u * float(np.dot(0.25 * lap, normal))),
         hopf_residual=abs(complex(np.dot(d2F, normal)) - q),
         hopf_holomorphy=hopf_holomorphy,
-        liouville=abs(0.25 * lap_u - 2.0 * abs(q) ** 2 / e_u))
+        liouville=abs((u_mean.real - u) / h ** 2 - 2.0 * abs(q) ** 2 / e_u))
 
 
-RESIDUAL_FIELDS = tuple(RESIDUAL_COLUMNS.values()) + ("hopf_residual",)
+RESIDUAL_FIELDS = tuple(RESIDUAL_COLUMNS.values())
 
 
-def assert_matches_reference(data, zs, h=None):
+def assert_matches_reference(data, zs):
     """The batched report at zs against one reference_report per point:
     residuals to 1e-7, data and step to 1e-12 relative, same failures."""
-    rep = geometry_report(data, zs, h=h)
+    rep = geometry_report(data, zs)
     assert rep.z.shape == rep.u.shape == rep.liouville.shape == zs.shape
     failed = []
     for k, z in enumerate(zs):
         try:
-            ref = reference_report(data, z, h=h)
+            ref = reference_report(data, z)
         except WsurfError:
             failed.append(k)
             continue
@@ -280,18 +294,18 @@ class TestBatchedReport:
 
     def test_failing_point_isolated(self):
         data = laguerre_data()
-        zs = np.array([2 + 1j, 0.05j, -1 + 0.5j, 1.5 - 2j])
-        rep = assert_matches_reference(data, zs, h=0.02)
+        zs = np.array([2 + 1j, 0j, -1 + 0.5j, 1.5 - 2j])
+        rep = assert_matches_reference(data, zs)
         assert list(rep.failures) == [1]
         assert isinstance(rep.failures[1], StencilOutsideDomain)
         assert np.isnan(rep.u[1]) and np.isinf(rep.metric[1])
         for k in (0, 2, 3):
-            single = geometry_report(data, zs[k], h=0.02)
+            single = geometry_report(data, zs[k])
             for name in RESIDUAL_FIELDS + ("u", "hopf"):
                 assert abs(getattr(rep, name)[k]
                            - getattr(single, name)) <= 1e-12, name
         with pytest.raises(StencilOutsideDomain):
-            geometry_report(data, zs[1], h=0.02)
+            geometry_report(data, zs[1])
 
     @pytest.mark.parametrize("bad", ["legs", "raises", "nan"])
     def test_failing_point_isolated_from_the_others(self, bad):
