@@ -23,8 +23,9 @@ print(f"  Pauli coefficients of F~: {pauli_decompose(Ftilde)}  (equal to F)")
 print(f"  Sym-Tafel matrix:\n{np.array_str(sym_tafel(complex(data.chi(xi))), precision=6)}")
 
 print()
-mesh = build_mesh("laguerre", constants={"c1": 1, "c2": 0, "lambda": 1},
-                  with_residuals=False)
+# the pair's equation supplies the grid: its default domain, whose base
+# point is the 1 + 1j the pair is anchored at
+mesh = build_mesh(data, with_residuals=False)
 written = export_mesh(mesh, "obj", "laguerre_surface.obj")
 print(f"wrote laguerre_surface.obj: {mesh.vertex_count()} vertices, "
       f"{len(mesh.faces)} quads, {written} bytes")

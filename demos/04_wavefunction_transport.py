@@ -20,10 +20,10 @@ print(np.array_str(potential_matrix(data, 2.0), precision=6))
 
 # w = 1 - z solves the alpha = 1 Laguerre equation, so transporting the
 # state (psi1, psi1') = (0, -1) from z = 1 must reproduce it exactly
-path = plan_path(1 + 0j, -1 + 1j, data.exclusions, data.cut_rays)
+path = plan_path(1 + 0j, -1 + 1j, ode.exclusions(), ode.cut_rays)
 print(f"\nplanned path waypoints: {path.waypoints}")
 
-wf = integrate_wavefunction(data, ode, (0.0, -1.0), path)
+wf = integrate_wavefunction(data, (0.0, -1.0), path)
 print("\ntransported state vs the exact solution psi1 = 1 - z:")
 for z in (-1 + 1j, 0.5 + 0.5j, 1.5 + 0.2j):
     got = wf.psi1(z)

@@ -23,13 +23,13 @@ ode = parse_user_ode(DEFINITION)
 data = make_data(ode, c1=1, c2=0, lam=1, base_point=2 + 0j)
 
 points = [2 + 1j, 1.5 - 0.8j, 3 + 0.5j]
-report = verify_weierstrass(data, ode, points)
+report = verify_weierstrass(data, points)
 print(f"numeric pair identity residuals: eta {report.eta_residual:.2e}, "
       f"chi {report.chi_residual:.2e}")
 
 grid = GridSpec("polar", ((0.7, 2.0), (0.0, 6.283185307179586)), (30, 30),
                 base_point=2 + 0j)
-mesh = build_mesh(ode, data=data, grid=grid, with_residuals=False)
+mesh = build_mesh(data, grid, with_residuals=False)
 written = export_mesh(mesh, "obj", "custom_surface.obj")
 print(f"wrote custom_surface.obj: {mesh.vertex_count()} vertices, "
       f"{len(mesh.faces)} quads, {written} bytes")

@@ -91,27 +91,22 @@ def coefficient_ratios(ode, z):
     """(q/p, r/p) at z, raising SingularPoint at zeros of p.
 
     For an array z, two arrays of its shape, and SingularPoint names the
-    first point where p vanishes or is not finite.
+    first point where p vanishes or is not finite; for a point, two
+    Python complex numbers.
     """
-    if np.ndim(z) != 0:
-        z = np.asarray(z, dtype=complex)
-        bad = np.zeros(z.shape, dtype=bool)
-        for s in ode.singularities:
-            bad |= np.abs(z - s) < 1e-12
-        pv = np.asarray(ode.p(z), dtype=complex)
-        bad |= (pv == 0) | ~np.isfinite(pv)
-        if bad.any():
-            raise SingularPoint(complex(z.flat[np.argmax(bad.ravel())]))
-        return (np.asarray(ode.q(z), dtype=complex) / pv,
-                np.asarray(ode.r(z), dtype=complex) / pv)
-    zc = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    bad = np.zeros(zs.shape, dtype=bool)
     for s in ode.singularities:
-        if abs(zc - s) < 1e-12:
-            raise SingularPoint(zc)
-    pv = complex(ode.p(zc))
-    if pv == 0 or not np.isfinite(pv):
-        raise SingularPoint(zc)
-    return complex(ode.q(zc)) / pv, complex(ode.r(zc)) / pv
+        bad |= np.abs(zs - s) < 1e-12
+    pv = np.asarray(ode.p(zs), dtype=complex)
+    bad |= (pv == 0) | ~np.isfinite(pv)
+    if bad.any():
+        raise SingularPoint(complex(zs.flat[np.argmax(bad.ravel())]))
+    qp = np.asarray(ode.q(zs), dtype=complex) / pv
+    rp = np.asarray(ode.r(zs), dtype=complex) / pv
+    if zs.ndim == 0:
+        return complex(qp), complex(rp)
+    return qp, rp
 
 
 _REAL_AXIS_CUTS = ((1.0 + 0j, 1.0 + 0j), (-1.0 + 0j, -1.0 + 0j))

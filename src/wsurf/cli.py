@@ -153,30 +153,31 @@ def _cmd_surface(args, tol):
     if fmt is None:
         ext = os.path.splitext(args.out)[1].lstrip(".").lower()
         fmt = ext if ext in ("obj", "ply", "csv") else "obj"
-    mesh = build_mesh(ode, constants={"c1": args.c1, "c2": args.c2,
-                                      "lambda": args.lam},
-                      grid=grid, with_residuals=(fmt == "csv"), tol=tol)
+    data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam,
+                     base_point=grid.base_point)
+    mesh = build_mesh(data, grid, with_residuals=(fmt == "csv"), tol=tol)
     written = export_mesh(mesh, fmt, args.out)
     print(f"{args.out}: {mesh.vertex_count()} vertices, "
           f"{len(mesh.faces)} faces, {written} bytes")
     return 0
 
 
-def _verification_points(ode, data):
+def _verification_points(data):
+    ode = data.ode
     xi0 = complex(ode.default_domain.base_point)
-    if _near_singular(data, xi0):
+    if _near_singular(ode, xi0):
         xi0 = xi0 + 0.5j
     offsets = (0j, 0.2 + 0.15j, -0.15 + 0.3j, 0.1 - 0.2j, 0.3 + 0.4j,
                -0.25 - 0.1j)
-    obstacles = Obstacles(data.exclusions, data.cut_rays)
+    obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
     return [z for z in (xi0 + off for off in offsets)
-            if not _near_singular(data, z, margin=0.1)
+            if not _near_singular(ode, z, margin=0.1)
             and (ode.valid_region is None or ode.valid_region(z))
             and not obstacles.on_ray(z)]
 
 
-def _near_singular(data, z, margin=0.05):
-    return any(abs(z - c) < r + margin for c, r in data.exclusions)
+def _near_singular(ode, z, margin=0.05):
+    return any(abs(z - c) < r + margin for c, r in ode.exclusions())
 
 
 def _worst(values):
@@ -188,18 +189,18 @@ def _cmd_verify(args, tol):
     ode = _resolve_ode(args)
     data = make_data(ode, c1=args.c1, c2=args.c2, lam=args.lam,
                      base_point=args.xi0)
-    points = _verification_points(ode, data)
+    points = _verification_points(data)
     if not points:
         print("no admissible verification points", file=sys.stderr)
         return 1
 
     results = {}
-    wreport = verify_weierstrass(data, ode, points)
+    wreport = verify_weierstrass(data, points)
     results["weierstrass"] = wreport.max_residual()
 
-    path = plan_path(points[0], points[-1] + 0.05j, data.exclusions,
-                     data.cut_rays)
-    wf = integrate_wavefunction(data, ode, (1.0, 0.0), path)
+    path = plan_path(points[0], points[-1] + 0.05j, ode.exclusions(),
+                     ode.cut_rays)
+    wf = integrate_wavefunction(data, (1.0, 0.0), path)
     res, dbar = lp_residual(data, wf, np.array(points[1:]))
     results["linear_problem"] = _worst(res)
     results["wavefunction_dbar"] = _worst(dbar)

@@ -160,14 +160,14 @@ def gk15_segments(f, a, b, tol):
     segment that completes sum to at most tol[i] in every component.
 
     f maps an (n,) complex array to values of shape (n,) or (n, k).
-    Returns ``(values, errors, failures)``: values and errors have shape
-    (m,) or (m, k), errors being the summed GK15 estimates; failures maps
-    the index of every segment that did not run to completion to its
-    WsurfError -- EvaluationFailure naming the first non-finite node, an
-    error the integrand raised, or ToleranceNotReached when a panel is
-    still above its share of tol at MAX_DEPTH or one level needed more
-    than MAX_LIVE_PANELS panels.  Entries of failed segments are
-    meaningless.
+    Returns ``(values, failures)``: values has shape (m,) or (m, k), and
+    failures maps the index of every segment that did not run to
+    completion to its WsurfError -- EvaluationFailure naming the first
+    non-finite node, an error the integrand raised, or
+    ToleranceNotReached (with the segment's summed GK15 error estimate)
+    when a panel is still above its share of tol at MAX_DEPTH or one
+    level needed more than MAX_LIVE_PANELS panels.  Entries of failed
+    segments are meaningless.
     """
     lo = np.asarray(a, dtype=complex).reshape(-1)
     hi = np.asarray(b, dtype=complex).reshape(-1)
@@ -183,7 +183,7 @@ def gk15_segments(f, a, b, tol):
             # one panel per segment, all within tolerance: the common
             # case returns here
             if not failed and err.max() <= tol_min:
-                return _squeezed(k15, err, failures)
+                return _squeezed(k15), failures
             seg = np.arange(m)
             ptol = np.broadcast_to(tol, (m,))
             values = np.zeros((m, k15.shape[1]), dtype=complex)
@@ -219,15 +219,13 @@ def gk15_segments(f, a, b, tol):
         lo = np.stack([lo, mid], axis=1).ravel()
         hi = np.stack([mid, hi], axis=1).ravel()
         depth += 1
-    return _squeezed(values, errors, failures)
+    return _squeezed(values), failures
 
 
-def _squeezed(values, errors, failures):
-    """gk15_segments' result, with (m, 1) columns of a scalar integrand
-    as (m,)."""
-    if values.shape[1] == 1:
-        return values[:, 0], errors[:, 0], failures
-    return values, errors, failures
+def _squeezed(values):
+    """gk15_segments' values, with the (m, 1) column of a scalar
+    integrand as (m,)."""
+    return values[:, 0] if values.shape[1] == 1 else values
 
 
 def contour_quad(f, path, tol=1e-10):
@@ -249,7 +247,7 @@ def contour_quad(f, path, tol=1e-10):
     points = np.array(path.waypoints)
     a, b = points[:-1], points[1:]
     lengths = np.abs(b - a)
-    values, _, failures = gk15_segments(
+    values, failures = gk15_segments(
         f, a, b, tol * lengths / lengths.sum())
     if failures:
         raise failures[min(failures)]

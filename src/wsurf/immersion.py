@@ -112,7 +112,8 @@ class GeometryReport:
 
 def _distance_to_exclusions(data, xi):
     """(n,) distance of each point to its nearest singular point."""
-    centers = np.array([c for c, _r in data.exclusions], dtype=complex)
+    centers = np.array([c for c, _r in data.ode.exclusions()],
+                       dtype=complex)
     return np.abs(xi[:, None] - centers).min(axis=1, initial=np.inf)
 
 
@@ -126,7 +127,7 @@ def _circle_legs(data, xi, h, tol, live, failures):
     if idx.size == 0:
         return legs
     ends = xi[idx, None] + h[idx, None] * CIRCLE
-    values, _, failed = gk15_segments(
+    values, failed = gk15_segments(
         ew_integrand(data), np.repeat(xi[idx], CIRCLE_POINTS), ends.ravel(),
         tol)
     legs[idx] = values.reshape(-1, CIRCLE_POINTS, 3)

@@ -50,7 +50,7 @@ def potential_matrix(data, z):
     eta^2 or chi is not finite.
     """
     z = np.asarray(z, dtype=complex)
-    for c, r in data.exclusions:
+    for c, r in data.ode.exclusions():
         inside = np.abs(z - c) < r
         if inside.any():
             raise SingularPoint(_first(inside, z))
@@ -149,14 +149,13 @@ class Wavefunction:
 
     ``state_at`` maps z, a point or an array, to the stacked (psi1,
     dpsi1/dz) of shape (2,) + z.shape, where psi1 solves
-    p psi1'' + q psi1' + r psi1 = 0; psi2 = chi psi1 - psi1' /
-    (lambda eta^2).  ``psi`` takes arrays too; ``psi1``, ``dpsi1`` and
-    ``psi2`` take a point.
+    p psi1'' + q psi1' + r psi1 = 0, the ODE of the pair ``data``; psi2 =
+    chi psi1 - psi1' / (lambda eta^2).  ``psi`` takes arrays too;
+    ``psi1``, ``dpsi1`` and ``psi2`` take a point.
     """
 
-    def __init__(self, data, ode, state_at):
+    def __init__(self, data, state_at):
         self.data = data
-        self.ode = ode
         self.state_at = state_at
 
     def psi1(self, z):
@@ -183,8 +182,9 @@ class Wavefunction:
         return np.stack([p1, self._psi2(z, p1, d1)], axis=-1)
 
 
-def integrate_wavefunction(data, ode, init, path):
-    """Transport (psi1, psi1') from the path start along a ContourPath.
+def integrate_wavefunction(data, init, path):
+    """Transport (psi1, psi1') of the pair's ODE from the path start
+    along a ContourPath.
 
     init is the pair (psi1, dpsi1/dz) at path.start.  The state is stored
     at the Chebyshev points of the accepted panels of every segment;
@@ -194,6 +194,7 @@ def integrate_wavefunction(data, ode, init, path):
     lanes of one transport; a point that is a stored node is not
     transported.
     """
+    ode = data.ode
     state = np.array([[complex(init[0])], [complex(init[1])]])
     nodes = [np.array([path.start], dtype=complex)]
     states = [state]
@@ -216,13 +217,13 @@ def integrate_wavefunction(data, ode, init, path):
                                     out[:, off])[0]
         return out.reshape((2,) + z.shape)
 
-    return Wavefunction(data, ode, state_at)
+    return Wavefunction(data, state_at)
 
 
-def closed_form_wavefunction(data, ode, psi1, dpsi1):
+def closed_form_wavefunction(data, psi1, dpsi1):
     """The Wavefunction of analytic (psi1, psi1') callables; a callable
     giving a constant is broadcast to the points it is called on."""
-    return Wavefunction(data, ode, lambda z: np.array(
+    return Wavefunction(data, lambda z: np.array(
         np.broadcast_arrays(psi1(z), dpsi1(z), z)[:2], dtype=complex))
 
 

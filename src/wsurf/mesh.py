@@ -4,14 +4,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SINGULARITY_RADIUS, get_equation
+from .catalog import SINGULARITY_RADIUS
 from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
                      isolate_failures)
 from .geometry import Obstacles
 from .immersion import (combine_euclidean, combine_quaternionic,
                         ew_integrand, geometry_report, sym_tafel)
-from .weierstrass import CachedAntiderivative, make_data
+from .weierstrass import CachedAntiderivative
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,12 @@ def ew_cache(data, xi0, tol=1e-11):
     """
     xi0 = complex(xi0)
     f = ew_integrand(data)
-    staging = _staging_point(Obstacles(data.exclusions, data.cut_rays), xi0)
+    exclusions, cuts = data.ode.exclusions(), data.ode.cut_rays
+    staging = _staging_point(Obstacles(exclusions, cuts), xi0)
     anchor, start = (xi0, np.zeros(3)) if staging is None else (
         staging, _regularized_leg(f, xi0, staging, tol))
-    return CachedAntiderivative(f, anchor, data.exclusions, data.cut_rays,
-                                tol, initial_value=start)
+    return CachedAntiderivative(f, anchor, exclusions, cuts, tol,
+                                initial_value=start)
 
 
 def immersion_at(data, xi0, z, tol=1e-11):
@@ -87,30 +88,32 @@ def sample_point(data, cache, z):
         u=data.log_conformal_factor(z), Q=data.hopf(z))
 
 
-def _allowed_nodes(points, ode, data):
+def _allowed_nodes(points, data):
     """(n1, n2) bool: nodes outside every exclusion disc and inside the
-    equation's validity region."""
+    validity region of the pair's equation."""
+    ode = data.ode
     allowed = np.ones(points.shape, dtype=bool)
-    for c, r in data.exclusions:
+    for c, r in ode.exclusions():
         # boundary slack: grid rings at exactly the exclusion radius stay in
         allowed &= np.abs(points - c) >= max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12)
-    if ode is not None and ode.valid_region is not None:
+    if ode.valid_region is not None:
         for k in np.flatnonzero(allowed):
             allowed.flat[k] = bool(ode.valid_region(complex(points.flat[k])))
     return allowed
 
 
-def _grid_edges(points, allowed, cache):
-    """Legal 4-neighbour edges between allowed nodes, as flat node index
-    arrays (u, v) with u < v.  Legality is the cache's obstacles: the
-    edge keeps out of its exclusion discs and crosses no cut ray."""
-    index = np.arange(points.size).reshape(points.shape)
-    u = np.concatenate([index[:-1, :].ravel(), index[:, :-1].ravel()])
-    v = np.concatenate([index[1:, :].ravel(), index[:, 1:].ravel()])
-    keep = allowed.flat[u] & allowed.flat[v]
-    u, v = u[keep], v[keep]
-    legal = cache.obstacles.segment_clear(points.flat[u], points.flat[v])
-    return u[legal], v[legal]
+def _grid_edges(points, allowed, obstacles):
+    """Legal 4-neighbour edges between allowed nodes, as bool masks of
+    shape (n1 - 1, n2) for the edges along axis 0 and (n1, n2 - 1) for
+    those along axis 1, each set at its lower node.  An edge is legal
+    when it keeps out of the exclusion discs and crosses no cut ray."""
+    down = allowed[:-1, :] & allowed[1:, :]
+    down[down] = obstacles.segment_clear(points[:-1, :][down],
+                                         points[1:, :][down])
+    right = allowed[:, :-1] & allowed[:, 1:]
+    right[right] = obstacles.segment_clear(points[:, :-1][right],
+                                           points[:, 1:][right])
+    return down, right
 
 
 def _adjacency(n, u, v, live):
@@ -148,23 +151,26 @@ def _bfs(adjacency, sources, visited, parent_edge, levels):
             levels.append(frontier)
 
 
-def _tree_integrals(points, allowed, cache):
+def _tree_integrals(points, allowed, edges, cache):
     """Antiderivative values (n1 * n2, 3) at the allowed nodes, and the
     mask of nodes that failed.
 
-    The legal grid edges form a graph.  Each connected component is
-    rooted at its node nearest the cache anchor, whose value is one
-    cache lookup; a root whose lookup raises a WsurfError counts as a
-    failed node and the next-nearest node becomes the root.  The edges
-    of a breadth-first spanning forest are integrated in one
-    gk15_segments call, and node values are the root value plus the
-    edge values summed level by level down the tree.  Any edge that
-    does not reach the cache tolerance is dropped and the forest is
+    The legal grid edges, _grid_edges' masks, form a graph.  Each
+    connected component is rooted at its node nearest the cache anchor,
+    whose value is one cache lookup; a root whose lookup raises a
+    WsurfError counts as a failed node and the next-nearest node becomes
+    the root.  The edges of a breadth-first spanning forest are
+    integrated in one gk15_segments call, and node values are the root
+    value plus the edge values summed level by level down the tree.  Any
+    edge that fails in gk15_segments is dropped and the forest is
     rebuilt around it.
     """
     z = points.ravel()
     n = z.size
-    u, v = _grid_edges(points, allowed, cache)
+    index = np.arange(n).reshape(points.shape)
+    down, right = edges
+    u = np.concatenate([index[:-1, :][down], index[:, :-1][right]])
+    v = np.concatenate([index[1:, :][down], index[:, 1:][right]])
     live = np.ones(len(u), dtype=bool)
     integrated = np.zeros(len(u), dtype=bool)
     edge_value = np.zeros((len(u), 3), dtype=complex)
@@ -198,7 +204,7 @@ def _tree_integrals(points, allowed, cache):
         todo = tree[~integrated[tree]]
         if todo.size == 0:
             break
-        values, _, failures = gk15_segments(
+        values, failures = gk15_segments(
             cache.integrand, z[u[todo]], z[v[todo]], cache.tol)
         bad = np.zeros(len(todo), dtype=bool)
         bad[list(failures)] = True
@@ -225,6 +231,7 @@ class GridSamples:
     """Immersion data at the sampled nodes of a grid, row-major."""
 
     mask: np.ndarray             # (n1, n2) bool, True = sampled node
+    edges: tuple                 # _grid_edges' legal-edge masks
     points: np.ndarray           # (n,) complex parameter values
     integrals: np.ndarray        # (n, 3): int eta^2, chi^2 eta^2, chi eta^2
     F: np.ndarray                # (n, 3) Euclidean immersion
@@ -234,7 +241,7 @@ class GridSamples:
     failures: int                # admissible nodes that failed
 
 
-def _sample_mask(ode, data, grid, with_residuals, tol):
+def _sample_mask(data, grid, with_residuals, tol):
     """GridSamples over the grid, with the geometry residuals if asked.
 
     Makes no per-node quadrature: the integrals come from
@@ -244,9 +251,10 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
     gets inf residuals instead.
     """
     points = grid.points()
-    allowed = _allowed_nodes(points, ode, data)
-    value, failed = _tree_integrals(
-        points, allowed, ew_cache(data, grid.base_point, tol))
+    allowed = _allowed_nodes(points, data)
+    cache = ew_cache(data, grid.base_point, tol)
+    edges = _grid_edges(points, allowed, cache.obstacles)
+    value, failed = _tree_integrals(points, allowed, edges, cache)
     ok = allowed.ravel() & ~failed
     with np.errstate(invalid="ignore"):
         ok[ok] = np.isfinite(combine_euclidean(*value[ok].T)).all(axis=0)
@@ -262,23 +270,19 @@ def _sample_mask(ode, data, grid, with_residuals, tol):
         residuals = geometry_report(data, zs, tol=min(tol, 1e-12)).as_dict()
     integrals = value[ok]
     return GridSamples(
-        mask=ok.reshape(points.shape), points=zs, integrals=integrals,
-        F=combine_euclidean(*integrals.T).T, u=u.astype(float),
-        Q=Q.astype(complex), residuals=residuals,
+        mask=ok.reshape(points.shape), edges=edges, points=zs,
+        integrals=integrals, F=combine_euclidean(*integrals.T).T,
+        u=u.astype(float), Q=Q.astype(complex), residuals=residuals,
         failures=int(allowed.sum() - ok.sum()))
 
 
-def sample_grid(equation, params=None, constants=None, grid=None,
-                data=None, with_residuals=True, tol=1e-10):
-    """Immersion samples over a grid, row-major, masked nodes dropped.
-
-    ``equation`` is a catalog id, a LinearODE, or None when prebuilt
-    WeierstrassData is passed directly.  The samples are built from the
-    arrays of _sample_mask.  Raises EvaluationFailure when more than
-    half of the admissible nodes fail.
+def sample_grid(data, grid=None, with_residuals=True, tol=1e-10):
+    """Immersion samples of a Weierstrass pair over a grid, row-major,
+    masked nodes dropped; the grid defaults to the default domain of the
+    pair's equation.  Raises EvaluationFailure when more than half of
+    the admissible nodes fail.
     """
-    samples, data = _sample_with_mask(
-        equation, params, constants, grid, data, with_residuals, tol)
+    samples = _sample_with_mask(data, grid, with_residuals, tol)
     n = len(samples.points)
     chi = np.broadcast_to(data.chi(samples.points), (n,))
     return [ImmersionSample(
@@ -291,27 +295,13 @@ def sample_grid(equation, params=None, constants=None, grid=None,
         for k in range(n)]
 
 
-def _sample_with_mask(equation, params=None, constants=None, grid=None,
-                      data=None, with_residuals=True, tol=1e-10):
-    ode = None
-    if isinstance(equation, str):
-        ode = get_equation(equation, params)
-    elif equation is not None:
-        ode = equation
-    if data is None:
-        if ode is None:
-            raise ValueError("need an equation or prebuilt data")
-        cs = dict(constants or {})
-        data = make_data(ode,
-                         c1=cs.get("c1", 1.0), c2=cs.get("c2", 0.0),
-                         lam=cs.get("lambda", 1.0),
-                         base_point=grid.base_point if grid is not None else None)
+def _sample_with_mask(data, grid=None, with_residuals=True, tol=1e-10):
+    """_sample_mask on the grid, or on the equation's default domain;
+    raises EmptyMesh without admissible nodes and EvaluationFailure when
+    more than half of them fail."""
     if grid is None:
-        if ode is None or ode.default_domain is None:
-            raise ValueError("no grid given and the equation has no default")
-        grid = ode.default_domain
-
-    samples = _sample_mask(ode, data, grid, with_residuals, tol)
+        grid = data.ode.default_domain
+    samples = _sample_mask(data, grid, with_residuals, tol)
     admissible = len(samples.points) + samples.failures
     if admissible == 0:
         raise EmptyMesh("no admissible grid nodes")
@@ -319,15 +309,15 @@ def _sample_with_mask(equation, params=None, constants=None, grid=None,
         raise EvaluationFailure(
             None, f"{samples.failures}/{admissible} grid nodes failed "
                   f"to evaluate")
-    return samples, data
+    return samples
 
 
 @dataclass
 class SurfaceMesh:
     """Vertex/face container built over a sampling grid.
 
-    Faces are quads between 2x2 blocks of unmasked nodes; indices refer
-    to the compacted vertex list.
+    Faces are quads between 2x2 blocks of unmasked nodes joined by legal
+    edges; indices refer to the compacted vertex list.
     """
 
     vertices: np.ndarray         # (n, 3) float
@@ -340,19 +330,20 @@ class SurfaceMesh:
         return len(self.vertices)
 
 
-def build_mesh(equation, params=None, constants=None, grid=None,
-               data=None, with_residuals=True, tol=1e-10):
-    """Sample a grid and assemble the quad mesh over the unmasked nodes."""
-    samples, _ = _sample_with_mask(
-        equation, params, constants, grid, data, with_residuals, tol)
-    return mesh_from_samples(samples)
+def build_mesh(data, grid=None, with_residuals=True, tol=1e-10):
+    """Sample a Weierstrass pair over a grid (by default the default
+    domain of its equation) and assemble the quad mesh over the unmasked
+    nodes."""
+    return mesh_from_samples(
+        _sample_with_mask(data, grid, with_residuals, tol))
 
 
 def mesh_from_samples(samples):
     """SurfaceMesh from GridSamples, all in arrays.
 
     Vertices are the sampled nodes in row-major order; a face joins
-    every 2x2 block of sampled nodes.  Attributes are u, |Q| and the
+    every 2x2 block of sampled nodes whose four edges are legal, so no
+    face bridges a cut ray or an exclusion disc.  Attributes are u, |Q| and the
     mean-curvature residual (0 without residuals), plus the other
     residual columns when the samples carry them.
     """
@@ -360,7 +351,9 @@ def mesh_from_samples(samples):
     if not mask.any():
         raise EmptyMesh("all grid nodes are masked")
     index = np.cumsum(mask.ravel()).reshape(mask.shape) - 1
-    block = mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
+    down, right = samples.edges
+    block = (mask[:-1, :-1] & mask[1:, :-1] & mask[1:, 1:] & mask[:-1, 1:]
+             & down[:, :-1] & down[:, 1:] & right[:-1, :] & right[1:, :])
     faces = np.stack([index[:-1, :-1][block], index[1:, :-1][block],
                       index[1:, 1:][block], index[:-1, 1:][block]], axis=1)
     n = len(samples.points)

@@ -8,7 +8,7 @@ closed-form data agree wherever both exist.
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sps
@@ -25,7 +25,9 @@ from .pathplan import plan_path
 
 @dataclass
 class WeierstrassData:
-    """Holomorphic pair (eta^2, chi) plus constants and base point."""
+    """Holomorphic pair (eta^2, chi) of an ODE, plus constants and base
+    point.  The pair's obstacles are the ODE's exclusion discs and cut
+    rays."""
 
     eta_sq: object               # callable z -> complex
     chi: object                  # callable z -> complex
@@ -34,17 +36,12 @@ class WeierstrassData:
     lam: complex
     base_point: complex
     source: str                  # "closed_form" | "numeric"
-    dchi: object                 # exact chi': the row's, or -(r/p)/(lam eta^2)
-    exclusions: tuple = field(default_factory=tuple)
-    cut_rays: tuple = field(default_factory=tuple)
-
-    def chi_prime(self, z):
-        return _like(z, self.dchi(np.asarray(z, dtype=complex)))
+    ode: object                  # the LinearODE the pair is built from
 
     def hopf(self, z):
-        """Hopf differential coefficient Q = -eta^2 * chi'."""
-        eta = np.asarray(self.eta_sq(np.asarray(z, dtype=complex)))
-        return _like(z, -eta * self.chi_prime(z))
+        """Hopf differential coefficient Q = -eta^2 chi' = r/(lambda p):
+        r/p = -lambda eta^2 chi' holds for every pair of the ODE."""
+        return self.ode.ratios(z)[1] / self.lam
 
     def conformal_factor(self, z):
         """e^u with e^(u/2) = |eta|^2 (1 + |chi|^2)."""
@@ -57,13 +54,6 @@ class WeierstrassData:
         u = 2.0 * np.log(np.abs(self.eta_sq(zs))
                          * (1 + np.abs(self.chi(zs)) ** 2))
         return float(u) if np.ndim(z) == 0 else u
-
-
-def _like(z, value):
-    """value as a Python complex for scalar z, else as an array."""
-    if np.ndim(z) == 0:
-        return complex(value)
-    return np.broadcast_to(value, np.shape(z)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -109,49 +99,42 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     z0 = complex(base_point) if base_point is not None else _default_base(eq)
-    eta = chi = dchi = None
+    eta = chi = None
 
     if eq == "laguerre":
         a = par["alpha"]
         eta = lambda z: np.exp(z) / (c1 * z)
         chi = lambda z: (a * c1 * np.exp(-z) + c2) / lam
-        dchi = lambda z: -a * c1 * np.exp(-z) / lam
     elif eq == "legendre":
         d1 = par["alpha"] * (par["alpha"] + 1)
         eta = lambda z: c1 ** 2 / (1 - z * z)
         chi = lambda z: -(d1 * z + c2) / (lam * c1 ** 2)
-        dchi = lambda z: -d1 / (lam * c1 ** 2) * np.ones_like(np.asarray(z, dtype=complex))
     elif eq == "legendre_assoc":
         a, m = par["alpha"], par["m"]
         delta = a * (a + 1)
         eta = lambda z: c1 ** 2 / (1 - z * z)
         chi = lambda z: ((m * m / 2) * (np.log(1 + z) - np.log(1 - z))
                          - delta * z + c2) / (lam * c1 ** 2)
-        dchi = lambda z: (m * m / (1 - z * z) - delta) / (lam * c1 ** 2)
     elif eq == "bessel":
         nu = par["p"]
         eta = lambda z: c1 / z
         chi = lambda z: (nu * nu * np.log(z) - z * z / 2 + c2) / (lam * c1)
-        dchi = lambda z: (nu * nu / z - z) / (lam * c1)
     elif eq in ("chebyshev1", "chebyshev2"):
         n = par["n"]
         n_eff_sq = n * n if eq == "chebyshev1" else n * (n + 2)
         eta = lambda z: c1 / np.sqrt(1 - z * z)
         chi = lambda z: -(n_eff_sq * np.arcsin(z) + c2) / (lam * c1)
-        dchi = lambda z: -n_eff_sq / (lam * c1 * np.sqrt(1 - z * z))
     elif eq == "laguerre_assoc":
         a, n = par["alpha"], par["n"]
         if a != int(a) or a < 0:
             return None
         eta = lambda z: np.exp(z) / (c1 * z ** (a + 1))
         chi = lambda z: (n * c1 * _upper_gamma_int(a + 1, z) + c2) / lam
-        dchi = lambda z: -n * c1 * z ** a * np.exp(-z) / lam
     elif eq == "hermite":
         n = par["n"]
         eta = lambda z: c1 ** 2 * np.exp(z * z)
         chi = lambda z: ((2 * n / (lam * c1 ** 2)) * (math.sqrt(math.pi) / 2)
                          * _sps.erf(np.asarray(z, dtype=complex)) + c2 / lam)
-        dchi = lambda z: 2 * n * np.exp(-z * z) / (lam * c1 ** 2)
     elif eq == "gegenbauer":
         a, n = par["alpha"], par["n"]
         d2, d3 = n * (n + 2 * a), 2 * a + 1
@@ -161,7 +144,6 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
             return np.exp(s * (np.log(1 + z) - np.log(1 - z)))
         eta = lambda z: c1 * ratio_pow(z, expo)
         chi = lambda z: (d2 * ratio_pow(z, -expo) + c2) / (lam * c1 * d3)
-        dchi = lambda z: -d2 * ratio_pow(z, -expo) / (lam * c1 * (1 - z * z))
     elif eq == "jacobi":
         a, b, n = par["alpha"], par["beta"], par["n"]
         if a != int(a) or a < 0:
@@ -173,16 +155,12 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
         chi = lambda z: -(delta * np.exp((b + 1) * np.log(1 + z))
                           * _hyp2f1_terminating(-a, b + 1, b + 2, (1 + z) / 2)
                           + c2) / (lam * c1 * (b + 1))
-        dchi = lambda z: -big_n * np.exp(a * np.log(1 - z)
-                                         + b * np.log(1 + z)) / (lam * c1)
     else:
         return None
 
     return WeierstrassData(
         eta_sq=eta, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,
-        source="closed_form", dchi=dchi,
-        exclusions=ode.exclusions(), cut_rays=ode.cut_rays,
-    )
+        source="closed_form", ode=ode)
 
 
 def _default_base(eq):
@@ -307,7 +285,7 @@ class CachedAntiderivative:
             owners.append(np.full(len(a), i))
         owner = np.concatenate(owners)
         if owner.size:
-            legs, _, failed = gk15_segments(
+            legs, failed = gk15_segments(
                 self.integrand, np.concatenate(starts), np.concatenate(ends),
                 self.tol)
             for leg in sorted(failed):
@@ -378,8 +356,7 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
 
     eta^2(z) = eta^2(z0) exp(-int_{z0}^{z} q/p) and
     chi(z) = chi(z0) - (1/lambda) int_{z0}^{z} (r/p) / eta^2, so both
-    coefficient identities hold by construction and chi' is
-    -(r/p)/(lambda eta^2) with no quadrature.  The values at the base
+    coefficient identities hold by construction.  The values at the base
     point z0 are the closed form's where the catalog has one, so that
     numeric and closed-form data agree; otherwise they are 1/c1 and
     c2/lambda.
@@ -405,13 +382,9 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
     def chi(z):
         return chi0 - r_integral(z) / lam
 
-    def dchi(z):
-        return -ode.ratios(z)[1] / (lam * eta_sq(z))
-
     return WeierstrassData(
         eta_sq=eta_sq, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,
-        source="numeric", dchi=dchi, exclusions=exclusions,
-        cut_rays=ode.cut_rays)
+        source="numeric", ode=ode)
 
 
 def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None, tol=1e-11):
@@ -438,15 +411,15 @@ class WeierstrassReport:
         return max(self.eta_residual, self.chi_residual)
 
 
-def verify_weierstrass(data, ode, samples):
-    """Cauchy-circle check of both coefficient identities on eta^2 and
-    chi themselves (never dchi): one holo_derivative call on the stacked
-    pair, so one array call of each function on all the circle points,
-    whose mean gives eta^2 at the samples."""
+def verify_weierstrass(data, samples):
+    """Cauchy-circle check of both coefficient identities of the pair's
+    ODE on eta^2 and chi themselves: one holo_derivative call on the
+    stacked pair, so one array call of each function on all the circle
+    points, whose mean gives eta^2 at the samples."""
     z = np.array([complex(w) for w in samples], dtype=complex)
     if z.size == 0:
         return WeierstrassReport(0.0, 0.0, ())
-    qp, rp = ode.ratios(z)
+    qp, rp = data.ode.ratios(z)
     mean, d, _ = holo_derivative(
         lambda w: np.stack([data.eta_sq(w), data.chi(w)], axis=-1), z)
     ev = mean[:, 0]

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from wsurf.catalog import parse_user_ode
 from wsurf.weierstrass import WeierstrassData
 
 
 @pytest.fixture
 def plane_data():
-    """The trivial Weierstrass pair (eta^2 = 1, chi = 0): a flat plane."""
+    """The trivial Weierstrass pair (eta^2 = 1, chi = 0) of w'' = 0: a
+    flat plane."""
     return WeierstrassData(
         eta_sq=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
         chi=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
-        dchi=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+        ode=parse_user_ode("p = 1\nq = 0\nr = 0\n"),
     )
 
 

@@ -5,6 +5,7 @@ records a single pass/fail line (repeated in the terminal summary).
 The tests run in order; they are independent of each other.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -23,19 +24,19 @@ from wsurf.mesh import ew_cache, sample_grid
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
 from wsurf.weierstrass import (build_numeric_data, closed_form_data,
-                               verify_weierstrass)
+                               make_data, verify_weierstrass)
 from wsurf.cli import run_pipeline
 
 
 def _laguerre_reference_setup():
     """Closed-form laguerre data anchored like the reference surface."""
     fx = get_fixture("laguerre")
-    ode = get_equation("laguerre", fx.params)
-    data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
-                            fx.constants["lambda"], fx.base_point)
     # the reference closed form is branch-pinned on both half axes, so
     # comparison paths must avoid both
-    data.cut_rays = fx.cut_rays
+    ode = dataclasses.replace(get_equation("laguerre", fx.params),
+                              cut_rays=fx.cut_rays)
+    data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
+                            fx.constants["lambda"], fx.base_point)
     return fx, ode, data
 
 
@@ -93,11 +94,10 @@ def test_criterion_03_numeric_pairs_match_closed_rows(criterion, rng):
                        * np.exp(1j * rng.uniform(0.15 * np.pi, 0.85 * np.pi)))
                for _ in range(20)]
         for z in pts:
-            for fn_cf, fn_num in ((cf.eta_sq, num.eta_sq), (cf.chi, num.chi),
-                                  (cf.chi_prime, num.chi_prime)):
+            for fn_cf, fn_num in ((cf.eta_sq, num.eta_sq), (cf.chi, num.chi)):
                 a, b = complex(fn_cf(z)), complex(fn_num(z))
                 worst_pair = max(worst_pair, abs(a - b) / max(1.0, abs(a)))
-        report = verify_weierstrass(cf, ode, pts)
+        report = verify_weierstrass(cf, pts)
         worst_identity = max(worst_identity, report.max_residual())
     criterion(3, "numeric Weierstrass pairs match the closed-form rows and "
                  "satisfy the coefficient identities "
@@ -107,7 +107,8 @@ def test_criterion_03_numeric_pairs_match_closed_rows(criterion, rng):
               f"max identity residual {worst_identity:.2e}")
 
 
-_CAPTION_CASES = ("legendre", "bessel", "chebyshev1", "gegenbauer")
+_CAPTION_CASES = ("legendre", "bessel", "chebyshev1", "gegenbauer",
+                  "jacobi")
 _CAPTION_EXCLUDED = (
     "legendre_assoc: caption disagrees with its own surface data",
     "hermite: caption closed form needs hypergeometric 2F2, out of scope",
@@ -144,10 +145,10 @@ def test_criterion_04_caption_surfaces(criterion, rng):
     worst = 0.0
     for eq in _CAPTION_CASES:
         fx = get_fixture(eq)
-        ode = get_equation(eq, fx.params)
+        ode = dataclasses.replace(get_equation(eq, fx.params),
+                                  cut_rays=fx.cut_rays)
         data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
                                 fx.constants["lambda"], fx.base_point)
-        data.cut_rays = fx.cut_rays
         cache = ew_cache(data, fx.base_point, tol=1e-11)
         for z in _fixture_domain_points(fx, rng, 20):
             F = combine_euclidean(*cache(z))
@@ -164,7 +165,7 @@ def test_criterion_05_linear_problem(criterion, rng):
     ode = get_equation("laguerre", {"alpha": 1})
     data = closed_form_data(ode, 1, 0, 1)
     wf = closed_form_wavefunction(
-        data, ode,
+        data,
         lambda z: (z - 1) * (ei(z) + 1) - np.exp(z),
         lambda z: ei(z) + 1 - np.exp(z) / z)
     worst_lp = worst_dbar = 0.0
@@ -177,8 +178,8 @@ def test_criterion_05_linear_problem(criterion, rng):
         ode = get_equation(eq)
         data = closed_form_data(ode, 1, 0, lam)
         z0, z1 = 0.5 + 1j, -0.4 + 1.3j
-        path = plan_path(z0, z1, data.exclusions, data.cut_rays)
-        wf = integrate_wavefunction(data, ode, (z0, 1.0), path)
+        path = plan_path(z0, z1, ode.exclusions(), ode.cut_rays)
+        wf = integrate_wavefunction(data, (z0, 1.0), path)
         for t in np.linspace(0.15, 0.85, 8):
             z = complex(z0 + t * (z1 - z0) + 0.05j)
             res, dbar = lp_residual(data, wf, z)
@@ -295,8 +296,8 @@ def test_criterion_08_path_independence(criterion, rng):
             b = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
             if abs(a - b) < 0.1:
                 continue
-            path_a = plan_path(a, b, data.exclusions, data.cut_rays)
-            path_b = _detour(a, b, data.exclusions, data.cut_rays)
+            path_a = plan_path(a, b, ode.exclusions(), ode.cut_rays)
+            path_b = _detour(a, b, ode.exclusions(), ode.cut_rays)
             if path_b is None:
                 continue
             fa = immerse_ew(data, path_a, tol=1e-10)
@@ -313,7 +314,8 @@ def test_criterion_08_path_independence(criterion, rng):
 def test_criterion_09_jacobi_domain(criterion):
     ode = get_equation("jacobi")
     grid = ode.default_domain
-    samples = sample_grid("jacobi", grid=grid, with_residuals=False)
+    data = make_data(ode, base_point=grid.base_point)
+    samples = sample_grid(data, grid, with_residuals=False)
     inside = all(abs(s.z) < 1 and abs(s.z + 1) < 2 for s in samples)
 
     expected = 0
@@ -326,9 +328,8 @@ def test_criterion_09_jacobi_domain(criterion):
 
     rejected = False
     try:
-        sample_grid("jacobi",
-                    grid=GridSpec("cartesian", ((0.5, 0.9), (0.9, 1.4)),
-                                  (3, 3), 0j),
+        sample_grid(data, GridSpec("cartesian", ((0.5, 0.9), (0.9, 1.4)),
+                                   (3, 3), 0j),
                     with_residuals=False)
     except EmptyMesh:
         rejected = True

@@ -193,23 +193,23 @@ singularities = 0.5
 """
 
 
-def reference_verification_points(ode, data):
+def reference_verification_points(ode):
     """The points `wsurf verify` checked with its own inline ray test,
     which holds only for horizontal rays."""
     xi0 = complex(ode.default_domain.base_point)
-    if _near_singular(data, xi0):
+    if _near_singular(ode, xi0):
         xi0 = xi0 + 0.5j
     offsets = (0j, 0.2 + 0.15j, -0.15 + 0.3j, 0.1 - 0.2j, 0.3 + 0.4j,
                -0.25 - 0.1j)
     points = []
     for off in offsets:
         z = xi0 + off
-        if _near_singular(data, z, margin=0.1):
+        if _near_singular(ode, z, margin=0.1):
             continue
         if ode.valid_region is not None and not ode.valid_region(z):
             continue
         if any(abs((z - a).imag) < 1e-9 and ((z - a) * np.conj(d)).real > 0
-               for a, d in data.cut_rays):
+               for a, d in ode.cut_rays):
             continue
         points.append(z)
     return points
@@ -218,10 +218,9 @@ def reference_verification_points(ode, data):
 @pytest.mark.parametrize("ode", list(EQUATION_IDS) + ["readme"])
 def test_verification_points_unchanged(ode):
     ode = parse_user_ode(README_ODE) if ode == "readme" else get_equation(ode)
-    data = make_data(ode)
-    points = _verification_points(ode, data)
+    points = _verification_points(make_data(ode))
     assert points
-    assert points == reference_verification_points(ode, data)
+    assert points == reference_verification_points(ode)
 
 
 class TestSample:

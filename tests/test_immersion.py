@@ -1,6 +1,7 @@
 """Immersion representations and the Cauchy-circle geometry report."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation
+from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation, parse_user_ode
 from wsurf.contour import (CIRCLE_POINTS, contour_quad, holo_derivative,
                            straight_path)
 from wsurf.errors import (EvaluationFailure, SingularPoint,
@@ -22,6 +23,10 @@ from wsurf.mesh import _allowed_nodes
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
 from wsurf.weierstrass import WeierstrassData, closed_form_data, make_data
+
+
+# the equation of the pair eta^2 = 1, chi = z / 10 at lambda = 1
+CHI_OVER_TEN = parse_user_ode("p = 1\nq = 0\nr = -0.1\n")
 
 
 def laguerre_data():
@@ -46,7 +51,7 @@ class TestIntegrals:
         data = laguerre_data()
         z0 = 1 + 1j
         for z in (2 + 1j, 0.5 + 0.7j, -1 + 1.5j):
-            path = plan_path(z0, z, data.exclusions,
+            path = plan_path(z0, z, data.ode.exclusions(),
                              ((0j, -1 + 0j), (0j, 1 + 0j)))
             fused = ew_integrals(data, path, tol=1e-11)
             ref = scalar_ew_integrals(data, path, tol=1e-11)
@@ -61,7 +66,8 @@ class TestIntegrals:
         data = closed_form_data(get_equation(eq), 1, 0, 1)
         z0 = 0.2 + 0.3j
         for z in (-0.5 + 0.4j, 0.4 - 0.5j, 1.5 + 1j, -1.5 + 0.5j):
-            path = plan_path(z0, z, data.exclusions, data.cut_rays)
+            path = plan_path(z0, z, data.ode.exclusions(),
+                             data.ode.cut_rays)
             fused = ew_integrals(data, path, tol=1e-11)
             ref = scalar_ew_integrals(data, path, tol=1e-11)
             assert np.max(np.abs(fused - ref)) <= 1e-12, (eq, z)
@@ -139,8 +145,8 @@ class TestGeometryReport:
         data = WeierstrassData(
             eta_sq=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
             chi=lambda w: np.asarray(w, dtype=complex),
-            dchi=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
-            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form")
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
+            ode=parse_user_ode("p = 1\nq = 0\nr = -1\n"))
         rep = geometry_report(data, z)
         e_u = (1 + abs(z) ** 2) ** 2
         assert rep.hopf == -1
@@ -175,7 +181,7 @@ class TestGeometryReport:
         # the circle shrinks with the distance to the nearest singular
         # point, so only the singular points themselves have none
         data = closed_form_data(get_equation("legendre"), 1, 0, 1)
-        for c, _r in data.exclusions:
+        for c, _r in data.ode.exclusions():
             with pytest.raises(StencilOutsideDomain):
                 geometry_report(data, c)
 
@@ -198,7 +204,8 @@ def reference_report(data, xi, tol=1e-12):
     per leg of the circle, and the circle's Fourier coefficients of F as
     explicit sums."""
     xi = complex(xi)
-    dist = min((abs(xi - c) for c, _r in data.exclusions), default=np.inf)
+    dist = min((abs(xi - c) for c, _r in data.ode.exclusions()),
+               default=np.inf)
     h = 1e-3 * min(max(1.0, abs(xi)), dist if np.isfinite(dist) else 1.0)
     if h == 0:
         raise StencilOutsideDomain(f"{xi} lies on a singular point")
@@ -262,23 +269,22 @@ def assert_matches_reference(data, zs):
     return rep
 
 
-def allowed_points(ode, data, grid):
+def allowed_points(data, grid):
     points = grid.points()
-    return points[_allowed_nodes(points, ode, data)]
+    return points[_allowed_nodes(points, data)]
 
 
 def default_case(eq, n=12):
-    ode = get_equation(eq)
-    d = ode.default_domain
+    d = get_equation(eq).default_domain
     grid = GridSpec(d.kind, d.ranges, (n, n), d.base_point)
-    return ode, make_data(ode, base_point=grid.base_point), grid
+    return make_data(get_equation(eq), base_point=grid.base_point), grid
 
 
 class TestBatchedReport:
     @pytest.mark.parametrize("eq", EQUATION_IDS)
     def test_default_grids_match_per_point_reports(self, eq):
-        ode, data, grid = default_case(eq)
-        assert_matches_reference(data, allowed_points(ode, data, grid))
+        data, grid = default_case(eq)
+        assert_matches_reference(data, allowed_points(data, grid))
 
     @pytest.mark.parametrize("eq,lam,grid", [
         ("hermite", 1.0, GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)),
@@ -288,9 +294,9 @@ class TestBatchedReport:
     ])
     def test_residual_workload_grids_match_per_point_reports(self, eq, lam,
                                                              grid):
-        ode = get_equation(eq)
-        data = make_data(ode, lam=lam, base_point=grid.base_point)
-        assert_matches_reference(data, allowed_points(ode, data, grid))
+        data = make_data(get_equation(eq), lam=lam,
+                         base_point=grid.base_point)
+        assert_matches_reference(data, allowed_points(data, grid))
 
     def test_failing_point_isolated(self):
         data = laguerre_data()
@@ -310,25 +316,26 @@ class TestBatchedReport:
     @pytest.mark.parametrize("bad", ["legs", "raises", "nan"])
     def test_failing_point_isolated_from_the_others(self, bad):
         # The point 5 fails: "legs" makes eta^2 nan right of Re z = 4, so
-        # its stencil legs fail; "raises" makes chi' raise there, so the
-        # Hopf evaluation fails; "nan" makes eta^2 nan at z = 5 exactly,
-        # which no quadrature node or stencil neighbour hits, so only
-        # the evaluations at the point itself are not finite.
+        # its stencil legs fail; "raises" makes the ODE's r, so Q = r/p,
+        # raise there, so the Hopf evaluation fails; "nan" makes eta^2
+        # nan at z = 5 exactly, which no quadrature node or stencil
+        # neighbour hits, so only the evaluations at the point itself are
+        # not finite.
         def eta_sq(z):
             z = np.asarray(z, dtype=complex)
             worse = z.real > 4 if bad == "legs" else z == 5
             return np.where(worse & (bad != "raises"), np.nan, 1 + 0 * z)
 
-        def dchi(z):
+        def r(z):
             z = np.asarray(z, dtype=complex)
             if bad == "raises" and np.any(z.real > 4):
                 raise SingularPoint(complex(z.flat[np.argmax(z.real)]))
-            return 0.1 + 0 * z
+            return -0.1 + 0 * z
 
         data = WeierstrassData(
             eta_sq=eta_sq, chi=lambda z: 0.1 * np.asarray(z, dtype=complex),
-            dchi=dchi, c1=1.0, c2=0.0, lam=1.0, base_point=0j,
-            source="closed_form")
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
+            ode=dataclasses.replace(CHI_OVER_TEN, r=r))
         zs = np.array([1 + 1j, 5 + 0j, 2 - 1j])
         # the per-point reference reports a non-finite value as it is
         rep = geometry_report(data, zs) if bad == "nan" \
@@ -357,8 +364,8 @@ class TestBatchedReport:
 
         data = WeierstrassData(
             eta_sq=eta_sq, chi=lambda z: 0.1 * np.asarray(z, dtype=complex),
-            dchi=lambda z: 0.1 + 0 * z, c1=1.0, c2=0.0, lam=1.0,
-            base_point=0j, source="closed_form")
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
+            ode=CHI_OVER_TEN)
         rep = geometry_report(data, np.array([5 + 0j]))
         assert list(rep.failures) == [0]
         assert isinstance(rep.failures[0], SingularPoint)

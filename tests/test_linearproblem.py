@@ -1,5 +1,6 @@
 """The su(2) linear problem: potential, transport, residuals."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual,
                                  potential_matrix, transport, zcc_residual)
 from wsurf.special import ei
-from wsurf.weierstrass import WeierstrassData, closed_form_data
+from wsurf.weierstrass import closed_form_data
 
 
 def laguerre_data(lam=1.0):
@@ -27,11 +28,11 @@ def laguerre_data(lam=1.0):
                             1, 0, lam)
 
 
-def analytic_pair(data, ode):
+def analytic_pair(data):
     """A transcendental solution of the alpha=1 laguerre equation."""
     psi1 = lambda z: (z - 1) * (ei(z) + 1) - np.exp(z)
     dpsi1 = lambda z: ei(z) + 1 - np.exp(z) / z
-    return psi1, dpsi1, closed_form_wavefunction(data, ode, psi1, dpsi1)
+    return psi1, dpsi1, closed_form_wavefunction(data, psi1, dpsi1)
 
 
 class TestPotentialMatrix:
@@ -74,29 +75,25 @@ class TestPotentialMatrix:
 
 class TestAnalyticWavefunction:
     def test_residuals_small(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        _, _, wf = analytic_pair(data, ode)
+        _, _, wf = analytic_pair(data)
         res, dbar = lp_residual(data, wf, 1 + 0.5j)
         assert res <= 1e-6
         assert dbar <= 1e-7
 
     def test_constant_section_fails(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        wf = closed_form_wavefunction(data, ode,
-                                      lambda z: 1.0, lambda z: 0.0)
+        wf = closed_form_wavefunction(data, lambda z: 1.0, lambda z: 0.0)
         res, _ = lp_residual(data, wf, 1 + 0.5j)
         assert res > 0.1
 
 
 class TestTransport:
     def test_matches_analytic_solution(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        psi1, dpsi1, _ = analytic_pair(data, ode)
+        psi1, dpsi1, _ = analytic_pair(data)
         path = straight_path(1 + 0j, 2 + 0j)
-        wf = integrate_wavefunction(data, ode, (psi1(1.0), dpsi1(1.0)), path)
+        wf = integrate_wavefunction(data, (psi1(1.0), dpsi1(1.0)), path)
         assert abs(wf.psi1(2.0) - psi1(2.0)) <= 1e-8
         assert abs(wf.dpsi1(2.0) - dpsi1(2.0)) <= 1e-8
         # off-path query, extended holomorphically
@@ -104,42 +101,38 @@ class TestTransport:
         assert abs(wf.psi1(z) - psi1(z)) <= 1e-8
 
     def test_zero_initial_data_stays_zero(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        wf = integrate_wavefunction(data, ode, (0.0, 0.0),
+        wf = integrate_wavefunction(data, (0.0, 0.0),
                                     straight_path(1 + 0j, 2 + 1j))
         assert abs(wf.psi1(2 + 1j)) <= 1e-12
         assert abs(wf.psi2(2 + 1j)) <= 1e-12
 
     def test_polynomial_branch(self):
         # w = 1 - z solves the alpha=1 laguerre equation
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        wf = integrate_wavefunction(data, ode, (0.0, -1.0),
+        wf = integrate_wavefunction(data, (0.0, -1.0),
                                     straight_path(1 + 0j, 2.5 + 0.5j))
         z = 2.5 + 0.5j
         assert abs(wf.psi1(z) - (1 - z)) <= 1e-9
 
     def test_superposition(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
         path = ContourPath((1 + 0j, 1 + 1j, 2 + 1j))
         a, b = 2.0 - 1j, 0.5 + 0.25j
         init1, init2 = (1.0, 0.5j), (0.0, -1.0)
         mixed = (a * init1[0] + b * init2[0], a * init1[1] + b * init2[1])
-        w1 = integrate_wavefunction(data, ode, init1, path)
-        w2 = integrate_wavefunction(data, ode, init2, path)
-        wm = integrate_wavefunction(data, ode, mixed, path)
+        w1 = integrate_wavefunction(data, init1, path)
+        w2 = integrate_wavefunction(data, init2, path)
+        wm = integrate_wavefunction(data, mixed, path)
         for z in (1 + 1j, 2 + 1j, 1.5 + 1j):
             want = a * w1.psi(z) + b * w2.psi(z)
             assert np.max(np.abs(wm.psi(z) - want)) <= 1e-9
 
     def test_psi2_consistent_with_transport(self):
         # psi2 = chi psi1 - psi1'/(lambda eta^2) for the integrated solution
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data()
-        psi1, dpsi1, analytic = analytic_pair(data, ode)
-        wf = integrate_wavefunction(data, ode, (psi1(1.0), dpsi1(1.0)),
+        psi1, dpsi1, analytic = analytic_pair(data)
+        wf = integrate_wavefunction(data, (psi1(1.0), dpsi1(1.0)),
                                     straight_path(1 + 0j, 1.5 + 1j))
         for z in (1.2 + 0.4j, 1.5 + 1j):
             assert abs(wf.psi2(z) - analytic.psi2(z)) <= 1e-8
@@ -161,16 +154,15 @@ def componentwise_lp_residual(data, wf, z):
 
 class TestResidualTransports:
     def wavefunction(self):
-        ode = get_equation("laguerre", {"alpha": 1})
         data = laguerre_data(lam=2 - 1j)
-        psi1, dpsi1, _ = analytic_pair(data, ode)
+        psi1, dpsi1, _ = analytic_pair(data)
         path = ContourPath((1 + 0j, 1 + 1j, 2 + 1j))
         return data, integrate_wavefunction(
-            data, ode, (psi1(1.0), dpsi1(1.0)), path)
+            data, (psi1(1.0), dpsi1(1.0)), path)
 
     def test_matches_componentwise_formula(self):
         data, wf = self.wavefunction()
-        _, _, analytic = analytic_pair(data, wf.ode)
+        _, _, analytic = analytic_pair(data)
         for z in (1 + 0.5j, 1.3 + 0.9j, 2 + 1.2j, 1.7 + 0.1j):
             for w in (wf, analytic):
                 assert lp_residual(data, w, z) == \
@@ -241,7 +233,7 @@ def test_batched_transport_matches_analytic(box, near, angle):
     """Lanes of very different lengths and an exact-node lane in one
     batch each match the analytic wavefunction."""
     data, wf = _LAGUERRE
-    _, _, analytic = analytic_pair(data, wf.ode)
+    _, _, analytic = analytic_pair(data)
     zs = np.array([_NODE, 1.5 + 1j + near * np.exp(1j * angle)]
                   + [complex(x, y) for x, y in box])
     psi = wf.psi(zs)
@@ -365,12 +357,9 @@ class TestZeroCurvature:
 
     def test_detects_antiholomorphic_injection(self):
         base = laguerre_data()
-        bad = WeierstrassData(
-            eta_sq=lambda z: np.exp(z) / np.asarray(z, dtype=complex)
-            + 0.01 * np.conj(np.asarray(z, dtype=complex)),
-            chi=base.chi, c1=1, c2=0, lam=1,
-            base_point=base.base_point, source="closed_form",
-            dchi=base.dchi, exclusions=base.exclusions, cut_rays=base.cut_rays)
+        bad = dataclasses.replace(
+            base, eta_sq=lambda z: np.exp(z) / np.asarray(z, dtype=complex)
+            + 0.01 * np.conj(np.asarray(z, dtype=complex)))
         worst = zcc_residual(bad, 2.0)
         # the (1,2) entry of U picks up exactly -0.01 dbar(conj z)
         assert abs(worst - 0.01) <= 0.002

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
                            get_equation, get_fixture, reference_surface)
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
-from wsurf.geometry import segment_crosses_ray, segment_hits_disc
+from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
 from wsurf.mesh import (_sample_mask, _sample_with_mask, build_mesh, ew_cache,
                         export_mesh, immersion_at, import_csv, sample_grid)
@@ -26,9 +26,13 @@ def unit_square_grid(n=2):
     return GridSpec("cartesian", ((0.0, 1.0), (0.0, 1.0)), (n, n), 0j)
 
 
+def laguerre_data(grid):
+    return make_data(get_equation("laguerre"), base_point=grid.base_point)
+
+
 class TestSampling:
     def test_plane_quad(self, plane_data):
-        samples = sample_grid(None, data=plane_data, grid=unit_square_grid(),
+        samples = sample_grid(plane_data, unit_square_grid(),
                               with_residuals=False)
         assert len(samples) == 4
         s = {complex(x.z): x for x in samples}
@@ -36,7 +40,7 @@ class TestSampling:
         assert s[0j].u == 0.0 and s[0j].Q == 0.0
 
     def test_samples_carry_residuals(self, plane_data):
-        samples = sample_grid(None, data=plane_data, grid=unit_square_grid(),
+        samples = sample_grid(plane_data, unit_square_grid(),
                               with_residuals=True)
         for s in samples:
             assert s.residuals["meanCurvature"] <= 1e-8
@@ -46,7 +50,7 @@ class TestSampling:
         # a grid straddling the laguerre singularity drops the origin node
         grid = GridSpec("cartesian", ((-0.5, 0.5), (-0.01, 0.99)), (3, 3),
                         1 + 1j)
-        samples = sample_grid("laguerre", grid=grid, with_residuals=False)
+        samples = sample_grid(laguerre_data(grid), grid, with_residuals=False)
         zs = [s.z for s in samples]
         assert all(abs(z) >= 0.0199 for z in zs)
 
@@ -54,13 +58,15 @@ class TestSampling:
         grid = GridSpec("cartesian", ((-0.01, 0.01), (-0.01, 0.01)), (2, 2),
                         1 + 0j)
         with pytest.raises(EmptyMesh):
-            sample_grid("laguerre", grid=grid, with_residuals=False)
+            sample_grid(laguerre_data(grid), grid, with_residuals=False)
 
     def test_jacobi_region_enforced(self):
-        grid = get_equation("jacobi").default_domain
+        ode = get_equation("jacobi")
+        grid = ode.default_domain
         small = GridSpec(grid.kind, ((-1.5, 0.5), (0.0, 1.5)), (8, 8),
                          grid.base_point)
-        samples = sample_grid("jacobi", grid=small, with_residuals=False)
+        samples = sample_grid(make_data(ode, base_point=small.base_point),
+                              small, with_residuals=False)
         assert samples
         for s in samples:
             assert abs(s.z) < 1 and abs(s.z + 1) < 2
@@ -81,8 +87,8 @@ class TestSampling:
 
         faulty = FaultyHopf(**{f.name: getattr(data, f.name)
                                for f in dataclasses.fields(data)})
-        ref, _ = _sample_with_mask(ode, data=data, grid=grid)
-        got, _ = _sample_with_mask(ode, data=faulty, grid=grid)
+        ref = _sample_with_mask(data, grid)
+        got = _sample_with_mask(faulty, grid)
         assert ref.failures == 0 and got.failures == 1
         assert np.array_equal(got.mask, ref.mask & (grid.points() != bad))
         keep = ref.points != bad
@@ -93,9 +99,13 @@ class TestSampling:
         for name, column in ref.residuals.items():
             assert np.array_equal(got.residuals[name], column[keep]), name
 
-    def test_needs_equation_or_data(self):
-        with pytest.raises(ValueError):
-            sample_grid(None, grid=unit_square_grid())
+    def test_grid_defaults_to_the_equation_domain(self, plane_data):
+        default = sample_grid(plane_data, with_residuals=False)
+        given = sample_grid(plane_data, plane_data.ode.default_domain,
+                            with_residuals=False)
+        assert len(default) == 50 * 50
+        assert [s.z for s in default] == [s.z for s in given]
+        assert all(np.array_equal(a.F, b.F) for a, b in zip(default, given))
 
 
 # (equation, lambda, grid) of the figure surfaces at criterion-10 resolution
@@ -111,19 +121,19 @@ def figure_case(eq, lam, spec):
     ode = get_equation(eq)
     grid = ode.default_domain if spec is None else \
         GridSpec(spec[0], spec[1], (30, 30), ode.default_domain.base_point)
-    return ode, make_data(ode, lam=lam, base_point=grid.base_point), grid
+    return make_data(ode, lam=lam, base_point=grid.base_point), grid
 
 
 def default_case(eq, n=12):
-    ode = get_equation(eq)
-    d = ode.default_domain
+    d = get_equation(eq).default_domain
     grid = GridSpec(d.kind, d.ranges, (n, n), d.base_point)
-    return ode, make_data(ode, base_point=grid.base_point), grid
+    return make_data(get_equation(eq), base_point=grid.base_point), grid
 
 
-def per_node_reference(ode, data, grid, tol=1e-10):
+def per_node_reference(data, grid, tol=1e-10):
     """(mask, failures, F) from one ew_cache lookup per node, row-major:
     the sampling loop the spanning forest replaced."""
+    ode = data.ode
     points = grid.points()
     cache = ew_cache(data, grid.base_point, tol)
     mask = np.zeros(points.shape, dtype=bool)
@@ -132,7 +142,7 @@ def per_node_reference(ode, data, grid, tol=1e-10):
     for (i, j), z in np.ndenumerate(points):
         z = complex(z)
         if any(abs(z - c) < max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12)
-               for c, r in data.exclusions):
+               for c, r in ode.exclusions()):
             continue
         if ode.valid_region is not None and not ode.valid_region(z):
             continue
@@ -148,9 +158,9 @@ def per_node_reference(ode, data, grid, tol=1e-10):
     return mask, failures, F
 
 
-def assert_matches_reference(ode, data, grid):
-    mask, failures, F = per_node_reference(ode, data, grid)
-    samples = _sample_mask(ode, data, grid, False, 1e-10)
+def assert_matches_reference(data, grid):
+    mask, failures, F = per_node_reference(data, grid)
+    samples = _sample_mask(data, grid, False, 1e-10)
     assert np.array_equal(samples.mask, mask)
     assert samples.failures == failures
     assert np.max(np.abs(samples.F - F[mask]), initial=0.0) <= 1e-9
@@ -172,18 +182,18 @@ class TestSpanningForest:
         + [f"figure-{c[0]}" for c in FIGURE_GRIDS])
     def test_array_segment_tests_match_scalar_calls(self, case):
         # every 4-neighbour edge, on-ray and boundary-ring nodes included
-        ode, data, grid = case
+        data, grid = case
         z = grid.points()
         a = np.concatenate([z[:-1, :].ravel(), z[:, :-1].ravel()])
         b = np.concatenate([z[1:, :].ravel(), z[:, 1:].ravel()])
         pairs = [(complex(p), complex(q)) for p, q in zip(a, b)]
-        for c, r in data.exclusions:
+        for c, r in data.ode.exclusions():
             hits = segment_hits_disc(a, b, c, r)
             scalar = [segment_hits_disc(p, q, c, r) for p, q in pairs]
             assert all(type(x) is bool for x in scalar)
             assert hits.tolist() == scalar == [
                 reference_segment_hits_disc(p, q, c, r) for p, q in pairs]
-        for anchor, d in data.cut_rays:
+        for anchor, d in data.ode.cut_rays:
             crosses = segment_crosses_ray(a, b, anchor, d)
             scalar = [segment_crosses_ray(p, q, anchor, d) for p, q in pairs]
             assert all(type(x) is bool for x in scalar)
@@ -194,12 +204,12 @@ class TestSpanningForest:
     def test_nodes_on_a_cut_fail_without_a_lookup(self, monkeypatch):
         # legendre's figure grid has 52 allowed nodes on its cut rays;
         # only the root of its one component needs a cache lookup
-        ode, data, grid = figure_case(*FIGURE_GRIDS[1])
+        data, grid = figure_case(*FIGURE_GRIDS[1])
         calls = []
         lookup = CachedAntiderivative.__call__
         monkeypatch.setattr(CachedAntiderivative, "__call__",
                             lambda cache, z: calls.append(z) or lookup(cache, z))
-        samples = _sample_mask(ode, data, grid, False, 1e-10)
+        samples = _sample_mask(data, grid, False, 1e-10)
         assert samples.failures == 52
         assert samples.mask.sum() == 848
         assert len(calls) == 1
@@ -209,22 +219,102 @@ class TestSpanningForest:
            dx=st.floats(0.0, 1.0, exclude_max=True),
            dy=st.floats(0.0, 1.0, exclude_max=True))
     def test_shifted_grids_match_per_node_lookups(self, eq, dx, dy):
-        ode, data, grid = default_case(eq)
+        data, grid = default_case(eq)
         (a0, a1), (b0, b1) = grid.ranges
         n1, n2 = grid.resolution
         da, db = dx * (a1 - a0) / (n1 - 1), dy * (b1 - b0) / (n2 - 1)
         shifted = GridSpec(grid.kind, ((a0 + da, a1 + da), (b0 + db, b1 + db)),
                            grid.resolution, grid.base_point)
-        assert_matches_reference(ode, data, shifted)
+        assert_matches_reference(data, shifted)
+
+
+def spotted(data, spot, radius=0.01):
+    """The pair with eta^2 raising SingularPoint within radius of spot, a
+    point that is no singular point of its equation."""
+    def eta_sq(z):
+        z = np.asarray(z, dtype=complex)
+        if np.any(np.abs(z - spot) < radius):
+            raise SingularPoint(complex(spot))
+        return data.eta_sq(z)
+    return dataclasses.replace(data, eta_sq=eta_sq)
+
+
+class TestForestFailures:
+    """_tree_integrals around a spot where the integrand raises: hermite
+    has no obstacles, and the anchor 0.1 + 0.1j is nearest the node 0 of
+    a 5 x 5 grid with spacing 0.5, so the spot misses every node."""
+
+    grid = GridSpec("cartesian", ((-1.0, 1.0), (-1.0, 1.0)), (5, 5),
+                    0.1 + 0.1j)
+
+    def samples(self, spot):
+        data = make_data(get_equation("hermite"),
+                         base_point=self.grid.base_point)
+        return (_sample_mask(data, self.grid, False, 1e-10),
+                _sample_mask(spotted(data, spot), self.grid, False, 1e-10))
+
+    def test_failing_root_lookup(self):
+        # the spot is on the leg from the anchor to the node 0 alone: that
+        # root fails, and the next-nearest node roots the component
+        ref, got = self.samples(0.05 + 0.05j)
+        keep = ref.points != 0
+        assert got.failures == 1
+        assert np.array_equal(got.mask, ref.mask & (self.grid.points() != 0))
+        assert np.array_equal(got.points, ref.points[keep])
+        assert np.max(np.abs(got.integrals - ref.integrals[keep])) <= 1e-12
+
+    def test_failing_tree_edge(self):
+        # the spot is on the forest edge 0.5 -> 1, which is dropped; the
+        # rebuilt forest reaches 1 around it
+        ref, got = self.samples(0.75 + 0j)
+        assert got.failures == 0
+        assert np.array_equal(got.mask, ref.mask)
+        assert np.max(np.abs(got.integrals - ref.integrals)) <= 1e-12
+
+
+def reference_faces(mesh, ode):
+    """The faces over every 2x2 block of sampled nodes whose four edges
+    enter no exclusion disc and cross no cut ray of the equation, from
+    one segment test per obstacle."""
+    index = np.cumsum(mesh.mask.ravel()).reshape(mesh.mask.shape) - 1
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
+    block = np.logical_and.reduce([mesh.mask[c] for c in corners])
+    faces = np.stack([index[c][block] for c in corners], axis=1)
+    a = mesh.points[faces]
+    b = np.roll(a, 1, axis=1)
+    legal = np.ones(len(faces), dtype=bool)
+    for c, r in ode.exclusions():
+        legal &= ~segment_hits_disc(a, b, c, r).any(axis=1)
+    for anchor, d in ode.cut_rays:
+        legal &= ~segment_crosses_ray(a, b, anchor, d).any(axis=1)
+    return faces[legal]
+
+
+class TestMeshFaces:
+    @pytest.mark.parametrize(
+        "eq,lam,spec", [(eq, 1.0, None) for eq in EQUATION_IDS]
+        + list(FIGURE_GRIDS),
+        ids=[f"default-{eq}" for eq in EQUATION_IDS]
+        + [f"figure-{c[0]}" for c in FIGURE_GRIDS])
+    def test_no_face_has_an_illegal_edge(self, eq, lam, spec):
+        # the catalog default meshes at full resolution, and the figures
+        data, grid = figure_case(eq, lam, spec)
+        mesh = build_mesh(data, grid, with_residuals=False)
+        obstacles = Obstacles(data.ode.exclusions(), data.ode.cut_rays)
+        z = mesh.points[mesh.faces]
+        assert obstacles.segment_clear(z, np.roll(z, 1, axis=1)).all()
+        assert np.array_equal(mesh.faces, reference_faces(mesh, data.ode))
 
 
 class TestAnchoredImmersion:
     def test_matches_fixture_regular_anchor(self):
         fx = get_fixture("laguerre")
-        ode = get_equation("laguerre", fx.params)
+        # the fixture's closed form is branch-pinned on both half axes
+        ode = dataclasses.replace(get_equation("laguerre", fx.params),
+                                  cut_rays=fx.cut_rays)
         data = closed_form_data(ode, fx.constants["c1"], fx.constants["c2"],
                                 fx.constants["lambda"], fx.base_point)
-        data.cut_rays = fx.cut_rays
         for z in (2 + 1j, 0.5 + 0.8j, -1 + 1.2j):
             F, _ = immersion_at(data, fx.base_point, z)
             assert np.max(np.abs(F - reference_surface(fx, z))) <= 1e-8
@@ -245,7 +335,7 @@ class TestAnchoredImmersion:
 
 class TestMeshExport:
     def build_plane(self, plane_data, n=3, residuals=False):
-        return build_mesh(None, data=plane_data, grid=unit_square_grid(n),
+        return build_mesh(plane_data, unit_square_grid(n),
                           with_residuals=residuals)
 
     def test_quad_topology(self, plane_data):

@@ -1,5 +1,7 @@
 """Closed-form and numeric Weierstrass pairs and their verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ class TestClosedForms:
         for z in SAFE_POINTS:
             assert abs(complex(data.eta_sq(z)) - np.exp(z) / z) <= 1e-13
             assert abs(complex(data.chi(z)) - np.exp(-z)) <= 1e-13
-        assert abs(data.chi_prime(2.0) + np.exp(-2.0)) <= 1e-13
 
     def test_laguerre_hopf(self):
         # Q = -eta^2 chi' collapses to 1/z for the laguerre pair
@@ -53,7 +54,7 @@ class TestClosedForms:
             data = closed_form_data(ode, 1, 0, 1)
             assert data is not None, eq
             pts = [z for z in SAFE_POINTS]
-            report = verify_weierstrass(data, ode, pts)
+            report = verify_weierstrass(data, pts)
             assert report.max_residual() <= 1e-8, (eq, report)
 
     def test_bad_constants(self):
@@ -110,6 +111,23 @@ class TestNumericRoute:
         scalar = np.array([data.hopf(z) for z in SAFE_POINTS])
         for q in (scalar, data.hopf(zs)):
             assert np.max(np.abs(q - exact) / np.abs(exact)) <= 1e-14
+
+    def test_hopf_needs_no_lookup(self, monkeypatch):
+        # Q = r/(lambda p) comes from the ODE alone, never from the
+        # antiderivatives behind the numeric eta^2 and chi
+        ode = parse_user_ode("params = alpha=2\np = z - 0.5\nq = 1.5 - z\n"
+                             "r = alpha\nsingularities = 0.5\n")
+        data = build_numeric_data(ode)
+        calls = []
+        lookup = CachedAntiderivative.__call__
+        monkeypatch.setattr(
+            CachedAntiderivative, "__call__",
+            lambda cache, z: calls.append(z) or lookup(cache, z))
+        data.hopf(2 + 1j)
+        data.hopf(np.array(SAFE_POINTS))
+        assert calls == []
+        data.eta_sq(2 + 1j)
+        assert len(calls) == 1
 
     def test_singular_point_names_the_zero_of_p(self):
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
@@ -172,35 +190,32 @@ class TestVerification:
         pts = [2 + 1j, 1 + 2j, 0.7 + 0.7j]
 
         def perturbed(eps):
-            return WeierstrassData(
-                eta_sq=base.eta_sq,
-                chi=lambda z, e=eps: np.exp(-np.asarray(z, dtype=complex)) + e * np.asarray(z),
-                c1=1, c2=0, lam=1, base_point=base.base_point,
-                source="closed_form", dchi=base.dchi,
-                exclusions=base.exclusions, cut_rays=base.cut_rays)
+            def chi(z):
+                z = np.asarray(z, dtype=complex)
+                return np.exp(-z) + eps * z
+            return dataclasses.replace(base, chi=chi)
 
-        clean = verify_weierstrass(base, ode, pts).max_residual()
-        r1 = verify_weierstrass(perturbed(0.01), ode, pts).chi_residual
-        r2 = verify_weierstrass(perturbed(0.001), ode, pts).chi_residual
+        clean = verify_weierstrass(base, pts).max_residual()
+        r1 = verify_weierstrass(perturbed(0.01), pts).chi_residual
+        r2 = verify_weierstrass(perturbed(0.001), pts).chi_residual
         assert clean <= 1e-8
         assert r1 > 1e-3
         assert abs(r1 / r2 - 10.0) <= 2.0     # residual scales linearly in eps
 
-    def test_dchi_is_required(self):
-        with pytest.raises(TypeError, match="dchi"):
+    def test_ode_is_required(self):
+        with pytest.raises(TypeError, match="ode"):
             WeierstrassData(eta_sq=np.exp, chi=np.exp, c1=1, c2=0, lam=1,
                             base_point=0j, source="closed_form")
 
     def test_samples_are_python_scalars(self):
         ode = get_equation("laguerre")
-        report = verify_weierstrass(build_numeric_data(ode), ode,
-                                    SAFE_POINTS)
+        report = verify_weierstrass(build_numeric_data(ode), SAFE_POINTS)
         assert [row[0] for row in report.samples] == list(SAFE_POINTS)
         assert all(type(z) is complex and type(a) is float
                    and type(b) is float for z, a, b in report.samples)
         assert report.max_residual() == max(
             max(a, b) for _, a, b in report.samples)
-        assert verify_weierstrass(make_data(ode), ode, []).samples == ()
+        assert verify_weierstrass(make_data(ode), []).samples == ()
 
 
 class TestCachedAntiderivative:
@@ -253,7 +268,6 @@ class TestArrayCalls:
         data = build(get_equation("laguerre"))
         zs = np.array(SAFE_POINTS)
         for name, kind in (("log_conformal_factor", float), ("hopf", complex),
-                           ("chi_prime", complex),
                            ("conformal_factor", float)):
             fn = getattr(data, name)
             scalar = [fn(z) for z in SAFE_POINTS]
