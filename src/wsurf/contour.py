@@ -1,13 +1,16 @@
-"""Contour paths, adaptive Gauss-Kronrod quadrature and holomorphic
-derivatives on small circles in the complex plane."""
+"""Contour paths, adaptive Gauss-Kronrod quadrature, the adaptive
+Chebyshev-panel engine for an ODE's lanes, and holomorphic derivatives on
+small circles in the complex plane."""
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import chebyshev as _chebyshev
 
-from .errors import EvaluationFailure, ToleranceNotReached, isolate_failures
+from .errors import (EvaluationFailure, SolutionOverflow, StepSizeUnderflow,
+                     ToleranceNotReached, isolate_failures)
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -53,6 +56,25 @@ CHUNK_PANELS = 1024
 # order r^N relative to the one estimated.
 CIRCLE_POINTS = 8
 CIRCLE = np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
+
+# A panel [t, t + h] of a lane (see panel_lanes) is sampled at the
+# second-kind Chebyshev points t + h PANEL_U, its ends first and last.
+# PANEL_S maps values there to their integral from t (its first row is
+# exactly 0), PANEL_TAIL to their last three Chebyshev coefficients.
+PANEL_POINTS = 24
+PANEL_U = (1 - np.cos(np.pi * np.arange(PANEL_POINTS)
+                      / (PANEL_POINTS - 1))) / 2
+_X = 2 * PANEL_U - 1
+_VALUES_TO_COEFFS = np.linalg.inv(_chebyshev.chebvander(_X, PANEL_POINTS - 1))
+PANEL_S = (_chebyshev.chebvander(_X, PANEL_POINTS) @ _chebyshev.chebint(
+    np.eye(PANEL_POINTS), lbnd=-1) @ _VALUES_TO_COEFFS) / 2
+PANEL_S[0] = 0.0
+PANEL_TAIL = _VALUES_TO_COEFFS[-3:]
+# the shortest panel, as a part of its lane, and the most panels of a
+# lane: a lane approaching a singular point or varying too fast to
+# resolve fails with StepSizeUnderflow instead of hanging
+H_MIN = 1e-10
+MAX_PANELS = 10_000
 
 _CLEAR = Obstacles()     # shared by the many paths without obstacles
 
@@ -252,6 +274,63 @@ def contour_quad(f, path, tol=1e-10):
     if failures:
         raise failures[min(failures)]
     return values.sum(axis=0)
+
+
+def panel_lanes(ode, a, b, states, step, keep_panels=False):
+    """Carry the (n, d) states along the segments a -> b, one lane
+    each, in adaptive Chebyshev panels of the ODE with a client's rule.
+
+    Each step samples (q/p, r/p) on the panels of all active lanes in
+    one ``ode.ratios`` call; ``step(y, c, h, qp, rp)`` gives the (k, d,
+    PANEL_POINTS) states on the panels from the start states y, with
+    c = (b - a) h, and which panels it accepts.  An accepted panel's h
+    doubles, up to the rest of its lane, a rejected one's halves; a lane
+    does not depend on its batch.  Returns the (n, d) states at b and, if keep_panels, the accepted
+    panels as (lanes, z, y).  Raises EvaluationFailure for ratios or a
+    state not finite at a lane's start, and StepSizeUnderflow (or
+    SolutionOverflow) for a panel below H_MIN of its lane or a lane of
+    MAX_PANELS panels."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    dz = b - a
+    y = np.array(states, dtype=complex)
+    t = np.zeros(a.size)
+    h = np.ones(a.size)
+    lanes = np.arange(a.size)
+    panels = []
+    for _ in range(MAX_PANELS):
+        if not lanes.size:
+            return y, panels
+        tk, hk, last = t[lanes], h[lanes], h[lanes] == 1 - t[lanes]
+        z = a[lanes, None] + (tk[:, None] + hk[:, None] * PANEL_U) \
+            * dz[lanes, None]
+        z[last, -1] = b[lanes[last]]
+        qp, rp = ode.ratios(z)
+        # a panel starts where an accepted one ended, so this can only
+        # fire at the start of a lane
+        start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
+                  & np.isfinite(y[lanes]).all(axis=1))
+        if start.any():
+            w = complex(z[np.argmax(start), 0])
+            raise EvaluationFailure(
+                w, f"ODE right-hand side is not finite at z={w}")
+        ys, ok = step(y[lanes], dz[lanes] * hk, hk, qp, rp)
+        done = lanes[ok]
+        if keep_panels and done.size:
+            panels.append((done, z[ok], ys[ok]))
+        y[done] = ys[ok, :, -1]
+        t[done] += h[done]
+        h[done] = np.minimum(2 * h[done], 1 - t[done])
+        h[lanes[~ok]] /= 2
+        short = ~ok & (hk / 2 < H_MIN)
+        if short.any():
+            k = np.argmax(short)
+            if not np.isfinite(ys[k]).all():
+                raise SolutionOverflow(f"solution overflowed at z={z[k, 0]}")
+            raise StepSizeUnderflow(
+                f"panel below {H_MIN:g} of its segment at z={z[k, 0]}")
+        lanes = lanes[~(ok & last)]
+    raise StepSizeUnderflow(f"a lane took more than {MAX_PANELS} panels")
 
 
 def holo_derivative(f, z, r=None):

@@ -2,39 +2,19 @@
 along contours and residual checks."""
 
 import numpy as np
-from numpy.polynomial import chebyshev as _chebyshev
 # not used here: bench/spans.py counts ODE solves through this name
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .contour import holo_derivative
-from .errors import (EvaluationFailure, SingularPoint, SolutionOverflow,
-                     StepSizeUnderflow)
+from .contour import (PANEL_POINTS, PANEL_S, PANEL_TAIL, holo_derivative,
+                      panel_lanes)
+from .errors import SingularPoint
+from .geometry import Obstacles
+from .weierstrass import reach
 
-# A panel [t, t + h] of a lane's parameter t in [0, 1] is sampled at
-# _M second-kind Chebyshev points, _U on [0, 1] in ascending order, so
-# that its first and last points are its ends.  _S maps values at them
-# to the integral from 0 at them (its first row is exactly 0, so a
-# panel starts at exactly the state it was given), and _TAIL maps them
-# to their interpolant's last three Chebyshev coefficients.
-_M = 24
-_U = (1 - np.cos(np.pi * np.arange(_M) / (_M - 1))) / 2
-_VALUES_TO_COEFFS = np.linalg.inv(_chebyshev.chebvander(2 * _U - 1, _M - 1))
-_S = (_chebyshev.chebvander(2 * _U - 1, _M)
-      @ _chebyshev.chebint(np.eye(_M), lbnd=-1) @ _VALUES_TO_COEFFS) / 2
-_S[0] = 0.0
-_TAIL = _VALUES_TO_COEFFS[-3:]
-# a panel is accepted when both components' tails are below this times
-# their largest value on it, or below the smallest normal float for a
-# component decaying into subnormals
+# transport's tails must be below this times their component's largest
+# value on the panel, or the smallest normal float (for subnormals)
 _TAIL_TOL = 1e-14
 _TAIL_FLOOR = np.finfo(float).tiny / _TAIL_TOL
-# a lane whose panel would be shorter than this part of it raises
-# StepSizeUnderflow: it is approaching a singular point
-_H_MIN = 1e-10
-# panels one transport may try per lane before it raises
-# StepSizeUnderflow, so that a solution oscillating too fast to
-# resolve fails instead of hanging
-_MAX_PANELS = 10_000
 
 
 def _first(bad, z):
@@ -64,84 +44,40 @@ def potential_matrix(data, z):
                      np.stack([s * x * x, -s * x], axis=-1)], axis=-2)
 
 
+def _transport_step(y, c, h, qp, rp):
+    """transport's panel rule for contour.panel_lanes."""
+    m = PANEL_POINTS
+    c = c[:, None, None]
+    system = np.zeros((len(y), 2, m, 2, m), dtype=complex)
+    system[:, 0, :, 0] = system[:, 1, :, 1] = np.eye(m)
+    system[:, 0, :, 1] = -c * PANEL_S
+    system[:, 1, :, 0] = c * PANEL_S * rp[:, None, :]
+    system[:, 1, :, 1] += c * PANEL_S * qp[:, None, :]
+    rhs = np.repeat(y, m, axis=1)
+    ys = np.linalg.solve(system.reshape(-1, 2 * m, 2 * m),
+                         rhs[..., None]).reshape(-1, 2, m)
+    # a panel where the solution overflowed is rejected, not warned of
+    with np.errstate(invalid="ignore", over="ignore"):
+        tail = np.abs((ys[:, :, None, :] * PANEL_TAIL).sum(axis=-1))
+        finite = np.isfinite(tail).all(axis=(1, 2))
+        scale = np.maximum(np.abs(ys).max(axis=-1), _TAIL_FLOOR)
+        ok = finite & np.all(tail.max(axis=-1) <= _TAIL_TOL * scale, axis=1)
+    return ys, ok
+
+
 def transport(ode, a, b, states):
     """Transport (psi1, dpsi1/dz) along the n segments a -> b, one lane each.
 
-    a and b are (n,) arrays and states the (2, n) values of (psi1,
-    dpsi1/dz) at a.  Each lane runs on t in [0, 1] with z = a + t (b - a),
-    in panels [t, t + h]: on one, the linear ODE for Y = (psi1, dpsi1/dz)
-    is the integral equation Y = Y(t) + S (A Y), with A = (b - a) h
-    [[0, 1], [-r/p, -q/p]] at the panel's Chebyshev points, solved as one
-    2M x 2M linear system.  A panel is accepted when the Chebyshev tails
-    of both components are small, and h then doubles (up to the rest of
-    the lane); otherwise h halves.  Every step samples the ratios of all
-    active lanes in one ``ode.ratios`` call and solves their systems in
-    one stacked ``np.linalg.solve``, but a lane's panels depend only on
-    that lane, so its result does not depend on its batch.
-
-    Returns (ends, panels): ends the (2, n) states at b, and panels the
-    accepted panels in order, as (lanes, z, y) with z the (k, M) points
-    and y the (k, 2, M) states of the k lanes indexed by ``lanes``.
+    states are the (2, n) values at a.  In contour.panel_lanes, a panel's
+    ODE for Y = (psi1, dpsi1/dz) is Y = Y(t) + S (A Y), A = (b - a) h
+    [[0, 1], [-r/p, -q/p]] at its M = PANEL_POINTS points: one 2M x 2M
+    system, solved for all lanes in one stacked ``np.linalg.solve`` and
+    accepted when both components' Chebyshev tails are small relative
+    to them.  Returns the (2, n) states at b and the accepted panels.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dz = b - a
-    y = np.asarray(states, dtype=complex).reshape(2, -1).T.copy()
-    t = np.zeros(a.size)
-    h = np.ones(a.size)
-    lanes = np.arange(a.size)
-    panels = []
-    for _ in range(_MAX_PANELS):
-        if not lanes.size:
-            return y.T, panels
-        tk, hk, last = t[lanes], h[lanes], h[lanes] == 1 - t[lanes]
-        z = a[lanes, None] + (tk[:, None] + hk[:, None] * _U) \
-            * dz[lanes, None]
-        z[last, -1] = b[lanes[last]]
-        qp, rp = ode.ratios(z)
-        # a panel starts where an accepted one ended, so this can only
-        # fire at the start of a lane
-        start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
-                  & np.isfinite(y[lanes]).all(axis=1))
-        if start.any():
-            w = _first(start, z[:, 0])
-            raise EvaluationFailure(
-                w, f"ODE right-hand side is not finite at z={w}")
-        c = (dz[lanes] * hk)[:, None, None]
-        system = np.zeros((lanes.size, 2, _M, 2, _M), dtype=complex)
-        system[:, 0, :, 0] = system[:, 1, :, 1] = np.eye(_M)
-        system[:, 0, :, 1] = -c * _S
-        system[:, 1, :, 0] = c * _S * rp[:, None, :]
-        system[:, 1, :, 1] += c * _S * qp[:, None, :]
-        rhs = np.repeat(y[lanes], _M, axis=1)
-        ys = np.linalg.solve(system.reshape(-1, 2 * _M, 2 * _M),
-                             rhs[..., None]).reshape(-1, 2, _M)
-        # a panel where the solution overflowed is rejected, not warned of
-        with np.errstate(invalid="ignore", over="ignore"):
-            tail = np.abs((ys[:, :, None, :] * _TAIL).sum(axis=-1))
-            finite = np.isfinite(tail).all(axis=(1, 2))
-            scale = np.maximum(np.abs(ys).max(axis=-1), _TAIL_FLOOR)
-            ok = finite & np.all(tail.max(axis=-1) <= _TAIL_TOL * scale,
-                                 axis=1)
-        done = lanes[ok]
-        if done.size:
-            panels.append((done, z[ok], ys[ok]))
-        y[done] = ys[ok, :, -1]
-        t[done] += h[done]
-        h[done] = np.minimum(2 * h[done], 1 - t[done])
-        h[lanes[~ok]] /= 2
-        short = ~ok & (hk / 2 < _H_MIN)
-        if short.any():
-            k = np.argmax(short)
-            if not finite[k]:
-                raise SolutionOverflow(
-                    f"transport solution overflowed at z={z[k, 0]}")
-            raise StepSizeUnderflow(
-                f"transport panel below {_H_MIN:g} of its segment at "
-                f"z={z[k, 0]}")
-        lanes = lanes[~(ok & last)]
-    raise StepSizeUnderflow(
-        f"transport took more than {_MAX_PANELS} panels")
+    y = np.asarray(states, dtype=complex).reshape(2, -1).T
+    ends, panels = panel_lanes(ode, a, b, y, _transport_step, True)
+    return ends.T, panels
 
 
 class Wavefunction:
@@ -187,12 +123,11 @@ def integrate_wavefunction(data, init, path):
     along a ContourPath.
 
     init is the pair (psi1, dpsi1/dz) at path.start.  The state is stored
-    at the Chebyshev points of the accepted panels of every segment;
-    off-path queries are answered by transporting along a short straight
-    segment from each query's nearest stored node, which keeps the
-    extension holomorphic.  All the off-node points of one query are the
-    lanes of one transport; a point that is a stored node is not
-    transported.
+    at the Chebyshev points of the accepted panels of every segment.  An
+    off-node query is transported from its nearest node along the legal
+    legs of weierstrass.reach, so that it stays on the path's sheet
+    across a cut ray; the legs of one query are the lanes of one
+    transport per round of reach.
     """
     ode = data.ode
     state = np.array([[complex(init[0])], [complex(init[1])]])
@@ -205,6 +140,8 @@ def integrate_wavefunction(data, init, path):
         states.extend(y[0, :, 1:] for _, _, y in panels)
     nodes = np.concatenate(nodes)
     states = np.concatenate(states, axis=1)
+    obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
+    legs = lambda a, b, start: (transport(ode, a, b, start.T)[0].T, {})
 
     def state_at(z):
         z = np.asarray(z, dtype=complex)
@@ -213,8 +150,11 @@ def integrate_wavefunction(data, init, path):
         out = states[:, idx]
         off = nodes[idx] != flat
         if off.any():
-            out[:, off] = transport(ode, nodes[idx[off]], flat[off],
-                                    out[:, off])[0]
+            values, failures = reach(obstacles, legs, nodes[idx[off]],
+                                     out[:, off].T, flat[off])
+            if failures:
+                raise failures[min(failures)]
+            out[:, off] = values.T
         return out.reshape((2,) + z.shape)
 
     return Wavefunction(data, state_at)

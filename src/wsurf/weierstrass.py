@@ -1,26 +1,25 @@
 """Construction of the Weierstrass pair (eta^2, chi) for an ODE.
 
 Closed-form overrides are provided for the cataloged equations; the
-numeric route builds both functions as memoized contour antiderivatives
-of the coefficient ratios, anchored at a base point so that numeric and
-closed-form data agree wherever both exist.
+numeric route is one memoized store of (log eta^2, chi) whose legs run
+a Chebyshev-panel chain on the coefficient ratios, anchored at a base
+point so that numeric and closed-form data agree wherever both exist.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sps
 from scipy.spatial import cKDTree
 
-from .contour import (contour_quad, gk15_segments, holo_derivative,
-                      straight_path)
+from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_segments,
+                      holo_derivative, panel_lanes, straight_path)
 from .errors import EvaluationFailure, WsurfError
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
-from .pathplan import plan_path
+from .pathplan import MAX_WAYPOINTS, plan_path
 
 
 @dataclass
@@ -178,21 +177,20 @@ class CachedAntiderivative:
     ``initial_value`` must have its shape, e.g. ``np.zeros(3)``.  Values
     are extended from the nearest already-integrated point by a short
     straight segment when that segment is legal, otherwise along a
-    freshly planned path.  Safe for concurrent reads with single-writer
-    insertion.
-
-    A scalar z gives one value; an array z gives values of shape
-    ``z.shape + value shape`` from one gk15_segments call for all its
-    new points (see _extend).  Returned values are never views of the
-    store.
+    freshly planned path (see reach).  A leg adds its GK15 integral,
+    held to tol, unless integrand is None and ``legs(a, b, start)``
+    carries the values start along legs a[i] -> b[i] instead.  A scalar
+    z gives one value, an array z values of shape ``z.shape + value
+    shape``; returned values are never views of the store.
     """
 
     def __init__(self, integrand, anchor, exclusions=(), cuts=(), tol=1e-11,
-                 initial_value=0j):
+                 initial_value=0j, legs=None):
         self.integrand = integrand
         self.anchor = complex(anchor)
         self.obstacles = Obstacles(exclusions, cuts)
         self.tol = tol
+        self._legs = legs or self._gk15_legs
         value = np.asarray(initial_value, dtype=complex)
         self._points = np.full(16, self.anchor)
         self._values = np.empty((16,) + value.shape, dtype=complex)
@@ -200,10 +198,9 @@ class CachedAntiderivative:
         self._size = 1
         # kd-trees over the store ranges [start, stop), in store order
         self._blocks = []
-        self._lock = threading.Lock()
 
     def __call__(self, z):
-        if np.ndim(z) != 0:
+        if np.ndim(z) != 0 or self.integrand is None:
             return self._lookup_array(np.asarray(z, dtype=complex))
         z = complex(z)
         idx = int(self._nearest(np.array([z]))[0])
@@ -224,96 +221,47 @@ class CachedAntiderivative:
         self._insert(np.array([z]), np.asarray(value)[None])
         return value
 
+    def _gk15_legs(self, a, b, start):
+        values, failed = gk15_segments(self.integrand, a, b, self.tol)
+        return start + values.reshape(start.shape), failed
+
     def _lookup_array(self, z):
-        """__call__ on an array: raises the WsurfError of the first point,
-        in input order, that could not be reached."""
+        """__call__ on an array: each distinct point is a stored point or
+        is reached from its nearest one by reach, and stored.  Raises
+        the WsurfError of the first point, in input order, that failed.
+        """
         points, inverse = np.unique(z.ravel(), return_inverse=True)
-        values, failures = self._extend(points)
+        values = np.zeros((len(points),) + self._values.shape[1:],
+                          dtype=complex)
+        failures = {int(i): EvaluationFailure(complex(points[i]))
+                    for i in np.flatnonzero(~np.isfinite(points))}
+        idx = np.flatnonzero(np.isfinite(points))
+        near = self._nearest(points[idx])
+        values[idx] = self._values[near]
+        new = self._points[near] != points[idx]
+        idx = idx[new]
+        if idx.size:
+            values[idx], failed = reach(self.obstacles, self._legs,
+                                        self._points[near[new]], values[idx],
+                                        points[idx])
+            failures.update((int(idx[k]), exc) for k, exc in failed.items())
+        done = idx[np.isin(idx, list(failures), invert=True)]
+        self._insert(points[done], values[done])
         if failures:
             first = np.flatnonzero(np.isin(inverse, list(failures)))[0]
             raise failures[int(inverse[first])]
         return values[inverse].reshape(z.shape + values.shape[1:])
 
-    def _extend(self, points):
-        """Values at distinct points, and {index: WsurfError} for the
-        points that failed.
-
-        Each point starts from its nearest stored point: a stored point
-        is an exact hit, the others are reached by a legal straight leg,
-        else by a legal straight leg from the nearest point planned
-        earlier in this batch, else along a planned path.  Each leg is
-        held to tol, as in a scalar call.  All legs go through one
-        gk15_segments call, and the new points that succeeded are
-        stored in one insert.
-        """
-        vshape = self._values.shape[1:]
-        values = np.zeros((len(points),) + vshape, dtype=complex)
-        failures = {int(i): EvaluationFailure(complex(points[i]))
-                    for i in np.flatnonzero(~np.isfinite(points))}
-        idx = np.flatnonzero(np.isfinite(points))
-        near = self._nearest(points[idx])
-        origin = self._points[near]
-        values[idx] = self._values[near]
-        new = origin != points[idx]
-        idx, origin = idx[new], origin[new]
-        clear = self.obstacles.segment_clear(origin, points[idx])
-        starts, ends, owners = [origin[clear]], [points[idx[clear]]], \
-            [idx[clear]]
-        planned, parent = [], {}
-        for i, zc in zip(idx[~clear], origin[~clear]):
-            z = points[i]
-            if planned:
-                # a clear leg from a point planned in this batch is cheaper
-                # than planning another path
-                j = planned[int(np.argmin(np.abs(points[planned] - z)))]
-                if self.obstacles.segment_clear(points[j], z):
-                    parent[i] = j
-                    starts.append([points[j]])
-                    ends.append([z])
-                    owners.append([i])
-                    continue
-            try:
-                path = plan_path(zc, z, self.obstacles.discs,
-                                 self.obstacles.rays)
-            except WsurfError as exc:
-                failures[int(i)] = exc
-                continue
-            planned.append(i)
-            a, b = np.array(path.segments()).T
-            starts.append(a)
-            ends.append(b)
-            owners.append(np.full(len(a), i))
-        owner = np.concatenate(owners)
-        if owner.size:
-            legs, failed = gk15_segments(
-                self.integrand, np.concatenate(starts), np.concatenate(ends),
-                self.tol)
-            for leg in sorted(failed):
-                failures.setdefault(int(owner[leg]), failed[leg])
-            for i, j in parent.items():
-                if j in failures:
-                    failures.setdefault(i, failures[j])
-            ok = ~np.isin(owner, list(failures))
-            # a chained point is its planned point's value plus its leg
-            chained = np.array(list(parent), dtype=int)
-            values[chained] = 0.0
-            np.add.at(values, owner[ok], legs[ok].reshape((-1,) + vshape))
-            values[chained] += values[[parent[i] for i in chained]]
-        done = idx[~np.isin(idx, list(failures))]
-        self._insert(points[done], values[done])
-        return values, failures
-
     def _insert(self, points, values):
-        with self._lock:
-            n, m = self._size, len(points)
-            if n + m > len(self._points):
-                size = max(2 * len(self._points), n + m)
-                self._points = np.resize(self._points, size)
-                self._values = np.resize(self._values,
-                                         (size,) + self._values.shape[1:])
-            self._points[n:n + m] = points
-            self._values[n:n + m] = values
-            self._size = n + m
+        n, m = self._size, len(points)
+        if n + m > len(self._points):
+            size = max(2 * len(self._points), n + m)
+            self._points = np.resize(self._points, size)
+            self._values = np.resize(self._values,
+                                     (size,) + self._values.shape[1:])
+        self._points[n:n + m] = points
+        self._values[n:n + m] = values
+        self._size = n + m
 
     def _nearest(self, z):
         """Store index of the stored point nearest to each of z.
@@ -324,21 +272,20 @@ class CachedAntiderivative:
         with every preceding tree at most twice its size, so that a
         point is re-indexed O(log n) times over the store's life.
         """
-        with self._lock:
-            size = self._size
-            start = self._blocks[-1][1] if self._blocks else 0
-            if start < size:
-                while (self._blocks and self._blocks[-1][1]
-                       - self._blocks[-1][0] <= 2 * (size - start)):
-                    start = self._blocks.pop()[0]
-                self._blocks.append((start, size, cKDTree(
-                    _xy(self._points[start:size]), balanced_tree=False,
-                    compact_nodes=False)))
-            blocks = list(self._blocks)
-        xy = _xy(z)
+        size = self._size
+        start = self._blocks[-1][1] if self._blocks else 0
+        if start < size:
+            while (self._blocks and self._blocks[-1][1]
+                   - self._blocks[-1][0] <= 2 * (size - start)):
+                start = self._blocks.pop()[0]
+            points = self._points[start:size]
+            self._blocks.append((start, size, cKDTree(
+                np.column_stack([points.real, points.imag]),
+                balanced_tree=False, compact_nodes=False)))
+        xy = np.column_stack([z.real, z.imag])
         best = np.full(len(z), np.inf)
         near = np.zeros(len(z), dtype=int)
-        for start, _, tree in blocks:
+        for start, _, tree in self._blocks:
             dist, i = tree.query(xy)
             closer = dist < best
             best[closer] = dist[closer]
@@ -346,20 +293,84 @@ class CachedAntiderivative:
         return near
 
 
-def _xy(z):
-    return np.column_stack([z.real, z.imag])
+def reach(obstacles, legs, origins, start, points):
+    """Values at points (finite, each not its origin) carried from the
+    values start at origins, and {index: WsurfError} of failed points:
+    a point takes the straight leg from its origin when obstacles allow
+    it, else a legal straight leg from the nearest point planned earlier
+    in this batch, else a path from plan_path.  ``legs(a, b, start)``
+    carries values along legs a[i] -> b[i] and returns (ends,
+    {leg: WsurfError}), once per round: the k-th legs of all paths,
+    then the legs from planned points.
+    """
+    values = np.array(start, dtype=complex)
+    failures, planned, parent = {}, [], {}
+    clear = obstacles.segment_clear(origins, points)
+    routes = [(np.flatnonzero(clear), origins[clear], points[clear],
+               np.zeros(clear.sum(), dtype=int))]
+    for i in np.flatnonzero(~clear):
+        if planned:
+            # a clear leg from a point planned in this batch is cheaper
+            # than planning another path
+            j = planned[int(np.argmin(np.abs(points[planned] - points[i])))]
+            if obstacles.segment_clear(points[j], points[i]):
+                parent[int(i)] = j
+                continue
+        try:
+            w = np.array(plan_path(origins[i], points[i], obstacles.discs,
+                                   obstacles.rays).waypoints)
+        except WsurfError as exc:
+            failures[int(i)] = exc
+            continue
+        planned.append(int(i))
+        routes.append((np.full(len(w) - 1, i), w[:-1], w[1:],
+                       np.arange(len(w) - 1)))
+    chained = np.array(list(parent), dtype=int)
+    routes.append((chained, points[list(parent.values())], points[chained],
+                   np.full(len(chained), MAX_WAYPOINTS)))
+    owner, a, b, rank = map(np.concatenate, zip(*routes))
+    for r in np.unique(rank):
+        if r == MAX_WAYPOINTS:
+            for i, j in parent.items():
+                values[i] = values[j]
+                if j in failures:
+                    failures[i] = failures[j]
+        on = np.flatnonzero((rank == r) & ~np.isin(owner, list(failures)))
+        if on.size:
+            # a failed point's value is meaningless
+            values[owner[on]], failed = legs(a[on], b[on], values[owner[on]])
+            failures.update((int(owner[on[k]]), e) for k, e in failed.items())
+    return values, failures
+
+
+def _pair_legs(ode, lam, eta0, tol):
+    """Legs of the store of (L, chi), eta^2 = eta0 e^-L, in
+    contour.panel_lanes: on a panel L = L0 + c S (q/p), then
+    chi = chi0 - (c/lambda) S ((r/p) e^L / eta0) (Greengard, 1991).  A
+    panel is accepted when both integrands' tails times |c| are within
+    tol h, an absolute rule: a relative one fails where q/p is 0."""
+    def step(y, c, h, qp, rp):
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_eta = y[:, :1] + c[:, None] * (qp @ PANEL_S.T)
+            g = rp * np.exp(log_eta) / eta0
+            chi = y[:, 1:] - (c / lam)[:, None] * (g @ PANEL_S.T)
+            tail = np.maximum(np.abs(qp @ PANEL_TAIL.T).max(axis=1),
+                              np.abs(g @ PANEL_TAIL.T).max(axis=1))
+            ok = np.abs(c) * tail <= tol * h
+        return np.stack([log_eta, chi], axis=1), ok
+
+    return lambda a, b, start: (panel_lanes(ode, a, b, start, step)[0], {})
 
 
 def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
                        tol=1e-11):
     """Numeric WeierstrassData (integral route) for any LinearODE.
 
-    eta^2(z) = eta^2(z0) exp(-int_{z0}^{z} q/p) and
+    eta^2(z) = eta^2(z0) exp(-L(z)) with L = int_{z0}^{z} q/p, and
     chi(z) = chi(z0) - (1/lambda) int_{z0}^{z} (r/p) / eta^2, so both
-    coefficient identities hold by construction.  The values at the base
-    point z0 are the closed form's where the catalog has one, so that
-    numeric and closed-form data agree; otherwise they are 1/c1 and
-    c2/lambda.
+    coefficient identities hold by construction; (L, chi) is one store
+    with _pair_legs.  The values at the base point z0 are the closed
+    form's where the catalog has one, else 1/c1 and c2/lambda.
     """
     cf = closed_form_data(ode, c1, c2, lam, base_point)
     c1, c2, lam = complex(c1), complex(c2), complex(lam)
@@ -369,18 +380,17 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
         eta0, chi0 = complex(cf.eta_sq(z0)), complex(cf.chi(z0))
     else:
         eta0, chi0 = 1.0 / c1, c2 / lam
-    exclusions = ode.exclusions()
-    q_integral = CachedAntiderivative(lambda z: ode.ratios(z)[0], z0,
-                                      exclusions, ode.cut_rays, tol)
+    store = CachedAntiderivative(
+        None, z0, ode.exclusions(), ode.cut_rays, tol,
+        initial_value=np.array([0, chi0]),
+        legs=_pair_legs(ode, lam, eta0, tol))
 
+    # [()] makes a point's value a scalar and leaves arrays alone
     def eta_sq(z):
-        return eta0 * np.exp(-q_integral(z))
-
-    r_integral = CachedAntiderivative(lambda z: ode.ratios(z)[1] / eta_sq(z),
-                                      z0, exclusions, ode.cut_rays, tol)
+        return eta0 * np.exp(-store(z)[..., 0][()])
 
     def chi(z):
-        return chi0 - r_integral(z) / lam
+        return store(z)[..., 1][()]
 
     return WeierstrassData(
         eta_sq=eta_sq, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,

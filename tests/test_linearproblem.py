@@ -115,6 +115,25 @@ class TestTransport:
         z = 2.5 + 0.5j
         assert abs(wf.psi1(z) - (1 - z)) <= 1e-9
 
+    def test_query_across_a_cut_stays_on_the_path_sheet(self):
+        # psi is integrated from 1 to -1 + 0.05i through 1i; -1 - 0.05i
+        # lies across bessel's cut from its nearest node, so it is
+        # reached around the singular point, as along a legal path
+        # through -1i, not straight across the cut
+        ode = get_equation("bessel")
+        data = closed_form_data(ode, 1, 0, 1)
+        obstacles = (ode.exclusions(), ode.cut_rays)
+        wf = integrate_wavefunction(
+            data, (1.0, 0.0), ContourPath((1, 1j, -1 + 0.05j), *obstacles))
+        legal = integrate_wavefunction(
+            data, (1.0, 0.0), ContourPath((1, -1j, -1 - 0.05j), *obstacles))
+        z = np.array([-1 - 0.05j, -1.1 - 0.1j, -1 + 0.1j])
+        want = np.array([legal.state_at(-1 - 0.05j),
+                         legal.state_at(-1.1 - 0.1j),
+                         wf.state_at(-1 + 0.1j)]).T
+        assert np.max(np.abs(wf.state_at(z) - want)) <= 1e-10
+        assert abs(wf.psi1(-1 - 0.05j) - want[0, 0]) <= 1e-10
+
     def test_superposition(self):
         data = laguerre_data()
         path = ContourPath((1 + 0j, 1 + 1j, 2 + 1j))

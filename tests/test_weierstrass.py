@@ -113,21 +113,24 @@ class TestNumericRoute:
             assert np.max(np.abs(q - exact) / np.abs(exact)) <= 1e-14
 
     def test_hopf_needs_no_lookup(self, monkeypatch):
-        # Q = r/(lambda p) comes from the ODE alone, never from the
-        # antiderivatives behind the numeric eta^2 and chi
+        # Q = r/(lambda p) comes from the ODE alone, never from the store
+        # of (log eta^2, chi) behind the numeric pair or its panel chain
         ode = parse_user_ode("params = alpha=2\np = z - 0.5\nq = 1.5 - z\n"
                              "r = alpha\nsingularities = 0.5\n")
         data = build_numeric_data(ode)
-        calls = []
-        lookup = CachedAntiderivative.__call__
+        lookups, chains = [], []
+        lookup = CachedAntiderivative._lookup_array
         monkeypatch.setattr(
-            CachedAntiderivative, "__call__",
-            lambda cache, z: calls.append(z) or lookup(cache, z))
+            CachedAntiderivative, "_lookup_array",
+            lambda store, z: lookups.append(z) or lookup(store, z))
+        chain = weierstrass.panel_lanes
+        monkeypatch.setattr(weierstrass, "panel_lanes",
+                            lambda *args: chains.append(args) or chain(*args))
         data.hopf(2 + 1j)
         data.hopf(np.array(SAFE_POINTS))
-        assert calls == []
+        assert lookups == [] and chains == []
         data.eta_sq(2 + 1j)
-        assert len(calls) == 1
+        assert len(lookups) == 1 and len(chains) == 1
 
     def test_singular_point_names_the_zero_of_p(self):
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
@@ -218,6 +221,37 @@ class TestVerification:
         assert verify_weierstrass(make_data(ode), []).samples == ()
 
 
+class TestPanelChain:
+    """The numeric pair's Chebyshev-panel chain against closed forms."""
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_matches_closed_form(self, eq):
+        # off the cuts, on both sides of them: each conjugate lies across
+        # the real-axis cuts of the equations that have them
+        ode = get_equation(eq)
+        data, closed = build_numeric_data(ode), closed_form_data(ode)
+        upper = np.array(SAFE_POINTS + (-1.5 + 0.3j, 0.3 + 0.2j, -0.4 + 0.3j))
+        for z in (upper, np.conj(upper)):
+            for f, g in ((data.eta_sq, closed.eta_sq), (data.chi, closed.chi)):
+                want = g(z)
+                assert np.max(np.abs(f(z) - want) / np.abs(want)) <= 1e-12, eq
+
+    def test_zero_of_q_over_p(self):
+        # the README ODE's q/p = (1.5 - z)/(z - 0.5) vanishes at 1.5, a
+        # node of its 25 x 25 grid, and rounding leaves q/p no relative
+        # accuracy on a short leg there: the legs from a stored point
+        # nearby converge all the same, to the closed form
+        # eta^2 = e^z / (1 - 2z), chi = 4 (1 - e^-z)
+        data = build_numeric_data(parse_user_ode(_README_ODE))
+        data.eta_sq(1.4993)
+        for z in (1.5 + 0j, np.array([1.5 + 1e-4j, 1.5005 - 1e-4j])):
+            z = np.asarray(z)
+            assert np.allclose(data.eta_sq(z), np.exp(z) / (1 - 2 * z),
+                               rtol=1e-12, atol=0)
+            assert np.allclose(data.chi(z), 4 * (1 - np.exp(-z)),
+                               rtol=1e-12, atol=0)
+
+
 class TestCachedAntiderivative:
     def test_matches_closed_form(self):
         cache = CachedAntiderivative(lambda z: np.exp(z), 0j)
@@ -301,29 +335,57 @@ _ACROSS_CUTS = (-1.5 + 0.3j, -1.5 - 0.3j, 1.5 + 0.3j, 1.5 - 0.3j,
                 -0.3 + 0.1j, -0.3 - 0.1j)
 
 
+_README_ODE = ("id = my-equation\nparams = alpha=2\np = z - 0.5\n"
+               "q = 1.5 - z\nr = alpha\nsingularities = 0.5\n")
+
+
+def _pair_per_point(data, z):
+    """(eta^2, chi) of a numeric pair at an array z, each point looked up
+    on its own, in order."""
+    return np.array([[data.eta_sq(complex(w)), data.chi(complex(w))]
+                     for w in z.ravel()]).reshape(z.shape + (2,))
+
+
+def _pair(data, z):
+    return np.stack([data.eta_sq(z), data.chi(z)], axis=-1)
+
+
 class TestBatchedAntiderivative:
     """Array calls of CachedAntiderivative against one scalar call per
     point, which is kept here as the reference."""
 
     @pytest.mark.parametrize("eq", EQUATION_IDS + ("user",))
-    def test_numeric_data_matches_per_point_lookups(self, eq, monkeypatch):
-        ode = (parse_user_ode("id = my-equation\nparams = alpha=2\n"
-                              "p = z - 0.5\nq = 1.5 - z\nr = alpha\n"
-                              "singularities = 0.5\n")
-               if eq == "user" else get_equation(eq))
+    def test_numeric_data_matches_per_point_lookups(self, eq):
+        ode = (parse_user_ode(_README_ODE) if eq == "user"
+               else get_equation(eq))
         # the conjugates of 1.5 + 0.3j and -1.5 + 0.3j lie across a cut
         first = np.array([2 + 1j, -0.7 + 1.4j, 1.5 + 0.3j, -1.5 + 0.3j])
         second = np.conj(first)
-        batched = build_numeric_data(ode)
-        with monkeypatch.context() as patch:
-            # every lookup, the nested ones too, one point at a time
-            patch.setattr(CachedAntiderivative, "_lookup_array", _per_point)
-            reference = build_numeric_data(ode)
-            expected = [(f(first), f(second))
-                        for f in (reference.eta_sq, reference.chi)]
-        for f, (want1, want2) in zip((batched.eta_sq, batched.chi), expected):
-            assert _close(f(first), want1), eq
-            assert _close(f(second), want2), eq
+        batched, reference = build_numeric_data(ode), build_numeric_data(ode)
+        for z in (first, second):
+            assert _close(_pair(batched, z), _pair_per_point(reference, z)), eq
+
+    @settings(max_examples=20, deadline=None)
+    @given(eq=st.sampled_from(["bessel", "legendre"]),
+           points=st.lists(st.complex_numbers(max_magnitude=3.0).filter(
+               lambda z: abs(z.imag) > 1e-3 and min(abs(z - 1), abs(z + 1),
+                                                   abs(z)) > 0.05),
+               min_size=1, max_size=12),
+           stored=st.integers(0, 4))
+    def test_numeric_pair_point_sets(self, eq, points, stored):
+        # the pair's store on bessel's cut plane and legendre's two discs
+        # with their outward cuts: batched lookups equal per-point ones
+        # and the closed form
+        ode = get_equation(eq)
+        batched, reference = build_numeric_data(ode), build_numeric_data(ode)
+        closed = closed_form_data(ode)
+        first = np.array(_ACROSS_CUTS[::2] + tuple(points[:stored]))
+        second = np.array(_ACROSS_CUTS[1::2] + tuple(points)
+                          + tuple(first[:2]))         # exact store hits
+        for z in (first, second):
+            got = _pair(batched, z)
+            assert _close(got, _pair_per_point(reference, z), 1e-12)
+            assert _close(got, _pair(closed, z), 1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(case=st.sampled_from(sorted(_OBSTACLE_CASES)),
