@@ -280,56 +280,64 @@ def panel_lanes(ode, a, b, states, step, keep_panels=False):
     """Carry the (n, d) states along the segments a -> b, one lane
     each, in adaptive Chebyshev panels of the ODE with a client's rule.
 
-    Each step samples (q/p, r/p) on the panels of all active lanes in
-    one ``ode.ratios`` call; ``step(y, c, h, qp, rp)`` gives the (k, d,
+    Each step samples (q/p, r/p) on the panels of the active lanes in
+    one ``ode.ratios`` call per CHUNK_PANELS lanes, so that a step's
+    memory stays bounded; ``step(y, c, h, qp, rp)`` gives the (k, d,
     PANEL_POINTS) states on the panels from the start states y, with
     c = (b - a) h, and which panels it accepts.  An accepted panel's h
-    doubles, up to the rest of its lane, a rejected one's halves; a lane
-    does not depend on its batch.  Returns the (n, d) states at b and, if keep_panels, the accepted
-    panels as (lanes, z, y).  Raises EvaluationFailure for ratios or a
-    state not finite at a lane's start, and StepSizeUnderflow (or
-    SolutionOverflow) for a panel below H_MIN of its lane or a lane of
-    MAX_PANELS panels."""
+    doubles, up to the rest of its lane, a rejected one's halves.  A
+    transport lane's bits do not depend on its batch; a lane of the
+    pair's chain differs by rounding, through the 2-D gemm products of
+    its step.  Returns the (n, d) states at b and, if keep_panels, the
+    accepted panels as (lanes, z, y).  Raises EvaluationFailure for
+    ratios or a state not finite at a lane's start, and
+    StepSizeUnderflow (or SolutionOverflow) for a panel below H_MIN of
+    its lane or a lane of MAX_PANELS panels."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     dz = b - a
     y = np.array(states, dtype=complex)
     t = np.zeros(a.size)
     h = np.ones(a.size)
-    lanes = np.arange(a.size)
+    active = np.arange(a.size)
     panels = []
     for _ in range(MAX_PANELS):
-        if not lanes.size:
+        if not active.size:
             return y, panels
-        tk, hk, last = t[lanes], h[lanes], h[lanes] == 1 - t[lanes]
-        z = a[lanes, None] + (tk[:, None] + hk[:, None] * PANEL_U) \
-            * dz[lanes, None]
-        z[last, -1] = b[lanes[last]]
-        qp, rp = ode.ratios(z)
-        # a panel starts where an accepted one ended, so this can only
-        # fire at the start of a lane
-        start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
-                  & np.isfinite(y[lanes]).all(axis=1))
-        if start.any():
-            w = complex(z[np.argmax(start), 0])
-            raise EvaluationFailure(
-                w, f"ODE right-hand side is not finite at z={w}")
-        ys, ok = step(y[lanes], dz[lanes] * hk, hk, qp, rp)
-        done = lanes[ok]
-        if keep_panels and done.size:
-            panels.append((done, z[ok], ys[ok]))
-        y[done] = ys[ok, :, -1]
-        t[done] += h[done]
-        h[done] = np.minimum(2 * h[done], 1 - t[done])
-        h[lanes[~ok]] /= 2
-        short = ~ok & (hk / 2 < H_MIN)
-        if short.any():
-            k = np.argmax(short)
-            if not np.isfinite(ys[k]).all():
-                raise SolutionOverflow(f"solution overflowed at z={z[k, 0]}")
-            raise StepSizeUnderflow(
-                f"panel below {H_MIN:g} of its segment at z={z[k, 0]}")
-        lanes = lanes[~(ok & last)]
+        finished = []
+        for first in range(0, active.size, CHUNK_PANELS):
+            lanes = active[first:first + CHUNK_PANELS]
+            tk, hk, last = t[lanes], h[lanes], h[lanes] == 1 - t[lanes]
+            z = a[lanes, None] + (tk[:, None] + hk[:, None] * PANEL_U) \
+                * dz[lanes, None]
+            z[last, -1] = b[lanes[last]]
+            qp, rp = ode.ratios(z)
+            # a panel starts where an accepted one ended, so this can
+            # only fire at the start of a lane
+            start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
+                      & np.isfinite(y[lanes]).all(axis=1))
+            if start.any():
+                w = complex(z[np.argmax(start), 0])
+                raise EvaluationFailure(
+                    w, f"ODE right-hand side is not finite at z={w}")
+            ys, ok = step(y[lanes], dz[lanes] * hk, hk, qp, rp)
+            done = lanes[ok]
+            if keep_panels and done.size:
+                panels.append((done, z[ok], ys[ok]))
+            y[done] = ys[ok, :, -1]
+            t[done] += h[done]
+            h[done] = np.minimum(2 * h[done], 1 - t[done])
+            h[lanes[~ok]] /= 2
+            short = ~ok & (hk / 2 < H_MIN)
+            if short.any():
+                k = np.argmax(short)
+                if not np.isfinite(ys[k]).all():
+                    raise SolutionOverflow(
+                        f"solution overflowed at z={z[k, 0]}")
+                raise StepSizeUnderflow(
+                    f"panel below {H_MIN:g} of its segment at z={z[k, 0]}")
+            finished.append(ok & last)
+        active = active[~np.concatenate(finished)]
     raise StepSizeUnderflow(f"a lane took more than {MAX_PANELS} panels")
 
 

@@ -44,20 +44,32 @@ def potential_matrix(data, z):
                      np.stack([s * x * x, -s * x], axis=-1)], axis=-2)
 
 
+# S^2 and S 1, for psi1 = psi1(t) + c S 1 psi1'(t) + c^2 S^2 psi1''
+_PANEL_S2 = PANEL_S @ PANEL_S
+_PANEL_TAU = PANEL_S.sum(axis=1)
+
+
 def _transport_step(y, c, h, qp, rp):
     """transport's panel rule for contour.panel_lanes."""
-    m = PANEL_POINTS
-    c = c[:, None, None]
-    system = np.zeros((len(y), 2, m, 2, m), dtype=complex)
-    system[:, 0, :, 0] = system[:, 1, :, 1] = np.eye(m)
-    system[:, 0, :, 1] = -c * PANEL_S
-    system[:, 1, :, 0] = c * PANEL_S * rp[:, None, :]
-    system[:, 1, :, 1] += c * PANEL_S * qp[:, None, :]
-    rhs = np.repeat(y, m, axis=1)
-    ys = np.linalg.solve(system.reshape(-1, 2 * m, 2 * m),
-                         rhs[..., None]).reshape(-1, 2, m)
+    c = c[:, None]
+    d0 = y[:, 1:]
+    start = y[:, :1] + c * _PANEL_TAU * d0
+    system = (np.eye(PANEL_POINTS) + (c * qp)[:, :, None] * PANEL_S
+              + (c * c * rp)[:, :, None] * _PANEL_S2)
     # a panel where the solution overflowed is rejected, not warned of
     with np.errstate(invalid="ignore", over="ignore"):
+        # w = c^2 psi1'' is psi1's second derivative on the panel's
+        # [0, 1], so that a psi1' decaying into subnormals keeps its
+        # digits.  The temporary goes first: numpy reuses a large
+        # right-hand temporary in place with the operands swapped, and
+        # a complex product's rounding depends on their order
+        w = np.linalg.solve(system, ((qp * d0 + rp * start)
+                                     * (-c * c))[..., None]).swapaxes(1, 2)
+        # per-lane (1 x M) products, since a 2-D gemm's rounding of a
+        # row depends on the number of rows; w = 0 where c = 0
+        ys = np.stack([start + (w @ _PANEL_S2.T)[:, 0],
+                       d0 + (w @ PANEL_S.T)[:, 0] / np.where(c == 0, 1, c)],
+                      axis=1)
         tail = np.abs((ys[:, :, None, :] * PANEL_TAIL).sum(axis=-1))
         finite = np.isfinite(tail).all(axis=(1, 2))
         scale = np.maximum(np.abs(ys).max(axis=-1), _TAIL_FLOOR)
@@ -68,12 +80,15 @@ def _transport_step(y, c, h, qp, rp):
 def transport(ode, a, b, states):
     """Transport (psi1, dpsi1/dz) along the n segments a -> b, one lane each.
 
-    states are the (2, n) values at a.  In contour.panel_lanes, a panel's
-    ODE for Y = (psi1, dpsi1/dz) is Y = Y(t) + S (A Y), A = (b - a) h
-    [[0, 1], [-r/p, -q/p]] at its M = PANEL_POINTS points: one 2M x 2M
-    system, solved for all lanes in one stacked ``np.linalg.solve`` and
-    accepted when both components' Chebyshev tails are small relative
-    to them.  Returns the (2, n) states at b and the accepted panels.
+    states are the (2, n) values at a.  In contour.panel_lanes, a panel
+    of scale c = (b - a) h solves for psi1'' at its M = PANEL_POINTS
+    points (Greengard, SIAM J. Numer. Anal. 28, 1991): psi1' = psi1'(t)
+    + c S psi1'' and psi1 = psi1(t) + c S 1 psi1'(t) + c^2 S^2 psi1'', so
+    the ODE is one M x M system with the matrix I + c (q/p) S +
+    c^2 (r/p) S^2 per lane, solved for all lanes in one stacked
+    ``np.linalg.solve``.  A panel is accepted when both components'
+    Chebyshev tails are small relative to them.  Returns the (2, n)
+    states at b and the accepted panels.
     """
     y = np.asarray(states, dtype=complex).reshape(2, -1).T
     ends, panels = panel_lanes(ode, a, b, y, _transport_step, True)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import wsurf.linearproblem as linearproblem
+from wsurf import contour
 from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
-from wsurf.contour import ContourPath, holo_derivative, straight_path
-from wsurf.errors import SingularPoint, SolutionOverflow
+from wsurf.contour import (PANEL_POINTS, PANEL_S, PANEL_TAIL, PANEL_U,
+                           ContourPath, holo_derivative, straight_path)
+from wsurf.errors import SingularPoint, SolutionOverflow, StepSizeUnderflow
 from wsurf.geometry import seg_point_distance
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual,
@@ -310,11 +312,12 @@ def _lanes(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(lane=_LANE, others=st.lists(_LANE, min_size=1, max_size=5),
-       at=st.integers(0, 5))
+@given(lane=_LANE, others=st.lists(_LANE, min_size=1, max_size=47),
+       at=st.integers(0, 47))
 def test_lane_does_not_depend_on_its_batch(lane, others, at):
-    """A lane's end state is bit-identical alone and among other lanes
-    (legendre, segments in the upper half plane, clear of +-1)."""
+    """A lane's end state is bit-identical alone and among up to 47
+    other lanes, more than lp_residual's 40 circle lanes (legendre,
+    segments in the upper half plane, clear of +-1)."""
     ode = get_equation("legendre")
     rows = list(others)
     at = min(at, len(rows))
@@ -322,6 +325,83 @@ def test_lane_does_not_depend_on_its_batch(lane, others, at):
     alone, _ = transport(ode, *_lanes([lane]))
     batch, _ = transport(ode, *_lanes(rows))
     assert np.array_equal(batch[:, at], alone[:, 0])
+
+
+def _lane_panels(panels, k):
+    """The points and states of lane k's accepted panels, in order."""
+    return [(z[i], y[i]) for lanes, z, y in panels
+            for i in np.flatnonzero(lanes == k)]
+
+
+def test_lanes_run_a_chunk_at_a_time(monkeypatch):
+    # with CHUNK_PANELS = 2 each step takes the five lanes in three
+    # slices, and the kept panels carry their lanes' indices in the batch
+    ode = get_equation("legendre")
+    rows = [(0.1 * k, 0.3, -0.2 * k, 1.2, 1, 0, k, 1) for k in range(5)]
+    ends, panels = transport(ode, *_lanes(rows))
+    monkeypatch.setattr(contour, "CHUNK_PANELS", 2)
+    chunked, chunked_panels = transport(ode, *_lanes(rows))
+    assert np.array_equal(chunked, ends)
+    for k in range(5):
+        want, got = _lane_panels(panels, k), _lane_panels(chunked_panels, k)
+        assert len(got) == len(want) > 0
+        for (zw, yw), (zg, yg) in zip(want, got):
+            assert np.array_equal(zg, zw) and np.array_equal(yg, yw)
+
+
+def block_step(y, c, h, qp, rp):
+    """The reference panel rule: the 2M x 2M block system Y = Y(t) +
+    c S [[0, 1], [-r/p, -q/p]] Y for Y = (psi1, psi1'), with transport's
+    accept rule."""
+    m = PANEL_POINTS
+    cs = c[:, None, None] * PANEL_S
+    system = np.zeros((len(y), 2, m, 2, m), dtype=complex)
+    system[:, 0, :, 0] = system[:, 1, :, 1] = np.eye(m)
+    system[:, 0, :, 1] = -cs
+    system[:, 1, :, 0] = cs * rp[:, None, :]
+    system[:, 1, :, 1] += cs * qp[:, None, :]
+    ys = np.linalg.solve(system.reshape(-1, 2 * m, 2 * m),
+                         np.repeat(y, m, axis=1)[..., None]).reshape(-1, 2, m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tail = np.abs((ys[:, :, None, :] * PANEL_TAIL).sum(axis=-1))
+        scale = np.maximum(np.abs(ys).max(axis=-1), linearproblem._TAIL_FLOOR)
+        ok = np.isfinite(tail).all(axis=(1, 2)) & np.all(
+            tail.max(axis=-1) <= linearproblem._TAIL_TOL * scale, axis=1)
+    return ys, ok
+
+
+# q/p = a0 + a1 u and r/p = b0 + b1 u^2 on the panel's u in [0, 1] (four
+# complex numbers), the start state (two), log10 |c| and arg c
+_PANEL = st.tuples(*[st.floats(-3, 3)] * 12,
+                   st.floats(-3, 0.7), st.floats(0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_PANEL, min_size=1, max_size=8))
+def test_step_matches_block_system(rows):
+    """The psi1'' panel rule accepts the panels the block system accepts,
+    with states within 1e-13 of the panel's largest value."""
+    v = np.array(rows)
+    w = v[:, :12:2] + 1j * v[:, 1:12:2]
+    qp = w[:, :1] + w[:, 1:2] * PANEL_U
+    rp = w[:, 2:3] + w[:, 3:4] * PANEL_U ** 2
+    c = 10 ** v[:, 12] * np.exp(1j * v[:, 13])
+    ys, ok = linearproblem._transport_step(w[:, 4:], c, None, qp, rp)
+    want, want_ok = block_step(w[:, 4:], c, None, qp, rp)
+    assert np.array_equal(ok, want_ok)
+    for k in np.flatnonzero(ok):
+        assert np.max(np.abs(ys[k] - want[k])) \
+            <= 1e-13 * np.max(np.abs(want[k]))
+
+
+def test_lane_of_too_many_panels_fails(monkeypatch):
+    # psi = cos(1e5 z) needs thousands of panels on [0, 3]; a limit of
+    # 50 reaches the MAX_PANELS failure without the real one's cost
+    monkeypatch.setattr(contour, "MAX_PANELS", 50)
+    ode = parse_user_ode("p = 1\nq = 0\nr = 1e10\n")
+    with pytest.raises(StepSizeUnderflow,
+                       match="a lane took more than 50 panels"):
+        transport(ode, [0j], [3 + 0j], [[1.0], [0.0]])
 
 
 def test_transport_converges_into_subnormals():
