@@ -2,8 +2,6 @@
 along contours and residual checks."""
 
 import numpy as np
-# not used here: bench/spans.py counts ODE solves through this name
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .contour import (PANEL_POINTS, PANEL_S, PANEL_TAIL, holo_derivative,
                       panel_lanes)
@@ -15,6 +13,17 @@ from .weierstrass import reach
 # value on the panel, or the smallest normal float (for subnormals)
 _TAIL_TOL = 1e-14
 _TAIL_FLOOR = np.finfo(float).tiny / _TAIL_TOL
+
+
+def __getattr__(name):
+    # solve_ivp is not used here: it is the name through which the
+    # benchmark tracer (bench/spans.py) counts ODE solves, and ROADMAP
+    # item 7 deletes it.  Importing it on first access keeps
+    # scipy.integrate (and scipy.optimize) out of every CLI start.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _first(bad, z):

@@ -3,6 +3,8 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from .catalog import SINGULARITY_RADIUS
 from .contour import contour_quad, gk15_segments, straight_path
@@ -116,39 +118,49 @@ def _grid_edges(points, allowed, obstacles):
     return down, right
 
 
-def _adjacency(n, u, v, live):
-    """CSR (indptr, neighbour, edge id) of the live edges, both ways."""
-    e = np.flatnonzero(live)
-    src = np.concatenate([u[e], v[e]])
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=int)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return (indptr, np.concatenate([v[e], u[e]])[order],
-            np.concatenate([e, e])[order])
+def _graph(n, u, v, keep):
+    """Symmetric CSR adjacency of the kept edges u[keep] -- v[keep]."""
+    a, b = u[keep], v[keep]
+    ones = np.ones(2 * len(a))
+    return csr_array((ones, (np.concatenate([a, b]), np.concatenate([b, a]))),
+                     shape=(n, n))
 
 
-def _bfs(adjacency, sources, visited, parent_edge, levels):
-    """Breadth-first search from sources, level by level.
+def _bfs(graph, root):
+    """(order, depth): the nodes reached from root in breadth-first
+    order, and the depth of each.
 
-    Marks every node it reaches in ``visited``, records the edge it came
-    along in ``parent_edge`` and appends each level's nodes to
-    ``levels``; within a level a node takes the first edge in frontier
-    order, so the tree is deterministic.
+    A node's predecessor comes earlier in the order, and the
+    predecessors' positions never decrease along it, so each level is a
+    contiguous run: level d + 1 ends after the last node whose
+    predecessor is in level d.
     """
-    indptr, neighbour, edge = adjacency
-    frontier = np.asarray(sources, dtype=int)
-    visited[frontier] = True
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) \
-            + np.arange(counts.sum())
-        fresh = ~visited[neighbour[pos]]
-        frontier, first = np.unique(neighbour[pos][fresh], return_index=True)
-        visited[frontier] = True
-        parent_edge[frontier] = edge[pos][fresh][first]
-        if frontier.size:
-            levels.append(frontier)
+    order, pred = breadth_first_order(graph, root, directed=True)
+    position = np.empty(len(pred), dtype=int)
+    position[order] = np.arange(len(order))
+    pred_position = position[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(pred_position, ends[-1])))
+    return order, np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+
+
+def _parent_edges(u, v, keep, depth):
+    """Each node's tree edge (-1 for roots and unreached nodes): the kept
+    edge to its smallest neighbour one level up, so the tree does not
+    depend on the order in which the search met the neighbours."""
+    e = np.flatnonzero(keep)
+    du, dv = depth[u[e]], depth[v[e]]
+    to_v, to_u = dv == du + 1, du == dv + 1
+    child = np.concatenate([v[e][to_v], u[e][to_u]])
+    parent = np.concatenate([u[e][to_v], v[e][to_u]])
+    e = np.concatenate([e[to_v], e[to_u]])
+    smallest = np.full(len(depth), len(depth))
+    np.minimum.at(smallest, child, parent)
+    first = parent == smallest[child]
+    parent_edge = np.full(len(depth), -1)
+    parent_edge[child[first]] = e[first]
+    return parent_edge
 
 
 def _tree_integrals(points, allowed, edges, cache):
@@ -158,12 +170,13 @@ def _tree_integrals(points, allowed, edges, cache):
     The legal grid edges, _grid_edges' masks, form a graph.  Each
     connected component is rooted at its node nearest the cache anchor,
     whose value is one cache lookup; a root whose lookup raises a
-    WsurfError counts as a failed node and the next-nearest node becomes
-    the root.  The edges of a breadth-first spanning forest are
-    integrated in one gk15_segments call, and node values are the root
-    value plus the edge values summed level by level down the tree.  Any
-    edge that fails in gk15_segments is dropped and the forest is
-    rebuilt around it.
+    WsurfError counts as a failed node, its edges leave the graph, and
+    the next-nearest node becomes the root.  The edges of a breadth-first
+    spanning forest (_bfs, _parent_edges) are integrated in one
+    gk15_segments call, and node values are the root value plus the
+    edge values summed level by level down the tree.  Any edge that
+    fails in gk15_segments is dropped and the forest is rebuilt around
+    it.
     """
     z = points.ravel()
     n = z.size
@@ -182,24 +195,33 @@ def _tree_integrals(points, allowed, edges, cache):
     candidates = candidates[np.argsort(np.abs(z[candidates] - cache.anchor),
                                        kind="stable")]
     while True:
-        adjacency = _adjacency(n, u, v, live)
-        visited = failed.copy()
-        parent_edge = np.full(n, -1)
-        levels = []
-        if roots:
-            _bfs(adjacency, list(roots), visited, parent_edge, levels)
-        for node in candidates:
-            if visited[node]:
-                continue
+        keep = live & ~failed[u] & ~failed[v]
+        graph = _graph(n, u, v, keep)
+        depth = np.full(n, -1)
+        for node in roots:
+            order, d = _bfs(graph, node)
+            depth[order] = d
+        k = 0
+        while True:
+            rest = candidates[k:]
+            fresh = np.flatnonzero((depth[rest] < 0) & ~failed[rest])
+            if not fresh.size:
+                break
+            k += fresh[0]
+            node = candidates[k]
             try:
                 value = cache(complex(z[node]))
                 if not np.isfinite(value).all():
                     raise EvaluationFailure(complex(z[node]))
             except WsurfError:
-                failed[node] = visited[node] = True
+                failed[node] = True
+                keep = live & ~failed[u] & ~failed[v]
+                graph = _graph(n, u, v, keep)
                 continue
             roots[node] = value
-            _bfs(adjacency, [node], visited, parent_edge, levels)
+            order, d = _bfs(graph, node)
+            depth[order] = d
+        parent_edge = _parent_edges(u, v, keep, depth)
         tree = parent_edge[parent_edge >= 0]
         todo = tree[~integrated[tree]]
         if todo.size == 0:
@@ -217,12 +239,17 @@ def _tree_integrals(points, allowed, edges, cache):
     value = np.full((n, 3), np.nan, dtype=complex)
     for node, root_value in roots.items():
         value[node] = root_value
-    for level in levels:
-        e = parent_edge[level]
-        forward = v[e] == level
-        parent = np.where(forward, u[e], v[e])
-        value[level] = value[parent] + np.where(
-            forward[:, None], edge_value[e], -edge_value[e])
+    # the tree nodes level by level, each with its parent and its signed
+    # edge value, so each level is one gather-add-scatter
+    nodes = np.flatnonzero(depth > 0)
+    nodes = nodes[np.argsort(depth[nodes], kind="stable")]
+    e = parent_edge[nodes]
+    forward = v[e] == nodes
+    parent = np.where(forward, u[e], v[e])
+    step = np.where(forward[:, None], edge_value[e], -edge_value[e])
+    ends = np.cumsum(np.bincount(depth[nodes]))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        value[nodes[lo:hi]] = value[parent[lo:hi]] + step[lo:hi]
     return value, failed
 
 
@@ -370,14 +397,15 @@ def mesh_from_samples(samples):
 
 
 def _rows(fmt, array):
-    """One fmt line per row of array; %.17g is the round-trip format."""
-    return [fmt % tuple(row) for row in np.asarray(array).tolist()]
+    """One fmt line per row of array, each ending in a newline, from one
+    % on the template repeated per row; %.17g is the round-trip format."""
+    array = np.asarray(array)
+    return ((fmt + "\n") * len(array)) % tuple(array.ravel().tolist())
 
 
 def _render_obj(mesh):
-    lines = _rows("v %.17g %.17g %.17g", mesh.vertices)
-    lines += _rows("f %d %d %d %d", np.asarray(mesh.faces) + 1)
-    return "\n".join(lines) + "\n"
+    return (_rows("v %.17g %.17g %.17g", mesh.vertices)
+            + _rows("f %d %d %d %d", np.asarray(mesh.faces) + 1))
 
 
 def _render_ply(mesh):
@@ -392,9 +420,8 @@ def _render_ply(mesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    lines += _rows("%.17g %.17g %.17g", mesh.vertices)
-    lines += _rows("4 %d %d %d %d", mesh.faces)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n" + _rows("%.17g %.17g %.17g", mesh.vertices)
+            + _rows("4 %d %d %d %d", mesh.faces))
 
 
 def _render_csv(mesh):
@@ -402,9 +429,8 @@ def _render_csv(mesh):
     columns = np.column_stack([
         mesh.points.real, mesh.points.imag, mesh.vertices,
         a["u"], a["absQ"], a["H_residual"]])
-    lines = ["re,im,F1,F2,F3,u,absQ,H_residual"]
-    lines += _rows(",".join(["%.17g"] * 8), columns)
-    return "\n".join(lines) + "\n"
+    return ("re,im,F1,F2,F3,u,absQ,H_residual\n"
+            + _rows(",".join(["%.17g"] * 8), columns))
 
 
 _RENDERERS = {"obj": _render_obj, "ply": _render_ply, "csv": _render_csv}
@@ -432,12 +458,15 @@ def import_csv(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = fh.read().split()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    cols = {name: np.array([float(r[k]) for r in rows])
-            for k, name in enumerate(header)}
-    points = cols["re"] + 1j * cols["im"]
+    table = np.array([row.split(",") for row in rows],
+                     dtype=float).reshape(-1, len(header))
+    cols = dict(zip(header, table.T))
+    # set the parts, not re + 1j * im, which turns a -0.0 into 0.0
+    points = np.empty(len(table), dtype=complex)
+    points.real, points.imag = cols["re"], cols["im"]
     vertices = np.column_stack([cols["F1"], cols["F2"], cols["F3"]])
     attrs = {k: cols[k] for k in ("u", "absQ", "H_residual")}
     return points, vertices, attrs

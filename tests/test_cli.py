@@ -270,6 +270,27 @@ def _cli(args, cwd, timeout=60):
                           timeout=timeout)
 
 
+def test_start_does_not_import_scipy_integrate(tmp_path):
+    # linearproblem.solve_ivp (the benchmark tracer's name) is imported on
+    # first access, so a CLI start loads neither scipy.integrate nor
+    # scipy.optimize; the name still resolves to scipy's function
+    script = ("import sys\n"
+              "import wsurf.cli\n"
+              "print('scipy.integrate' in sys.modules)\n"
+              "import scipy.integrate\n"
+              "import wsurf.linearproblem as lp\n"
+              "print(lp.solve_ivp is scipy.integrate.solve_ivp)\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
 class TestNonFinite:
     def test_rhs_not_finite_at_transport_start(self, tmp_path):
         # r = z/z is nan at the base point 0, where the transport starts

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
-from wsurf.mesh import (_sample_mask, _sample_with_mask, build_mesh, ew_cache,
+from wsurf.mesh import (_RENDERERS, SurfaceMesh, _bfs, _graph, _parent_edges,
+                        _sample_mask, _sample_with_mask, build_mesh, ew_cache,
                         export_mesh, immersion_at, import_csv, sample_grid)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                closed_form_data, make_data)
@@ -272,6 +275,97 @@ class TestForestFailures:
         assert np.max(np.abs(got.integrals - ref.integrals)) <= 1e-12
 
 
+def reference_adjacency(n, u, v, live):
+    """CSR (indptr, neighbour, edge id) of the live edges, both ways: the
+    adjacency of the level-by-level reference search below."""
+    e = np.flatnonzero(live)
+    src = np.concatenate([u[e], v[e]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return (indptr, np.concatenate([v[e], u[e]])[order],
+            np.concatenate([e, e])[order])
+
+
+def reference_bfs(adjacency, sources, visited, parent_edge, levels):
+    """Breadth-first search from sources, one numpy pass per level: a
+    node takes the first edge to it in frontier order."""
+    indptr, neighbour, edge = adjacency
+    frontier = np.asarray(sources, dtype=int)
+    visited[frontier] = True
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        fresh = ~visited[neighbour[pos]]
+        frontier, first = np.unique(neighbour[pos][fresh], return_index=True)
+        visited[frontier] = True
+        parent_edge[frontier] = edge[pos][fresh][first]
+        if frontier.size:
+            levels.append(frontier)
+
+
+@st.composite
+def grid_graphs(draw):
+    """(n, u, v, wall, candidates): a random grid's 4-neighbour edges with
+    some dead, wall nodes that no search enters, and a root order."""
+    n1, n2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = n1 * n2
+
+    def mask(shape):
+        size = shape[0] * shape[1]
+        return np.array(draw(st.lists(st.booleans(), min_size=size,
+                                      max_size=size)),
+                        dtype=bool).reshape(shape)
+
+    down, right = mask((n1 - 1, n2)), mask((n1, n2 - 1))
+    index = np.arange(n).reshape(n1, n2)
+    u = np.concatenate([index[:-1, :][down], index[:, :-1][right]])
+    v = np.concatenate([index[1:, :][down], index[:, 1:][right]])
+    wall = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    wall &= np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    candidates = np.array(draw(st.permutations(range(n))), dtype=int)
+    return n, u, v, wall, candidates
+
+
+class TestForestSearch:
+    """_bfs and _parent_edges pick the tree of the level-by-level search
+    they replace, on grids with dead edges, walls and many components."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_graphs())
+    def test_same_tree_as_level_by_level_search(self, case):
+        n, u, v, wall, candidates = case
+        adjacency = reference_adjacency(n, u, v, np.ones(len(u), bool))
+        visited, want_edge = wall.copy(), np.full(n, -1)
+        want_level, roots = np.full(n, -1), []
+        for node in candidates:          # one search per unvisited root
+            if visited[node]:
+                continue
+            roots.append(node)
+            levels = []
+            reference_bfs(adjacency, [node], visited, want_edge, levels)
+            want_level[node] = 0
+            for d, level in enumerate(levels, 1):
+                want_level[level] = d
+        # the roots of a rebuilt forest are searched from all at once
+        together, together_levels = np.full(n, -1), []
+        reference_bfs(adjacency, roots, wall.copy(), together,
+                      together_levels)
+        assert np.array_equal(together, want_edge)
+        assert sum(map(len, together_levels)) == np.sum(want_level > 0)
+
+        keep = ~wall[u] & ~wall[v]
+        graph, depth = _graph(n, u, v, keep), np.full(n, -1)
+        for root in roots:
+            order, d = _bfs(graph, root)
+            assert order[0] == root and np.all(depth[order] < 0)
+            depth[order] = d
+        assert np.array_equal(depth, want_level)
+        assert np.array_equal(_parent_edges(u, v, keep, depth), want_edge)
+
+
 def reference_faces(mesh, ode):
     """The faces over every 2x2 block of sampled nodes whose four edges
     enter no exclusion disc and cross no cut ray of the equation, from
@@ -388,3 +482,96 @@ class TestMeshExport:
         mesh = self.build_plane(plane_data)
         with pytest.raises(IoFailure):
             export_mesh(mesh, "obj", "/nonexistent-dir/mesh.obj")
+
+
+def reference_rows(fmt, array):
+    """One fmt line per row, formatted row by row."""
+    return [fmt % tuple(row) for row in np.asarray(array).tolist()]
+
+
+def reference_render(mesh, fmt):
+    """The OBJ, PLY or CSV text as lines joined by newlines."""
+    if fmt == "obj":
+        lines = reference_rows("v %.17g %.17g %.17g", mesh.vertices)
+        lines += reference_rows("f %d %d %d %d", np.asarray(mesh.faces) + 1)
+    elif fmt == "ply":
+        lines = ["ply", "format ascii 1.0",
+                 f"element vertex {len(mesh.vertices)}",
+                 "property float x", "property float y", "property float z",
+                 f"element face {len(mesh.faces)}",
+                 "property list uchar int vertex_indices", "end_header"]
+        lines += reference_rows("%.17g %.17g %.17g", mesh.vertices)
+        lines += reference_rows("4 %d %d %d %d", mesh.faces)
+    else:
+        a = mesh.attributes
+        columns = np.column_stack([
+            mesh.points.real, mesh.points.imag, mesh.vertices,
+            a["u"], a["absQ"], a["H_residual"]])
+        lines = ["re,im,F1,F2,F3,u,absQ,H_residual"]
+        lines += reference_rows(",".join(["%.17g"] * 8), columns)
+    return "\n".join(lines) + "\n"
+
+
+# finite doubles, with signed zeros, subnormals and the extremes mixed in
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e300, -1e300, 1.7976931348623157e308)
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_VALUES))
+
+
+@st.composite
+def random_meshes(draw, max_faces=6):
+    """A SurfaceMesh of random finite values; attributes may be +-inf,
+    as a failed residual report makes them."""
+    nv = draw(st.integers(1, 8))
+
+    def column(values=finite, size=nv):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                        dtype=float)
+
+    nf = draw(st.integers(0, max_faces))
+    faces = np.array(draw(st.lists(st.integers(0, nv - 1), min_size=4 * nf,
+                                   max_size=4 * nf)), dtype=int).reshape(nf, 4)
+    points = np.empty(nv, dtype=complex)
+    points.real, points.imag = column(), column()
+    attr = st.one_of(finite, st.sampled_from([np.inf, -np.inf]))
+    return SurfaceMesh(
+        vertices=column(size=3 * nv).reshape(nv, 3),
+        mask=np.ones((nv, 1), dtype=bool), faces=faces, points=points,
+        attributes={k: column(attr) for k in ("u", "absQ", "H_residual")})
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExportFormats:
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=random_meshes())
+    def test_renderers_match_row_by_row_text(self, mesh):
+        for fmt, render in _RENDERERS.items():
+            assert render(mesh) == reference_render(mesh, fmt)
+
+    def test_mesh_without_faces(self):
+        mesh = SurfaceMesh(
+            vertices=np.array([[0.5, -0.0, 1e300]]),
+            mask=np.ones((1, 1), dtype=bool),
+            faces=np.zeros((0, 4), dtype=int), points=np.array([1 - 0j]),
+            attributes={k: np.array([5e-324])
+                        for k in ("u", "absQ", "H_residual")})
+        for fmt, render in _RENDERERS.items():
+            assert render(mesh) == reference_render(mesh, fmt)
+        assert _RENDERERS["obj"](mesh) == "v 0.5 -0 1.0000000000000001e+300\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=random_meshes(max_faces=0))
+    def test_csv_round_trip_is_exact(self, mesh):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.csv")
+            export_mesh(mesh, "csv", path)
+            points, vertices, attrs = import_csv(path)
+        assert same_bits(points, mesh.points)
+        assert same_bits(vertices, mesh.vertices)
+        for k in ("u", "absQ", "H_residual"):
+            assert same_bits(attrs[k], mesh.attributes[k])
