@@ -21,7 +21,6 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import hermite as _herm
 from numpy.polynomial import laguerre as _lag
 from numpy.polynomial import legendre as _leg
-from scipy import special as _sps
 
 from . import special
 from .errors import OutsideFixtureDomain, SingularPoint, UnknownEquation
@@ -313,17 +312,19 @@ def classical_solution(eq_id, params):
         c = np.zeros(m + 1)
         c[m] = 1.0
         return lambda z: _herm.hermval(np.asarray(z, dtype=complex), c)
+    # the rest need scipy, which `import wsurf` does not load
+    from scipy import special as sps
     if eq_id == "laguerre_assoc":
         n, a = int(par["n"]), par["alpha"]
-        poly = _sps.genlaguerre(n, a)
+        poly = sps.genlaguerre(n, a)
         return lambda z: poly(np.asarray(z, dtype=complex))
     if eq_id == "jacobi":
         n, a, b = int(par["n"]), par["alpha"], par["beta"]
-        poly = _sps.jacobi(n, a, b)
+        poly = sps.jacobi(n, a, b)
         return lambda z: poly(np.asarray(z, dtype=complex))
     if eq_id == "bessel":
         nu = par["p"]
-        return lambda z: _sps.jv(nu, np.asarray(z, dtype=complex))
+        return lambda z: sps.jv(nu, np.asarray(z, dtype=complex))
     # chebyshev2 (non-integer order after the n -> sqrt(n)sqrt(n+2)
     # substitution) and the as-printed gegenbauer equation have no
     # polynomial solutions in scope

@@ -3,8 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
 
 from .catalog import SINGULARITY_RADIUS
 from .contour import contour_quad, gk15_segments, straight_path
@@ -118,49 +116,63 @@ def _grid_edges(points, allowed, obstacles):
     return down, right
 
 
-def _graph(n, u, v, keep):
-    """Symmetric CSR adjacency of the kept edges u[keep] -- v[keep]."""
-    a, b = u[keep], v[keep]
-    ones = np.ones(2 * len(a))
-    return csr_array((ones, (np.concatenate([a, b]), np.concatenate([b, a]))),
-                     shape=(n, n))
+def _grid_graph(down, right):
+    """(u, v, edge) for _grid_edges' masks: the legal edges u[k] -- v[k]
+    with u[k] < v[k], those along axis 0 first, and the (n + 1, 4) table
+    of each node's edge ids up, left, right and down, len(u) where it
+    has none; row n is the sentinel's, with none."""
+    n1, n2 = right.shape[0], down.shape[1]
+    n = n1 * n2
+    index = np.arange(n).reshape(n1, n2)
+    u = np.concatenate([index[:-1, :][down], index[:, :-1][right]])
+    v = np.concatenate([index[1:, :][down], index[:, 1:][right]])
+    along0, along1 = np.split(np.arange(len(u)), [np.count_nonzero(down)])
+    edge = np.full((n + 1, 4), len(u))
+    grid = edge[:n].reshape(n1, n2, 4)
+    grid[1:, :, 0][down] = along0
+    grid[:, 1:, 1][right] = along1
+    grid[:, :-1, 2][right] = along1
+    grid[:-1, :, 3][down] = along0
+    return u, v, edge
 
 
-def _bfs(graph, root):
-    """(order, depth): the nodes reached from root in breadth-first
-    order, and the depth of each.
-
-    A node's predecessor comes earlier in the order, and the
-    predecessors' positions never decrease along it, so each level is a
-    contiguous run: level d + 1 ends after the last node whose
-    predecessor is in level d.
-    """
-    order, pred = breadth_first_order(graph, root, directed=True)
-    position = np.empty(len(pred), dtype=int)
-    position[order] = np.arange(len(order))
-    pred_position = position[pred[order[1:]]]
-    ends = [1]
-    while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(pred_position, ends[-1])))
-    return order, np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+def _neighbours(u, v, edge, keep):
+    """(n + 1, 4) table of each node's neighbours up, left, right and
+    down across the kept edges of a _grid_graph, n (the sentinel) where
+    it has none."""
+    n = len(edge) - 1
+    other = np.append(u + v, 0).take(edge) - np.arange(n + 1)[:, None]
+    return np.where(np.append(keep, False).take(edge), other, n)
 
 
-def _parent_edges(u, v, keep, depth):
-    """Each node's tree edge (-1 for roots and unreached nodes): the kept
-    edge to its smallest neighbour one level up, so the tree does not
-    depend on the order in which the search met the neighbours."""
-    e = np.flatnonzero(keep)
-    du, dv = depth[u[e]], depth[v[e]]
-    to_v, to_u = dv == du + 1, du == dv + 1
-    child = np.concatenate([v[e][to_v], u[e][to_u]])
-    parent = np.concatenate([u[e][to_v], v[e][to_u]])
-    e = np.concatenate([e[to_v], e[to_u]])
-    smallest = np.full(len(depth), len(depth))
-    np.minimum.at(smallest, child, parent)
-    first = parent == smallest[child]
+def _search(table, root, depth):
+    """Breadth-first search of a _neighbours table from root, one gather
+    per level: sets depth[k] to the level of each node k reached.  depth
+    has n + 1 entries, -1 at the nodes not reached yet and -2 at the
+    sentinel n."""
+    frontier, level = np.array([root]), 0
+    claim = np.empty(len(depth), dtype=int)
+    while frontier.size:
+        depth[frontier] = level
+        reached = table.take(frontier, axis=0).ravel()
+        reached = reached[depth.take(reached) == -1]
+        # a node met from several parents joins the next level once
+        ticket = np.arange(len(reached))
+        claim[reached] = ticket
+        frontier = reached[claim.take(reached) == ticket]
+        level += 1
+
+
+def _parent_edges(table, edge, depth):
+    """Each node's tree edge (-1 for roots and unreached nodes): the edge
+    to its first neighbour one level up in the order up, left, right,
+    down, which is its smallest, so the tree does not depend on the
+    order in which the search met the neighbours."""
+    up = (depth.take(table) == depth[:, None] - 1) & (depth > 0)[:, None]
     parent_edge = np.full(len(depth), -1)
-    parent_edge[child[first]] = e[first]
-    return parent_edge
+    for j in (3, 2, 1, 0):              # the first direction writes last
+        parent_edge = np.where(up[:, j], edge[:, j], parent_edge)
+    return parent_edge[:-1]
 
 
 def _tree_integrals(points, allowed, edges, cache):
@@ -172,7 +184,7 @@ def _tree_integrals(points, allowed, edges, cache):
     whose value is one cache lookup; a root whose lookup raises a
     WsurfError counts as a failed node, its edges leave the graph, and
     the next-nearest node becomes the root.  The edges of a breadth-first
-    spanning forest (_bfs, _parent_edges) are integrated in one
+    spanning forest (_search, _parent_edges) are integrated in one
     gk15_segments call, and node values are the root value plus the
     edge values summed level by level down the tree.  Any edge that
     fails in gk15_segments is dropped and the forest is rebuilt around
@@ -180,10 +192,7 @@ def _tree_integrals(points, allowed, edges, cache):
     """
     z = points.ravel()
     n = z.size
-    index = np.arange(n).reshape(points.shape)
-    down, right = edges
-    u = np.concatenate([index[:-1, :][down], index[:, :-1][right]])
-    v = np.concatenate([index[1:, :][down], index[:, 1:][right]])
+    u, v, edge = _grid_graph(*edges)
     live = np.ones(len(u), dtype=bool)
     integrated = np.zeros(len(u), dtype=bool)
     edge_value = np.zeros((len(u), 3), dtype=complex)
@@ -196,11 +205,11 @@ def _tree_integrals(points, allowed, edges, cache):
                                        kind="stable")]
     while True:
         keep = live & ~failed[u] & ~failed[v]
-        graph = _graph(n, u, v, keep)
-        depth = np.full(n, -1)
+        table = _neighbours(u, v, edge, keep)
+        depth = np.full(n + 1, -1)
+        depth[n] = -2
         for node in roots:
-            order, d = _bfs(graph, node)
-            depth[order] = d
+            _search(table, node, depth)
         k = 0
         while True:
             rest = candidates[k:]
@@ -216,12 +225,11 @@ def _tree_integrals(points, allowed, edges, cache):
             except WsurfError:
                 failed[node] = True
                 keep = live & ~failed[u] & ~failed[v]
-                graph = _graph(n, u, v, keep)
+                table = _neighbours(u, v, edge, keep)
                 continue
             roots[node] = value
-            order, d = _bfs(graph, node)
-            depth[order] = d
-        parent_edge = _parent_edges(u, v, keep, depth)
+            _search(table, node, depth)
+        parent_edge = _parent_edges(table, edge, depth)
         tree = parent_edge[parent_edge >= 0]
         todo = tree[~integrated[tree]]
         if todo.size == 0:

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sps
-from scipy.spatial import cKDTree
 
 from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_segments,
                       holo_derivative, panel_lanes, straight_path)
@@ -130,10 +128,11 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
         eta = lambda z: np.exp(z) / (c1 * z ** (a + 1))
         chi = lambda z: (n * c1 * _upper_gamma_int(a + 1, z) + c2) / lam
     elif eq == "hermite":
+        from scipy.special import erf       # only hermite needs scipy here
         n = par["n"]
         eta = lambda z: c1 ** 2 * np.exp(z * z)
         chi = lambda z: ((2 * n / (lam * c1 ** 2)) * (math.sqrt(math.pi) / 2)
-                         * _sps.erf(np.asarray(z, dtype=complex)) + c2 / lam)
+                         * erf(np.asarray(z, dtype=complex)) + c2 / lam)
     elif eq == "gegenbauer":
         a, n = par["alpha"], par["n"]
         d2, d3 = n * (n + 2 * a), 2 * a + 1
@@ -196,7 +195,7 @@ class CachedAntiderivative:
         self._values = np.empty((16,) + value.shape, dtype=complex)
         self._values[0] = value
         self._size = 1
-        # kd-trees over the store ranges [start, stop), in store order
+        # (start, stop, kd-tree or None) over store ranges, in store order
         self._blocks = []
 
     def __call__(self, z):
@@ -263,14 +262,21 @@ class CachedAntiderivative:
         self._values[n:n + m] = values
         self._size = n + m
 
+    # a block of at most this many points is one kd-tree leaf, so it is
+    # searched densely, in the leaf's order and distance arithmetic
+    _LEAF = 16
+
     def _nearest(self, z):
         """Store index of the stored point nearest to each of z.
 
-        The store is covered by kd-trees over consecutive ranges, each
+        The store is covered by blocks over consecutive ranges, each
         more than twice the size of the next (Bentley-Saxe): the points
-        stored since the last lookup get a tree of their own, merged
-        with every preceding tree at most twice its size, so that a
-        point is re-indexed O(log n) times over the store's life.
+        stored since the last lookup get a block of their own, merged
+        with every preceding block at most twice its size, so that a
+        point is re-indexed O(log n) times over the store's life.  A
+        block above _LEAF points is a kd-tree; a smaller one is scanned
+        as a one-leaf tree would be, so a small store never imports
+        scipy.
         """
         size = self._size
         start = self._blocks[-1][1] if self._blocks else 0
@@ -278,15 +284,28 @@ class CachedAntiderivative:
             while (self._blocks and self._blocks[-1][1]
                    - self._blocks[-1][0] <= 2 * (size - start)):
                 start = self._blocks.pop()[0]
-            points = self._points[start:size]
-            self._blocks.append((start, size, cKDTree(
-                np.column_stack([points.real, points.imag]),
-                balanced_tree=False, compact_nodes=False)))
+            tree = None
+            if size - start > self._LEAF:
+                from scipy.spatial import cKDTree
+                points = self._points[start:size]
+                tree = cKDTree(np.column_stack([points.real, points.imag]),
+                               leafsize=self._LEAF, balanced_tree=False,
+                               compact_nodes=False)
+            self._blocks.append((start, size, tree))
         xy = np.column_stack([z.real, z.imag])
         best = np.full(len(z), np.inf)
         near = np.zeros(len(z), dtype=int)
-        for start, _, tree in self._blocks:
-            dist, i = tree.query(xy)
+        for start, stop, tree in self._blocks:
+            if tree is None:
+                # a leaf scan: the first point of least dx^2 + dy^2
+                points = self._points[start:stop]
+                dx = points.real - z.real[:, None]
+                dy = points.imag - z.imag[:, None]
+                squared = dx * dx + dy * dy
+                i = np.argmin(squared, axis=1)
+                dist = np.sqrt(squared[np.arange(len(z)), i])
+            else:
+                dist, i = tree.query(xy)
             closer = dist < best
             best[closer] = dist[closer]
             near[closer] = start + i[closer]

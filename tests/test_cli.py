@@ -257,17 +257,21 @@ class TestSampleAnchor:
         assert fields["z"] == "2+1i"
 
 
-def _cli(args, cwd, timeout=60):
-    """wsurf in a child process, so that a hang fails instead of stalling
-    the suite."""
+def _python(args, cwd, timeout=60):
+    """python with this checkout's src/ on the path, in a child process,
+    so that a hang fails instead of stalling the suite."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", "wsurf.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _cli(args, cwd, timeout=60):
+    """wsurf in a child process."""
+    return _python(["-m", "wsurf.cli", *args], cwd, timeout)
 
 
 def test_start_does_not_import_scipy_integrate(tmp_path):
@@ -280,15 +284,52 @@ def test_start_does_not_import_scipy_integrate(tmp_path):
               "import scipy.integrate\n"
               "import wsurf.linearproblem as lp\n"
               "print(lp.solve_ivp is scipy.integrate.solve_ivp)\n")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _python(["-c", script], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+# (equation, --lambda, --grid) of the paper's four figure surfaces
+FIGURES = (
+    ("laguerre", "1+0i", None),
+    ("legendre", "-2+0i", "polar:0.02,8,0,18.849555921538759,30,30"),
+    ("bessel", "-0.5+0i", "polar:0.01,2,0,6.283185307179586,30,30"),
+    ("chebyshev1", "-1+0i", "polar:0.02,10,0,6.283185307179586,30,30"),
+)
+
+
+def _scipy_after(argvs, cwd):
+    """The scipy modules loaded after `import wsurf.cli` and one
+    run_pipeline call per argv, each exiting 0, in a fresh child."""
+    script = ("import contextlib, io, sys\n"
+              "import wsurf.cli\n"
+              f"for argv in {argvs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert wsurf.cli.run_pipeline(list(argv)) == 0, argv\n"
+              "print(*sorted(m for m in sys.modules\n"
+              "              if m.split('.')[0] == 'scipy'))\n")
+    done = _python(["-c", script], cwd, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_figures_verify_sample_and_list_load_no_scipy(tmp_path):
+    # scipy is imported on first use: by hermite's erf, the classical
+    # solutions and the kd-trees of large numeric-route stores
+    argvs = [("surface", "--eq", eq, "--lambda", lam,
+              *(("--grid", grid) if grid else ()),
+              "--out", str(tmp_path / f"{eq}.obj"))
+             for eq, lam, grid in FIGURES]
+    argvs += [("verify", "--eq", "legendre"),
+              ("sample", "--eq", "laguerre", "--xi", "2+1i"), ("list",)]
+    assert _scipy_after(argvs, tmp_path) == []
+
+
+def test_hermite_verify_loads_special_not_sparse_or_spatial(tmp_path):
+    loaded = _scipy_after([("verify", "--eq", "hermite")], tmp_path)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded
+                if m.split(".")[1:2] in (["sparse"], ["spatial"])]
 
 
 class TestNonFinite:

@@ -15,9 +15,10 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
-from wsurf.mesh import (_RENDERERS, SurfaceMesh, _bfs, _graph, _parent_edges,
-                        _sample_mask, _sample_with_mask, build_mesh, ew_cache,
-                        export_mesh, immersion_at, import_csv, sample_grid)
+from wsurf.mesh import (_RENDERERS, SurfaceMesh, _grid_graph, _neighbours,
+                        _parent_edges, _sample_mask, _sample_with_mask,
+                        _search, build_mesh, ew_cache, export_mesh,
+                        immersion_at, import_csv, sample_grid)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                closed_form_data, make_data)
 
@@ -308,8 +309,9 @@ def reference_bfs(adjacency, sources, visited, parent_edge, levels):
 
 @st.composite
 def grid_graphs(draw):
-    """(n, u, v, wall, candidates): a random grid's 4-neighbour edges with
-    some dead, wall nodes that no search enters, and a root order."""
+    """(n, down, right, u, v, wall, candidates): a random grid's
+    4-neighbour edges with some dead, as _grid_edges' masks and as edge
+    lists, wall nodes that no search enters, and a root order."""
     n1, n2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     n = n1 * n2
 
@@ -326,17 +328,18 @@ def grid_graphs(draw):
     wall = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     wall &= np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     candidates = np.array(draw(st.permutations(range(n))), dtype=int)
-    return n, u, v, wall, candidates
+    return n, down, right, u, v, wall, candidates
 
 
 class TestForestSearch:
-    """_bfs and _parent_edges pick the tree of the level-by-level search
-    they replace, on grids with dead edges, walls and many components."""
+    """_search and _parent_edges pick the tree of the level-by-level
+    search they replace, on grids with dead edges, walls and many
+    components."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=grid_graphs())
     def test_same_tree_as_level_by_level_search(self, case):
-        n, u, v, wall, candidates = case
+        n, down, right, u, v, wall, candidates = case
         adjacency = reference_adjacency(n, u, v, np.ones(len(u), bool))
         visited, want_edge = wall.copy(), np.full(n, -1)
         want_level, roots = np.full(n, -1), []
@@ -356,14 +359,19 @@ class TestForestSearch:
         assert np.array_equal(together, want_edge)
         assert sum(map(len, together_levels)) == np.sum(want_level > 0)
 
-        keep = ~wall[u] & ~wall[v]
-        graph, depth = _graph(n, u, v, keep), np.full(n, -1)
+        got_u, got_v, edge = _grid_graph(down, right)
+        assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
+        table = _neighbours(u, v, edge, ~wall[u] & ~wall[v])
+        depth = np.full(n + 1, -1)
+        depth[n] = -2
         for root in roots:
-            order, d = _bfs(graph, root)
-            assert order[0] == root and np.all(depth[order] < 0)
-            depth[order] = d
-        assert np.array_equal(depth, want_level)
-        assert np.array_equal(_parent_edges(u, v, keep, depth), want_edge)
+            before = depth.copy()
+            _search(table, root, depth)
+            # the root starts its level 0, and no node is searched twice
+            assert before[root] == -1 and depth[root] == 0
+            assert np.array_equal(depth[before != -1], before[before != -1])
+        assert np.array_equal(depth[:n], want_level)
+        assert np.array_equal(_parent_edges(table, edge, depth), want_edge)
 
 
 def reference_faces(mesh, ode):

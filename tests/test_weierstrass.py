@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
@@ -281,6 +282,41 @@ class TestCachedAntiderivative:
         assert np.max(np.abs(b(-1 + 1j) - direct)) <= 1e-9
         assert np.max(np.abs(direct - primitive(-1 + 1j))) <= 1e-9
         assert np.max(np.abs(b(1 + 0j) - anchor_value)) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_nearest_across_the_leaf_size(self, data):
+        # batches up to several leaf sizes make dense blocks, kd-tree
+        # blocks and merges of both; a lattice makes ties, and keeps
+        # dx^2 + dy^2 exact; queries are lattice points and stored ones
+        leaf = CachedAntiderivative._LEAF
+
+        def points(size):
+            xy = data.draw(arrays(np.int64, (size, 2), fill=st.nothing(),
+                                  elements=st.integers(-64, 64)))
+            return (xy[:, 0] + 1j * xy[:, 1]) / 16
+
+        cache = CachedAntiderivative(None, points(1)[0])
+        # small batches too, so that several dense blocks coexist
+        sizes = st.lists(st.integers(1, 4 * leaf) | st.integers(1, 8),
+                         min_size=1, max_size=6)
+        for size in data.draw(sizes):
+            cache._insert(points(size), np.zeros(size))
+            stored = cache._points[:cache._size]
+            picks = st.lists(st.integers(0, len(stored) - 1), max_size=8)
+            z = np.concatenate([points(data.draw(st.integers(1, 8))),
+                                stored[data.draw(picks)]])
+            near = cache._nearest(z)
+            # the kd-tree's arithmetic, which the dense blocks copy
+            dx = stored.real - z.real[:, None]
+            dy = stored.imag - z.imag[:, None]
+            dist = np.sqrt(dx * dx + dy * dy)
+            assert np.array_equal(dist[np.arange(len(z)), near],
+                                  dist.min(axis=1))
+            # hypot rounds differently, by an ulp at most
+            dense = np.abs(stored - z[:, None]).min(axis=1)
+            assert np.all(np.abs(stored[near] - z)
+                          <= dense * (1 + 2 * np.finfo(float).eps))
 
     def test_routes_around_obstacles(self):
         cache = CachedAntiderivative(
