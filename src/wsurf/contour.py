@@ -2,9 +2,11 @@
 Chebyshev-panel engine for an ODE's lanes, and holomorphic derivatives on
 small circles in the complex plane."""
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as _chebyshev
@@ -140,24 +142,14 @@ def _eval_vectorized(f, nodes):
     return vals.reshape(nodes.shape + (math.prod(vals.shape[1:]),))
 
 
-def _gk15_panels(f, lo, hi):
+def _gk15_chunk(f, lo, hi):
     """GK15 estimates and their errors, shapes (p, k), on the panels
-    lo[i] -> hi[i], and {panel: WsurfError} for the panels where f
-    raised one or returned a non-finite value.
+    lo[i] -> hi[i] of one chunk, and {panel: WsurfError} for the panels
+    where f raised one or returned a non-finite value.
 
-    One integrand call per CHUNK_PANELS panels, so that a level's memory
-    stays bounded; isolate_failures evaluates a chunk's panels one by
-    one only when its call raises a WsurfError.
+    One integrand call; isolate_failures evaluates the panels one by one
+    only when it raises a WsurfError.
     """
-    if len(lo) > CHUNK_PANELS:
-        parts = [_gk15_panels(f, lo[s:s + CHUNK_PANELS], hi[s:s + CHUNK_PANELS])
-                 for s in range(0, len(lo), CHUNK_PANELS)]
-        failed = {s * CHUNK_PANELS + i: exc
-                  for s, (_, _, bad) in enumerate(parts)
-                  for i, exc in bad.items()}
-        k15, err = (np.concatenate([part[j] for part in parts])
-                    for j in (0, 1))
-        return k15, err, failed
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
     vals, failed = isolate_failures(partial(_eval_vectorized, f), nodes)
@@ -171,6 +163,75 @@ def _gk15_panels(f, lo, hi):
     return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
 
 
+def _gk15_chunks(f, lo, hi, starts):
+    """_gk15_chunk on the chunks of CHUNK_PANELS panels that begin at
+    the panel indices starts, in their order."""
+    return [_gk15_chunk(f, lo[s:s + CHUNK_PANELS], hi[s:s + CHUNK_PANELS])
+            for s in starts]
+
+
+def _gk15_panels(f, lo, hi):
+    """_gk15_chunk on the panels lo[i] -> hi[i], one chunk of
+    CHUNK_PANELS panels at a time, so that a level's memory stays
+    bounded.  The chunks of an integrand marked thread_safe are shared
+    out by _in_shares; either way they are joined in panel order.
+    """
+    starts = range(0, len(lo), CHUNK_PANELS)
+    if len(starts) <= 1:
+        return _gk15_chunk(f, lo, hi)
+    run = partial(_gk15_chunks, f, lo, hi)
+    parts = (_in_shares(run, starts) if getattr(f, "thread_safe", False)
+             else run(starts))
+    failed = {s + i: exc for s, (_, _, bad) in zip(starts, parts)
+              for i, exc in bad.items()}
+    k15, err = (np.concatenate([part[j] for part in parts]) for j in (0, 1))
+    return k15, err, failed
+
+
+@cache
+def _pool(pid):
+    """(thread pool, its worker count) of the process pid: one worker
+    per CPU the process may use, less the calling thread, or (None, 0)
+    on one CPU.  Keyed by pid, so that a forked child, which has none
+    of its parent's threads, makes its own pool."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:           # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = cpus - 1
+    if not workers:
+        return None, 0
+    # about 12 ms of imports, paid only by a run with a multi-chunk level
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="wsurf-gk15")
+    return pool, workers
+
+
+def _in_shares(run, items):
+    """run(items) for a run that maps a sequence of items to a list, one
+    entry per item, split into contiguous shares of the items: the
+    calling thread runs the first share, and _pool's workers the others,
+    each in a copy of the caller's contextvars context (numpy's errstate
+    among them).  The shares' lists are joined in order.  Every share
+    finishes before this returns or raises, and the exception raised is
+    the one of the first share in order that raised."""
+    pool, workers = _pool(os.getpid())
+    n = min(workers + 1, len(items))
+    if n < 2:
+        return run(items)
+    cuts = [len(items) * j // n for j in range(n + 1)]
+    futures = [pool.submit(contextvars.copy_context().run, run, items[a:b])
+               for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        parts = run(items[:cuts[1]])
+    finally:
+        for future in futures:
+            future.exception()       # waits; the results are read below
+    for future in futures:
+        parts += future.result()
+    return parts
+
+
 def gk15_segments(f, a, b, tol):
     """Adaptive GK15 integrals of f over the straight segments a[i] -> b[i].
 
@@ -182,6 +243,19 @@ def gk15_segments(f, a, b, tol):
     segment that completes sum to at most tol[i] in every component.
 
     f maps an (n,) complex array to values of shape (n,) or (n, k).
+    An f with a true ``thread_safe`` attribute promises that concurrent
+    calls from several threads are safe and give the values of the same
+    calls made one by one; the chunks of its multi-chunk levels are then
+    evaluated concurrently on every CPU the process may use, each in a
+    copy of the caller's contextvars context, so that f sees the
+    caller's np.errstate.  Such an f must not itself call gk15_segments
+    with a thread_safe integrand: its chunks would wait on the worker
+    threads running f.  Each chunk's arithmetic, the chunk size and the
+    order in which chunks are joined are those of the serial loop, so
+    values and failures are bit-identical to it, and an exception f
+    raises (other than a WsurfError) is the one of the first chunk in
+    panel order that raised.
+
     Returns ``(values, failures)``: values has shape (m,) or (m, k), and
     failures maps the index of every segment that did not run to
     completion to its WsurfError -- EvaluationFailure naming the first
@@ -189,13 +263,14 @@ def gk15_segments(f, a, b, tol):
     ToleranceNotReached (with the segment's summed GK15 error estimate)
     when a panel is still above its share of tol at MAX_DEPTH or one
     level needed more than MAX_LIVE_PANELS panels.  Entries of failed
-    segments are meaningless.
+    segments are meaningless.  With no segments, values has the shape
+    of f's values on no nodes, and failures is empty.
     """
     lo = np.asarray(a, dtype=complex).reshape(-1)
     hi = np.asarray(b, dtype=complex).reshape(-1)
     m = len(lo)
     tol = np.asarray(tol, dtype=float)
-    tol_min = float(tol) if tol.ndim == 0 else tol.min()
+    tol_min = tol.min(initial=np.inf)
     seg = ptol = values = errors = None
     failures = {}
     depth = 0
@@ -204,7 +279,7 @@ def gk15_segments(f, a, b, tol):
         if seg is None:
             # one panel per segment, all within tolerance: the common
             # case returns here
-            if not failed and err.max() <= tol_min:
+            if not failed and err.max(initial=0.0) <= tol_min:
                 return _squeezed(k15), failures
             seg = np.arange(m)
             ptol = np.broadcast_to(tol, (m,))

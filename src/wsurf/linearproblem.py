@@ -75,10 +75,11 @@ def _transport_step(y, c, h, qp, rp):
         w = np.linalg.solve(system, ((qp * d0 + rp * start)
                                      * (-c * c))[..., None]).swapaxes(1, 2)
         # per-lane (1 x M) products, since a 2-D gemm's rounding of a
-        # row depends on the number of rows; w = 0 where c = 0
+        # row depends on the number of rows.  w = 0 where c^2 underflows
+        # to 0, and a complex division by a subnormal c would give nan
         ys = np.stack([start + (w @ _PANEL_S2.T)[:, 0],
-                       d0 + (w @ PANEL_S.T)[:, 0] / np.where(c == 0, 1, c)],
-                      axis=1)
+                       d0 + (w @ PANEL_S.T)[:, 0]
+                       / np.where(c * c == 0, 1, c)], axis=1)
         tail = np.abs((ys[:, :, None, :] * PANEL_TAIL).sum(axis=-1))
         finite = np.isfinite(tail).all(axis=(1, 2))
         scale = np.maximum(np.abs(ys).max(axis=-1), _TAIL_FLOOR)

@@ -194,8 +194,11 @@ def _tree_integrals(points, allowed, edges, cache):
     n = z.size
     u, v, edge = _grid_graph(*edges)
     live = np.ones(len(u), dtype=bool)
-    integrated = np.zeros(len(u), dtype=bool)
-    edge_value = np.zeros((len(u), 3), dtype=complex)
+    # the values of the integrated edges, kept across forest rebuilds:
+    # row slot[e] of the concatenated rows for edge e, -1 until integrated
+    slot = np.full(len(u), -1)
+    rows = [np.zeros((0, 3), dtype=complex)]
+    done = 0
     # nodes on a cut ray (except the anchor) fail without a lookup:
     # plan_path refuses them as endpoints and every edge to them crosses it
     failed = allowed.ravel() & cache.obstacles.on_ray(z) & (z != cache.anchor)
@@ -231,16 +234,19 @@ def _tree_integrals(points, allowed, edges, cache):
             _search(table, node, depth)
         parent_edge = _parent_edges(table, edge, depth)
         tree = parent_edge[parent_edge >= 0]
-        todo = tree[~integrated[tree]]
+        todo = tree[slot[tree] < 0]
         if todo.size == 0:
             break
         values, failures = gk15_segments(
             cache.integrand, z[u[todo]], z[v[todo]], cache.tol)
         bad = np.zeros(len(todo), dtype=bool)
         bad[list(failures)] = True
-        edge_value[todo[~bad]] = values.reshape(len(todo), -1)[~bad]
-        integrated[todo[~bad]] = True
-        if not bad.any():
+        good = todo[~bad]
+        slot[good] = np.arange(done, done + len(good))
+        done += len(good)
+        values = values.reshape(len(todo), -1)
+        rows.append(values[~bad] if failures else values)
+        if not failures:
             break
         live[todo[bad]] = False
 
@@ -254,7 +260,8 @@ def _tree_integrals(points, allowed, edges, cache):
     e = parent_edge[nodes]
     forward = v[e] == nodes
     parent = np.where(forward, u[e], v[e])
-    step = np.where(forward[:, None], edge_value[e], -edge_value[e])
+    step = np.concatenate(rows)[slot[e]]
+    np.negative(step, out=step, where=~forward[:, None])
     ends = np.cumsum(np.bincount(depth[nodes]))
     for lo, hi in zip(ends[:-1], ends[1:]):
         value[nodes[lo:hi]] = value[parent[lo:hi]] + step[lo:hi]

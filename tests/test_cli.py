@@ -298,8 +298,8 @@ FIGURES = (
 )
 
 
-def _scipy_after(argvs, cwd):
-    """The scipy modules loaded after `import wsurf.cli` and one
+def _loaded_after(argvs, cwd, package="scipy"):
+    """The modules of package loaded after `import wsurf.cli` and one
     run_pipeline call per argv, each exiting 0, in a fresh child."""
     script = ("import contextlib, io, sys\n"
               "import wsurf.cli\n"
@@ -307,7 +307,7 @@ def _scipy_after(argvs, cwd):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert wsurf.cli.run_pipeline(list(argv)) == 0, argv\n"
               "print(*sorted(m for m in sys.modules\n"
-              "              if m.split('.')[0] == 'scipy'))\n")
+              f"              if m.split('.')[0] == {package!r}))\n")
     done = _python(["-c", script], cwd, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -322,11 +322,15 @@ def test_figures_verify_sample_and_list_load_no_scipy(tmp_path):
              for eq, lam, grid in FIGURES]
     argvs += [("verify", "--eq", "legendre"),
               ("sample", "--eq", "laguerre", "--xi", "2+1i"), ("list",)]
-    assert _scipy_after(argvs, tmp_path) == []
+    assert _loaded_after(argvs, tmp_path) == []
+    # concurrent.futures, for gk15_segments' thread pool, is imported on
+    # the first bisection level of more than one chunk
+    assert _loaded_after([("list",), ("verify", "--eq", "legendre")],
+                         tmp_path, "concurrent") == []
 
 
 def test_hermite_verify_loads_special_not_sparse_or_spatial(tmp_path):
-    loaded = _scipy_after([("verify", "--eq", "hermite")], tmp_path)
+    loaded = _loaded_after([("verify", "--eq", "hermite")], tmp_path)
     assert "scipy.special" in loaded
     assert not [m for m in loaded
                 if m.split(".")[1:2] in (["sparse"], ["spatial"])]

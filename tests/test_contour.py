@@ -1,11 +1,14 @@
 """Contour paths, adaptive quadrature and holomorphic derivatives."""
 
+import contextlib
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wsurf import contour
@@ -239,6 +242,117 @@ class TestSegmentBatch:
             lambda z: z * z, [0j, 1j], [1 + 0j, 2j], 1e-12)
         assert values.shape == (2,) and not failures
         assert np.allclose(values, [1 / 3, -7j / 3], atol=1e-14)
+
+    @pytest.mark.parametrize("tol", [1e-10, np.array([])])
+    @pytest.mark.parametrize("f, shape", [
+        (lambda z: z * z, (0,)),
+        (lambda z: np.stack([z, np.exp(z), z * z], axis=-1), (0, 3))])
+    def test_no_segments(self, f, shape, tol):
+        none = np.array([], dtype=complex)
+        values, failures = gk15_segments(f, none, none, tol)
+        assert values.shape == shape and failures == {}
+
+
+@contextlib.contextmanager
+def pooled_gk15(workers, chunk):
+    """gk15_segments with CHUNK_PANELS = chunk and a pool of the given
+    number of worker threads, whatever the CPUs of the machine."""
+    with ThreadPoolExecutor(workers) as pool, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contour, "CHUNK_PANELS", chunk)
+        patch.setattr(contour, "_pool", lambda pid: (pool, workers))
+        yield
+
+
+def _strip_integrand(pole, nan_in, wsurf_in, raise_in):
+    """(exp iz, 1/(z - pole)), except at the nodes of the strips
+    k <= Re z < k + 1: nan for k in nan_in, SingularPoint for k in
+    wsurf_in, ValueError(k) for k in raise_in."""
+    def f(z):
+        strip = np.floor(z.real).astype(int)
+        for k in sorted(raise_in):
+            if (strip == k).any():
+                raise ValueError(k)
+        hit = np.isin(strip, list(wsurf_in))
+        if hit.any():
+            raise SingularPoint(complex(z[hit][0]))
+        values = np.stack([np.exp(1j * z), 1 / (z - pole)], axis=-1)
+        values[np.isin(strip, list(nan_in))] = np.nan
+        return values
+
+    return f
+
+
+def _outcome(f, a, b):
+    """gk15_segments' values and failures, or the exception it raised,
+    as comparable values."""
+    try:
+        values, failures = gk15_segments(f, a, b, 1e-10)
+    except ValueError as exc:
+        return exc.args
+    return values, {k: (type(e), e.args) for k, e in failures.items()}
+
+
+_STRIP_SEGMENT = st.tuples(*[st.floats(lo, hi) for lo, hi in
+                             ((0.05, 0.45), (-1, 1), (0.55, 0.95), (-1, 1))])
+
+
+class TestPooledLevels:
+    """A bisection level of several chunks, shared between the calling
+    thread and a pool, gives the serial loop's bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(segments=st.lists(_STRIP_SEGMENT, min_size=6, max_size=14),
+           pole=st.tuples(st.integers(0, 13), st.floats(0.01, 0.3)),
+           nan_in=st.sets(st.integers(0, 13), max_size=2),
+           wsurf_in=st.sets(st.integers(0, 13), max_size=2),
+           raise_in=st.sets(st.integers(0, 13), max_size=2),
+           workers=st.integers(1, 4))
+    # non-finite values in a middle chunk; a WsurfError in one chunk; a
+    # ValueError in chunks 1 and 3, of which chunk 1's must surface
+    @example(segments=[(0.2, 0.1, 0.8, 0.3)] * 8, pole=(4, 0.05),
+             nan_in={3}, wsurf_in=set(), raise_in=set(), workers=1)
+    @example(segments=[(0.2, 0.1, 0.8, 0.3)] * 8, pole=(1, 0.05),
+             nan_in=set(), wsurf_in={5}, raise_in=set(), workers=2)
+    @example(segments=[(0.2, 0.1, 0.8, 0.3)] * 8, pole=(1, 0.05),
+             nan_in=set(), wsurf_in=set(), raise_in={2, 7}, workers=3)
+    def test_pooled_matches_serial(self, segments, pole, nan_in, wsurf_in,
+                                   raise_in, workers):
+        # segment k lies in strip k, so chunk k // 2 on the first level;
+        # the pole, off the middle of one segment, makes it bisect
+        s = np.array(segments)
+        k = np.arange(len(s))
+        a, b = k + s[:, 0] + 1j * s[:, 1], k + s[:, 2] + 1j * s[:, 3]
+        near, gap = pole[0] % len(s), pole[1]
+        normal = 1j * (b[near] - a[near]) / abs(b[near] - a[near])
+        f = _strip_integrand(0.5 * (a[near] + b[near]) + gap * normal,
+                             nan_in, wsurf_in, raise_in)
+        with pooled_gk15(workers, chunk=2):
+            serial = _outcome(f, a, b)
+            f.thread_safe = True
+            pooled = _outcome(f, a, b)
+        raised = sorted(raise_in & set(k))
+        if raised:
+            assert serial == pooled == (raised[0],)
+            return
+        assert np.array_equal(serial[0], pooled[0], equal_nan=True)
+        assert serial[1] == pooled[1]
+        assert set(serial[1]) == set(nan_in | wsurf_in) & set(k)
+
+    def test_worker_sees_callers_errstate(self):
+        seen = []
+
+        def f(z):
+            seen.append((threading.current_thread(), np.geterr()["over"]))
+            return np.exp(z)
+
+        f.thread_safe = True
+        a = np.arange(6) + 0j
+        with pooled_gk15(workers=2, chunk=1), np.errstate(all="raise"):
+            gk15_segments(f, a, a + 1, 1e-10)
+        assert {thread.name for thread, _ in seen} \
+            - {threading.current_thread().name}
+        assert {over for _, over in seen} == {"raise"}
 
 
 class TestHoloDerivative:

@@ -327,6 +327,16 @@ def test_lane_does_not_depend_on_its_batch(lane, others, at):
     assert np.array_equal(batch[:, at], alone[:, 0])
 
 
+def test_lane_of_subnormal_length_keeps_its_state():
+    # c^2 underflows to 0 on its panels, and a complex division by the
+    # subnormal c gave nan
+    states = np.array([[1 + 1j], [2 - 1j]])
+    ends, _ = transport(get_equation("legendre"),
+                        np.array([2.2250738585e-313 + 1j]), np.array([1j]),
+                        states)
+    assert np.array_equal(ends, states)
+
+
 def _lane_panels(panels, k):
     """The points and states of lane k's accepted panels, in order."""
     return [(z[i], y[i]) for lanes, z, y in panels

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -11,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
-                           get_equation, get_fixture, reference_surface)
+                           get_equation, get_fixture, parse_user_ode,
+                           reference_surface)
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
 from wsurf.mesh import (_RENDERERS, SurfaceMesh, _grid_graph, _neighbours,
                         _parent_edges, _sample_mask, _sample_with_mask,
-                        _search, build_mesh, ew_cache, export_mesh,
-                        immersion_at, import_csv, sample_grid)
+                        _search, _tree_integrals, build_mesh, ew_cache,
+                        export_mesh, immersion_at, import_csv, sample_grid)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
-                               closed_form_data, make_data)
+                               build_numeric_data, closed_form_data,
+                               make_data)
 
+from test_contour import pooled_gk15
 from test_geometry import (reference_segment_crosses_ray,
                            reference_segment_hits_disc)
 
@@ -230,6 +234,47 @@ class TestSpanningForest:
         shifted = GridSpec(grid.kind, ((a0 + da, a1 + da), (b0 + db, b1 + db)),
                            grid.resolution, grid.base_point)
         assert_matches_reference(data, shifted)
+
+    def test_forest_without_edges(self, plane_data):
+        # every node is its own component, so no edge is integrated
+        points = unit_square_grid(3).points()
+        allowed = np.ones(points.shape, dtype=bool)
+        edges = np.zeros((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool)
+        value, failed = _tree_integrals(points, allowed, edges,
+                                        ew_cache(plane_data, 0j))
+        # int_0^z (1, 0, 0) from one root lookup per node
+        assert not failed.any() and not value[:, 1:].any()
+        assert np.allclose(value[:, 0], points.ravel(), rtol=0, atol=1e-14)
+
+
+# the user equation of the README's "User-defined equations" section
+_README_ODE = ("id = my-equation\nparams = alpha=2\np = z - 0.5\n"
+               "q = 1.5 - z\nr = alpha\nsingularities = 0.5\n")
+
+
+@pytest.mark.parametrize("source", ["numeric", "closed_form"])
+def test_only_closed_form_pairs_run_off_the_main_thread(source):
+    # the numeric pair's eta^2 and chi insert into its store, so its
+    # integrand stays on the calling thread even when levels are pooled
+    data = (build_numeric_data(parse_user_ode(_README_ODE))
+            if source == "numeric" else make_data(get_equation("hermite")))
+    threads = set()
+
+    def recorded(fn):
+        def call(z):
+            threads.add(threading.current_thread())
+            return fn(z)
+        return call
+
+    data = dataclasses.replace(data, eta_sq=recorded(data.eta_sq),
+                               chi=recorded(data.chi))
+    grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8),
+                    data.base_point)
+    with pooled_gk15(workers=2, chunk=16):
+        samples = _sample_mask(data, grid, True, 1e-10)
+    assert samples.failures == 0
+    off_main = threads - {threading.main_thread()}
+    assert bool(off_main) == (source == "closed_form")
 
 
 def spotted(data, spot, radius=0.01):
