@@ -1,14 +1,15 @@
 """Registry of the classical second-order ODEs and their figure fixtures.
 
-Each catalog entry stores the coefficients p, q, r of
+Each catalog equation is one record: its default parameters, the
+builder of its coefficients p, q, r of
 
     p(nu; z) w'' + q(nu; z) w' + r(nu; z) w = 0
 
-as vectorized complex callables bound to a parameter set, together with
-the singular points, the branch-cut rays used when comparing against
-principal-branch closed forms, and a default grid on which the surface
-is well resolved.  User-defined equations can be loaded from a flat
-key/value text file.
+as vectorized complex callables bound to a parameter set, the singular
+points, the branch-cut rays used when comparing against principal-branch
+closed forms, a default grid on which the surface is well resolved, the
+base point of its Weierstrass pair and, for jacobi, a validity region.
+User-defined equations can be loaded from a flat key/value text file.
 """
 
 import ast
@@ -23,15 +24,11 @@ from numpy.polynomial import laguerre as _lag
 from numpy.polynomial import legendre as _leg
 
 from . import special
-from .errors import OutsideFixtureDomain, SingularPoint, UnknownEquation
+from .errors import (EvaluationFailure, OutsideFixtureDomain, SingularPoint,
+                     UnknownEquation)
 from .geometry import Obstacles
 
 SINGULARITY_RADIUS = 0.02
-
-EQUATION_IDS = (
-    "legendre", "legendre_assoc", "bessel", "chebyshev1", "chebyshev2",
-    "laguerre", "laguerre_assoc", "hermite", "gegenbauer", "jacobi",
-)
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,7 @@ class LinearODE:
     default_domain: GridSpec = None
     valid_region: object = None  # optional callable z -> bool
     cut_rays: tuple = ()         # (anchor, direction) pairs
+    pair_base: complex = 0j      # default base point of the (eta^2, chi) pair
 
     def ratios(self, z):
         return coefficient_ratios(self, z)
@@ -87,22 +85,31 @@ class LinearODE:
 
 
 def coefficient_ratios(ode, z):
-    """(q/p, r/p) at z, raising SingularPoint at zeros of p.
+    """(q/p, r/p) at z, raising SingularPoint at zeros of p and
+    EvaluationFailure where a ratio is not finite.
 
-    For an array z, two arrays of its shape, and SingularPoint names the
-    first point where p vanishes or is not finite; for a point, two
-    Python complex numbers.
+    For an array z, two arrays of its shape, and the error names the
+    first point where p vanishes or is not finite, or else the first
+    where q/p or r/p is not finite; for a point, two Python complex
+    numbers.  p, q and r are evaluated with numpy's warnings off, since
+    these errors report the points where they would warn.
     """
     zs = np.asarray(z, dtype=complex)
     bad = np.zeros(zs.shape, dtype=bool)
     for s in ode.singularities:
         bad |= np.abs(zs - s) < 1e-12
-    pv = np.asarray(ode.p(zs), dtype=complex)
-    bad |= (pv == 0) | ~np.isfinite(pv)
+    with np.errstate(all="ignore"):
+        pv = np.asarray(ode.p(zs), dtype=complex)
+        bad |= (pv == 0) | ~np.isfinite(pv)
+        if bad.any():
+            raise SingularPoint(complex(zs.flat[np.argmax(bad.ravel())]))
+        qp = np.asarray(ode.q(zs), dtype=complex) / pv
+        rp = np.asarray(ode.r(zs), dtype=complex) / pv
+    bad = ~(np.isfinite(qp) & np.isfinite(rp))
     if bad.any():
-        raise SingularPoint(complex(zs.flat[np.argmax(bad.ravel())]))
-    qp = np.asarray(ode.q(zs), dtype=complex) / pv
-    rp = np.asarray(ode.r(zs), dtype=complex) / pv
+        w = complex(zs.flat[np.argmax(bad.ravel())])
+        raise EvaluationFailure(
+            w, f"ODE coefficients are not finite at z={w}")
     if zs.ndim == 0:
         return complex(qp), complex(rp)
     return qp, rp
@@ -110,141 +117,71 @@ def coefficient_ratios(ode, z):
 
 _REAL_AXIS_CUTS = ((1.0 + 0j, 1.0 + 0j), (-1.0 + 0j, -1.0 + 0j))
 _NEG_AXIS_CUT = ((0j, -1.0 + 0j),)
-
-DEFAULT_PARAMS = {
-    "legendre": {"alpha": 1},
-    "legendre_assoc": {"alpha": 1, "m": 1},
-    "bessel": {"p": 0.0},
-    "chebyshev1": {"n": 1},
-    "chebyshev2": {"n": 1},
-    "laguerre": {"alpha": 1},
-    "laguerre_assoc": {"alpha": 1, "n": 2},
-    "hermite": {"n": 1},
-    "gegenbauer": {"alpha": 0.5, "n": 1},
-    "jacobi": {"alpha": 1, "beta": 2, "n": 1},
-}
+_PLUS_MINUS_ONE = (1 + 0j, -1 + 0j)
 
 
-def _builders():
-    def legendre(par):
-        a = par["alpha"]
-        return (lambda z: 1 - z * z,
-                lambda z: -2 * z,
-                lambda z: a * (a + 1) * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def legendre_assoc(par):
-        a, m = par["alpha"], par["m"]
-        return (lambda z: 1 - z * z,
-                lambda z: -2 * z,
-                lambda z: a * (a + 1) - m * m / (1 - z * z))
-
-    def bessel(par):
-        nu = par["p"]
-        return (lambda z: z * z,
-                lambda z: z,
-                lambda z: z * z - nu * nu)
-
-    def chebyshev(n_eff_sq):
-        return (lambda z: 1 - z * z,
-                lambda z: -z,
-                lambda z: n_eff_sq * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def laguerre(par):
-        a = par["alpha"]
-        return (lambda z: np.asarray(z, dtype=complex),
-                lambda z: 1 - z,
-                lambda z: a * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def laguerre_assoc(par):
-        a, n = par["alpha"], par["n"]
-        return (lambda z: np.asarray(z, dtype=complex),
-                lambda z: a + 1 - z,
-                lambda z: n * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def hermite(par):
-        n = par["n"]
-        return (lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-                lambda z: -2 * z,
-                lambda z: -2 * n * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def gegenbauer(par):
-        # first-derivative coefficient kept exactly as printed in the
-        # source table: constant -(2*alpha+1), with no factor of z
-        a, n = par["alpha"], par["n"]
-        return (lambda z: 1 - z * z,
-                lambda z: -(2 * a + 1) * np.ones_like(np.asarray(z, dtype=complex)),
-                lambda z: n * (n + 2 * a) * np.ones_like(np.asarray(z, dtype=complex)))
-
-    def jacobi(par):
-        a, b, n = par["alpha"], par["beta"], par["n"]
-        return (lambda z: 1 - z * z,
-                lambda z: b - a - (a + b + 2) * z,
-                lambda z: n * (n + a + b + 1) * np.ones_like(np.asarray(z, dtype=complex)))
-
-    return {
-        "legendre": legendre,
-        "legendre_assoc": legendre_assoc,
-        "bessel": bessel,
-        "chebyshev1": lambda par: chebyshev(par["n"] ** 2),
-        "chebyshev2": lambda par: chebyshev(par["n"] * (par["n"] + 2)),
-        "laguerre": laguerre,
-        "laguerre_assoc": laguerre_assoc,
-        "hermite": hermite,
-        "gegenbauer": gegenbauer,
-        "jacobi": jacobi,
-    }
+def _legendre(par):
+    a = par["alpha"]
+    return (lambda z: 1 - z * z,
+            lambda z: -2 * z,
+            lambda z: a * (a + 1) * np.ones_like(np.asarray(z, dtype=complex)))
 
 
-_BUILDERS = _builders()
+def _legendre_assoc(par):
+    a, m = par["alpha"], par["m"]
+    return (lambda z: 1 - z * z,
+            lambda z: -2 * z,
+            lambda z: a * (a + 1) - m * m / (1 - z * z))
 
-_DOMAINS = {
-    "laguerre": GridSpec("polar", ((0.02, 3.0), (0.0, 2 * np.pi)),
-                         (50, 50), 1 + 1j),
-    "legendre": GridSpec("polar", ((0.02, 8.0), (0.0, 6 * np.pi)),
-                         (50, 50), 0.5 + 1j),
-    "legendre_assoc": GridSpec("polar", ((0.02, 5.0), (0.0, 2 * np.pi)),
-                               (50, 50), -1 - 1j),
-    "bessel": GridSpec("polar", ((0.01, 2.0), (0.0, 2 * np.pi)),
-                       (50, 50), 1 + 0j),
-    "chebyshev1": GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)),
-                           (50, 50), 1 + 0j),
-    "chebyshev2": GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)),
-                           (50, 50), 1 + 0j),
-    "laguerre_assoc": GridSpec("cartesian", ((-3.0, 3.0), (1 / 64, 3.0)),
-                               (50, 50), 3 + 3j),
-    "hermite": GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)),
-                        (50, 50), 1 + 3j),
-    "gegenbauer": GridSpec("polar", ((0.01, 10.0), (0.0, 2 * np.pi)),
-                           (50, 50), 0j),
-    "jacobi": GridSpec("cartesian", ((-0.99, 0.0), (0.0, 0.99)),
-                       (50, 50), 0j),
-}
 
-_SINGULARITIES = {
-    "legendre": (1 + 0j, -1 + 0j),
-    "legendre_assoc": (1 + 0j, -1 + 0j),
-    "bessel": (0j,),
-    "chebyshev1": (1 + 0j, -1 + 0j),
-    "chebyshev2": (1 + 0j, -1 + 0j),
-    "laguerre": (0j,),
-    "laguerre_assoc": (0j,),
-    "hermite": (),
-    "gegenbauer": (1 + 0j, -1 + 0j),
-    "jacobi": (1 + 0j, -1 + 0j),
-}
+def _bessel(par):
+    nu = par["p"]
+    return (lambda z: z * z,
+            lambda z: z,
+            lambda z: z * z - nu * nu)
 
-_CUTS = {
-    "legendre": _REAL_AXIS_CUTS,
-    "legendre_assoc": _REAL_AXIS_CUTS,
-    "bessel": _NEG_AXIS_CUT,
-    "chebyshev1": _REAL_AXIS_CUTS,
-    "chebyshev2": _REAL_AXIS_CUTS,
-    "laguerre": _NEG_AXIS_CUT,
-    "laguerre_assoc": _NEG_AXIS_CUT,
-    "hermite": (),
-    "gegenbauer": _REAL_AXIS_CUTS,
-    "jacobi": _REAL_AXIS_CUTS,
-}
+
+def _chebyshev(n_eff_sq):
+    return (lambda z: 1 - z * z,
+            lambda z: -z,
+            lambda z: n_eff_sq * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _laguerre(par):
+    a = par["alpha"]
+    return (lambda z: np.asarray(z, dtype=complex),
+            lambda z: 1 - z,
+            lambda z: a * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _laguerre_assoc(par):
+    a, n = par["alpha"], par["n"]
+    return (lambda z: np.asarray(z, dtype=complex),
+            lambda z: a + 1 - z,
+            lambda z: n * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _hermite(par):
+    n = par["n"]
+    return (lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+            lambda z: -2 * z,
+            lambda z: -2 * n * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _gegenbauer(par):
+    # first-derivative coefficient kept exactly as printed in the
+    # source table: constant -(2*alpha+1), with no factor of z
+    a, n = par["alpha"], par["n"]
+    return (lambda z: 1 - z * z,
+            lambda z: -(2 * a + 1) * np.ones_like(np.asarray(z, dtype=complex)),
+            lambda z: n * (n + 2 * a) * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _jacobi(par):
+    a, b, n = par["alpha"], par["beta"], par["n"]
+    return (lambda z: 1 - z * z,
+            lambda z: b - a - (a + b + 2) * z,
+            lambda z: n * (n + a + b + 1) * np.ones_like(np.asarray(z, dtype=complex)))
 
 
 def _jacobi_region(par):
@@ -256,25 +193,89 @@ def _jacobi_region(par):
     return inside
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """One cataloged equation: its default parameters, the builder of
+    its coefficients (parameters -> (p, q, r)), singular points, cut
+    rays, default grid, the base point of its Weierstrass pair and the
+    builder of its validity region (parameters -> (z -> bool)), if any."""
+
+    params: dict
+    coefficients: object
+    singularities: tuple
+    cut_rays: tuple
+    domain: GridSpec
+    pair_base: complex = 0j
+    region: object = None
+
+
+_CATALOG = {
+    "legendre": _Entry(
+        {"alpha": 1}, _legendre, _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        GridSpec("polar", ((0.02, 8.0), (0.0, 6 * np.pi)), (50, 50),
+                 0.5 + 1j)),
+    "legendre_assoc": _Entry(
+        {"alpha": 1, "m": 1}, _legendre_assoc, _PLUS_MINUS_ONE,
+        _REAL_AXIS_CUTS,
+        GridSpec("polar", ((0.02, 5.0), (0.0, 2 * np.pi)), (50, 50),
+                 -1 - 1j)),
+    "bessel": _Entry(
+        {"p": 0.0}, _bessel, (0j,), _NEG_AXIS_CUT,
+        GridSpec("polar", ((0.01, 2.0), (0.0, 2 * np.pi)), (50, 50), 1 + 0j),
+        pair_base=1 + 0j),
+    "chebyshev1": _Entry(
+        {"n": 1}, lambda par: _chebyshev(par["n"] ** 2), _PLUS_MINUS_ONE,
+        _REAL_AXIS_CUTS,
+        GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)), (50, 50),
+                 1 + 0j)),
+    "chebyshev2": _Entry(
+        {"n": 1}, lambda par: _chebyshev(par["n"] * (par["n"] + 2)),
+        _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)), (50, 50),
+                 1 + 0j)),
+    "laguerre": _Entry(
+        {"alpha": 1}, _laguerre, (0j,), _NEG_AXIS_CUT,
+        GridSpec("polar", ((0.02, 3.0), (0.0, 2 * np.pi)), (50, 50), 1 + 1j),
+        pair_base=1 + 0j),
+    "laguerre_assoc": _Entry(
+        {"alpha": 1, "n": 2}, _laguerre_assoc, (0j,), _NEG_AXIS_CUT,
+        GridSpec("cartesian", ((-3.0, 3.0), (1 / 64, 3.0)), (50, 50), 3 + 3j),
+        pair_base=1 + 0j),
+    "hermite": _Entry(
+        {"n": 1}, _hermite, (), (),
+        GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), 1 + 3j)),
+    "gegenbauer": _Entry(
+        {"alpha": 0.5, "n": 1}, _gegenbauer, _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        GridSpec("polar", ((0.01, 10.0), (0.0, 2 * np.pi)), (50, 50), 0j)),
+    "jacobi": _Entry(
+        {"alpha": 1, "beta": 2, "n": 1}, _jacobi, _PLUS_MINUS_ONE,
+        _REAL_AXIS_CUTS,
+        GridSpec("cartesian", ((-0.99, 0.0), (0.0, 0.99)), (50, 50), 0j),
+        region=_jacobi_region),
+}
+
+EQUATION_IDS = tuple(_CATALOG)
+DEFAULT_PARAMS = {eq_id: entry.params for eq_id, entry in _CATALOG.items()}
+
+
 def get_equation(eq_id, params=None):
     """Fully populated LinearODE for one of the cataloged equations."""
-    if eq_id not in _BUILDERS:
+    entry = _CATALOG.get(eq_id)
+    if entry is None:
         raise UnknownEquation(eq_id)
-    par = dict(DEFAULT_PARAMS[eq_id])
+    par = dict(entry.params)
     if params:
         unknown = set(params) - set(par)
         if unknown:
             raise ValueError(f"unknown parameters for {eq_id}: {sorted(unknown)}")
         par.update(params)
-    p, q, r = _BUILDERS[eq_id](par)
-    region = _jacobi_region(par) if eq_id == "jacobi" else None
+    p, q, r = entry.coefficients(par)
+    region = None if entry.region is None else entry.region(par)
     return LinearODE(
         id=eq_id, params=par, p=p, q=q, r=r,
-        singularities=_SINGULARITIES[eq_id],
-        default_domain=_DOMAINS[eq_id],
-        valid_region=region,
-        cut_rays=_CUTS[eq_id],
-    )
+        singularities=entry.singularities, default_domain=entry.domain,
+        valid_region=region, cut_rays=entry.cut_rays,
+        pair_base=entry.pair_base)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,18 @@ def _half_re_im_re(delta):
     return np.array([0.5 * delta[0].real, -0.5 * delta[1].imag, delta[2].real])
 
 
+def _fixture(eq_id, constants, primitive, combine, cut_rays=None):
+    """The caption fixture of a cataloged equation at its default
+    parameters, on its default grid and from that grid's base point,
+    outside its singular discs and with its cut rays unless given."""
+    entry = _CATALOG[eq_id]
+    return ClosedFormFixture(
+        eq_id, dict(entry.params), constants, entry.domain.base_point,
+        entry.domain, primitive, combine,
+        cut_rays=entry.cut_rays if cut_rays is None else cut_rays,
+        excluded=tuple((s, SINGULARITY_RADIUS) for s in entry.singularities))
+
+
 def get_fixture(eq_id):
     """Figure-caption fixture for the given equation, if one is in scope."""
     if eq_id == "laguerre":
@@ -377,16 +390,11 @@ def get_fixture(eq_id):
                 special.ei(z) + special.ei(-z),
                 np.log(z),
             ])
-        return ClosedFormFixture(
-            "laguerre", {"alpha": 1},
-            {"c1": 1, "c2": 0, "lambda": 1, "k1": 1, "k2": 1},
-            1 + 1j,
-            _DOMAINS["laguerre"],
-            prim, _half_re_im_re,
-            # Ei(z) and Ei(-z) make both half-axes branch lines
-            cut_rays=((0j, -1 + 0j), (0j, 1 + 0j)),
-            excluded=((0j, SINGULARITY_RADIUS),),
-        )
+        # Ei(z) and Ei(-z) make both half-axes branch lines
+        return _fixture("laguerre",
+                        {"c1": 1, "c2": 0, "lambda": 1, "k1": 1, "k2": 1},
+                        prim, _half_re_im_re,
+                        cut_rays=((0j, -1 + 0j), (0j, 1 + 0j)))
     if eq_id == "legendre":
         def prim(z):
             lp, lm = np.log(1 + z), np.log(1 - z)
@@ -394,15 +402,9 @@ def get_fixture(eq_id):
 
         def comb(d):
             return np.array([0.5 * d[0].real, -0.5 * d[1].imag, 0.5 * d[2].real])
-        return ClosedFormFixture(
-            "legendre", {"alpha": 1},
-            {"c1": 1, "c2": 0, "lambda": -2, "k1": 1, "k2": -1},
-            0.5 + 1j,
-            _DOMAINS["legendre"],
-            prim, comb,
-            cut_rays=_REAL_AXIS_CUTS,
-            excluded=((1 + 0j, SINGULARITY_RADIUS), (-1 + 0j, SINGULARITY_RADIUS)),
-        )
+        return _fixture("legendre",
+                        {"c1": 1, "c2": 0, "lambda": -2, "k1": 1, "k2": -1},
+                        prim, comb)
     if eq_id == "bessel":
         def prim(z):
             return np.array([
@@ -410,28 +412,16 @@ def get_fixture(eq_id):
                 np.log(z) + z ** 4 / 4,
                 0.5 * z ** 2,
             ])
-        return ClosedFormFixture(
-            "bessel", {"p": 0.0},
-            {"c1": 1, "c2": 0, "lambda": -0.5, "k1": 1, "k2": 1},
-            1 + 0j,
-            _DOMAINS["bessel"],
-            prim, _half_re_im_re,
-            cut_rays=_NEG_AXIS_CUT,
-            excluded=((0j, SINGULARITY_RADIUS),),
-        )
+        return _fixture("bessel",
+                        {"c1": 1, "c2": 0, "lambda": -0.5, "k1": 1, "k2": 1},
+                        prim, _half_re_im_re)
     if eq_id in ("chebyshev1", "chebyshev2"):
         def prim(z):
             s = special.arcsin(z)
             return np.array([s - s ** 3 / 3, s + s ** 3 / 3, 0.5 * s ** 2])
-        return ClosedFormFixture(
-            "chebyshev1", {"n": 1},
-            {"c1": 1, "c2": 0, "lambda": -1, "k1": 1, "k2": 1},
-            1 + 0j,
-            _DOMAINS["chebyshev1"],
-            prim, _half_re_im_re,
-            cut_rays=_REAL_AXIS_CUTS,
-            excluded=((1 + 0j, SINGULARITY_RADIUS), (-1 + 0j, SINGULARITY_RADIUS)),
-        )
+        return _fixture("chebyshev1",
+                        {"c1": 1, "c2": 0, "lambda": -1, "k1": 1, "k2": 1},
+                        prim, _half_re_im_re)
     if eq_id == "gegenbauer":
         def prim(z):
             lp, lm = np.log(1 + z), np.log(1 - z)
@@ -439,15 +429,9 @@ def get_fixture(eq_id):
 
         def comb(d):
             return np.array([0.5 * d[0].real, -d[1].imag, d[2].real])
-        return ClosedFormFixture(
-            "gegenbauer", {"alpha": 0.5, "n": 1},
-            {"c1": 1, "c2": 0, "lambda": 1, "k1": 1, "k2": -1},
-            0j,
-            _DOMAINS["gegenbauer"],
-            prim, comb,
-            cut_rays=_REAL_AXIS_CUTS,
-            excluded=((1 + 0j, SINGULARITY_RADIUS), (-1 + 0j, SINGULARITY_RADIUS)),
-        )
+        return _fixture("gegenbauer",
+                        {"c1": 1, "c2": 0, "lambda": 1, "k1": 1, "k2": -1},
+                        prim, comb)
     if eq_id == "jacobi":
         def prim(z):
             lm = np.log(1 - z)       # Re equals Re log(z-1); offset cancels
@@ -461,15 +445,9 @@ def get_fixture(eq_id):
         def comb(d):
             return np.array([d[0].real / 32, -d[1].imag / 32,
                              -(5.0 / 12.0) * d[2].real])
-        return ClosedFormFixture(
-            "jacobi", {"alpha": 1, "beta": 2, "n": 1},
-            {"c1": 1, "c2": 0, "lambda": -1, "k1": 1, "k2": 1},
-            0j,
-            _DOMAINS["jacobi"],
-            prim, comb,
-            cut_rays=_REAL_AXIS_CUTS,
-            excluded=((1 + 0j, SINGULARITY_RADIUS), (-1 + 0j, SINGULARITY_RADIUS)),
-        )
+        return _fixture("jacobi",
+                        {"c1": 1, "c2": 0, "lambda": -1, "k1": 1, "k2": 1},
+                        prim, comb)
     # legendre_assoc (its published reference data is internally
     # inconsistent), hermite (closed form needs a 2F2 outside the special
     # function set) and laguerre_assoc have no usable closed-form fixture

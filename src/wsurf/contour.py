@@ -364,8 +364,8 @@ def panel_lanes(ode, a, b, states, step, keep_panels=False):
     transport lane's bits do not depend on its batch; a lane of the
     pair's chain differs by rounding, through the 2-D gemm products of
     its step.  Returns the (n, d) states at b and, if keep_panels, the
-    accepted panels as (lanes, z, y).  Raises EvaluationFailure for
-    ratios or a state not finite at a lane's start, and
+    accepted panels as (lanes, z, y).  Raises the errors of ode.ratios,
+    EvaluationFailure for a state not finite at a lane's start, and
     StepSizeUnderflow (or SolutionOverflow) for a panel below H_MIN of
     its lane or a lane of MAX_PANELS panels."""
     a = np.asarray(a, dtype=complex)
@@ -389,12 +389,11 @@ def panel_lanes(ode, a, b, states, step, keep_panels=False):
             qp, rp = ode.ratios(z)
             # a panel starts where an accepted one ended, so this can
             # only fire at the start of a lane
-            start = ~(np.isfinite(qp[:, 0]) & np.isfinite(rp[:, 0])
-                      & np.isfinite(y[lanes]).all(axis=1))
+            start = ~np.isfinite(y[lanes]).all(axis=1)
             if start.any():
                 w = complex(z[np.argmax(start), 0])
                 raise EvaluationFailure(
-                    w, f"ODE right-hand side is not finite at z={w}")
+                    w, f"ODE state is not finite at z={w}")
             ys, ok = step(y[lanes], dz[lanes] * hk, hk, qp, rp)
             done = lanes[ok]
             if keep_panels and done.size:

@@ -84,9 +84,10 @@ class IoFailure(WsurfError):
 def isolate_failures(fn, items):
     """(values, {index: WsurfError}) of fn on an array of items.
 
-    fn maps items to an array with one row per item.  It is called once
-    on all items; only when that call raises a WsurfError, and there is
-    more than one item, is it called again on each one-item slice
+    fn maps items to an array with one row per item, or to a tuple of
+    such arrays, which come back as a tuple.  It is called once on all
+    items; only when that call raises a WsurfError, and there is more
+    than one item, is it called again on each one-item slice
     items[i:i + 1].  An item where fn raised gets a nan row, shaped like
     the rows that came back, or like fn's value on no items when none
     did.  Non-finite values are left to the caller.
@@ -107,7 +108,15 @@ def isolate_failures(fn, items):
     like = next((row for row in rows if row is not None), None)
     if like is None:
         like = fn(items[:0])
+    if isinstance(like, tuple):
+        return tuple(_joined([None if row is None else row[k]
+                              for row in rows], part)
+                     for k, part in enumerate(like)), failures
+    return _joined(rows, like), failures
+
+
+def _joined(rows, like):
+    """The rows concatenated, a nan row shaped like `like` for each None."""
     blank = np.full((1,) + like.shape[1:], np.nan,
                     dtype=np.result_type(like, float))
-    return np.concatenate([blank if row is None else row
-                           for row in rows]), failures
+    return np.concatenate([blank if row is None else row for row in rows])

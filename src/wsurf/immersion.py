@@ -21,19 +21,18 @@ IDENTITY2 = np.eye(2, dtype=complex)
 def ew_integrand(data):
     """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3).
 
-    A closed-form pair's integrand is marked thread_safe, so that
-    gk15_segments may evaluate its chunks concurrently: it is numpy
-    arithmetic on its argument alone.  A numeric pair's is not: each of
-    its eta^2 and chi calls is a lookup of a CachedAntiderivative store
-    that inserts the points it reaches, and concurrent lookups would
-    race on the store, with the order of their inserts deciding later
-    nearest-point ties.
+    One call of data.pair per evaluation.  A closed-form pair's
+    integrand is marked thread_safe, so that gk15_segments may evaluate
+    its chunks concurrently: it is numpy arithmetic on its argument
+    alone.  A numeric pair's is not: its pair call is a lookup of a
+    CachedAntiderivative store that inserts the points it reaches, and
+    concurrent lookups would race on the store, with the order of their
+    inserts deciding later nearest-point ties.
     """
-    eta_sq, chi = data.eta_sq, data.chi
+    pair = data.pair
 
     def integrand(z):
-        e = np.asarray(eta_sq(z))
-        x = np.asarray(chi(z))
+        e, x = map(np.asarray, pair(z))
         return np.stack([e, x ** 2 * e, x * e], axis=-1)
 
     integrand.thread_safe = data.source == "closed_form"

@@ -43,8 +43,7 @@ def potential_matrix(data, z):
         inside = np.abs(z - c) < r
         if inside.any():
             raise SingularPoint(_first(inside, z))
-    e = np.asarray(data.eta_sq(z), dtype=complex)
-    x = np.asarray(data.chi(z), dtype=complex)
+    e, x = (np.asarray(v, dtype=complex) for v in data.pair(z))
     bad = ~(np.isfinite(e) & np.isfinite(x))
     if bad.any():
         raise SingularPoint(_first(bad, z))
@@ -127,8 +126,8 @@ class Wavefunction:
 
     def _psi2(self, z, p1, d1):
         """psi2 = chi psi1 - psi1' / (lambda eta^2) from the state at z."""
-        chi = np.asarray(self.data.chi(z), dtype=complex)
-        eta_sq = np.asarray(self.data.eta_sq(z), dtype=complex)
+        eta_sq, chi = (np.asarray(v, dtype=complex)
+                       for v in self.data.pair(z))
         return chi * p1 - d1 / (self.data.lam * eta_sq)
 
     def psi2(self, z):

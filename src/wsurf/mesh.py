@@ -81,11 +81,11 @@ def sample_point(data, cache, z):
     """ImmersionSample at z, without residuals, from an ew_cache."""
     z = complex(z)
     i1, i2, i3 = cache(z)
+    u, chi = data.u_and_chi(z)
     return ImmersionSample(
         z=z, F=combine_euclidean(i1, i2, i3),
         Ftilde=combine_quaternionic(i1, i2, i3),
-        Fst=sym_tafel(complex(data.chi(z))),
-        u=data.log_conformal_factor(z), Q=data.hopf(z))
+        Fst=sym_tafel(complex(chi)), u=float(u), Q=data.hopf(z))
 
 
 def _allowed_nodes(points, data):
@@ -278,6 +278,7 @@ class GridSamples:
     integrals: np.ndarray        # (n, 3): int eta^2, chi^2 eta^2, chi eta^2
     F: np.ndarray                # (n, 3) Euclidean immersion
     u: np.ndarray                # (n,) log conformal factor
+    chi: np.ndarray              # (n,) complex chi
     Q: np.ndarray                # (n,) Hopf differential coefficient
     residuals: dict              # RESIDUAL_COLUMNS key -> (n,), or empty
     failures: int                # admissible nodes that failed
@@ -287,10 +288,10 @@ def _sample_mask(data, grid, with_residuals, tol):
     """GridSamples over the grid, with the geometry residuals if asked.
 
     Makes no per-node quadrature: the integrals come from
-    _tree_integrals, and u and Q from one array call each.  A node
+    _tree_integrals, and (u, chi) and Q from one array call each.  A node
     fails when its root lookup fails, its immersion is not finite, or
-    u or Q raise a WsurfError there; a node whose residual report fails
-    gets inf residuals instead.
+    (u, chi) or Q raise a WsurfError there; a node whose residual report
+    fails gets inf residuals instead.
     """
     points = grid.points()
     allowed = _allowed_nodes(points, data)
@@ -301,12 +302,12 @@ def _sample_mask(data, grid, with_residuals, tol):
     with np.errstate(invalid="ignore"):
         ok[ok] = np.isfinite(combine_euclidean(*value[ok].T)).all(axis=0)
     zs = points.ravel()[ok]
-    u, failed_u = isolate_failures(data.log_conformal_factor, zs)
+    (u, chi), failed_u = isolate_failures(data.u_and_chi, zs)
     Q, failed_q = isolate_failures(data.hopf, zs)
     good = np.ones(len(zs), dtype=bool)
     good[list(failed_u) + list(failed_q)] = False
     ok[ok] = good
-    zs, u, Q = zs[good], u[good].real, Q[good]
+    zs, u, chi, Q = zs[good], u[good].real, chi[good], Q[good]
     residuals = {}
     if with_residuals:
         residuals = geometry_report(data, zs, tol=min(tol, 1e-12)).as_dict()
@@ -314,7 +315,7 @@ def _sample_mask(data, grid, with_residuals, tol):
     return GridSamples(
         mask=ok.reshape(points.shape), edges=edges, points=zs,
         integrals=integrals, F=combine_euclidean(*integrals.T).T,
-        u=u.astype(float), Q=Q.astype(complex), residuals=residuals,
+        u=u.astype(float), chi=chi, Q=Q.astype(complex), residuals=residuals,
         failures=int(allowed.sum() - ok.sum()))
 
 
@@ -326,11 +327,10 @@ def sample_grid(data, grid=None, with_residuals=True, tol=1e-10):
     """
     samples = _sample_with_mask(data, grid, with_residuals, tol)
     n = len(samples.points)
-    chi = np.broadcast_to(data.chi(samples.points), (n,))
     return [ImmersionSample(
         z=complex(samples.points[k]), F=samples.F[k],
         Ftilde=combine_quaternionic(*samples.integrals[k]),
-        Fst=sym_tafel(chi[k]), u=float(samples.u[k]),
+        Fst=sym_tafel(samples.chi[k]), u=float(samples.u[k]),
         Q=complex(samples.Q[k]),
         residuals={name: float(column[k])
                    for name, column in samples.residuals.items()})

@@ -26,14 +26,19 @@ class WeierstrassData:
     point.  The pair's obstacles are the ODE's exclusion discs and cut
     rays."""
 
-    eta_sq: object               # callable z -> complex
-    chi: object                  # callable z -> complex
+    pair: object                 # callable z -> (eta^2, chi)
     c1: complex
     c2: complex
     lam: complex
     base_point: complex
     source: str                  # "closed_form" | "numeric"
     ode: object                  # the LinearODE the pair is built from
+
+    def eta_sq(self, z):
+        return self.pair(z)[0]
+
+    def chi(self, z):
+        return self.pair(z)[1]
 
     def hopf(self, z):
         """Hopf differential coefficient Q = -eta^2 chi' = r/(lambda p):
@@ -42,15 +47,19 @@ class WeierstrassData:
 
     def conformal_factor(self, z):
         """e^u with e^(u/2) = |eta|^2 (1 + |chi|^2)."""
-        zs = np.asarray(z, dtype=complex)
-        half = np.abs(self.eta_sq(zs)) * (1 + np.abs(self.chi(zs)) ** 2)
+        eta_sq, chi = self.pair(np.asarray(z, dtype=complex))
+        half = np.abs(eta_sq) * (1 + np.abs(chi) ** 2)
         return float(half * half) if np.ndim(z) == 0 else half * half
 
     def log_conformal_factor(self, z):
-        zs = np.asarray(z, dtype=complex)
-        u = 2.0 * np.log(np.abs(self.eta_sq(zs))
-                         * (1 + np.abs(self.chi(zs)) ** 2))
+        u = self.u_and_chi(z)[0]
         return float(u) if np.ndim(z) == 0 else u
+
+    def u_and_chi(self, z):
+        """(u, chi) at z from one pair evaluation, u the log conformal
+        factor."""
+        eta_sq, chi = self.pair(np.asarray(z, dtype=complex))
+        return 2.0 * np.log(np.abs(eta_sq) * (1 + np.abs(chi) ** 2)), chi
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +91,8 @@ def _hyp2f1_terminating(a_neg_int, b, c, w):
 
 
 def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
-    """Closed-form WeierstrassData for a cataloged equation.
+    """Closed-form WeierstrassData for a cataloged equation; the base
+    point defaults to ode.pair_base.
 
     Returns None for an id outside the catalog, and when the table row
     needs special functions outside the in-scope set (e.g.
@@ -95,44 +105,43 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
         raise ValueError("c1 must be nonzero")
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    z0 = complex(base_point) if base_point is not None else _default_base(eq)
-    eta = chi = None
+    z0 = complex(base_point) if base_point is not None else ode.pair_base
 
     if eq == "laguerre":
         a = par["alpha"]
-        eta = lambda z: np.exp(z) / (c1 * z)
-        chi = lambda z: (a * c1 * np.exp(-z) + c2) / lam
+        pair = lambda z: (np.exp(z) / (c1 * z),
+                          (a * c1 * np.exp(-z) + c2) / lam)
     elif eq == "legendre":
         d1 = par["alpha"] * (par["alpha"] + 1)
-        eta = lambda z: c1 ** 2 / (1 - z * z)
-        chi = lambda z: -(d1 * z + c2) / (lam * c1 ** 2)
+        pair = lambda z: (c1 ** 2 / (1 - z * z),
+                          -(d1 * z + c2) / (lam * c1 ** 2))
     elif eq == "legendre_assoc":
         a, m = par["alpha"], par["m"]
         delta = a * (a + 1)
-        eta = lambda z: c1 ** 2 / (1 - z * z)
-        chi = lambda z: ((m * m / 2) * (np.log(1 + z) - np.log(1 - z))
-                         - delta * z + c2) / (lam * c1 ** 2)
+        pair = lambda z: (c1 ** 2 / (1 - z * z),
+                          ((m * m / 2) * (np.log(1 + z) - np.log(1 - z))
+                           - delta * z + c2) / (lam * c1 ** 2))
     elif eq == "bessel":
         nu = par["p"]
-        eta = lambda z: c1 / z
-        chi = lambda z: (nu * nu * np.log(z) - z * z / 2 + c2) / (lam * c1)
+        pair = lambda z: (c1 / z,
+                          (nu * nu * np.log(z) - z * z / 2 + c2) / (lam * c1))
     elif eq in ("chebyshev1", "chebyshev2"):
         n = par["n"]
         n_eff_sq = n * n if eq == "chebyshev1" else n * (n + 2)
-        eta = lambda z: c1 / np.sqrt(1 - z * z)
-        chi = lambda z: -(n_eff_sq * np.arcsin(z) + c2) / (lam * c1)
+        pair = lambda z: (c1 / np.sqrt(1 - z * z),
+                          -(n_eff_sq * np.arcsin(z) + c2) / (lam * c1))
     elif eq == "laguerre_assoc":
         a, n = par["alpha"], par["n"]
         if a != int(a) or a < 0:
             return None
-        eta = lambda z: np.exp(z) / (c1 * z ** (a + 1))
-        chi = lambda z: (n * c1 * _upper_gamma_int(a + 1, z) + c2) / lam
+        pair = lambda z: (np.exp(z) / (c1 * z ** (a + 1)),
+                          (n * c1 * _upper_gamma_int(a + 1, z) + c2) / lam)
     elif eq == "hermite":
         from scipy.special import erf       # only hermite needs scipy here
         n = par["n"]
-        eta = lambda z: c1 ** 2 * np.exp(z * z)
-        chi = lambda z: ((2 * n / (lam * c1 ** 2)) * (math.sqrt(math.pi) / 2)
-                         * erf(np.asarray(z, dtype=complex)) + c2 / lam)
+        pair = lambda z: (c1 ** 2 * np.exp(z * z),
+                          (2 * n / (lam * c1 ** 2)) * (math.sqrt(math.pi) / 2)
+                          * erf(np.asarray(z, dtype=complex)) + c2 / lam)
     elif eq == "gegenbauer":
         a, n = par["alpha"], par["n"]
         d2, d3 = n * (n + 2 * a), 2 * a + 1
@@ -140,30 +149,25 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
 
         def ratio_pow(z, s):
             return np.exp(s * (np.log(1 + z) - np.log(1 - z)))
-        eta = lambda z: c1 * ratio_pow(z, expo)
-        chi = lambda z: (d2 * ratio_pow(z, -expo) + c2) / (lam * c1 * d3)
+        pair = lambda z: (c1 * ratio_pow(z, expo),
+                          (d2 * ratio_pow(z, -expo) + c2) / (lam * c1 * d3))
     elif eq == "jacobi":
         a, b, n = par["alpha"], par["beta"], par["n"]
         if a != int(a) or a < 0:
             return None
         big_n = n * (n + a + b + 1)
         delta = 2 ** a * big_n
-        eta = lambda z: c1 * np.exp(-(b + 1) * np.log(1 + z)
-                                    - (a + 1) * np.log(1 - z))
-        chi = lambda z: -(delta * np.exp((b + 1) * np.log(1 + z))
-                          * _hyp2f1_terminating(-a, b + 1, b + 2, (1 + z) / 2)
-                          + c2) / (lam * c1 * (b + 1))
+        pair = lambda z: (
+            c1 * np.exp(-(b + 1) * np.log(1 + z) - (a + 1) * np.log(1 - z)),
+            -(delta * np.exp((b + 1) * np.log(1 + z))
+              * _hyp2f1_terminating(-a, b + 1, b + 2, (1 + z) / 2)
+              + c2) / (lam * c1 * (b + 1)))
     else:
         return None
 
     return WeierstrassData(
-        eta_sq=eta, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,
+        pair=pair, c1=c1, c2=c2, lam=lam, base_point=z0,
         source="closed_form", ode=ode)
-
-
-def _default_base(eq):
-    return {"laguerre": 1 + 0j, "laguerre_assoc": 1 + 0j, "bessel": 1 + 0j,
-            "hermite": 0j}.get(eq, 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +392,15 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
     eta^2(z) = eta^2(z0) exp(-L(z)) with L = int_{z0}^{z} q/p, and
     chi(z) = chi(z0) - (1/lambda) int_{z0}^{z} (r/p) / eta^2, so both
     coefficient identities hold by construction; (L, chi) is one store
-    with _pair_legs.  The values at the base point z0 are the closed
+    with _pair_legs, looked up once per call of the pair.  The base
+    point z0 defaults to ode.pair_base; the values there are the closed
     form's where the catalog has one, else 1/c1 and c2/lambda.
     """
     cf = closed_form_data(ode, c1, c2, lam, base_point)
     c1, c2, lam = complex(c1), complex(c2), complex(lam)
-    z0 = complex(base_point) if base_point is not None \
-        else _default_base(ode.id)
+    z0 = complex(base_point) if base_point is not None else ode.pair_base
     if cf is not None:
-        eta0, chi0 = complex(cf.eta_sq(z0)), complex(cf.chi(z0))
+        eta0, chi0 = map(complex, cf.pair(z0))
     else:
         eta0, chi0 = 1.0 / c1, c2 / lam
     store = CachedAntiderivative(
@@ -404,15 +408,13 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
         initial_value=np.array([0, chi0]),
         legs=_pair_legs(ode, lam, eta0, tol))
 
-    # [()] makes a point's value a scalar and leaves arrays alone
-    def eta_sq(z):
-        return eta0 * np.exp(-store(z)[..., 0][()])
-
-    def chi(z):
-        return store(z)[..., 1][()]
+    def pair(z):
+        # [()] makes a point's value a scalar and leaves arrays alone
+        value = store(z)
+        return eta0 * np.exp(-value[..., 0][()]), value[..., 1][()]
 
     return WeierstrassData(
-        eta_sq=eta_sq, chi=chi, c1=c1, c2=c2, lam=lam, base_point=z0,
+        pair=pair, c1=c1, c2=c2, lam=lam, base_point=z0,
         source="numeric", ode=ode)
 
 
@@ -443,14 +445,14 @@ class WeierstrassReport:
 def verify_weierstrass(data, samples):
     """Cauchy-circle check of both coefficient identities of the pair's
     ODE on eta^2 and chi themselves: one holo_derivative call on the
-    stacked pair, so one array call of each function on all the circle
+    stacked pair, so one array call of data.pair on all the circle
     points, whose mean gives eta^2 at the samples."""
     z = np.array([complex(w) for w in samples], dtype=complex)
     if z.size == 0:
         return WeierstrassReport(0.0, 0.0, ())
     qp, rp = data.ode.ratios(z)
     mean, d, _ = holo_derivative(
-        lambda w: np.stack([data.eta_sq(w), data.chi(w)], axis=-1), z)
+        lambda w: np.stack(data.pair(w), axis=-1), z)
     ev = mean[:, 0]
     res_eta = np.abs(qp + d[:, 0] / ev)        # 2 eta'/eta = (eta^2)'/eta^2
     res_chi = np.abs(rp + data.lam * ev * d[:, 1])

@@ -10,8 +10,8 @@ def plane_data():
     """The trivial Weierstrass pair (eta^2 = 1, chi = 0) of w'' = 0: a
     flat plane."""
     return WeierstrassData(
-        eta_sq=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        chi=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+        pair=lambda z: (np.ones_like(np.asarray(z, dtype=complex)),
+                        np.zeros_like(np.asarray(z, dtype=complex))),
         c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
         ode=parse_user_ode("p = 1\nq = 0\nr = 0\n"),
     )

@@ -18,6 +18,7 @@ from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
 from wsurf.cli import run_pipeline
 from wsurf.errors import (OutsideFixtureDomain, SingularPoint,
                           UnknownEquation)
+from wsurf.weierstrass import build_numeric_data
 
 
 def test_catalog_ids():
@@ -25,6 +26,57 @@ def test_catalog_ids():
     assert len(set(EQUATION_IDS)) == 10
     for eq in EQUATION_IDS:
         assert eq in DEFAULT_PARAMS
+
+
+_PM_ONE = (1 + 0j, -1 + 0j)
+_REAL_CUTS = ((1 + 0j, 1 + 0j), (-1 + 0j, -1 + 0j))
+_NEG_CUT = ((0j, -1 + 0j),)
+_TURN = 6.283185307179586
+
+# each id's params, singular points, cut rays, default grid (kind, ranges,
+# base point; every one 50 x 50) and the base point of its numeric pair
+CATALOG_TABLE = {
+    "legendre": ({"alpha": 1}, _PM_ONE, _REAL_CUTS,
+                 ("polar", ((0.02, 8.0), (0.0, 18.84955592153876)), 0.5 + 1j),
+                 0j),
+    "legendre_assoc": ({"alpha": 1, "m": 1}, _PM_ONE, _REAL_CUTS,
+                       ("polar", ((0.02, 5.0), (0.0, _TURN)), -1 - 1j), 0j),
+    "bessel": ({"p": 0.0}, (0j,), _NEG_CUT,
+               ("polar", ((0.01, 2.0), (0.0, _TURN)), 1 + 0j), 1 + 0j),
+    "chebyshev1": ({"n": 1}, _PM_ONE, _REAL_CUTS,
+                   ("polar", ((0.02, 10.0), (0.0, _TURN)), 1 + 0j), 0j),
+    "chebyshev2": ({"n": 1}, _PM_ONE, _REAL_CUTS,
+                   ("polar", ((0.02, 10.0), (0.0, _TURN)), 1 + 0j), 0j),
+    "laguerre": ({"alpha": 1}, (0j,), _NEG_CUT,
+                 ("polar", ((0.02, 3.0), (0.0, _TURN)), 1 + 1j), 1 + 0j),
+    "laguerre_assoc": ({"alpha": 1, "n": 2}, (0j,), _NEG_CUT,
+                       ("cartesian", ((-3.0, 3.0), (0.015625, 3.0)), 3 + 3j),
+                       1 + 0j),
+    "hermite": ({"n": 1}, (), (),
+                ("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), 1 + 3j), 0j),
+    "gegenbauer": ({"alpha": 0.5, "n": 1}, _PM_ONE, _REAL_CUTS,
+                   ("polar", ((0.01, 10.0), (0.0, _TURN)), 0j), 0j),
+    "jacobi": ({"alpha": 1, "beta": 2, "n": 1}, _PM_ONE, _REAL_CUTS,
+               ("cartesian", ((-0.99, 0.0), (0.0, 0.99)), 0j), 0j),
+}
+
+
+def test_catalog_records():
+    assert EQUATION_IDS == tuple(CATALOG_TABLE)
+    assert tuple(DEFAULT_PARAMS) == EQUATION_IDS
+    for eq, (params, sing, cuts, (kind, ranges, base), pair_base) \
+            in CATALOG_TABLE.items():
+        ode = get_equation(eq)
+        assert DEFAULT_PARAMS[eq] == params
+        assert (ode.params, ode.singularities, ode.cut_rays) \
+            == (params, sing, cuts), eq
+        assert ode.default_domain == GridSpec(kind, ranges, (50, 50), base)
+        assert (ode.valid_region is not None) == (eq == "jacobi")
+        assert build_numeric_data(ode).base_point == pair_base, eq
+    # jacobi's region is |z| < 1 and |z + 1| < 2 |alpha|
+    inside = get_equation("jacobi", {"alpha": 0.25}).valid_region
+    assert inside(-0.8 + 0.1j) and not inside(-0.2 + 0.1j)
+    assert not inside(-0.9 + 0.5j)
 
 
 def test_unknown_equation():

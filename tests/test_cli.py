@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import wsurf.cli as cli
-from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, get_equation,
-                           parse_user_ode)
+from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
+                           get_equation, parse_user_ode)
 from wsurf.cli import (_join_negative_literals, _near_singular,
                        _verification_points, parse_complex, parse_grid,
                        run_pipeline)
 from wsurf.immersion import RESIDUAL_COLUMNS
+from wsurf.mesh import _sample_with_mask
 from wsurf.weierstrass import make_data
 
 USER_ODE = """id = mylag
@@ -344,6 +345,33 @@ class TestNonFinite:
         done = _cli(["verify", "--ode-file", str(ode_file)], tmp_path)
         assert done.returncode == 1
         assert "not finite at z=0j" in done.stderr
+
+    def test_coefficient_not_finite_at_an_undeclared_point(self, tmp_path,
+                                                           capsys):
+        # log(0) warns in numpy, and the suite runs with RuntimeWarnings
+        # as errors: the point must come back as an EvaluationFailure
+        ode_file = tmp_path / "log.ode"
+        ode_file.write_text("p = 1\nq = log(z)\nr = 1\n")
+        assert run_pipeline(["verify", "--ode-file", str(ode_file)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ODE coefficients are not finite at z=0j\n"
+
+    def test_grid_node_where_a_coefficient_is_not_finite(self, tmp_path,
+                                                         capsys):
+        # q = 1/(z-1) at the undeclared pole z = 1, a node of the grid
+        ode_file = tmp_path / "pole.ode"
+        ode_file.write_text("p = 1\nq = 1/(z-1)\nr = 1\n")
+        out = tmp_path / "pole.obj"
+        assert run_pipeline(["surface", "--ode-file", str(ode_file),
+                             "--grid", "cartesian:-2,2,-2,2,9,9",
+                             "--out", str(out)]) == 0
+        assert "80 vertices, 60 faces" in capsys.readouterr().out
+        data = make_data(parse_user_ode(ode_file.read_text()))
+        samples = _sample_with_mask(
+            data, GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (9, 9)),
+            False, 1e-10)
+        assert samples.failures == 1
+        assert np.flatnonzero(~samples.mask.ravel()).tolist() == [6 * 9 + 4]
 
     def test_nan_param_is_a_usage_error(self, tmp_path):
         done = _cli(["verify", "--eq", "hermite", "--param", "n=nan"],

@@ -143,8 +143,8 @@ class TestGeometryReport:
         e^(u/2) = 1 + |z|^2, and every residual but Liouville's vanishes
         to rounding."""
         data = WeierstrassData(
-            eta_sq=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
-            chi=lambda w: np.asarray(w, dtype=complex),
+            pair=lambda w: (np.ones_like(np.asarray(w, dtype=complex)),
+                            np.asarray(w, dtype=complex)),
             c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
             ode=parse_user_ode("p = 1\nq = 0\nr = -1\n"))
         rep = geometry_report(data, z)
@@ -333,7 +333,7 @@ class TestBatchedReport:
             return -0.1 + 0 * z
 
         data = WeierstrassData(
-            eta_sq=eta_sq, chi=lambda z: 0.1 * np.asarray(z, dtype=complex),
+            pair=lambda z: (eta_sq(z), 0.1 * np.asarray(z, dtype=complex)),
             c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
             ode=dataclasses.replace(CHI_OVER_TEN, r=r))
         zs = np.array([1 + 1j, 5 + 0j, 2 - 1j])
@@ -363,7 +363,7 @@ class TestBatchedReport:
             return 1 + 0 * z
 
         data = WeierstrassData(
-            eta_sq=eta_sq, chi=lambda z: 0.1 * np.asarray(z, dtype=complex),
+            pair=lambda z: (eta_sq(z), 0.1 * np.asarray(z, dtype=complex)),
             c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
             ode=CHI_OVER_TEN)
         rep = geometry_report(data, np.array([5 + 0j]))

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -388,9 +388,15 @@ _PANEL = st.tuples(*[st.floats(-3, 3)] * 12,
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(_PANEL, min_size=1, max_size=8))
+@example(rows=[(0.0,) * 14, (0.0,) * 14,
+               (-0.796875, 1.5625, -0.40625, 0.0, 0.0, 0.0, 2.65625, 0.0,
+                0.0, 0.0, 1.0, 1.0, 0.417959183673469, 5.31640625)])
 def test_step_matches_block_system(rows):
     """The psi1'' panel rule accepts the panels the block system accepts,
-    with states within 1e-13 of the panel's largest value."""
+    with states within 1e-13 of the panel's largest value.  The two rules
+    round differently, so a panel whose largest tail is within 1 % of the
+    accept threshold may go either way: the pinned third panel's tails are
+    1.0026 and 0.9967 times its threshold."""
     v = np.array(rows)
     w = v[:, :12:2] + 1j * v[:, 1:12:2]
     qp = w[:, :1] + w[:, 1:2] * PANEL_U
@@ -398,7 +404,15 @@ def test_step_matches_block_system(rows):
     c = 10 ** v[:, 12] * np.exp(1j * v[:, 13])
     ys, ok = linearproblem._transport_step(w[:, 4:], c, None, qp, rp)
     want, want_ok = block_step(w[:, 4:], c, None, qp, rp)
-    assert np.array_equal(ok, want_ok)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tail = np.abs((want[:, :, None, :] * PANEL_TAIL).sum(axis=-1))
+        scale = np.maximum(np.abs(want).max(axis=-1),
+                           linearproblem._TAIL_FLOOR)
+        margin = (tail.max(axis=-1) / (linearproblem._TAIL_TOL * scale)
+                  ).max(axis=1)
+    # a nan margin (a panel that overflowed) is compared too
+    clear = ~(np.abs(margin - 1) <= 1e-2)
+    assert np.array_equal(ok[clear], want_ok[clear])
     for k in np.flatnonzero(ok):
         assert np.max(np.abs(ys[k] - want[k])) \
             <= 1e-13 * np.max(np.abs(want[k]))
@@ -466,9 +480,12 @@ class TestZeroCurvature:
 
     def test_detects_antiholomorphic_injection(self):
         base = laguerre_data()
+        def eta_sq(z):
+            z = np.asarray(z, dtype=complex)
+            return np.exp(z) / z + 0.01 * np.conj(z)
+
         bad = dataclasses.replace(
-            base, eta_sq=lambda z: np.exp(z) / np.asarray(z, dtype=complex)
-            + 0.01 * np.conj(np.asarray(z, dtype=complex)))
+            base, pair=lambda z: (eta_sq(z), base.chi(z)))
         worst = zcc_residual(bad, 2.0)
         # the (1,2) entry of U picks up exactly -0.01 dbar(conj z)
         assert abs(worst - 0.01) <= 0.002

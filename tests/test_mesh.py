@@ -20,7 +20,8 @@ from wsurf.immersion import combine_euclidean
 from wsurf.mesh import (_RENDERERS, SurfaceMesh, _grid_graph, _neighbours,
                         _parent_edges, _sample_mask, _sample_with_mask,
                         _search, _tree_integrals, build_mesh, ew_cache,
-                        export_mesh, immersion_at, import_csv, sample_grid)
+                        export_mesh, immersion_at, import_csv, sample_grid,
+                        sample_point)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
                                make_data)
@@ -80,27 +81,38 @@ class TestSampling:
             assert abs(s.z) < 1 and abs(s.z + 1) < 2
 
     def test_raising_hopf_masks_only_its_node(self):
-        # Q raises (not nan) at one node, so the array calls of u and Q
-        # are retried node by node
+        # Q raises (not nan) at one node, so the array call of Q is
+        # retried node by node
+        self.check_one_node_raising("hopf")
+
+    def test_raising_pair_at_a_node_masks_only_its_node(self):
+        # (u, chi) raises at one node, so that array call is retried node
+        # by node and both halves keep the other nodes' values
+        self.check_one_node_raising("u_and_chi")
+
+    def check_one_node_raising(self, method):
         ode = get_equation("hermite")
         grid = GridSpec("cartesian", ((-1.0, 1.0), (-1.0, 1.0)), (5, 5), 0j)
         data = make_data(ode, base_point=0j)
         bad = complex(grid.points()[1, 2])
 
-        class FaultyHopf(WeierstrassData):
-            def hopf(self, z):
-                if np.any(np.asarray(z) == bad):
-                    raise SingularPoint(bad)
-                return super().hopf(z)
+        class Faulty(WeierstrassData):
+            pass
 
-        faulty = FaultyHopf(**{f.name: getattr(data, f.name)
-                               for f in dataclasses.fields(data)})
+        def raising(self, z):
+            if np.any(np.asarray(z) == bad):
+                raise SingularPoint(bad)
+            return getattr(WeierstrassData, method)(self, z)
+
+        setattr(Faulty, method, raising)
+        faulty = Faulty(**{f.name: getattr(data, f.name)
+                           for f in dataclasses.fields(data)})
         ref = _sample_with_mask(data, grid)
         got = _sample_with_mask(faulty, grid)
         assert ref.failures == 0 and got.failures == 1
         assert np.array_equal(got.mask, ref.mask & (grid.points() != bad))
         keep = ref.points != bad
-        for name in ("points", "integrals", "F", "u", "Q"):
+        for name in ("points", "integrals", "F", "u", "chi", "Q"):
             assert np.array_equal(getattr(got, name),
                                   getattr(ref, name)[keep]), name
         assert got.residuals.keys() == ref.residuals.keys()
@@ -266,8 +278,7 @@ def test_only_closed_form_pairs_run_off_the_main_thread(source):
             return fn(z)
         return call
 
-    data = dataclasses.replace(data, eta_sq=recorded(data.eta_sq),
-                               chi=recorded(data.chi))
+    data = dataclasses.replace(data, pair=recorded(data.pair))
     grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8),
                     data.base_point)
     with pooled_gk15(workers=2, chunk=16):
@@ -277,15 +288,38 @@ def test_only_closed_form_pairs_run_off_the_main_thread(source):
     assert bool(off_main) == (source == "closed_form")
 
 
+def test_samples_evaluate_the_pair_once_per_point():
+    # u and the Sym-Tafel matrix come from one evaluation of the pair, so
+    # the numeric route looks each sampled point up once
+    data = build_numeric_data(parse_user_ode(
+        "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+        "singularities = 0.5\n"))
+    calls = []
+
+    def pair(z):
+        calls.append(np.atleast_1d(z).copy())
+        return data.pair(z)
+
+    counted = dataclasses.replace(data, pair=pair)
+    grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0j)
+    zs = np.array([s.z for s in sample_grid(counted, grid, False)])
+    assert len(zs) == 64
+    assert sum(np.array_equal(z, zs) for z in calls) == 1
+    cache = ew_cache(counted, 0j)
+    calls.clear()
+    sample_point(counted, cache, 1 + 1j)
+    assert sum(np.array_equal(z, [1 + 1j]) for z in calls) == 1
+
+
 def spotted(data, spot, radius=0.01):
     """The pair with eta^2 raising SingularPoint within radius of spot, a
     point that is no singular point of its equation."""
-    def eta_sq(z):
+    def pair(z):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z - spot) < radius):
             raise SingularPoint(complex(spot))
-        return data.eta_sq(z)
-    return dataclasses.replace(data, eta_sq=eta_sq)
+        return data.pair(z)
+    return dataclasses.replace(data, pair=pair)
 
 
 class TestForestFailures:

@@ -12,6 +12,9 @@ from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
 import wsurf.weierstrass as weierstrass
+from wsurf.contour import straight_path
+from wsurf.immersion import ew_integrand
+from wsurf.linearproblem import integrate_wavefunction, potential_matrix
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
                                make_data, verify_weierstrass)
@@ -133,6 +136,34 @@ class TestNumericRoute:
         data.eta_sq(2 + 1j)
         assert len(lookups) == 1 and len(chains) == 1
 
+    def test_one_lookup_per_pair_consumer(self, monkeypatch):
+        # every consumer reads eta^2 and chi from one call of the pair,
+        # so one lookup of the (log eta^2, chi) store per evaluation
+        data = build_numeric_data(parse_user_ode(
+            "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+            "singularities = 0.5\n"))
+        wf = integrate_wavefunction(data, (1.0, 0.0),
+                                    straight_path(2 + 1j, 1 + 2j))
+        consumers = {
+            "ew_integrand": ew_integrand(data),
+            "conformal_factor": data.conformal_factor,
+            "log_conformal_factor": data.log_conformal_factor,
+            "potential_matrix": lambda z: potential_matrix(data, z),
+            "psi": wf.psi,
+            "verify_weierstrass": lambda z: verify_weierstrass(
+                data, np.atleast_1d(z)),
+        }
+        lookups = []
+        lookup = CachedAntiderivative._lookup_array
+        monkeypatch.setattr(
+            CachedAntiderivative, "_lookup_array",
+            lambda store, z: lookups.append(z) or lookup(store, z))
+        for name, consumer in consumers.items():
+            for z in (SAFE_POINTS[0], np.array(SAFE_POINTS)):
+                lookups.clear()
+                consumer(z)
+                assert len(lookups) == 1, (name, np.ndim(z))
+
     def test_singular_point_names_the_zero_of_p(self):
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
         # one, on the zero of p
@@ -197,7 +228,8 @@ class TestVerification:
             def chi(z):
                 z = np.asarray(z, dtype=complex)
                 return np.exp(-z) + eps * z
-            return dataclasses.replace(base, chi=chi)
+            return dataclasses.replace(
+                base, pair=lambda z: (base.eta_sq(z), chi(z)))
 
         clean = verify_weierstrass(base, pts).max_residual()
         r1 = verify_weierstrass(perturbed(0.01), pts).chi_residual
@@ -208,7 +240,7 @@ class TestVerification:
 
     def test_ode_is_required(self):
         with pytest.raises(TypeError, match="ode"):
-            WeierstrassData(eta_sq=np.exp, chi=np.exp, c1=1, c2=0, lam=1,
+            WeierstrassData(pair=np.exp, c1=1, c2=0, lam=1,
                             base_point=0j, source="closed_form")
 
     def test_samples_are_python_scalars(self):
