@@ -23,15 +23,15 @@ print("closed form vs numeric integration (laguerre, alpha = 1)")
 print("-" * 72)
 print(f"{'z':>12s} {'eta^2 (closed)':>22s} {'|closed - numeric|':>20s}")
 for z in points:
-    a = complex(closed.eta_sq(z))
-    b = complex(numeric.eta_sq(z))
+    a = complex(closed.pair(z)[0])
+    b = complex(numeric.pair(z)[0])
     print(f"{z!s:>12s} {a:>22.12f} {abs(a - b):>20.2e}")
 
 print()
 print(f"{'z':>12s} {'chi (closed)':>22s} {'|closed - numeric|':>20s}")
 for z in points:
-    a = complex(closed.chi(z))
-    b = complex(numeric.chi(z))
+    a = complex(closed.pair(z)[1])
+    b = complex(numeric.pair(z)[1])
     print(f"{z!s:>12s} {a:>22.12f} {abs(a - b):>20.2e}")
 
 print()
@@ -47,6 +47,7 @@ defect = "|Q + eta^2 chi'|"
 print(f"{'z':>12s} {'Q = r/(lambda p)':>32s} {'1/z':>32s} {defect:>20s}")
 for z in points:
     q = numeric.hopf(z)
-    _, d_chi, _ = holo_derivative(numeric.chi, np.array([z]))
-    defect = abs(q + complex(numeric.eta_sq(z)) * d_chi[0])
+    _, d_chi, _ = holo_derivative(lambda w: numeric.pair(w)[1],
+                                  np.array([z]))
+    defect = abs(q + complex(numeric.pair(z)[0]) * d_chi[0])
     print(f"{z!s:>12s} {q:>32.12f} {1 / z:>32.12f} {defect:>20.2e}")

@@ -20,7 +20,8 @@ print(f"surface point at xi = {xi}")
 print(f"  F  = {F}")
 print(f"  F~ =\n{np.array_str(Ftilde, precision=6)}")
 print(f"  Pauli coefficients of F~: {pauli_decompose(Ftilde)}  (equal to F)")
-print(f"  Sym-Tafel matrix:\n{np.array_str(sym_tafel(complex(data.chi(xi))), precision=6)}")
+chi = complex(data.pair(xi)[1])
+print(f"  Sym-Tafel matrix:\n{np.array_str(sym_tafel(chi), precision=6)}")
 
 print()
 # the pair's equation supplies the grid: its default domain, whose base

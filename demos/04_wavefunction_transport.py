@@ -26,7 +26,7 @@ print(f"\nplanned path waypoints: {path.waypoints}")
 wf = integrate_wavefunction(data, (0.0, -1.0), path)
 print("\ntransported state vs the exact solution psi1 = 1 - z:")
 for z in (-1 + 1j, 0.5 + 0.5j, 1.5 + 0.2j):
-    got = wf.psi1(z)
+    got = wf.state_at(z)[0]
     print(f"  psi1({z}) = {got:.10f}   exact {1 - z:.10f}   "
           f"error {abs(got - (1 - z)):.2e}")
 

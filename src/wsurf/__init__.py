@@ -17,8 +17,7 @@ from .errors import (BranchCutViolation, DomainError, EmptyMesh,
                      SingularPoint, SolutionOverflow, StepSizeUnderflow,
                      ToleranceNotReached, UnknownEquation, WsurfError)
 from .immersion import (GeometryReport, ew_integrals, geometry_report,
-                        immerse_ew, pauli_decompose, sym_tafel,
-                        to_quaternionic)
+                        pauli_decompose, sym_tafel)
 from .linearproblem import (Wavefunction, integrate_wavefunction, lp_residual,
                             potential_matrix, zcc_residual)
 from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_cache,
@@ -38,10 +37,10 @@ __all__ = [
     "classical_solution", "closed_form_data", "coefficient_ratios",
     "contour_quad", "ei", "ew_cache", "ew_integrals", "export_mesh",
     "geometry_report", "get_equation", "get_fixture", "holo_derivative",
-    "immerse_ew", "immersion_at", "integrate_wavefunction", "load_user_ode",
+    "immersion_at", "integrate_wavefunction", "load_user_ode",
     "lp_residual", "make_data", "parse_user_ode", "pauli_decompose",
     "plan_path", "potential_matrix", "reference_surface", "sample_grid",
-    "straight_path", "sym_tafel", "to_quaternionic", "verify_weierstrass",
+    "straight_path", "sym_tafel", "verify_weierstrass",
 ]
 
 __version__ = "0.1.0"

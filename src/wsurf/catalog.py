@@ -73,15 +73,15 @@ class LinearODE:
     r: object
     singularities: tuple = ()
     default_domain: GridSpec = None
-    valid_region: object = None  # optional callable z -> bool
+    valid_region: object = None  # optional callable, vectorized
     cut_rays: tuple = ()         # (anchor, direction) pairs
     pair_base: complex = 0j      # default base point of the (eta^2, chi) pair
 
     def ratios(self, z):
         return coefficient_ratios(self, z)
 
-    def exclusions(self, radius=SINGULARITY_RADIUS):
-        return tuple((s, radius) for s in self.singularities)
+    def exclusions(self):
+        return tuple((s, SINGULARITY_RADIUS) for s in self.singularities)
 
 
 def coefficient_ratios(ode, z):
@@ -188,7 +188,7 @@ def _jacobi_region(par):
     two_abs_alpha = 2 * abs(par["alpha"])
 
     def inside(z):
-        return (abs(z) < 1) and (abs(z + 1) < two_abs_alpha)
+        return (np.abs(z) < 1) & (np.abs(z + 1) < two_abs_alpha)
 
     return inside
 

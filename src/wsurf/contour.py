@@ -159,8 +159,10 @@ def _gk15_chunk(f, lo, hi):
             failed.setdefault(int(i), EvaluationFailure(
                 complex(nodes[i][np.argmin(finite[i])])))
     half = half[:, None]
-    k15 = half * (_WK @ vals)
-    return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
+    # the failed panels' sums are meaningless, so they may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        k15 = half * (_WK @ vals)
+        return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
 
 
 def _gk15_chunks(f, lo, hi, starts):
@@ -438,7 +440,8 @@ def holo_derivative(f, z, r=None):
         else np.asarray(r, dtype=float)
     w = z + r * CIRCLE.reshape((-1,) + (1,) * z.ndim)
     v = np.asarray(f(w), dtype=complex)
-    finite = np.isfinite(v).reshape(w.size, -1).all(axis=1)
+    # over a vector f's components; a reshape would fail on no points
+    finite = np.isfinite(v).all(axis=tuple(range(w.ndim, v.ndim))).ravel()
     if not finite.all():
         raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
     c = np.fft.fft(v, axis=0) / CIRCLE_POINTS

@@ -33,7 +33,9 @@ def ew_integrand(data):
 
     def integrand(z):
         e, x = map(np.asarray, pair(z))
-        return np.stack([e, x ** 2 * e, x * e], axis=-1)
+        # an overflow is not finite, and quadrature names its point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([e, x ** 2 * e, x * e], axis=-1)
 
     integrand.thread_safe = data.source == "closed_form"
     return integrand
@@ -58,16 +60,6 @@ def combine_quaternionic(i1, i2, i3):
         [i3 + np.conj(i3), i1 - np.conj(i2)],
         [-i2 + np.conj(i1), -i3 - np.conj(i3)],
     ])
-
-
-def immerse_ew(data, path, tol=1e-10):
-    """Euclidean immersion F via the three contour integrals."""
-    return combine_euclidean(*ew_integrals(data, path, tol))
-
-
-def to_quaternionic(data, path, tol=1e-10):
-    """su(2)-valued immersion; equals -i sum_k F_k sigma_k."""
-    return combine_quaternionic(*ew_integrals(data, path, tol))
 
 
 def pauli_decompose(m):
@@ -146,24 +138,52 @@ def _circle_legs(data, xi, h, tol, live, failures):
     return legs
 
 
-def _live_values(fn, xi, live, failures):
-    """(n,) values of fn at the live nodes, nan elsewhere.
+def _live_values(fn, xi, live, failures, k):
+    """(n, k) values of fn at the live nodes, nan elsewhere.
 
-    fn(idx) gives the values at the node indices idx, evaluated through
-    isolate_failures.  A node where fn raises or is not finite goes into
-    failures and out of live.
+    fn(idx) gives the (len(idx), k) values at the node indices idx,
+    evaluated through isolate_failures.  A node where fn raises or is
+    not finite goes into failures and out of live.
     """
-    out = np.full(len(xi), np.nan, dtype=complex)
+    out = np.full((len(xi), k), np.nan, dtype=complex)
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return out
     out[idx], failed = isolate_failures(fn, idx)
     for i in sorted(failed):
         failures.setdefault(int(idx[i]), failed[i])
-    for node in idx[~np.isfinite(out[idx])]:
+    for node in idx[~np.isfinite(out[idx]).all(axis=1)]:
         failures.setdefault(int(node), EvaluationFailure(complex(xi[node])))
     live[list(failures)] = False
     return out
+
+
+def _point_data(data, z):
+    """(n, 3) values (u, e^u, Q) at the points z as log_conformal_factor,
+    conformal_factor and hopf give them, from one pair evaluation; Q
+    only where u and e^u are finite, so that a point fails on them first."""
+    eta_sq, chi = data.pair(z)
+    half = np.abs(eta_sq) * (1 + np.abs(chi) ** 2)
+    values = np.full((len(z), 3), np.nan, dtype=complex)
+    values[:, 0], values[:, 1] = 2.0 * np.log(half), half * half
+    ok = np.isfinite(values[:, :2]).all(axis=1)
+    values[ok, 2] = data.hopf(z[ok])
+    return values
+
+
+def _circle_values(data, xi, h):
+    """(n, 2) circle means of u and antiholomorphy residuals of Q, from
+    one holo_derivative call on the stacked (u, Q); Q only once u is
+    finite on every circle, so that a circle fails on u first."""
+    def u_and_hopf(w):
+        u = data.u_and_chi(w)[0]
+        finite = np.isfinite(u).ravel()
+        if not finite.all():
+            raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
+        return np.stack([u, data.hopf(w)], axis=-1)
+
+    mean, _, cr = holo_derivative(u_and_hopf, xi, r=h)
+    return np.stack([mean[:, 0], cr[:, 1]], axis=-1)
 
 
 def geometry_report(data, xi, tol=1e-12):
@@ -183,7 +203,8 @@ def geometry_report(data, xi, tol=1e-12):
     xi is a point or a 1-D array of points.  A point gives Python scalar
     fields and raises the WsurfError of a failed report.  An array gives
     (n,) array fields, with one gk15_segments call for all N n legs and
-    one array call per evaluation; a point whose report fails (it lies
+    two passes over the pair's data: _point_data at the points and
+    _circle_values on their circles.  A point whose report fails (it lies
     on a singular point, a leg fails, or an evaluation raises a
     WsurfError or is not finite) gets inf residuals and nan data, its
     error in ``failures``, and does not affect the other points.
@@ -209,17 +230,12 @@ def geometry_report(data, xi, tol=1e-12):
     F = 2.0 * np.moveaxis(combine_euclidean(*np.moveaxis(legs, 2, 0)), 0, 2)
     c = np.fft.fft(F, axis=1) / CIRCLE_POINTS
 
-    u = _live_values(lambda i: data.log_conformal_factor(xi[i]),
-                     xi, live, failures).real
-    e_u = _live_values(lambda i: data.conformal_factor(xi[i]),
-                       xi, live, failures).real
-    q = _live_values(lambda i: data.hopf(xi[i]), xi, live, failures)
-    u_mean = _live_values(
-        lambda i: holo_derivative(data.log_conformal_factor, xi[i], r=h[i])[0],
-        xi, live, failures).real
-    hopf_holomorphy = _live_values(
-        lambda i: holo_derivative(data.hopf, xi[i], r=h[i])[2],
-        xi, live, failures).real
+    u, e_u, q = _live_values(lambda i: _point_data(data, xi[i]),
+                             xi, live, failures, 3).T
+    u, e_u = u.real, e_u.real
+    u_mean, hopf_holomorphy = _live_values(
+        lambda i: _circle_values(data, xi[i], h[i]),
+        xi, live, failures, 2).real.T
 
     hh = h[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):

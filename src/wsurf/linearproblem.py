@@ -110,36 +110,22 @@ class Wavefunction:
     ``state_at`` maps z, a point or an array, to the stacked (psi1,
     dpsi1/dz) of shape (2,) + z.shape, where psi1 solves
     p psi1'' + q psi1' + r psi1 = 0, the ODE of the pair ``data``; psi2 =
-    chi psi1 - psi1' / (lambda eta^2).  ``psi`` takes arrays too;
-    ``psi1``, ``dpsi1`` and ``psi2`` take a point.
+    chi psi1 - psi1' / (lambda eta^2).
     """
 
     def __init__(self, data, state_at):
         self.data = data
         self.state_at = state_at
 
-    def psi1(self, z):
-        return complex(self.state_at(complex(z))[0])
-
-    def dpsi1(self, z):
-        return complex(self.state_at(complex(z))[1])
-
-    def _psi2(self, z, p1, d1):
-        """psi2 = chi psi1 - psi1' / (lambda eta^2) from the state at z."""
-        eta_sq, chi = (np.asarray(v, dtype=complex)
-                       for v in self.data.pair(z))
-        return chi * p1 - d1 / (self.data.lam * eta_sq)
-
-    def psi2(self, z):
-        z = complex(z)
-        return complex(self._psi2(z, *self.state_at(z)))
-
     def psi(self, z):
-        """(psi1, psi2) at z from one state evaluation; shape z.shape +
-        (2,) for an array."""
+        """(psi1, psi2) at z, a point or an array, from one state
+        evaluation; shape z.shape + (2,)."""
         z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
         p1, d1 = self.state_at(z)
-        return np.stack([p1, self._psi2(z, p1, d1)], axis=-1)
+        eta_sq, chi = (np.asarray(v, dtype=complex)
+                       for v in self.data.pair(z))
+        return np.stack([p1, chi * p1 - d1 / (self.data.lam * eta_sq)],
+                        axis=-1)
 
 
 def integrate_wavefunction(data, init, path):

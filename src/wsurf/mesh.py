@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SINGULARITY_RADIUS
 from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
                      isolate_failures)
@@ -31,7 +30,7 @@ def _staging_point(obstacles, xi0):
     """None, or a nearby regular point when xi0 sits on a singularity:
     half a unit across the singularity's cut ray, if it has one."""
     for c, r in obstacles.discs:
-        if abs(xi0 - c) <= max(r, SINGULARITY_RADIUS):
+        if abs(xi0 - c) <= r:
             return xi0 + 0.5j * next(
                 (d for p, d in obstacles.rays if abs(p - c) < 1e-9), 1 + 0j)
     return None
@@ -95,10 +94,9 @@ def _allowed_nodes(points, data):
     allowed = np.ones(points.shape, dtype=bool)
     for c, r in ode.exclusions():
         # boundary slack: grid rings at exactly the exclusion radius stay in
-        allowed &= np.abs(points - c) >= max(r, SINGULARITY_RADIUS) * (1.0 - 1e-12)
+        allowed &= np.abs(points - c) >= r * (1.0 - 1e-12)
     if ode.valid_region is not None:
-        for k in np.flatnonzero(allowed):
-            allowed.flat[k] = bool(ode.valid_region(complex(points.flat[k])))
+        allowed &= ode.valid_region(points)
     return allowed
 
 

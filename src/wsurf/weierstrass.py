@@ -19,6 +19,9 @@ from .geometry import Obstacles
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 from .pathplan import MAX_WAYPOINTS, plan_path
 
+# the numeric pair's chain holds each panel's tails to this (_pair_legs)
+PAIR_TOL = 1e-11
+
 
 @dataclass
 class WeierstrassData:
@@ -33,12 +36,6 @@ class WeierstrassData:
     base_point: complex
     source: str                  # "closed_form" | "numeric"
     ode: object                  # the LinearODE the pair is built from
-
-    def eta_sq(self, z):
-        return self.pair(z)[0]
-
-    def chi(self, z):
-        return self.pair(z)[1]
 
     def hopf(self, z):
         """Hopf differential coefficient Q = -eta^2 chi' = r/(lambda p):
@@ -165,9 +162,11 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     else:
         return None
 
+    # a row that overflows is not finite there, and its callers name the
+    # point; numpy's errstate decorator sets the state per call
     return WeierstrassData(
-        pair=pair, c1=c1, c2=c2, lam=lam, base_point=z0,
-        source="closed_form", ode=ode)
+        pair=np.errstate(over="ignore", invalid="ignore")(pair), c1=c1,
+        c2=c2, lam=lam, base_point=z0, source="closed_form", ode=ode)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +365,12 @@ def reach(obstacles, legs, origins, start, points):
     return values, failures
 
 
-def _pair_legs(ode, lam, eta0, tol):
+def _pair_legs(ode, lam, eta0):
     """Legs of the store of (L, chi), eta^2 = eta0 e^-L, in
     contour.panel_lanes: on a panel L = L0 + c S (q/p), then
     chi = chi0 - (c/lambda) S ((r/p) e^L / eta0) (Greengard, 1991).  A
     panel is accepted when both integrands' tails times |c| are within
-    tol h, an absolute rule: a relative one fails where q/p is 0."""
+    PAIR_TOL h, an absolute rule: a relative one fails where q/p is 0."""
     def step(y, c, h, qp, rp):
         with np.errstate(over="ignore", invalid="ignore"):
             log_eta = y[:, :1] + c[:, None] * (qp @ PANEL_S.T)
@@ -379,14 +378,13 @@ def _pair_legs(ode, lam, eta0, tol):
             chi = y[:, 1:] - (c / lam)[:, None] * (g @ PANEL_S.T)
             tail = np.maximum(np.abs(qp @ PANEL_TAIL.T).max(axis=1),
                               np.abs(g @ PANEL_TAIL.T).max(axis=1))
-            ok = np.abs(c) * tail <= tol * h
+            ok = np.abs(c) * tail <= PAIR_TOL * h
         return np.stack([log_eta, chi], axis=1), ok
 
     return lambda a, b, start: (panel_lanes(ode, a, b, start, step)[0], {})
 
 
-def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
-                       tol=1e-11):
+def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     """Numeric WeierstrassData (integral route) for any LinearODE.
 
     eta^2(z) = eta^2(z0) exp(-L(z)) with L = int_{z0}^{z} q/p, and
@@ -404,9 +402,8 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
     else:
         eta0, chi0 = 1.0 / c1, c2 / lam
     store = CachedAntiderivative(
-        None, z0, ode.exclusions(), ode.cut_rays, tol,
-        initial_value=np.array([0, chi0]),
-        legs=_pair_legs(ode, lam, eta0, tol))
+        None, z0, ode.exclusions(), ode.cut_rays,
+        initial_value=np.array([0, chi0]), legs=_pair_legs(ode, lam, eta0))
 
     def pair(z):
         # [()] makes a point's value a scalar and leaves arrays alone
@@ -418,13 +415,13 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None,
         source="numeric", ode=ode)
 
 
-def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None, tol=1e-11):
+def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     """WeierstrassData for an ODE: the closed form when the catalog has
     one, else the numeric route."""
     data = closed_form_data(ode, c1, c2, lam, base_point)
     if data is not None:
         return data
-    return build_numeric_data(ode, c1, c2, lam, base_point, tol)
+    return build_numeric_data(ode, c1, c2, lam, base_point)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from wsurf.catalog import (GridSpec, get_equation, get_fixture,
 from wsurf.contour import ContourPath
 from wsurf.errors import EmptyMesh
 from wsurf.immersion import (IDENTITY2, PAULI, combine_euclidean,
-                             combine_quaternionic, geometry_report,
-                             immerse_ew, sym_tafel)
+                             combine_quaternionic, ew_integrals,
+                             geometry_report, sym_tafel)
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual)
 from wsurf.mesh import ew_cache, sample_grid
@@ -94,8 +94,8 @@ def test_criterion_03_numeric_pairs_match_closed_rows(criterion, rng):
                        * np.exp(1j * rng.uniform(0.15 * np.pi, 0.85 * np.pi)))
                for _ in range(20)]
         for z in pts:
-            for fn_cf, fn_num in ((cf.eta_sq, num.eta_sq), (cf.chi, num.chi)):
-                a, b = complex(fn_cf(z)), complex(fn_num(z))
+            for k in (0, 1):
+                a, b = complex(cf.pair(z)[k]), complex(num.pair(z)[k])
                 worst_pair = max(worst_pair, abs(a - b) / max(1.0, abs(a)))
         report = verify_weierstrass(cf, pts)
         worst_identity = max(worst_identity, report.max_residual())
@@ -184,7 +184,7 @@ def test_criterion_05_linear_problem(criterion, rng):
             z = complex(z0 + t * (z1 - z0) + 0.05j)
             res, dbar = lp_residual(data, wf, z)
             worst_lp, worst_dbar = max(worst_lp, res), max(worst_dbar, dbar)
-        assert abs(wf.psi1(z1) - z1) <= 1e-8
+        assert abs(wf.state_at(z1)[0] - z1) <= 1e-8
     criterion(5, "linear-problem residuals for the transcendental laguerre "
                  "wavefunction and the integrated P1/T1 branches",
               worst_lp <= 1e-6 and worst_dbar <= 1e-7,
@@ -300,8 +300,8 @@ def test_criterion_08_path_independence(criterion, rng):
             path_b = _detour(a, b, ode.exclusions(), ode.cut_rays)
             if path_b is None:
                 continue
-            fa = immerse_ew(data, path_a, tol=1e-10)
-            fb = immerse_ew(data, path_b, tol=1e-10)
+            fa = combine_euclidean(*ew_integrals(data, path_a, tol=1e-10))
+            fb = combine_euclidean(*ew_integrals(data, path_b, tol=1e-10))
             worst = max(worst, float(np.max(np.abs(fa - fb))))
             done += 1
             pairs += 1

@@ -77,6 +77,12 @@ def test_catalog_records():
     inside = get_equation("jacobi", {"alpha": 0.25}).valid_region
     assert inside(-0.8 + 0.1j) and not inside(-0.2 + 0.1j)
     assert not inside(-0.9 + 0.5j)
+    # and it is vectorized: an array gives the per-point answers, here
+    # on both sides of each of its two circles
+    z = get_equation("jacobi").default_domain.points()
+    for region in (inside, get_equation("jacobi").valid_region):
+        assert np.array_equal(region(z),
+                              [[region(w) for w in row] for row in z])
 
 
 def test_unknown_equation():

@@ -373,6 +373,24 @@ class TestNonFinite:
         assert samples.failures == 1
         assert np.flatnonzero(~samples.mask.ravel()).tolist() == [6 * 9 + 4]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--eq", "hermite", "--xi", "27+0i"],
+         "error: evaluation failed at z="),
+        (["sample", "--eq", "laguerre", "--xi", "720+0i"],
+         "error: evaluation failed at z="),
+        (["surface", "--eq", "hermite",
+          "--grid", "cartesian:-30,30,-30,30,20,20"],
+         "error: 378/400 grid nodes failed to evaluate\n")],
+        ids=["hermite-sample", "laguerre-sample", "hermite-grid"])
+    def test_closed_form_overflow(self, argv, message, tmp_path, capsys):
+        # e^(z^2) and e^z overflow there, and the suite runs with
+        # RuntimeWarnings as errors: the points must come back as
+        # EvaluationFailures
+        if argv[0] == "surface":
+            argv = argv + ["--out", str(tmp_path / "h.obj")]
+        assert run_pipeline(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_nan_param_is_a_usage_error(self, tmp_path):
         done = _cli(["verify", "--eq", "hermite", "--param", "n=nan"],
                     tmp_path)

@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation, parse_user_ode
-from wsurf.contour import (CIRCLE_POINTS, contour_quad, holo_derivative,
-                           straight_path)
+from wsurf.contour import (CIRCLE, CIRCLE_POINTS, contour_quad,
+                           holo_derivative, straight_path)
 from wsurf.errors import (EvaluationFailure, SingularPoint,
                           StencilOutsideDomain, WsurfError)
 from wsurf.immersion import (IDENTITY2, PAULI, RESIDUAL_COLUMNS,
                              combine_euclidean, combine_quaternionic,
                              ew_integrals, ew_integrand, geometry_report,
-                             immerse_ew, pauli_decompose, sym_tafel,
-                             to_quaternionic)
+                             pauli_decompose, sym_tafel)
 from wsurf.mesh import _allowed_nodes
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
@@ -36,13 +35,13 @@ def laguerre_data():
 
 def scalar_ew_integrals(data, path, tol):
     """Reference: the three integrals as separate scalar quadratures."""
-    eta_sq, chi = data.eta_sq, data.chi
+    pair = data.pair
     return np.array([
-        contour_quad(lambda z: eta_sq(z), path, tol),
-        contour_quad(lambda z: np.asarray(chi(z)) ** 2
-                     * np.asarray(eta_sq(z)), path, tol),
-        contour_quad(lambda z: np.asarray(chi(z)) * np.asarray(eta_sq(z)),
-                     path, tol),
+        contour_quad(lambda z: pair(z)[0], path, tol),
+        contour_quad(lambda z: np.asarray(pair(z)[1]) ** 2
+                     * np.asarray(pair(z)[0]), path, tol),
+        contour_quad(lambda z: np.asarray(pair(z)[1])
+                     * np.asarray(pair(z)[0]), path, tol),
     ])
 
 
@@ -75,22 +74,27 @@ class TestIntegrals:
     def test_additivity(self):
         data = laguerre_data()
         a, b, c = 1 + 1j, 2 + 2j, 0.5 + 1.5j
-        whole = immerse_ew(data, straight_path(a, c), tol=1e-11)
-        parts = immerse_ew(data, straight_path(a, b), tol=1e-11) + \
-            immerse_ew(data, straight_path(b, c), tol=1e-11)
+        whole = combine_euclidean(
+            *ew_integrals(data, straight_path(a, c), tol=1e-11))
+        parts = combine_euclidean(
+            *ew_integrals(data, straight_path(a, b), tol=1e-11)) + \
+            combine_euclidean(
+                *ew_integrals(data, straight_path(b, c), tol=1e-11))
         assert np.max(np.abs(whole - parts)) <= 1e-9
 
 
 class TestRepresentations:
     def test_plane_is_flat_strip(self, plane_data):
         for xi in (1 + 0j, 2 - 1j, 0.5 + 3j):
-            F = immerse_ew(plane_data, straight_path(0j, xi))
+            F = combine_euclidean(
+                *ew_integrals(plane_data, straight_path(0j, xi)))
             want = np.array([0.5 * xi.real, -0.5 * xi.imag, 0.0])
             assert np.max(np.abs(F - want)) <= 1e-12
 
     def test_plane_quaternionic_real_displacement(self, plane_data):
         d = 1.5
-        m = to_quaternionic(plane_data, straight_path(0j, d + 0j))
+        m = combine_quaternionic(
+            *ew_integrals(plane_data, straight_path(0j, d + 0j)))
         assert np.max(np.abs(m - (-1j * (d / 2) * PAULI[0]))) <= 1e-12
 
     def test_pauli_decomposition_roundtrip(self, rng):
@@ -108,8 +112,8 @@ class TestRepresentations:
     def test_quaternionic_matches_euclidean_on_surface(self):
         data = laguerre_data()
         path = straight_path(1 + 1j, 2 + 0.5j)
-        F = immerse_ew(data, path, tol=1e-11)
-        m = to_quaternionic(data, path, tol=1e-11)
+        F = combine_euclidean(*ew_integrals(data, path, tol=1e-11))
+        m = combine_quaternionic(*ew_integrals(data, path, tol=1e-11))
         assert np.max(np.abs(pauli_decompose(m) - F)) <= 1e-10
 
 
@@ -372,6 +376,37 @@ class TestBatchedReport:
         assert np.isinf(rep.metric[0]) and np.isnan(rep.hopf[0])
         with pytest.raises(SingularPoint):
             geometry_report(data, 5 + 0j)
+
+    def test_a_point_fails_on_u_before_q(self):
+        # eta^2 is nan at exactly 5 and at exactly the first circle point
+        # of 2 - 1j, which no quadrature node hits, and the ODE's r raises
+        # at 5 and on the upper half of that circle: both points fail on
+        # u, as when u and then Q were evaluated pass by pass
+        c = 2 - 1j
+        w = c + 1e-3 * CIRCLE[0]
+
+        def eta_sq(z):
+            z = np.asarray(z, dtype=complex)
+            return np.where((z == 5) | (z == w), np.nan, 1 + 0 * z)
+
+        def r(z):
+            z = np.asarray(z, dtype=complex)
+            bad = (z == 5) | ((np.abs(z - c) < 0.01) & (z.imag > -1 + 5e-4))
+            if np.any(bad):
+                raise SingularPoint(complex(z.flat[np.argmax(bad)]))
+            return -0.1 + 0 * z
+
+        data = WeierstrassData(
+            pair=lambda z: (eta_sq(z), 0.1 * np.asarray(z, dtype=complex)),
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
+            ode=dataclasses.replace(CHI_OVER_TEN, r=r))
+        rep = geometry_report(data, np.array([1 - 2j, 5 + 0j, c]))
+        assert sorted(rep.failures) == [1, 2]
+        for k, z in ((1, 5), (2, w)):
+            assert type(rep.failures[k]) is EvaluationFailure
+            assert rep.failures[k].z == z
+            with pytest.raises(EvaluationFailure):
+                geometry_report(data, [5 + 0j, c][k - 1])
 
     def test_scalar_call_returns_python_scalars(self):
         rep = geometry_report(laguerre_data(), 2 + 1j)

@@ -96,18 +96,18 @@ class TestTransport:
         psi1, dpsi1, _ = analytic_pair(data)
         path = straight_path(1 + 0j, 2 + 0j)
         wf = integrate_wavefunction(data, (psi1(1.0), dpsi1(1.0)), path)
-        assert abs(wf.psi1(2.0) - psi1(2.0)) <= 1e-8
-        assert abs(wf.dpsi1(2.0) - dpsi1(2.0)) <= 1e-8
+        assert abs(wf.state_at(2.0)[0] - psi1(2.0)) <= 1e-8
+        assert abs(wf.state_at(2.0)[1] - dpsi1(2.0)) <= 1e-8
         # off-path query, extended holomorphically
         z = 1.6 + 0.3j
-        assert abs(wf.psi1(z) - psi1(z)) <= 1e-8
+        assert abs(wf.state_at(z)[0] - psi1(z)) <= 1e-8
 
     def test_zero_initial_data_stays_zero(self):
         data = laguerre_data()
         wf = integrate_wavefunction(data, (0.0, 0.0),
                                     straight_path(1 + 0j, 2 + 1j))
-        assert abs(wf.psi1(2 + 1j)) <= 1e-12
-        assert abs(wf.psi2(2 + 1j)) <= 1e-12
+        assert abs(wf.state_at(2 + 1j)[0]) <= 1e-12
+        assert abs(wf.psi(2 + 1j)[..., 1]) <= 1e-12
 
     def test_polynomial_branch(self):
         # w = 1 - z solves the alpha=1 laguerre equation
@@ -115,7 +115,7 @@ class TestTransport:
         wf = integrate_wavefunction(data, (0.0, -1.0),
                                     straight_path(1 + 0j, 2.5 + 0.5j))
         z = 2.5 + 0.5j
-        assert abs(wf.psi1(z) - (1 - z)) <= 1e-9
+        assert abs(wf.state_at(z)[0] - (1 - z)) <= 1e-9
 
     def test_query_across_a_cut_stays_on_the_path_sheet(self):
         # psi is integrated from 1 to -1 + 0.05i through 1i; -1 - 0.05i
@@ -134,7 +134,7 @@ class TestTransport:
                          legal.state_at(-1.1 - 0.1j),
                          wf.state_at(-1 + 0.1j)]).T
         assert np.max(np.abs(wf.state_at(z) - want)) <= 1e-10
-        assert abs(wf.psi1(-1 - 0.05j) - want[0, 0]) <= 1e-10
+        assert abs(wf.state_at(-1 - 0.05j)[0] - want[0, 0]) <= 1e-10
 
     def test_superposition(self):
         data = laguerre_data()
@@ -156,7 +156,7 @@ class TestTransport:
         wf = integrate_wavefunction(data, (psi1(1.0), dpsi1(1.0)),
                                     straight_path(1 + 0j, 1.5 + 1j))
         for z in (1.2 + 0.4j, 1.5 + 1j):
-            assert abs(wf.psi2(z) - analytic.psi2(z)) <= 1e-8
+            assert abs(wf.psi(z)[..., 1] - analytic.psi(z)[..., 1]) <= 1e-8
         res, dbar = lp_residual(data, wf, 1.3 + 0.5j)
         assert res <= 1e-6
         assert dbar <= 1e-7
@@ -202,7 +202,7 @@ class TestResidualTransports:
         z = 1.3 + 0.9j
         psi = wf.psi(z)
         assert len(calls) == 1
-        assert psi[0] == wf.psi1(z) and psi[1] == wf.psi2(z)
+        assert psi[0] == wf.state_at(z)[0] and psi[1] == wf.psi(z)[..., 1]
         calls.clear()
         # a point's residual is one transport of its whole circle
         for k, z in enumerate((1.2 + 0.4j, 2 + 1.2j, 1.7 + 0.1j), start=1):
@@ -485,7 +485,7 @@ class TestZeroCurvature:
             return np.exp(z) / z + 0.01 * np.conj(z)
 
         bad = dataclasses.replace(
-            base, pair=lambda z: (eta_sq(z), base.chi(z)))
+            base, pair=lambda z: (eta_sq(z), base.pair(z)[1]))
         worst = zcc_residual(bad, 2.0)
         # the (1,2) entry of U picks up exactly -0.01 dbar(conj z)
         assert abs(worst - 0.01) <= 0.002

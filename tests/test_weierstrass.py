@@ -27,8 +27,8 @@ class TestClosedForms:
         ode = get_equation("laguerre", {"alpha": 1})
         data = closed_form_data(ode, 1, 0, 1)
         for z in SAFE_POINTS:
-            assert abs(complex(data.eta_sq(z)) - np.exp(z) / z) <= 1e-13
-            assert abs(complex(data.chi(z)) - np.exp(-z)) <= 1e-13
+            assert abs(complex(data.pair(z)[0]) - np.exp(z) / z) <= 1e-13
+            assert abs(complex(data.pair(z)[1]) - np.exp(-z)) <= 1e-13
 
     def test_laguerre_hopf(self):
         # Q = -eta^2 chi' collapses to 1/z for the laguerre pair
@@ -40,13 +40,14 @@ class TestClosedForms:
         ode = get_equation("legendre", {"alpha": 1})
         data = closed_form_data(ode, c1=1, c2=0.5, lam=2)
         for z in SAFE_POINTS:
-            assert abs(complex(data.eta_sq(z)) - 1 / (1 - z * z)) <= 1e-13
-            assert abs(complex(data.chi(z)) + (2 * z + 0.5) / 2) <= 1e-13
+            assert abs(complex(data.pair(z)[0]) - 1 / (1 - z * z)) <= 1e-13
+            assert abs(complex(data.pair(z)[1]) + (2 * z + 0.5) / 2) <= 1e-13
 
     def test_conformal_factor_identity(self):
         data = closed_form_data(get_equation("laguerre"), 1, 0, 1)
         z = 1.3 + 0.4j
-        half = abs(complex(data.eta_sq(z))) * (1 + abs(complex(data.chi(z))) ** 2)
+        half = (abs(complex(data.pair(z)[0]))
+                * (1 + abs(complex(data.pair(z)[1])) ** 2))
         assert abs(data.conformal_factor(z) - half * half) <= 1e-13
         assert abs(data.log_conformal_factor(z) - 2 * np.log(half)) <= 1e-13
 
@@ -72,35 +73,37 @@ class TestClosedForms:
 class TestNumericRoute:
     def test_build_eta_laguerre(self):
         ode = get_equation("laguerre")
-        eta = build_numeric_data(ode, c1=2.0).eta_sq
+        pair = build_numeric_data(ode, c1=2.0).pair
         for z in (2 + 0.5j, 0.8 + 1.2j, -1 + 1j):
-            assert abs(complex(eta(z)) - np.exp(z) / (2 * z)) <= 1e-9
+            assert abs(complex(pair(z)[0]) - np.exp(z) / (2 * z)) <= 1e-9
 
     def test_build_eta_constant_when_q_zero(self):
         ode = parse_user_ode("p = 1\nq = 0\nr = 1\n")
-        eta = build_numeric_data(ode, c1=1.0).eta_sq
-        vals = [complex(eta(z)) for z in (0.5j, 1 + 1j, -2 + 0.3j)]
+        pair = build_numeric_data(ode, c1=1.0).pair
+        vals = [complex(pair(z)[0]) for z in (0.5j, 1 + 1j, -2 + 0.3j)]
         assert max(abs(v - vals[0]) for v in vals) <= 1e-11
 
     def test_build_eta_bessel(self):
         ode = get_equation("bessel")
-        eta = build_numeric_data(ode, c1=1.0).eta_sq
+        pair = build_numeric_data(ode, c1=1.0).pair
         for z in (0.5 + 0.5j, 1.5 + 1j, -1 + 0.8j):
-            assert abs(complex(eta(z)) - 1.0 / z) <= 1e-9
+            assert abs(complex(pair(z)[0]) - 1.0 / z) <= 1e-9
 
     def test_build_chi_constant_when_r_zero(self):
         ode = parse_user_ode("p = 1\nq = 1\nr = 0\n")
         data = build_numeric_data(ode, c1=1, c2=3.0, lam=2.0)
         for z in (0.4 + 0.2j, -1 + 1j):
-            assert abs(complex(data.chi(z)) - 1.5) <= 1e-10
+            assert abs(complex(data.pair(z)[1]) - 1.5) <= 1e-10
 
     def test_numeric_matches_closed_laguerre(self):
         ode = get_equation("laguerre")
         data = build_numeric_data(ode)
         cf = closed_form_data(ode, 1, 0, 1)
         for z in (2 + 1j, 0.5 + 1.5j, -0.8 + 0.9j):
-            assert abs(complex(data.eta_sq(z)) - complex(cf.eta_sq(z))) <= 1e-9
-            assert abs(complex(data.chi(z)) - complex(cf.chi(z))) <= 1e-9
+            assert abs(complex(data.pair(z)[0])
+                       - complex(cf.pair(z)[0])) <= 1e-9
+            assert abs(complex(data.pair(z)[1])
+                       - complex(cf.pair(z)[1])) <= 1e-9
 
     @pytest.mark.parametrize("lam", [1.0, 2 - 1j])
     def test_hopf_is_exact(self, lam):
@@ -133,7 +136,7 @@ class TestNumericRoute:
         data.hopf(2 + 1j)
         data.hopf(np.array(SAFE_POINTS))
         assert lookups == [] and chains == []
-        data.eta_sq(2 + 1j)
+        data.pair(2 + 1j)
         assert len(lookups) == 1 and len(chains) == 1
 
     def test_one_lookup_per_pair_consumer(self, monkeypatch):
@@ -168,11 +171,11 @@ class TestNumericRoute:
         # the leg -1 -> 1 puts the middle Kronrod node, not the first
         # one, on the zero of p
         ode = parse_user_ode("p = z\nq = 1\nr = 1\n")
-        for fn in (build_numeric_data(ode, base_point=-1.0).eta_sq,
-                   build_numeric_data(ode, base_point=-1.0).chi):
+        for k in (0, 1):
+            pair = build_numeric_data(ode, base_point=-1.0).pair
             for z in (1 + 0j, np.array([1 + 0j])):
                 with pytest.raises(SingularPoint) as info:
-                    fn(z)
+                    pair(z)[k]
                 assert info.value.z == 0
 
     def test_make_data_prefers_closed_form(self):
@@ -198,16 +201,16 @@ class TestNumericRoute:
         data = build_numeric_data(ode, c1=2.0, c2=0.5, lam=1.5,
                                   base_point=1 + 1j)
         z = np.array([2 + 1j, 0.5 + 1.5j])
-        data.eta_sq(z), data.chi(z)
+        data.pair(z)[0], data.pair(z)[1]
         assert len(calls) == 1
         assert (data.source, data.base_point) == ("numeric", 1 + 1j)
         assert (data.c1, data.c2, data.lam) == (2.0, 0.5, 1.5)
         # the pair is anchored at the base point
         cf = closed_form(ode, 2.0, 0.5, 1.5)
-        eta0, chi0 = ((cf.eta_sq(1 + 1j), cf.chi(1 + 1j)) if cf is not None
-                      else (1 / 2.0, 0.5 / 1.5))
-        assert abs(complex(data.eta_sq(1 + 1j)) - eta0) == 0.0
-        assert abs(complex(data.chi(1 + 1j)) - chi0) == 0.0
+        eta0, chi0 = ((cf.pair(1 + 1j)[0], cf.pair(1 + 1j)[1])
+                      if cf is not None else (1 / 2.0, 0.5 / 1.5))
+        assert abs(complex(data.pair(1 + 1j)[0]) - eta0) == 0.0
+        assert abs(complex(data.pair(1 + 1j)[1]) - chi0) == 0.0
 
     @pytest.mark.parametrize("kw", [{"c1": 0}, {"lam": 0}],
                              ids=["c1", "lambda"])
@@ -229,7 +232,7 @@ class TestVerification:
                 z = np.asarray(z, dtype=complex)
                 return np.exp(-z) + eps * z
             return dataclasses.replace(
-                base, pair=lambda z: (base.eta_sq(z), chi(z)))
+                base, pair=lambda z: (base.pair(z)[0], chi(z)))
 
         clean = verify_weierstrass(base, pts).max_residual()
         r1 = verify_weierstrass(perturbed(0.01), pts).chi_residual
@@ -265,9 +268,10 @@ class TestPanelChain:
         data, closed = build_numeric_data(ode), closed_form_data(ode)
         upper = np.array(SAFE_POINTS + (-1.5 + 0.3j, 0.3 + 0.2j, -0.4 + 0.3j))
         for z in (upper, np.conj(upper)):
-            for f, g in ((data.eta_sq, closed.eta_sq), (data.chi, closed.chi)):
-                want = g(z)
-                assert np.max(np.abs(f(z) - want) / np.abs(want)) <= 1e-12, eq
+            for k in (0, 1):
+                want = closed.pair(z)[k]
+                assert np.max(np.abs(data.pair(z)[k] - want)
+                              / np.abs(want)) <= 1e-12, eq
 
     def test_zero_of_q_over_p(self):
         # the README ODE's q/p = (1.5 - z)/(z - 0.5) vanishes at 1.5, a
@@ -276,12 +280,12 @@ class TestPanelChain:
         # nearby converge all the same, to the closed form
         # eta^2 = e^z / (1 - 2z), chi = 4 (1 - e^-z)
         data = build_numeric_data(parse_user_ode(_README_ODE))
-        data.eta_sq(1.4993)
+        data.pair(1.4993)
         for z in (1.5 + 0j, np.array([1.5 + 1e-4j, 1.5005 - 1e-4j])):
             z = np.asarray(z)
-            assert np.allclose(data.eta_sq(z), np.exp(z) / (1 - 2 * z),
+            assert np.allclose(data.pair(z)[0], np.exp(z) / (1 - 2 * z),
                                rtol=1e-12, atol=0)
-            assert np.allclose(data.chi(z), 4 * (1 - np.exp(-z)),
+            assert np.allclose(data.pair(z)[1], 4 * (1 - np.exp(-z)),
                                rtol=1e-12, atol=0)
 
 
@@ -410,12 +414,12 @@ _README_ODE = ("id = my-equation\nparams = alpha=2\np = z - 0.5\n"
 def _pair_per_point(data, z):
     """(eta^2, chi) of a numeric pair at an array z, each point looked up
     on its own, in order."""
-    return np.array([[data.eta_sq(complex(w)), data.chi(complex(w))]
+    return np.array([[data.pair(complex(w))[0], data.pair(complex(w))[1]]
                      for w in z.ravel()]).reshape(z.shape + (2,))
 
 
 def _pair(data, z):
-    return np.stack([data.eta_sq(z), data.chi(z)], axis=-1)
+    return np.stack([data.pair(z)[0], data.pair(z)[1]], axis=-1)
 
 
 class TestBatchedAntiderivative:
