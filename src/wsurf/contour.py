@@ -362,14 +362,15 @@ def panel_lanes(ode, a, b, states, step, keep_panels=False):
     memory stays bounded; ``step(y, c, h, qp, rp)`` gives the (k, d,
     PANEL_POINTS) states on the panels from the start states y, with
     c = (b - a) h, and which panels it accepts.  An accepted panel's h
-    doubles, up to the rest of its lane, a rejected one's halves.  A
-    transport lane's bits do not depend on its batch; a lane of the
-    pair's chain differs by rounding, through the 2-D gemm products of
-    its step.  Returns the (n, d) states at b and, if keep_panels, the
-    accepted panels as (lanes, z, y).  Raises the errors of ode.ratios,
-    EvaluationFailure for a state not finite at a lane's start, and
-    StepSizeUnderflow (or SolutionOverflow) for a panel below H_MIN of
-    its lane or a lane of MAX_PANELS panels."""
+    doubles, up to the rest of its lane, a rejected one's halves.  The
+    steps of transport, of the pair's chain and of the edge moments take
+    their products one lane at a time, so a lane's bits do not depend on
+    its batch as long as ode.ratios' do not.  Returns the (n, d) states
+    at b and, if keep_panels, the accepted panels as (lanes, z, y).
+    Raises the errors of ode.ratios, EvaluationFailure for a state not
+    finite at a lane's start, and StepSizeUnderflow (or
+    SolutionOverflow) for a panel below H_MIN of its lane or a lane of
+    MAX_PANELS panels."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     dz = b - a

@@ -8,6 +8,7 @@ import numpy as np
 from .contour import (CIRCLE, CIRCLE_POINTS, contour_quad, gk15_segments,
                       holo_derivative)
 from .errors import EvaluationFailure, StencilOutsideDomain, isolate_failures
+from .weierstrass import compose, edge_moments, u_of_pair
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -27,7 +28,10 @@ def ew_integrand(data):
     alone.  A numeric pair's is not: its pair call is a lookup of a
     CachedAntiderivative store that inserts the points it reaches, and
     concurrent lookups would race on the store, with the order of their
-    inserts deciding later nearest-point ties.
+    inserts deciding later nearest-point ties.  The numeric route runs
+    it only on the legs of ew_cache lookups (grid roots, sample points)
+    and in ew_integrals; grid edges and circle legs take edge moments
+    (weierstrass.edge_moments) instead.
     """
     pair = data.pair
 
@@ -138,6 +142,34 @@ def _circle_legs(data, xi, h, tol, live, failures):
     return legs
 
 
+def _moment_legs(data, xi, h, start, tol, live, failures):
+    """(n, CIRCLE_POINTS, 3) ew_integrals along the legs from xi to the
+    points xi + h CIRCLE of its circle, and (n, CIRCLE_POINTS) u at those
+    points, on the numeric route: the legs of all live nodes are the
+    lanes of one weierstrass.edge_moments call, composed with the (n, 2)
+    pair (eta^2, chi) start at xi.  A node with a failed leg goes into
+    failures with that leg's error and out of live."""
+    legs = np.full((len(xi), CIRCLE_POINTS, 3), np.nan, dtype=complex)
+    u = np.full((len(xi), CIRCLE_POINTS), np.nan)
+    idx = np.flatnonzero(live)
+    if idx.size == 0:
+        return legs, u
+    ends = xi[idx, None] + h[idx, None] * CIRCLE
+    moments, failed = edge_moments(data.ode, data.lam,
+                                   np.repeat(xi[idx], CIRCLE_POINTS),
+                                   ends.ravel(), tol)
+    eta_sq, chi, values = compose(
+        *np.repeat(start[idx], CIRCLE_POINTS, axis=0).T, moments)
+    legs[idx] = values.reshape(-1, CIRCLE_POINTS, 3)
+    # a u that is not finite fails its node in _circle_values
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u[idx] = u_of_pair(eta_sq, chi).reshape(-1, CIRCLE_POINTS)
+    for leg in sorted(failed):
+        failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
+    live[list(failures)] = False
+    return legs, u
+
+
 def _live_values(fn, xi, live, failures, k):
     """(n, k) values of fn at the live nodes, nan elsewhere.
 
@@ -158,25 +190,30 @@ def _live_values(fn, xi, live, failures, k):
     return out
 
 
-def _point_data(data, z):
-    """(n, 3) values (u, e^u, Q) at the points z as log_conformal_factor,
-    conformal_factor and hopf give them, from one pair evaluation; Q
-    only where u and e^u are finite, so that a point fails on them first."""
-    eta_sq, chi = data.pair(z)
+def _point_data(data, z, pair=None):
+    """(n, 5) values (u, e^u, Q, eta^2, chi) at the points z, u, e^u and
+    Q as log_conformal_factor, conformal_factor and hopf give them, from
+    one pair evaluation, or from the pair (eta^2, chi) at z if given; Q
+    only where u and e^u are finite, so that a point fails on them
+    first."""
+    eta_sq, chi = data.pair(z) if pair is None else pair
     half = np.abs(eta_sq) * (1 + np.abs(chi) ** 2)
-    values = np.full((len(z), 3), np.nan, dtype=complex)
+    values = np.full((len(z), 5), np.nan, dtype=complex)
     values[:, 0], values[:, 1] = 2.0 * np.log(half), half * half
+    values[:, 3], values[:, 4] = eta_sq, chi
     ok = np.isfinite(values[:, :2]).all(axis=1)
     values[ok, 2] = data.hopf(z[ok])
     return values
 
 
-def _circle_values(data, xi, h):
+def _circle_values(data, xi, h, u_circle=None):
     """(n, 2) circle means of u and antiholomorphy residuals of Q, from
-    one holo_derivative call on the stacked (u, Q); Q only once u is
-    finite on every circle, so that a circle fails on u first."""
+    one holo_derivative call on the stacked (u, Q); u on the circles is
+    u_circle, (n, CIRCLE_POINTS), if given, else it comes from the pair.
+    Q only once u is finite on every circle, so that a circle fails on u
+    first."""
     def u_and_hopf(w):
-        u = data.u_and_chi(w)[0]
+        u = data.u_and_chi(w)[0] if u_circle is None else u_circle.T
         finite = np.isfinite(u).ravel()
         if not finite.all():
             raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
@@ -186,7 +223,7 @@ def _circle_values(data, xi, h):
     return np.stack([mean[:, 0], cr[:, 1]], axis=-1)
 
 
-def geometry_report(data, xi, tol=1e-12):
+def geometry_report(data, xi, tol=1e-12, pair=None):
     """Numerically verify the differential-geometric identities at xi.
 
     The surface residuals come from the quadrature surface itself (not
@@ -204,10 +241,16 @@ def geometry_report(data, xi, tol=1e-12):
     fields and raises the WsurfError of a failed report.  An array gives
     (n,) array fields, with one gk15_segments call for all N n legs and
     two passes over the pair's data: _point_data at the points and
-    _circle_values on their circles.  A point whose report fails (it lies
-    on a singular point, a leg fails, or an evaluation raises a
-    WsurfError or is not finite) gets inf residuals and nan data, its
-    error in ``failures``, and does not affect the other points.
+    _circle_values on their circles.  On the numeric route the legs are
+    instead the lanes of one weierstrass.edge_moments call, composed
+    with the pair at xi (its one lookup, so _point_data comes first),
+    and u on the circles comes from the legs' ends: no store lookup on
+    a circle.  pair, the (eta^2, chi) arrays at the array xi if the
+    caller has them (a grid on the numeric route), replaces the pair's
+    evaluation at xi.  A point whose report fails (it lies on a singular point,
+    a leg fails, or an evaluation raises a WsurfError or is not finite)
+    gets inf residuals and nan data, its error in ``failures``, and does
+    not affect the other points.
     """
     scalar = np.ndim(xi) == 0
     xi = np.asarray(xi, dtype=complex).reshape(-1)
@@ -225,16 +268,28 @@ def geometry_report(data, xi, tol=1e-12):
 
     # The legs carry the full Weierstrass integrand as F's z-derivative
     # (twice the displayed F), which is the normalization in which
-    # (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.
-    legs = _circle_legs(data, xi, h, tol, live, failures)
+    # (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.  The numeric
+    # route's legs start from the pair at xi, so they come after it.
+    numeric = data.source == "numeric"
+    if not numeric:
+        legs = _circle_legs(data, xi, h, tol, live, failures)
+    point = _live_values(
+        lambda i: _point_data(data, xi[i],
+                              None if pair is None else (pair[0][i],
+                                                         pair[1][i])),
+        xi, live, failures, 5)
+    u_circle = None
+    if numeric:
+        legs, u_circle = _moment_legs(data, xi, h, point[:, 3:], tol, live,
+                                      failures)
     F = 2.0 * np.moveaxis(combine_euclidean(*np.moveaxis(legs, 2, 0)), 0, 2)
     c = np.fft.fft(F, axis=1) / CIRCLE_POINTS
 
-    u, e_u, q = _live_values(lambda i: _point_data(data, xi[i]),
-                             xi, live, failures, 3).T
+    u, e_u, q = point[:, :3].T
     u, e_u = u.real, e_u.real
     u_mean, hopf_holomorphy = _live_values(
-        lambda i: _circle_values(data, xi[i], h[i]),
+        lambda i: _circle_values(data, xi[i], h[i],
+                                 None if u_circle is None else u_circle[i]),
         xi, live, failures, 2).real.T
 
     hh = h[:, None]

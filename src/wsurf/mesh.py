@@ -10,7 +10,8 @@ from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
 from .geometry import Obstacles
 from .immersion import (combine_euclidean, combine_quaternionic,
                         ew_integrand, geometry_report, sym_tafel)
-from .weierstrass import CachedAntiderivative
+from .weierstrass import (CachedAntiderivative, compose, edge_moments,
+                          u_of_pair)
 
 
 @dataclass(frozen=True)
@@ -173,29 +174,38 @@ def _parent_edges(table, edge, depth):
     return parent_edge[:-1]
 
 
-def _tree_integrals(points, allowed, edges, cache):
+def _tree_integrals(points, allowed, edges, cache, data=None):
     """Antiderivative values (n1 * n2, 3) at the allowed nodes, and the
-    mask of nodes that failed.
+    mask of nodes that failed; with the numeric pair data, values
+    (n1 * n2, 5) whose last two columns are eta^2 and chi.
 
     The legal grid edges, _grid_edges' masks, form a graph.  Each
     connected component is rooted at its node nearest the cache anchor,
-    whose value is one cache lookup; a root whose lookup raises a
-    WsurfError counts as a failed node, its edges leave the graph, and
-    the next-nearest node becomes the root.  The edges of a breadth-first
-    spanning forest (_search, _parent_edges) are integrated in one
-    gk15_segments call, and node values are the root value plus the
-    edge values summed level by level down the tree.  Any edge that
-    fails in gk15_segments is dropped and the forest is rebuilt around
-    it.
+    whose value is one cache lookup (and, with data, one data.pair
+    lookup); a root whose lookup raises a WsurfError counts as a failed
+    node, its edges leave the graph, and the next-nearest node becomes
+    the root.  The edges of a breadth-first spanning forest (_search,
+    _parent_edges) are integrated in one call, and node values come
+    level by level down the tree.  Without data, that is one
+    gk15_segments call of the cache's integrand over the edges, and a
+    node's value is its parent's plus its edge's.  With data, it is one
+    weierstrass.edge_moments call over the edges, each from parent to
+    child, and weierstrass.compose carries the parent's (eta^2, chi)
+    and integrals along the edge: no store lookup past the roots.  Any
+    edge that fails is dropped and the forest is rebuilt around it.
     """
     z = points.ravel()
     n = z.size
     u, v, edge = _grid_graph(*edges)
+    # an edge's key is its index in u, v; on the moment route the edge
+    # from v to u has its own key, its index plus len(u)
+    tail, head = np.concatenate([u, v]), np.concatenate([v, u])
     live = np.ones(len(u), dtype=bool)
     # the values of the integrated edges, kept across forest rebuilds:
-    # row slot[e] of the concatenated rows for edge e, -1 until integrated
-    slot = np.full(len(u), -1)
-    rows = [np.zeros((0, 3), dtype=complex)]
+    # row slot[k] of the concatenated rows for key k, -1 until integrated
+    slot = np.full(2 * len(u), -1)
+    width = 3 if data is None else 5
+    rows = [np.zeros((0, width), dtype=complex)]
     done = 0
     # nodes on a cut ray (except the anchor) fail without a lookup:
     # plan_path refuses them as endpoints and every edge to them crosses it
@@ -221,6 +231,8 @@ def _tree_integrals(points, allowed, edges, cache):
             node = candidates[k]
             try:
                 value = cache(complex(z[node]))
+                if data is not None:
+                    value = np.append(value, data.pair(complex(z[node])))
                 if not np.isfinite(value).all():
                     raise EvaluationFailure(complex(z[node]))
             except WsurfError:
@@ -231,12 +243,19 @@ def _tree_integrals(points, allowed, edges, cache):
             roots[node] = value
             _search(table, node, depth)
         parent_edge = _parent_edges(table, edge, depth)
-        tree = parent_edge[parent_edge >= 0]
+        child = np.flatnonzero(parent_edge >= 0)
+        tree = parent_edge[child]
+        if data is not None:
+            tree = np.where(v[tree] == child, tree, tree + len(u))
         todo = tree[slot[tree] < 0]
         if todo.size == 0:
             break
-        values, failures = gk15_segments(
-            cache.integrand, z[u[todo]], z[v[todo]], cache.tol)
+        if data is None:
+            values, failures = gk15_segments(
+                cache.integrand, z[tail[todo]], z[head[todo]], cache.tol)
+        else:
+            values, failures = edge_moments(
+                data.ode, data.lam, z[tail[todo]], z[head[todo]], cache.tol)
         bad = np.zeros(len(todo), dtype=bool)
         bad[list(failures)] = True
         good = todo[~bad]
@@ -246,23 +265,32 @@ def _tree_integrals(points, allowed, edges, cache):
         rows.append(values[~bad] if failures else values)
         if not failures:
             break
-        live[todo[bad]] = False
+        live[todo[bad] % len(u)] = False
 
-    value = np.full((n, 3), np.nan, dtype=complex)
+    value = np.full((n, width), np.nan, dtype=complex)
     for node, root_value in roots.items():
         value[node] = root_value
-    # the tree nodes level by level, each with its parent and its signed
-    # edge value, so each level is one gather-add-scatter
+    # the tree nodes level by level, each with its parent and its edge's
+    # row, so each level is one gather-compute-scatter
     nodes = np.flatnonzero(depth > 0)
     nodes = nodes[np.argsort(depth[nodes], kind="stable")]
     e = parent_edge[nodes]
     forward = v[e] == nodes
     parent = np.where(forward, u[e], v[e])
-    step = np.concatenate(rows)[slot[e]]
-    np.negative(step, out=step, where=~forward[:, None])
     ends = np.cumsum(np.bincount(depth[nodes]))
+    if data is None:
+        step = np.concatenate(rows)[slot[e]]
+        np.negative(step, out=step, where=~forward[:, None])
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            value[nodes[lo:hi]] = value[parent[lo:hi]] + step[lo:hi]
+        return value, failed
+    step = np.concatenate(rows)[slot[np.where(forward, e, e + len(u))]]
     for lo, hi in zip(ends[:-1], ends[1:]):
-        value[nodes[lo:hi]] = value[parent[lo:hi]] + step[lo:hi]
+        start = value[parent[lo:hi]]
+        eta_sq, chi, increments = compose(start[:, 3], start[:, 4],
+                                          step[lo:hi])
+        value[nodes[lo:hi]] = np.column_stack(
+            [start[:, :3] + increments, eta_sq, chi])
     return value, failed
 
 
@@ -286,8 +314,10 @@ def _sample_mask(data, grid, with_residuals, tol):
     """GridSamples over the grid, with the geometry residuals if asked.
 
     Makes no per-node quadrature: the integrals come from
-    _tree_integrals, and (u, chi) and Q from one array call each.  A node
-    fails when its root lookup fails, its immersion is not finite, or
+    _tree_integrals, and Q from one array call.  On the numeric route
+    (u, chi) come from the forest's (eta^2, chi) too, else from one array
+    call of the pair.  A node fails when its root lookup fails, its
+    immersion (or, on the numeric route, its pair) is not finite, or
     (u, chi) or Q raise a WsurfError there; a node whose residual report
     fails gets inf residuals instead.
     """
@@ -295,12 +325,19 @@ def _sample_mask(data, grid, with_residuals, tol):
     allowed = _allowed_nodes(points, data)
     cache = ew_cache(data, grid.base_point, tol)
     edges = _grid_edges(points, allowed, cache.obstacles)
-    value, failed = _tree_integrals(points, allowed, edges, cache)
+    numeric = data.source == "numeric"
+    value, failed = _tree_integrals(points, allowed, edges, cache,
+                                    data if numeric else None)
     ok = allowed.ravel() & ~failed
     with np.errstate(invalid="ignore"):
-        ok[ok] = np.isfinite(combine_euclidean(*value[ok].T)).all(axis=0)
+        ok[ok] = (np.isfinite(combine_euclidean(*value[ok, :3].T)).all(axis=0)
+                  & np.isfinite(value[ok, 3:]).all(axis=1))
     zs = points.ravel()[ok]
-    (u, chi), failed_u = isolate_failures(data.u_and_chi, zs)
+    if numeric:
+        eta_sq, chi = value[ok, 3], value[ok, 4]
+        u, failed_u = u_of_pair(eta_sq, chi), {}
+    else:
+        (u, chi), failed_u = isolate_failures(data.u_and_chi, zs)
     Q, failed_q = isolate_failures(data.hopf, zs)
     good = np.ones(len(zs), dtype=bool)
     good[list(failed_u) + list(failed_q)] = False
@@ -308,8 +345,10 @@ def _sample_mask(data, grid, with_residuals, tol):
     zs, u, chi, Q = zs[good], u[good].real, chi[good], Q[good]
     residuals = {}
     if with_residuals:
-        residuals = geometry_report(data, zs, tol=min(tol, 1e-12)).as_dict()
-    integrals = value[ok]
+        pair = (eta_sq[good], chi) if numeric else None
+        residuals = geometry_report(data, zs, tol=min(tol, 1e-12),
+                                    pair=pair).as_dict()
+    integrals = value[ok, :3]
     return GridSamples(
         mask=ok.reshape(points.shape), edges=edges, points=zs,
         integrals=integrals, F=combine_euclidean(*integrals.T).T,

@@ -4,6 +4,8 @@ Closed-form overrides are provided for the cataloged equations; the
 numeric route is one memoized store of (log eta^2, chi) whose legs run
 a Chebyshev-panel chain on the coefficient ratios, anchored at a base
 point so that numeric and closed-form data agree wherever both exist.
+Along a straight edge, the edge moments (edge_moments) carry any start
+state of the pair and the Weierstrass integrals with no store (compose).
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_segments,
                       holo_derivative, panel_lanes, straight_path)
-from .errors import EvaluationFailure, WsurfError
+from .errors import EvaluationFailure, WsurfError, isolate_failures
 from .geometry import Obstacles
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
@@ -56,7 +58,12 @@ class WeierstrassData:
         """(u, chi) at z from one pair evaluation, u the log conformal
         factor."""
         eta_sq, chi = self.pair(np.asarray(z, dtype=complex))
-        return 2.0 * np.log(np.abs(eta_sq) * (1 + np.abs(chi) ** 2)), chi
+        return u_of_pair(eta_sq, chi), chi
+
+
+def u_of_pair(eta_sq, chi):
+    """The log conformal factor u = 2 log(|eta^2| (1 + |chi|^2))."""
+    return 2.0 * np.log(np.abs(eta_sq) * (1 + np.abs(chi) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +184,12 @@ class CachedAntiderivative:
 
     The integrand may be vector-valued (see contour_quad); then
     ``initial_value`` must have its shape, e.g. ``np.zeros(3)``.  Values
-    are extended from the nearest already-integrated point by a short
-    straight segment when that segment is legal, otherwise along a
-    freshly planned path (see reach).  A leg adds its GK15 integral,
+    are extended from the nearest already-integrated point, found by a
+    dense scan of the store, by a short straight segment when that
+    segment is legal, otherwise along a freshly planned path (see
+    reach).  The scan costs queries x stored points, which stays small
+    because the numeric route's grid edges and circle legs run on edge
+    moments, not on the store.  A leg adds its GK15 integral,
     held to tol, unless integrand is None and ``legs(a, b, start)``
     carries the values start along legs a[i] -> b[i] instead.  A scalar
     z gives one value, an array z values of shape ``z.shape + value
@@ -198,8 +208,6 @@ class CachedAntiderivative:
         self._values = np.empty((16,) + value.shape, dtype=complex)
         self._values[0] = value
         self._size = 1
-        # (start, stop, kd-tree or None) over store ranges, in store order
-        self._blocks = []
 
     def __call__(self, z):
         if np.ndim(z) != 0 or self.integrand is None:
@@ -265,54 +273,25 @@ class CachedAntiderivative:
         self._values[n:n + m] = values
         self._size = n + m
 
-    # a block of at most this many points is one kd-tree leaf, so it is
-    # searched densely, in the leaf's order and distance arithmetic
-    _LEAF = 16
-
     def _nearest(self, z):
-        """Store index of the stored point nearest to each of z.
-
-        The store is covered by blocks over consecutive ranges, each
-        more than twice the size of the next (Bentley-Saxe): the points
-        stored since the last lookup get a block of their own, merged
-        with every preceding block at most twice its size, so that a
-        point is re-indexed O(log n) times over the store's life.  A
-        block above _LEAF points is a kd-tree; a smaller one is scanned
-        as a one-leaf tree would be, so a small store never imports
-        scipy.
-        """
-        size = self._size
-        start = self._blocks[-1][1] if self._blocks else 0
-        if start < size:
-            while (self._blocks and self._blocks[-1][1]
-                   - self._blocks[-1][0] <= 2 * (size - start)):
-                start = self._blocks.pop()[0]
-            tree = None
-            if size - start > self._LEAF:
-                from scipy.spatial import cKDTree
-                points = self._points[start:size]
-                tree = cKDTree(np.column_stack([points.real, points.imag]),
-                               leafsize=self._LEAF, balanced_tree=False,
-                               compact_nodes=False)
-            self._blocks.append((start, size, tree))
-        xy = np.column_stack([z.real, z.imag])
-        best = np.full(len(z), np.inf)
-        near = np.zeros(len(z), dtype=int)
-        for start, stop, tree in self._blocks:
-            if tree is None:
-                # a leaf scan: the first point of least dx^2 + dy^2
-                points = self._points[start:stop]
-                dx = points.real - z.real[:, None]
-                dy = points.imag - z.imag[:, None]
-                squared = dx * dx + dy * dy
-                i = np.argmin(squared, axis=1)
-                dist = np.sqrt(squared[np.arange(len(z)), i])
-            else:
-                dist, i = tree.query(xy)
-            closer = dist < best
-            best[closer] = dist[closer]
-            near[closer] = start + i[closer]
+        """Store index of the stored point nearest to each of z: the
+        first one of least dx^2 + dy^2, by a dense scan of the store,
+        chunked over the queries so that no (queries x store) temporary
+        exceeds _SCAN_ITEMS floats."""
+        points = self._points[:self._size]
+        x, y = points.real.copy(), points.imag.copy()
+        near = np.empty(len(z), dtype=int)
+        rows = max(1, _SCAN_ITEMS // len(points))
+        for lo in range(0, len(z), rows):
+            q = z[lo:lo + rows]
+            dx = x - q.real[:, None]
+            dy = y - q.imag[:, None]
+            near[lo:lo + rows] = np.argmin(dx * dx + dy * dy, axis=1)
         return near
+
+
+# about 8 MB of float64 per temporary of CachedAntiderivative._nearest
+_SCAN_ITEMS = 1 << 20
 
 
 def reach(obstacles, legs, origins, start, points):
@@ -365,6 +344,25 @@ def reach(obstacles, legs, origins, start, points):
     return values, failures
 
 
+def _lane_integrals(values, c):
+    """c S values: (k, M) values on the panels of k lanes to their
+    integrals from each panel's start, c the lanes' panel scales.  The
+    products are per lane (1 x M), since a 2-D gemm's rounding of a row
+    depends on the number of rows, and the temporary goes first, since
+    numpy reuses a large right-hand temporary in place with the operands
+    swapped, and a complex product's rounding depends on their order:
+    so a lane's bits do not depend on its batch."""
+    return (values[:, None, :] @ PANEL_S.T)[:, 0] * c[:, None]
+
+
+def _lane_tails(c, *values):
+    """|c| times the largest last Chebyshev coefficient of each lane's
+    (k, M) values, in per-lane products as in _lane_integrals."""
+    tail = np.max([np.abs((v[:, None, :] @ PANEL_TAIL.T)[:, 0]).max(axis=1)
+                   for v in values], axis=0)
+    return np.abs(c) * tail
+
+
 def _pair_legs(ode, lam, eta0):
     """Legs of the store of (L, chi), eta^2 = eta0 e^-L, in
     contour.panel_lanes: on a panel L = L0 + c S (q/p), then
@@ -373,15 +371,76 @@ def _pair_legs(ode, lam, eta0):
     PAIR_TOL h, an absolute rule: a relative one fails where q/p is 0."""
     def step(y, c, h, qp, rp):
         with np.errstate(over="ignore", invalid="ignore"):
-            log_eta = y[:, :1] + c[:, None] * (qp @ PANEL_S.T)
-            g = rp * np.exp(log_eta) / eta0
-            chi = y[:, 1:] - (c / lam)[:, None] * (g @ PANEL_S.T)
-            tail = np.maximum(np.abs(qp @ PANEL_TAIL.T).max(axis=1),
-                              np.abs(g @ PANEL_TAIL.T).max(axis=1))
-            ok = np.abs(c) * tail <= PAIR_TOL * h
+            log_eta = _lane_integrals(qp, c) + y[:, :1]
+            g = np.exp(log_eta) * rp / eta0
+            chi = _lane_integrals(g, -c / lam) + y[:, 1:]
+            ok = _lane_tails(c, qp, g) <= PAIR_TOL * h
         return np.stack([log_eta, chi], axis=1), ok
 
     return lambda a, b, start: (panel_lanes(ode, a, b, start, step)[0], {})
+
+
+def _moment_step(lam, tol):
+    """edge_moments' panel rule for contour.panel_lanes: on a panel
+    l = l0 + c S (q/p), a = a0 - (c/lambda) S ((r/p) e^l), and
+    m_k = m_k0 + c S (a^k e^-l) for k = 0, 1, 2, accepted when |c| times
+    the largest tail of the five integrands is within tol h."""
+    def step(y, c, h, qp, rp):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ell = _lane_integrals(qp, c) + y[:, :1]
+            e = np.exp(ell)
+            g = e * rp
+            a = _lane_integrals(g, -c / lam) + y[:, 1:2]
+            w = 1 / e
+            aw = a * w
+            a2w = aw * a
+            ys = np.stack([ell, a, _lane_integrals(w, c) + y[:, 2:3],
+                           _lane_integrals(aw, c) + y[:, 3:4],
+                           _lane_integrals(a2w, c) + y[:, 4:5]], axis=1)
+            ok = _lane_tails(c, qp, g, w, aw, a2w) <= tol * h
+        return ys, ok
+    return step
+
+
+def edge_moments(ode, lam, a, b, tol):
+    """Moments (l, a, m0, m1, m2) of the straight edges a[i] -> b[i], an
+    (n, 5) array, and {edge: WsurfError} of the edges that failed (their
+    rows nan).
+
+    Along an edge, l = int q/p and a = -(1/lambda) int (r/p) e^l, and
+    m_k = int a^k e^-l; all five start from 0 at a[i], so they depend on
+    the edge alone.  From a start state (eta^2_s, chi_s) the pair is
+    eta^2 = eta^2_s e^-l and chi = chi_s + a / eta^2_s along the edge
+    (compose).  The edges are the lanes of one contour.panel_lanes call;
+    when it raises a WsurfError, errors.isolate_failures runs each edge
+    on its own.  A lane's bits do not depend on its batch (as long as
+    ode.ratios' do not).
+    """
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    step = _moment_step(complex(lam), tol)
+
+    def lanes(k):
+        start = np.zeros((len(k), 5), dtype=complex)
+        return panel_lanes(ode, a[k], b[k], start, step)[0]
+
+    return isolate_failures(lanes, np.arange(len(a)))
+
+
+def compose(eta_sq, chi, moments):
+    """(eta^2, chi, increments) at the ends of edges with edge_moments'
+    moments (shape (..., 5)), started from the states (eta_sq, chi): the
+    increments, shape (..., 3), are those of int eta^2, int chi^2 eta^2
+    and int chi eta^2 along the edges,
+    (eta^2_s m0, chi_s^2 eta^2_s m0 + 2 chi_s m1 + m2 / eta^2_s,
+    chi_s eta^2_s m0 + m1)."""
+    ell, a, m0, m1, m2 = np.moveaxis(moments, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        i1 = eta_sq * m0
+        i3 = chi * i1 + m1
+        i2 = (i3 + m1) * chi + m2 / eta_sq
+        return (np.exp(-ell) * eta_sq, a / eta_sq + chi,
+                np.stack([i1, i2, i3], axis=-1))
 
 
 def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):

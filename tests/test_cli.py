@@ -315,8 +315,8 @@ def _loaded_after(argvs, cwd, package="scipy"):
 
 
 def test_figures_verify_sample_and_list_load_no_scipy(tmp_path):
-    # scipy is imported on first use: by hermite's erf, the classical
-    # solutions and the kd-trees of large numeric-route stores
+    # scipy is imported on first use: by hermite's erf and the classical
+    # solutions
     argvs = [("surface", "--eq", eq, "--lambda", lam,
               *(("--grid", grid) if grid else ()),
               "--out", str(tmp_path / f"{eq}.obj"))
@@ -328,6 +328,18 @@ def test_figures_verify_sample_and_list_load_no_scipy(tmp_path):
     # the first bisection level of more than one chunk
     assert _loaded_after([("list",), ("verify", "--eq", "legendre")],
                          tmp_path, "concurrent") == []
+
+
+def test_readme_ode_verify_and_csv_load_no_scipy(tmp_path):
+    # the numeric route: the pair's store is scanned densely, and the
+    # grid and the geometry report's circle legs run on edge moments
+    ode_file = tmp_path / "readme.ode"
+    ode_file.write_text(README_ODE)
+    argvs = [("verify", "--ode-file", str(ode_file)),
+             ("surface", "--ode-file", str(ode_file), "--grid",
+              "cartesian:-2,2,-2,2,16,16", "--out",
+              str(tmp_path / "readme.csv"))]
+    assert _loaded_after(argvs, tmp_path) == []
 
 
 def test_hermite_verify_loads_special_not_sparse_or_spatial(tmp_path):

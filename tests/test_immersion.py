@@ -15,13 +15,17 @@ from wsurf.contour import (CIRCLE, CIRCLE_POINTS, contour_quad,
 from wsurf.errors import (EvaluationFailure, SingularPoint,
                           StencilOutsideDomain, WsurfError)
 from wsurf.immersion import (IDENTITY2, PAULI, RESIDUAL_COLUMNS,
-                             combine_euclidean, combine_quaternionic,
-                             ew_integrals, ew_integrand, geometry_report,
-                             pauli_decompose, sym_tafel)
+                             _circle_legs, _distance_to_exclusions,
+                             _moment_legs, combine_euclidean,
+                             combine_quaternionic, ew_integrals,
+                             ew_integrand, geometry_report, pauli_decompose,
+                             sym_tafel)
+from wsurf.geometry import Obstacles
 from wsurf.mesh import _allowed_nodes
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
-from wsurf.weierstrass import WeierstrassData, closed_form_data, make_data
+from wsurf.weierstrass import (WeierstrassData, build_numeric_data,
+                               closed_form_data, make_data)
 
 
 # the equation of the pair eta^2 = 1, chi = z / 10 at lambda = 1
@@ -414,3 +418,63 @@ class TestBatchedReport:
         for name in RESIDUAL_FIELDS + ("u", "conformal_factor", "step"):
             assert type(getattr(rep, name)) is float, name
         assert rep.failures == {}
+
+
+class TestMomentLegs:
+    """The numeric route's circle legs: edge moments from the pair at
+    the point, against GK15 legs and the closed form's report."""
+
+    @staticmethod
+    def legal_circles(data, grid):
+        """(xi, h): a default-grid case's allowed points whose eight
+        circle legs cross no cut ray (across a cut the closed form
+        jumps, while moments continue it analytically), with the
+        report's radii."""
+        xi = allowed_points(data, grid)
+        dist = _distance_to_exclusions(data, xi)
+        h = 1e-3 * np.minimum(np.maximum(1.0, np.abs(xi)),
+                              np.where(np.isfinite(dist), dist, 1.0))
+        ends = xi[:, None] + h[:, None] * CIRCLE
+        clear = Obstacles(data.ode.exclusions(), data.ode.cut_rays) \
+            .segment_clear(np.repeat(xi, CIRCLE_POINTS), ends.ravel())
+        keep = clear.reshape(-1, CIRCLE_POINTS).all(axis=1)
+        return xi[keep], h[keep]
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_moment_legs_match_gk15_legs(self, eq):
+        data, grid = default_case(eq, 6)
+        xi, h = self.legal_circles(data, grid)
+        live = np.ones(len(xi), dtype=bool)
+        want = _circle_legs(data, xi, h, 1e-12, live.copy(), {})
+        failures = {}
+        legs, u = _moment_legs(data, xi, h, np.stack(data.pair(xi), -1),
+                               1e-12, live.copy(), failures)
+        assert failures == {}
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(legs - want) / scale) <= 1e-13
+        exact = data.u_and_chi(xi[:, None] + h[:, None] * CIRCLE)[0]
+        assert np.max(np.abs(u - exact) / np.maximum(1.0, np.abs(exact))) \
+            <= 1e-13
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_numeric_report_matches_the_closed_form(self, eq):
+        # the report of the numeric pair, with the pair at the points
+        # looked up or given, against the closed form's
+        closed, grid = default_case(eq, 6)
+        numeric = build_numeric_data(closed.ode)
+        xi, _ = self.legal_circles(closed, grid)
+        want = geometry_report(closed, xi)
+        assert want.failures == {}
+        e_u = want.conformal_factor
+        for pair in (None, closed.pair(xi)):
+            got = geometry_report(numeric, xi, pair=pair)
+            assert got.failures == {}
+            assert np.max(np.abs(got.u - want.u)) <= 1e-12
+            assert np.max(np.abs(got.conformal_factor - e_u) / e_u) <= 1e-12
+            assert np.max(np.abs(got.hopf - want.hopf)
+                          / np.maximum(1.0, np.abs(want.hopf))) <= 1e-12
+            for name in RESIDUAL_COLUMNS.values():
+                # the Liouville residual is rounding noise ulp(u) / h^2
+                bound = 1e-6 if name == "liouville" else 1e-9
+                diff = np.abs(getattr(got, name) - getattr(want, name))
+                assert np.max(diff / np.maximum(1.0, e_u)) <= bound, name

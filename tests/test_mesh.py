@@ -17,8 +17,10 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
-from wsurf.mesh import (_RENDERERS, SurfaceMesh, _grid_graph, _neighbours,
-                        _parent_edges, _sample_mask, _sample_with_mask,
+import wsurf.weierstrass as weierstrass
+from wsurf.mesh import (_RENDERERS, SurfaceMesh, _allowed_nodes, _grid_edges,
+                        _grid_graph, _neighbours, _parent_edges,
+                        _sample_mask, _sample_with_mask,
                         _search, _tree_integrals, build_mesh, ew_cache,
                         export_mesh, immersion_at, import_csv, sample_grid,
                         sample_point)
@@ -289,8 +291,10 @@ def test_only_closed_form_pairs_run_off_the_main_thread(source):
 
 
 def test_samples_evaluate_the_pair_once_per_point():
-    # u and the Sym-Tafel matrix come from one evaluation of the pair, so
-    # the numeric route looks each sampled point up once
+    # on the numeric route u and chi at the nodes come off the forest's
+    # edge moments, and the geometry report starts its circle legs from
+    # them: the pair is looked up at the root of the grid's one
+    # component alone, and sample_point still makes one call
     data = build_numeric_data(parse_user_ode(
         "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
         "singularities = 0.5\n"))
@@ -302,9 +306,12 @@ def test_samples_evaluate_the_pair_once_per_point():
 
     counted = dataclasses.replace(data, pair=pair)
     grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0j)
-    zs = np.array([s.z for s in sample_grid(counted, grid, False)])
+    zs = np.array([s.z for s in sample_grid(counted, grid, True)])
     assert len(zs) == 64
-    assert sum(np.array_equal(z, zs) for z in calls) == 1
+    root = zs[np.argmin(np.abs(zs))]
+    seen = np.concatenate(calls)
+    assert np.isin(zs, seen).tolist() == (zs == root).tolist()
+    assert sum(np.array_equal(z, [root]) for z in calls) == 1
     cache = ew_cache(counted, 0j)
     calls.clear()
     sample_point(counted, cache, 1 + 1j)
@@ -353,6 +360,30 @@ class TestForestFailures:
         assert got.failures == 0
         assert np.array_equal(got.mask, ref.mask)
         assert np.max(np.abs(got.integrals - ref.integrals)) <= 1e-12
+
+    def test_failing_edge_moments(self):
+        # on the numeric route, ode.ratios raises near the forest edge
+        # 0.5 -> 1 (the pair's own store keeps the plain equation): that
+        # edge's moment lane fails, it is dropped, and the rebuilt forest
+        # reaches 1 around it
+        data = build_numeric_data(get_equation("hermite"),
+                                  base_point=self.grid.base_point)
+        ode = data.ode
+
+        class Spotted(type(ode)):
+            def ratios(self, z):
+                if np.any(np.abs(np.asarray(z) - 0.75) < 0.05):
+                    raise SingularPoint(0.75)
+                return super().ratios(z)
+
+        spotted = dataclasses.replace(data, ode=Spotted(
+            **{f.name: getattr(ode, f.name) for f in dataclasses.fields(ode)}))
+        ref = _sample_mask(data, self.grid, False, 1e-10)
+        got = _sample_mask(spotted, self.grid, False, 1e-10)
+        assert ref.failures == got.failures == 0
+        assert np.array_equal(got.mask, ref.mask)
+        assert np.max(np.abs(got.integrals - ref.integrals)) <= 1e-12
+        assert np.max(np.abs(got.u - ref.u)) <= 1e-12
 
 
 def reference_adjacency(n, u, v, live):
@@ -662,3 +693,110 @@ class TestExportFormats:
         assert same_bits(vertices, mesh.vertices)
         for k in ("u", "absQ", "H_residual"):
             assert same_bits(attrs[k], mesh.attributes[k])
+
+
+class TestMomentForest:
+    """The numeric route's forest, integrated by edge moments
+    (weierstrass.edge_moments and compose)."""
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_catalog_ids_match_their_closed_form_forest(self, eq):
+        closed, grid = default_case(eq)
+        ode = closed.ode
+        if any(abs(grid.base_point - c) < r for c, r in ode.exclusions()):
+            # the chebyshev domains start at the singular point 1: the
+            # numeric pair is not evaluated inside its disc, so the
+            # immersion starts from the pair's base point instead
+            grid = dataclasses.replace(grid, base_point=ode.pair_base)
+            closed = make_data(ode, base_point=grid.base_point)
+        numeric = build_numeric_data(ode)
+        want = _sample_mask(closed, grid, False, 1e-10)
+        got = _sample_mask(numeric, grid, False, 1e-10)
+        assert np.array_equal(got.mask, want.mask)
+        assert got.failures == want.failures
+        assert np.max(np.abs(got.F - want.F), initial=0.0) <= 1e-9
+        assert np.max(np.abs(got.u - want.u), initial=0.0) <= 1e-9
+        assert np.max(np.abs(got.chi - want.chi)
+                      / np.maximum(1.0, np.abs(want.chi)),
+                      initial=0.0) <= 1e-9
+
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_readme_ode_matches_per_node_lookups(self, n):
+        # the README ODE with a cut ray from its pole 0.5 away from the
+        # base point, so that its plane is simply connected and a node's
+        # value does not depend on the route to it (without the cut,
+        # int eta^2 has a period around the pole); the reference looks
+        # each node up in an ew_cache of the exact pair
+        # eta^2 = e^z / (1 - 2z), chi = 4 (1 - e^-z)
+        ode = dataclasses.replace(parse_user_ode(_README_ODE),
+                                  cut_rays=((0.5 + 0j, 1 + 0j),))
+        exact = WeierstrassData(
+            pair=lambda z: (np.exp(z) / (1 - 2 * z), 4 * (1 - np.exp(-z))),
+            c1=1.0, c2=0.0, lam=1.0, base_point=0j, source="closed_form",
+            ode=ode)
+        grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (n, n), 0j)
+        samples = _sample_mask(build_numeric_data(ode), grid, False, 1e-10)
+        mask, failures, F = per_node_reference(exact, grid)
+        assert np.array_equal(samples.mask, mask)
+        assert samples.failures == failures
+        assert np.max(np.abs(samples.F - F[mask]), initial=0.0) <= 1e-9
+
+
+def sliced_lanes(monkeypatch, width=7):
+    """weierstrass.panel_lanes run in calls of at most width lanes."""
+    lanes = weierstrass.panel_lanes
+
+    def sliced(ode, a, b, states, step, keep_panels=False):
+        parts = [lanes(ode, a[i:i + width], b[i:i + width],
+                       states[i:i + width], step)[0]
+                 for i in range(0, len(a), width)]
+        return (np.concatenate(parts) if parts
+                else np.array(states, dtype=complex)), []
+
+    monkeypatch.setattr(weierstrass, "panel_lanes", sliced)
+
+
+class TestBatchIndependence:
+    """A lane's bits do not depend on the lanes batched with it, for the
+    catalog equations and the README ODE, whose ode.ratios round every
+    point alike in any batch."""
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_moments_do_not_depend_on_the_batch(self, eq, monkeypatch):
+        # every legal edge of the default domain at 30 x 30, more lanes
+        # than a panel_lanes chunk
+        d = get_equation(eq).default_domain
+        grid = GridSpec(d.kind, d.ranges, (30, 30), d.base_point)
+        data = make_data(get_equation(eq), base_point=grid.base_point)
+        points = grid.points()
+        allowed = _allowed_nodes(points, data)
+        down, right = _grid_edges(points, allowed,
+                                  Obstacles(data.ode.exclusions(),
+                                            data.ode.cut_rays))
+        a = np.concatenate([points[:-1, :][down], points[:, :-1][right]])
+        b = np.concatenate([points[1:, :][down], points[:, 1:][right]])
+        assert len(a) > 1024
+        whole = weierstrass.edge_moments(data.ode, -0.5 + 0.2j, a, b, 1e-10)
+        sliced_lanes(monkeypatch)
+        sliced = weierstrass.edge_moments(data.ode, -0.5 + 0.2j, a, b, 1e-10)
+        assert whole[1].keys() == sliced[1].keys()
+        assert np.array_equal(whole[0], sliced[0], equal_nan=True)
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), base)
+        for base in (0j, 2 + 0j)] + [
+        # demo 06's annulus around the pole: edges in every direction
+        GridSpec("polar", ((0.7, 2.0), (0.0, 2 * math.pi)), (50, 50),
+                 2 + 0j)], ids=["cartesian", "cartesian-at-2", "polar"])
+    def test_readme_obj_does_not_depend_on_the_batch(self, grid,
+                                                     monkeypatch):
+        # the pair's chain behind the root lookups and the forest's edge
+        # moments both run in 7-lane slices
+
+        def obj():
+            data = build_numeric_data(parse_user_ode(_README_ODE))
+            return _RENDERERS["obj"](build_mesh(data, grid, False))
+
+        whole = obj()
+        sliced_lanes(monkeypatch)
+        assert obj() == whole

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,8 @@ from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
 import wsurf.weierstrass as weierstrass
-from wsurf.contour import straight_path
+from wsurf.contour import gk15_segments, straight_path
+from wsurf.geometry import Obstacles
 from wsurf.immersion import ew_integrand
 from wsurf.linearproblem import integrate_wavefunction, potential_matrix
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
@@ -322,37 +323,38 @@ class TestCachedAntiderivative:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_nearest_across_the_leaf_size(self, data):
-        # batches up to several leaf sizes make dense blocks, kd-tree
-        # blocks and merges of both; a lattice makes ties, and keeps
-        # dx^2 + dy^2 exact; queries are lattice points and stored ones
-        leaf = CachedAntiderivative._LEAF
-
+        # stores of up to a few hundred points, scanned in chunks of as
+        # few as one query; a lattice makes ties, and keeps dx^2 + dy^2
+        # exact; queries are lattice points and stored ones
         def points(size):
             xy = data.draw(arrays(np.int64, (size, 2), fill=st.nothing(),
                                   elements=st.integers(-64, 64)))
             return (xy[:, 0] + 1j * xy[:, 1]) / 16
 
         cache = CachedAntiderivative(None, points(1)[0])
-        # small batches too, so that several dense blocks coexist
-        sizes = st.lists(st.integers(1, 4 * leaf) | st.integers(1, 8),
-                         min_size=1, max_size=6)
-        for size in data.draw(sizes):
-            cache._insert(points(size), np.zeros(size))
-            stored = cache._points[:cache._size]
-            picks = st.lists(st.integers(0, len(stored) - 1), max_size=8)
-            z = np.concatenate([points(data.draw(st.integers(1, 8))),
-                                stored[data.draw(picks)]])
-            near = cache._nearest(z)
-            # the kd-tree's arithmetic, which the dense blocks copy
-            dx = stored.real - z.real[:, None]
-            dy = stored.imag - z.imag[:, None]
-            dist = np.sqrt(dx * dx + dy * dy)
-            assert np.array_equal(dist[np.arange(len(z)), near],
-                                  dist.min(axis=1))
-            # hypot rounds differently, by an ulp at most
-            dense = np.abs(stored - z[:, None]).min(axis=1)
-            assert np.all(np.abs(stored[near] - z)
-                          <= dense * (1 + 2 * np.finfo(float).eps))
+        sizes = st.lists(st.integers(1, 160) | st.integers(1, 8),
+                         min_size=1, max_size=4)
+        scan = data.draw(st.integers(1, 2000))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weierstrass, "_SCAN_ITEMS", scan)
+            for size in data.draw(sizes):
+                cache._insert(points(size), np.zeros(size))
+                stored = cache._points[:cache._size]
+                picks = st.lists(st.integers(0, len(stored) - 1),
+                                 max_size=8)
+                z = np.concatenate([points(data.draw(st.integers(1, 8))),
+                                    stored[data.draw(picks)]])
+                near = cache._nearest(z)
+                # the scan's arithmetic
+                dx = stored.real - z.real[:, None]
+                dy = stored.imag - z.imag[:, None]
+                dist = np.sqrt(dx * dx + dy * dy)
+                assert np.array_equal(dist[np.arange(len(z)), near],
+                                      dist.min(axis=1))
+                # hypot rounds differently, by an ulp at most
+                dense = np.abs(stored - z[:, None]).min(axis=1)
+                assert np.all(np.abs(stored[near] - z)
+                              <= dense * (1 + 2 * np.finfo(float).eps))
 
     def test_routes_around_obstacles(self):
         cache = CachedAntiderivative(
@@ -527,3 +529,59 @@ class TestBatchedAntiderivative:
         assert _close(cache(z)[..., 0], np.exp(z))
         assert _close(cache(z)[..., 1], z * z)
         assert _close(cache(1 + 1j), [np.exp(1 + 1j), 2j])
+
+
+class TestEdgeMoments:
+    """Edge moments from zeros, composed with a start state, against the
+    pair and a GK15 quadrature of the Weierstrass integrand."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(eq=st.sampled_from(EQUATION_IDS),
+           lam=st.sampled_from([1.0, -0.5 + 0.2j]),
+           a=st.complex_numbers(max_magnitude=2.0),
+           d=st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0))
+    def test_compose_matches_gk15(self, eq, lam, a, d):
+        # a legal leg: both ends outside the discs, no disc or cut met
+        ode = get_equation(eq)
+        b = a + d
+        assume(all(abs(w - c) > 0.1 for c, _ in ode.exclusions()
+                   for w in (a, b)))
+        assume(Obstacles(ode.exclusions(), ode.cut_rays).segment_clear(a, b))
+        data = closed_form_data(ode, lam=lam)
+        eta_sq, chi = data.pair(a)
+        moments, failed = weierstrass.edge_moments(ode, lam, [a], [b], 1e-12)
+        assert failed == {}
+        eta_b, chi_b, increments = weierstrass.compose(eta_sq, chi, moments)
+        # GK15 held to a tolerance on the integrals' scale, which its
+        # error estimate cannot meet in absolute terms on large values
+        scale = max(1.0, np.max(np.abs(increments)))
+        want, failed = gk15_segments(ew_integrand(data), [a], [b],
+                                     1e-12 * scale)
+        assert failed == {}
+        assert np.max(np.abs(increments - want)) <= 1e-11 * scale
+        for got, exact in ((eta_b, data.pair(b)[0]), (chi_b, data.pair(b)[1])):
+            assert abs(got[0] - exact) <= 1e-11 * max(1.0, abs(exact))
+
+    def test_failing_edge_is_isolated(self):
+        # ode.ratios raises near 0.75 alone: the edge through it fails
+        # with that error, and the others keep their batch's values
+        ode = get_equation("hermite")
+
+        class Spotted(type(ode)):
+            def ratios(self, z):
+                if np.any(np.abs(np.asarray(z) - 0.75) < 0.05):
+                    raise SingularPoint(0.75)
+                return super().ratios(z)
+
+        spotted = Spotted(**{f.name: getattr(ode, f.name)
+                             for f in dataclasses.fields(ode)})
+        a = np.array([0j, 0.5 + 0j, 1j, -1 + 0.5j])
+        b = np.array([0.5 + 0j, 1 + 0j, 1 + 1j, -0.5 + 0.5j])
+        want, failed = weierstrass.edge_moments(ode, 1.0, a, b, 1e-10)
+        assert failed == {}
+        got, failed = weierstrass.edge_moments(spotted, 1.0, a, b, 1e-10)
+        assert list(failed) == [1]
+        assert isinstance(failed[1], SingularPoint)
+        assert np.isnan(got[1]).all()
+        keep = [0, 2, 3]
+        assert np.array_equal(got[keep], want[keep])
