@@ -147,8 +147,8 @@ def _gk15_chunk(f, lo, hi):
     lo[i] -> hi[i] of one chunk, and {panel: WsurfError} for the panels
     where f raised one or returned a non-finite value.
 
-    One integrand call; isolate_failures evaluates the panels one by one
-    only when it raises a WsurfError.
+    One integrand call; isolate_failures bisects the panels down to the
+    failing ones only when it raises a WsurfError.
     """
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK

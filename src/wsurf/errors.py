@@ -29,6 +29,14 @@ class SingularPoint(DomainError):
         super().__init__(message or f"singular point at z={z}")
 
 
+class OutOfRange(DomainError):
+    """A point with a coordinate beyond geometry.COORD_LIMIT (2^500)."""
+
+    def __init__(self, z):
+        self.z = z
+        super().__init__(f"z={z} is beyond the coordinate range +-2^500")
+
+
 class EvaluationFailure(WsurfError):
     """An integrand or coefficient function produced a non-finite value."""
 
@@ -86,25 +94,31 @@ def isolate_failures(fn, items):
 
     fn maps items to an array with one row per item, or to a tuple of
     such arrays, which come back as a tuple.  It is called once on all
-    items; only when that call raises a WsurfError, and there is more
-    than one item, is it called again on each one-item slice
-    items[i:i + 1].  An item where fn raised gets a nan row, shaped like
-    the rows that came back, or like fn's value on no items when none
-    did.  Non-finite values are left to the caller.
+    items; only when that call raises a WsurfError is the slice halved,
+    and each half called the same way, down to one-item slices
+    items[i:i + 1].  So k failing items among n cost O(k log n) calls,
+    and every other item keeps the value of the largest slice around it
+    that did not raise.  An item where fn raised gets a nan row, shaped
+    like the rows that came back, or like fn's value on no items when
+    none did.  Non-finite values are left to the caller.
     """
-    try:
-        return fn(items), {}
-    except WsurfError as exc:
-        failures = {0: exc}
-    rows = [None]
-    if len(items) != 1:
-        rows, failures = [], {}
-        for i in range(len(items)):
-            try:
-                rows.append(fn(items[i:i + 1]))
-            except WsurfError as exc:
+    rows, failures = [], {}
+    slices = [(0, len(items))]
+    while slices:
+        lo, hi = slices.pop()
+        try:
+            rows.append(fn(items[lo:hi]))
+        except WsurfError as exc:
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                slices += [(mid, hi), (lo, mid)]    # the lower half first
+            elif hi - lo == 1:
                 rows.append(None)
-                failures[i] = exc
+                failures[lo] = exc
+            else:
+                raise
+    if len(rows) == 1 and rows[0] is not None:
+        return rows[0], failures
     like = next((row for row in rows if row is not None), None)
     if like is None:
         like = fn(items[:0])

@@ -16,11 +16,22 @@ import numpy as np
 
 # Far enough to act as infinity for any desk-scale working rectangle.
 RAY_LENGTH = 1e6
+# No coordinate of a point may exceed this (about 3.3e150): the squares of
+# coordinate differences in the tests below stay finite.
+COORD_LIMIT = 2.0 ** 500
 
 
 def _bool(result):
     """A Python bool for a 0-d result, the array itself otherwise."""
     return bool(result) if np.ndim(result) == 0 else result
+
+
+def in_range(z):
+    """True where z is finite and neither |Re z| nor |Im z| exceeds
+    COORD_LIMIT."""
+    z = np.asarray(z)
+    return _bool((np.abs(z.real) <= COORD_LIMIT)
+                 & (np.abs(z.imag) <= COORD_LIMIT))
 
 
 def seg_point_distance(a, b, p):

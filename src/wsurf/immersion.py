@@ -7,7 +7,9 @@ import numpy as np
 
 from .contour import (CIRCLE, CIRCLE_POINTS, contour_quad, gk15_segments,
                       holo_derivative)
-from .errors import EvaluationFailure, StencilOutsideDomain, isolate_failures
+from .errors import (EvaluationFailure, OutOfRange, StencilOutsideDomain,
+                     isolate_failures)
+from .geometry import in_range
 from .weierstrass import compose, edge_moments, u_of_pair
 
 PAULI = (
@@ -264,7 +266,11 @@ def geometry_report(data, xi, tol=1e-12, pair=None):
         failures[int(node)] = StencilOutsideDomain(
             f"no circle around {complex(xi[node])}: it lies on a singular "
             f"point (distance {float(dist[node])})")
-    live = h != 0
+    far = np.isfinite(xi) & ~in_range(xi)
+    for node in np.flatnonzero(far):
+        failures[int(node)] = OutOfRange(complex(xi[node]))
+    h[far] = np.nan                     # h^2 would overflow there
+    live = (h != 0) & ~far
 
     # The legs carry the full Weierstrass integrand as F's z-derivative
     # (twice the displayed F), which is the normalization in which

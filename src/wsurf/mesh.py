@@ -1,5 +1,7 @@
 """Grid sampling, mesh assembly and OBJ/PLY/CSV export."""
 
+import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -7,7 +9,7 @@ import numpy as np
 from .contour import contour_quad, gk15_segments, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
                      isolate_failures)
-from .geometry import Obstacles
+from .geometry import Obstacles, in_range
 from .immersion import (combine_euclidean, combine_quaternionic,
                         ew_integrand, geometry_report, sym_tafel)
 from .weierstrass import (CachedAntiderivative, compose, edge_moments,
@@ -105,7 +107,10 @@ def _grid_edges(points, allowed, obstacles):
     """Legal 4-neighbour edges between allowed nodes, as bool masks of
     shape (n1 - 1, n2) for the edges along axis 0 and (n1, n2 - 1) for
     those along axis 1, each set at its lower node.  An edge is legal
-    when it keeps out of the exclusion discs and crosses no cut ray."""
+    when it keeps out of the exclusion discs and crosses no cut ray, and
+    neither end is beyond the coordinate range (that node's lookup
+    fails with OutOfRange)."""
+    allowed = allowed & in_range(points)
     down = allowed[:-1, :] & allowed[1:, :]
     down[down] = obstacles.segment_clear(points[:-1, :][down],
                                          points[1:, :][down])
@@ -448,19 +453,289 @@ def mesh_from_samples(samples):
     )
 
 
+# Text export.  A %.17g value is N * 10^(E - 16), N the 17-digit integer
+# that %.17g rounds |x| to; N is made exactly in float64 (Dekker's
+# two-product of |x| and a double-double 10^(16 - E)), and its digits
+# become text by lookups in tables of 4-digit groups, all in uint64 words.
+_BLOCK_ROWS = 4096          # rows rendered per block
+_E_MAX = 99                 # fast %.17g path: |E| <= 99, two-digit exponents
+_NE = 2 * _E_MAX + 3        # its tables run over E = -_E_MAX - 1 .. _E_MAX + 1
+_TIE = 0.5 - 2.0 ** -40     # |s - rint(s)| below this rounds for certain
+_U64 = np.uint64
+
+
+def _ascii_words(strings, end=0):
+    """Each ASCII string in a NUL-filled uint64: left-aligned, or ending
+    at byte end - 1."""
+    return np.frombuffer(b"".join(s.encode("ascii").rjust(end, b"\0")
+                                  .ljust(8, b"\0") for s in strings), _U64)
+
+
+def _quads():
+    """(10000, 4) ASCII digits of 0000 .. 9999."""
+    d = np.arange(10000)
+    return (48 + np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10],
+                          axis=1)).astype(np.uint8)
+
+
+@functools.cache
+def _float_tables():
+    """Lookup tables of the %.17g path, built on first use.
+
+    groups: 12 variants x 10000 words of a 4-digit group: all digits (0),
+    a dot before digit q (1 + q), trailing zeros dropped (5), both (6 + q;
+    no dot when only zeros follow it), and 0 and 5 one byte later (10,
+    11), for the groups after the dot, or all of them where the digits
+    have no dot.  variant[j - 1][2 * e + later]: 10000 times the variant
+    of group j at exponent index e = E + _E_MAX + 1, by whether a later
+    group is nonzero.  prefix[(sign * _NE + e) * 10 + d0]: sign, "0.000"
+    part and first digit, ending at byte 6, or at 7 without a dot.
+    exp_word, exp_bits: "e+dd" (or nothing) and its length in bits.
+    powers: 10^(16 - E) as the double-double hi + lo, and hi's Veltkamp
+    halves.
+    """
+    c = _quads()
+    trail = np.logical_and.accumulate(c[:, ::-1] == 48, axis=1)[:, ::-1]
+    kept = np.where(trail, 0, c)
+    pieces = np.zeros((12, 10000, 8), np.uint8)
+    pieces[0, :, :4] = pieces[10, :, 1:5] = c
+    pieces[5, :, :4] = pieces[11, :, 1:5] = kept
+    for q in range(4):
+        for v, digits in ((1 + q, c), (6 + q, kept)):
+            pieces[v, :, :q] = c[:, :q]
+            pieces[v, :, q] = 46
+            pieces[v, :, q + 1:5] = digits[:, q:]
+        pieces[6 + q, trail[:, q], q] = 0
+    E = np.arange(-_E_MAX - 1, _E_MAX + 2)
+    fixed = (E >= -4) & (E <= 16)
+    dot_group = np.where(fixed, np.where(E >= 0, E // 4 + 1, 0), 1)
+    q = np.where(fixed & (E >= 0), E % 4, 0)
+    dotless = fixed & ((E < 0) | (E == 16))
+    variant = np.empty((4, _NE, 2), np.intp)
+    for j in range(1, 5):
+        for later in (0, 1):
+            variant[j - 1, :, later] = 10000 * np.select(
+                [j < dot_group, j == dot_group],
+                [10 * dotless, (1 if later else 6) + q], 11 - later)
+    sign_part = _ascii_words(
+        [s + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")
+         for s in ("", "-") for e in E], end=6).reshape(2, _NE, 1)
+    prefix = sign_part | ((48 + np.arange(10, dtype=_U64)) << _U64(48))
+    prefix = np.where(dotless[:, None], prefix << _U64(8), prefix)
+    exps = ["" if f else "e%+03d" % e for e, f in zip(E, fixed)]
+    hi, lo = [], []
+    for k in (16 - E).tolist():
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+        else:
+            hi.append(1 / 10 ** -k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+    hi = np.array(hi)
+    t = hi * 134217729.0
+    hh = t - (t - hi)
+    return (pieces.view(_U64).ravel(), variant.reshape(4, -1),
+            prefix.ravel(), _ascii_words(exps),
+            np.array([8 * len(s) for s in exps], _U64),
+            (hi, np.array(lo), hh, hi - hh))
+
+
+@functools.cache
+def _int_tables():
+    """5 variants x 10000 words of a 4-digit group, its digits in bytes 1-4
+    and byte 0 free for a sign: all digits (0), leading zeros dropped (1),
+    and then a minus sign (2), and as 1 and 2 for the units group, where 0
+    is "0" (3, 4)."""
+    c = _quads()
+    lead = np.logical_and.accumulate(c == 48, axis=1)
+    pieces = np.zeros((5, 10000, 8), np.uint8)
+    pieces[0, :, 1:5] = c
+    pieces[1, :, 1:5] = np.where(lead, 0, c)
+    pieces[2] = pieces[1]
+    pieces[2, np.arange(1, 10000), lead.sum(axis=1)[1:]] = 45
+    pieces[3] = pieces[1]
+    pieces[3, 0, 4] = 48
+    pieces[4] = pieces[2]
+    return pieces.view(_U64).ravel()
+
+
+def _scaled(a, e, powers):
+    """(N, certain, above) for a > 0 and exponent indices e: N is
+    a * 10^(16 - E) rounded half-even to an int64, certain is false where
+    that rounding is not proven, and above is true where N exceeds the
+    exact product.
+
+    Dekker's two-product makes a * hi = h + l exactly; h >= 2^53 is an
+    even integer wherever N has 17 digits, so h + rint(l + a * lo) rounds
+    the product half-even.  Where 10^(16 - E) is a double (lo == 0) that
+    is exact; elsewhere the error of the sum is below 2^-46 and the
+    rounding holds when s is 2^-40 away from a tie.
+    """
+    hi, lo, hh, hl = (p.take(e) for p in powers)
+    h = a * hi
+    t = a * 134217729.0
+    ah = t - (t - a)
+    al = a - ah
+    s = ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * lo
+    r = np.rint(s)
+    return (h.astype(np.int64) + r.astype(np.int64),
+            (lo == 0) | (np.abs(s - r) < _TIE), s < r)
+
+
+def _float_fields(x, seps):
+    """(words, bad): words is (m, c, 4) uint64, each value of the (m, c)
+    float array x as %.17g text ending at byte 23, or at 27 with an
+    exponent, then its column's separator (seps); bad lists the flat
+    indices of the values left to the caller: zero aside, those outside
+    [1e-98, 1e98) or not finite, and the near-ties.
+    """
+    groups, variant, prefix, exp_word, exp_bits, powers = _float_tables()
+    m, c = x.shape
+    x = x.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-98) & (a < 1e98)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp) + (_E_MAX + 1)
+    N, ok, above = _scaled(a, e, powers)
+    # log10 can miss E by one next to a power of ten
+    high = N >= 10 ** 17
+    low = N - above < 10 ** 16
+    fix = np.flatnonzero(high | low)
+    if len(fix):
+        e[fix] += high[fix].astype(np.intp) - low[fix]
+        n, sure, _ = _scaled(a[fix], e[fix], powers)
+        N[fix] = n
+        ok[fix] = sure & (n >= 10 ** 16) & (n < 10 ** 17)
+    zero = x == 0
+    N[zero] = 0
+    e[zero] = _E_MAX + 1
+    bad = np.flatnonzero(~((ok & fast) | zero))
+    upper = N // 10 ** 8
+    lower = N - upper * 10 ** 8
+    d0 = upper // 10 ** 8
+    g1 = (upper - d0 * 10 ** 8) // 10000
+    g2 = upper - d0 * 10 ** 8 - g1 * 10000
+    g3 = lower // 10000
+    g4 = lower - g3 * 10000
+    e2 = 2 * e
+    later3 = g4 != 0
+    later2 = later3 | (g3 != 0)
+    later1 = later2 | (g2 != 0)
+    w0 = prefix.take((np.signbit(x) * _NE + e) * 10 + d0)
+    w1 = groups.take(g1 + variant[0].take(e2 + later1))
+    w2 = groups.take(g2 + variant[1].take(e2 + later2))
+    w3 = groups.take(g3 + variant[2].take(e2 + later3))
+    w4 = groups.take(g4 + variant[3].take(e2))
+    words = np.empty((m, c, 4), _U64)
+    # group j starts at byte 7 + 4 (j - 1)
+    words[..., 0] = (w0 | (w1 << _U64(56))).reshape(m, c)
+    words[..., 1] = ((w1 >> _U64(8)) | (w2 << _U64(24))
+                     | (w3 << _U64(56))).reshape(m, c)
+    words[..., 2] = ((w2 >> _U64(40)) | (w3 >> _U64(8))
+                     | (w4 << _U64(24))).reshape(m, c)
+    words[..., 3] = (exp_word.take(e).reshape(m, c)
+                     | (_ascii_words(seps) << exp_bits.take(e).reshape(m, c)))
+    return words, bad
+
+
+def _int_fields(v, seps):
+    """(words, bad): words is (m, c, k) uint64, each value of the (m, c)
+    int64 array v as %d text, then its column's separator (seps) at the
+    end of the field, in as few words k as the widest value allows; bad
+    lists the flat indices of -2^63, left to the caller."""
+    table = _int_tables()
+    m, c = v.shape
+    v = v.ravel()
+    neg = v < 0
+    a = np.abs(v)
+    bad = np.flatnonzero(a < 0)
+    a[bad] = 0
+    digits = 19 if len(bad) else len(str(int(a.max(initial=0))))
+    sep_len = max(map(len, seps))
+    k = -(-(1 + digits + sep_len) // 8)
+    words = np.zeros((m * c, k), _U64)
+    lead = np.ones(len(v), bool)
+    for j in range(4 - (digits - 1) // 4, 5):
+        unit = 10 ** (4 * (4 - j))
+        g = a // unit
+        a -= g * unit
+        piece = table.take(g + 10000 * (lead * (1 + neg + 2 * (j == 4))))
+        # the piece's digits end 4 (4 - j) bytes before the separator; of
+        # the widest group, only bytes that no value fills fall off
+        at = 8 * k - sep_len - 4 * (5 - j) - 1
+        if at < 0:
+            piece >>= _U64(-8 * at)
+            at = 0
+        word, shift = divmod(at, 8)
+        words[:, word] |= piece << _U64(8 * shift)
+        if shift > 3:
+            words[:, word + 1] |= piece >> _U64(64 - 8 * shift)
+        lead &= g == 0
+    words = words.reshape(m, c, k)
+    words[..., -1] |= _ascii_words(seps, end=8)
+    return words, bad
+
+
 def _rows(fmt, array):
-    """One fmt line per row of array, each ending in a newline, from one
-    % on the template repeated per row; %.17g is the round-trip format."""
-    array = np.asarray(array)
-    return ((fmt + "\n") * len(array)) % tuple(array.ravel().tolist())
+    """The text of fmt % row + "\\n" for every row of array, as uint8
+    blocks of at most _BLOCK_ROWS rows: the bytes of one % per row.
+
+    fmt is literal text around %.17g or %d conversions, all of one kind,
+    one per column of array; the text between two of them (and after the
+    last, with the newline) is at most 4 characters.  Each value's text
+    and the literal after it are written into NUL-filled uint64 words,
+    and a block's NULs are dropped at the end.  Values the fast paths
+    leave (see _float_fields and _int_fields) are written by one %
+    on all of them per block.
+    """
+    head, *rest = re.split(r"(%\.17g|%d)", fmt)
+    specs, seps = rest[0::2], rest[1::2]
+    seps[-1] += "\n"
+    floats = specs[0] == "%.17g"
+    if any(s != specs[0] for s in specs) or max(map(len, seps)) > 4:
+        raise ValueError(f"unsupported row template {fmt!r}")
+    c = len(specs)
+    array = np.asarray(array, dtype=float if floats else np.int64)
+    array = array.reshape(-1, c)
+    head = head.encode("ascii")
+    head = np.frombuffer(head.rjust(-(-len(head) // 8) * 8, b"\0"), _U64)
+    sep_bytes = np.frombuffer(
+        b"".join(s.encode("ascii").rjust(4, b"\0") for s in seps),
+        np.uint8).reshape(c, 4)
+    fields = _float_fields if floats else _int_fields
+    blocks = []
+    for start in range(0, len(array), _BLOCK_ROWS):
+        rows = array[start:start + _BLOCK_ROWS]
+        m = len(rows)
+        words, bad = fields(rows, seps)
+        k = words.shape[2]
+        if len(bad):
+            text = ((specs[0] + "\0") * len(bad)) % tuple(
+                rows.ravel()[bad].tolist())
+            fallback = np.array(text.encode("ascii").split(b"\0")[:-1],
+                                dtype=f"S{8 * k}").view(np.uint8)
+            fallback = fallback.reshape(len(bad), 8 * k)
+            # the separator ends the field, after the text (at most 24
+            # of a %.17g field's 32 bytes, 20 of a -2^63 field's 24)
+            fallback[:, -4:] |= sep_bytes[bad % c]
+            words.reshape(m * c, k)[bad] = fallback.view(_U64)
+        out = np.empty((m, len(head) + c * k), _U64)
+        out[:, :len(head)] = head
+        out[:, len(head):] = words.reshape(m, c * k)
+        out = out.view(np.uint8).ravel()
+        blocks.append(out[out != 0])
+    return blocks
 
 
 def _render_obj(mesh):
+    """OBJ text blocks: a v row per vertex, an f row per face (1-based)."""
     return (_rows("v %.17g %.17g %.17g", mesh.vertices)
             + _rows("f %d %d %d %d", np.asarray(mesh.faces) + 1))
 
 
 def _render_ply(mesh):
+    """ASCII PLY text blocks: the header, then vertex and face rows."""
     lines = [
         "ply",
         "format ascii 1.0",
@@ -472,37 +747,44 @@ def _render_ply(mesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    return ("\n".join(lines) + "\n" + _rows("%.17g %.17g %.17g", mesh.vertices)
+    return ([("\n".join(lines) + "\n").encode("ascii")]
+            + _rows("%.17g %.17g %.17g", mesh.vertices)
             + _rows("4 %d %d %d %d", mesh.faces))
 
 
 def _render_csv(mesh):
+    """CSV text blocks: the header, then a row per vertex with its
+    parameter, position and attributes."""
     a = mesh.attributes
     columns = np.column_stack([
         mesh.points.real, mesh.points.imag, mesh.vertices,
         a["u"], a["absQ"], a["H_residual"]])
-    return ("re,im,F1,F2,F3,u,absQ,H_residual\n"
+    return ([b"re,im,F1,F2,F3,u,absQ,H_residual\n"]
             + _rows(",".join(["%.17g"] * 8), columns))
 
 
-_RENDERERS = {"obj": _render_obj, "ply": _render_ply, "csv": _render_csv}
+_FORMATS = {"obj": _render_obj, "ply": _render_ply, "csv": _render_csv}
+# each format's whole text as one str; export_mesh writes the blocks
+_RENDERERS = {fmt: (lambda mesh, render=render:
+                    b"".join(render(mesh)).decode("ascii"))
+              for fmt, render in _FORMATS.items()}
 
 
 def export_mesh(mesh, fmt, destination):
     """Write the mesh in the given format; returns bytes written."""
-    if fmt not in _RENDERERS:
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r}")
     if mesh.vertex_count() == 0:
         raise EmptyMesh("refusing to export a mesh with no vertices")
     if not np.all(np.isfinite(mesh.vertices)):
         raise EvaluationFailure(None, "mesh contains non-finite vertices")
-    payload = _RENDERERS[fmt](mesh).encode("ascii")
+    blocks = _FORMATS[fmt](mesh)
     try:
         with open(destination, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(blocks)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    return len(payload)
+    return sum(map(len, blocks))
 
 
 def import_csv(path):

@@ -12,8 +12,8 @@ import heapq
 import numpy as np
 
 from .contour import ContourPath
-from .errors import PathPlanningFailure
-from .geometry import Obstacles
+from .errors import OutOfRange, PathPlanningFailure
+from .geometry import Obstacles, in_range
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 
@@ -88,6 +88,8 @@ def plan_path(xi0, xi, exclusions=(), cuts=()):
     a, b = complex(xi0), complex(xi)
     obstacles = Obstacles(exclusions, cuts)
     for w in (a, b):
+        if np.isfinite(w) and not in_range(w):
+            raise OutOfRange(w)
         for c, r in obstacles.discs:
             if abs(w - c) < r * (1.0 - 1e-9):
                 raise PathPlanningFailure(

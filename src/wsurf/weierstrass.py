@@ -15,8 +15,9 @@ import numpy as np
 
 from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_segments,
                       holo_derivative, panel_lanes, straight_path)
-from .errors import EvaluationFailure, WsurfError, isolate_failures
-from .geometry import Obstacles
+from .errors import (EvaluationFailure, OutOfRange, WsurfError,
+                     isolate_failures)
+from .geometry import Obstacles, in_range
 # not used here: bench/spans.py counts segment tests through these names
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 from .pathplan import MAX_WAYPOINTS, plan_path
@@ -200,6 +201,8 @@ class CachedAntiderivative:
                  initial_value=0j, legs=None):
         self.integrand = integrand
         self.anchor = complex(anchor)
+        if np.isfinite(self.anchor) and not in_range(self.anchor):
+            raise OutOfRange(self.anchor)
         self.obstacles = Obstacles(exclusions, cuts)
         self.tol = tol
         self._legs = legs or self._gk15_legs
@@ -213,6 +216,8 @@ class CachedAntiderivative:
         if np.ndim(z) != 0 or self.integrand is None:
             return self._lookup_array(np.asarray(z, dtype=complex))
         z = complex(z)
+        if np.isfinite(z) and not in_range(z):
+            raise OutOfRange(z)
         idx = int(self._nearest(np.array([z]))[0])
         zc = complex(self._points[idx])
         if zc == z:
@@ -243,9 +248,11 @@ class CachedAntiderivative:
         points, inverse = np.unique(z.ravel(), return_inverse=True)
         values = np.zeros((len(points),) + self._values.shape[1:],
                           dtype=complex)
-        failures = {int(i): EvaluationFailure(complex(points[i]))
-                    for i in np.flatnonzero(~np.isfinite(points))}
-        idx = np.flatnonzero(np.isfinite(points))
+        inside = in_range(points)
+        failures = {int(i): (OutOfRange if np.isfinite(points[i])
+                             else EvaluationFailure)(complex(points[i]))
+                    for i in np.flatnonzero(~inside)}
+        idx = np.flatnonzero(inside)
         near = self._nearest(points[idx])
         values[idx] = self._values[near]
         new = self._points[near] != points[idx]
@@ -412,9 +419,9 @@ def edge_moments(ode, lam, a, b, tol):
     the edge alone.  From a start state (eta^2_s, chi_s) the pair is
     eta^2 = eta^2_s e^-l and chi = chi_s + a / eta^2_s along the edge
     (compose).  The edges are the lanes of one contour.panel_lanes call;
-    when it raises a WsurfError, errors.isolate_failures runs each edge
-    on its own.  A lane's bits do not depend on its batch (as long as
-    ode.ratios' do not).
+    when it raises a WsurfError, errors.isolate_failures bisects the
+    edges down to the failing ones.  A lane's bits do not depend on its
+    batch (as long as ode.ratios' do not).
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)

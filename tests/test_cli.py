@@ -403,6 +403,24 @@ class TestNonFinite:
         assert run_pipeline(argv) == 1
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--eq", "bessel", "--xi", "1e200+1e200i"],
+         "error: z=(1e+200+1e+200j) is beyond the coordinate range +-2^500\n"),
+        (["sample", "--eq", "laguerre", "--xi", "1e160+1e160i"],
+         "error: z=(1e+160+1e+160j) is beyond the coordinate range +-2^500\n"),
+        (["surface", "--eq", "bessel",
+          "--grid", "cartesian:1e160,2e160,1e160,2e160,3,3"],
+         "error: 9/9 grid nodes failed to evaluate\n")],
+        ids=["bessel-sample", "laguerre-sample", "bessel-grid"])
+    def test_huge_coordinates(self, argv, message, tmp_path, capsys):
+        # squared distances between such points overflow, and the suite
+        # runs with RuntimeWarnings as errors: the points must come back
+        # as OutOfRange failures
+        if argv[0] == "surface":
+            argv = argv + ["--out", str(tmp_path / "b.obj")]
+        assert run_pipeline(argv) == 1
+        assert capsys.readouterr().err == message
+
     def test_nan_param_is_a_usage_error(self, tmp_path):
         done = _cli(["verify", "--eq", "hermite", "--param", "n=nan"],
                     tmp_path)

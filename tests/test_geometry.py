@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsurf.catalog import get_equation
-from wsurf.geometry import RAY_LENGTH, Obstacles
+from wsurf.geometry import COORD_LIMIT, RAY_LENGTH, Obstacles, in_range
 
 
 # -- reference: the scalar forms of the segment tests, which the array
@@ -69,6 +69,14 @@ def reference_segment_clear(obs, a, b):
                     for c, r in obs.discs)
                 or any(reference_segment_crosses_ray(a, b, p, d)
                        for p, d in obs.rays))
+
+
+def test_in_range():
+    z = np.array([0j, COORD_LIMIT * (1 - 1j), np.nextafter(COORD_LIMIT,
+                                                         np.inf) + 0j,
+                  -1e200j, np.inf + 0j, complex(np.nan, 0.0)])
+    assert in_range(z).tolist() == [True, True, False, False, False, False]
+    assert in_range(1 + 1j) is True and in_range(1e160) is False
 
 
 class TestConstruction:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation, parse_user_ode
 from wsurf.contour import (CIRCLE, CIRCLE_POINTS, contour_quad,
                            holo_derivative, straight_path)
-from wsurf.errors import (EvaluationFailure, SingularPoint,
+from wsurf.errors import (EvaluationFailure, OutOfRange, SingularPoint,
                           StencilOutsideDomain, WsurfError)
 from wsurf.immersion import (IDENTITY2, PAULI, RESIDUAL_COLUMNS,
                              _circle_legs, _distance_to_exclusions,
@@ -319,6 +319,24 @@ class TestBatchedReport:
                 assert abs(getattr(rep, name)[k]
                            - getattr(single, name)) <= 1e-12, name
         with pytest.raises(StencilOutsideDomain):
+            geometry_report(data, zs[1])
+
+    def test_point_beyond_the_coordinate_range(self):
+        # the squares of its coordinates overflow, and the suite runs with
+        # RuntimeWarnings as errors: the point fails with OutOfRange and
+        # the others keep their reports
+        data = laguerre_data()
+        zs = np.array([2 + 1j, 1e200 + 1e200j, -1 + 0.5j])
+        rep = geometry_report(data, zs)
+        assert list(rep.failures) == [1]
+        assert isinstance(rep.failures[1], OutOfRange)
+        assert np.isnan(rep.u[1]) and np.isinf(rep.metric[1])
+        for k in (0, 2):
+            single = geometry_report(data, zs[k])
+            for name in RESIDUAL_FIELDS + ("u", "hopf"):
+                assert abs(getattr(rep, name)[k]
+                           - getattr(single, name)) <= 1e-12, name
+        with pytest.raises(OutOfRange):
             geometry_report(data, zs[1])
 
     @pytest.mark.parametrize("bad", ["legs", "raises", "nan"])

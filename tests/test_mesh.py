@@ -17,9 +17,10 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import combine_euclidean
+import wsurf.mesh as mesh
 import wsurf.weierstrass as weierstrass
 from wsurf.mesh import (_RENDERERS, SurfaceMesh, _allowed_nodes, _grid_edges,
-                        _grid_graph, _neighbours, _parent_edges,
+                        _grid_graph, _neighbours, _parent_edges, _rows,
                         _sample_mask, _sample_with_mask,
                         _search, _tree_integrals, build_mesh, ew_cache,
                         export_mesh, immersion_at, import_csv, sample_grid,
@@ -84,12 +85,12 @@ class TestSampling:
 
     def test_raising_hopf_masks_only_its_node(self):
         # Q raises (not nan) at one node, so the array call of Q is
-        # retried node by node
+        # bisected down to that node
         self.check_one_node_raising("hopf")
 
     def test_raising_pair_at_a_node_masks_only_its_node(self):
-        # (u, chi) raises at one node, so that array call is retried node
-        # by node and both halves keep the other nodes' values
+        # (u, chi) raises at one node, so that array call is bisected down
+        # to that node and both halves keep the other nodes' values
         self.check_one_node_raising("u_and_chi")
 
     def check_one_node_raising(self, method):
@@ -693,6 +694,150 @@ class TestExportFormats:
         assert same_bits(vertices, mesh.vertices)
         for k in ("u", "absQ", "H_residual"):
             assert same_bits(attrs[k], mesh.attributes[k])
+
+
+def rendered(fmt, array):
+    return b"".join(_rows(fmt, array)).decode("ascii")
+
+
+def reference_text(fmt, array):
+    return "".join(line + "\n" for line in reference_rows(fmt, array))
+
+
+def near_powers_of_ten():
+    """The doubles nearest 10^k, k in [-310, 308], and 3 ulps each side."""
+    out = []
+    for k in range(-310, 309):
+        x = float(f"1e{k}")
+        for toward in (np.inf, -np.inf):
+            y = x
+            for _ in range(3):
+                y = np.nextafter(y, toward)
+                out.append(y)
+        out.append(x)
+    return np.array(out)
+
+
+def decimal_ties():
+    """Doubles u / 2^s whose decimal expansion u * 5^s has 18 digits and
+    ends in 5 (u odd), so that %.17g rounds a tie half-even."""
+    rng = np.random.default_rng(3)
+    out = []
+    for s in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** s), min(10 ** 18 // 5 ** s, 2 ** 53)
+        for u in [lo, hi - 1] + rng.integers(lo, hi, 20).tolist():
+            u |= 1
+            if u * 5 ** s < 10 ** 18:
+                out.append(u / 2 ** s)
+    return np.array(out)
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                           -5e-324, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 2.2250738585072014e-308,
+                           1e16, 1e17, 9.999999999999999e16, 1e22, 1e23,
+                           1e-4, 9.9999999999999991e-5, 1e-5, 1e98, 1e-98,
+                           1e99, 1e100, 1e-99, 1e-100, 0.5, 100.0, 12.0])
+
+INT_VALUES = np.array(
+    [0, 1, -1, 9, 10, 9999, 10000, -10000, 99999999, 100000000,
+     -(2 ** 63), -(2 ** 63) + 1, 2 ** 63 - 1, 10 ** 16, -(10 ** 18)]
+    + [10 ** k + d for k in range(19) for d in (-1, 0, 1)], dtype=np.int64)
+
+FLOAT_TEMPLATES = ("v %.17g %.17g %.17g", "%.17g %.17g %.17g",
+                   ",".join(["%.17g"] * 8), "%.17g")
+INT_TEMPLATES = ("f %d %d %d %d", "4 %d %d %d %d", "%d")
+
+
+def as_rows(values, fmt):
+    c = fmt.count("%")
+    return values[:len(values) // c * c].reshape(-1, c)
+
+
+class TestRows:
+    """_rows against one % per row."""
+
+    @pytest.mark.parametrize("fmt", FLOAT_TEMPLATES)
+    def test_floats_at_powers_of_ten_ties_and_edges(self, fmt):
+        x = np.concatenate([near_powers_of_ten(), decimal_ties(),
+                            SPECIAL_VALUES])
+        x = np.concatenate([x, -x])
+        for shift in range(fmt.count("%")):
+            rows = as_rows(np.roll(x, shift), fmt)
+            assert rendered(fmt, rows) == reference_text(fmt, rows)
+
+    def test_ties_are_certain_only_at_exact_powers_of_ten(self):
+        # 10^(16 - E) is a double for E >= -6, where a tie rounds exactly;
+        # below, its double-double is within rounding of the tie, so the
+        # values go to the batched %
+        x = decimal_ties()
+        _, bad = mesh._float_fields(x[:, None], ["\n"])
+        assert set(bad) == set(np.flatnonzero(np.floor(np.log10(x)) < -6))
+        assert 0 < len(bad) < len(x)
+
+    @pytest.mark.parametrize("fmt", INT_TEMPLATES)
+    def test_ints(self, fmt):
+        v = np.concatenate([INT_VALUES, -INT_VALUES[1:]])
+        for shift in range(fmt.count("%")):
+            rows = as_rows(np.roll(v, shift), fmt)
+            assert rendered(fmt, rows) == reference_text(fmt, rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_large_arrays(self, data):
+        # thousands of rows: random bit patterns (every class of double),
+        # values of every decimal scale, ints of every width, and
+        # hypothesis' own picks scattered over them
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(1000, 6000))
+        x = np.where(rng.random(n) < 0.5,
+                     rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),
+                     rng.standard_normal(n) * 10.0 ** rng.integers(-120, 120,
+                                                                  n))
+        picks = data.draw(st.lists(st.floats(), max_size=50))
+        x[rng.integers(0, n, len(picks))] = picks
+        width = data.draw(st.integers(1, 64))
+        v = rng.integers(-(2 ** (width - 1)), 2 ** (width - 1), n,
+                         dtype=np.int64)
+        fmt = data.draw(st.sampled_from(FLOAT_TEMPLATES))
+        rows = as_rows(x, fmt)
+        assert rendered(fmt, rows) == reference_text(fmt, rows)
+        fmt = data.draw(st.sampled_from(INT_TEMPLATES))
+        rows = as_rows(v, fmt)
+        assert rendered(fmt, rows) == reference_text(fmt, rows)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_small_blocks(self, block, monkeypatch):
+        # block joins, and the batched % of the values the fast path leaves
+        monkeypatch.setattr(mesh, "_BLOCK_ROWS", block)
+        x = np.concatenate([SPECIAL_VALUES, decimal_ties()[:20],
+                            np.linspace(-3, 3, 31)])
+        for fmt in FLOAT_TEMPLATES:
+            rows = as_rows(x, fmt)
+            got = _rows(fmt, rows)
+            assert len(got) == -(-len(rows) // block)
+            assert b"".join(got).decode() == reference_text(fmt, rows)
+        for fmt in INT_TEMPLATES:
+            rows = as_rows(INT_VALUES, fmt)
+            assert rendered(fmt, rows) == reference_text(fmt, rows)
+
+    def test_no_rows(self):
+        assert _rows("v %.17g %.17g %.17g", np.zeros((0, 3))) == []
+        assert _rows("f %d %d %d %d", np.zeros((0, 4), dtype=int)) == []
+
+    def test_export_writes_the_rendered_text(self, tmp_path):
+        mesh_ = SurfaceMesh(
+            vertices=np.array([[0.5, -0.0, 1e300], [1e-5, 2.0, -3.25]]),
+            mask=np.ones((2, 1), dtype=bool),
+            faces=np.array([[0, 1, 1, 0]]), points=np.array([1j, -2 + 0j]),
+            attributes={k: np.array([np.inf, 1e-12])
+                        for k in ("u", "absQ", "H_residual")})
+        for fmt, render in _RENDERERS.items():
+            path = tmp_path / f"m.{fmt}"
+            written = export_mesh(mesh_, fmt, str(path))
+            text = reference_render(mesh_, fmt).encode("ascii")
+            assert path.read_bytes() == text
+            assert written == len(text)
 
 
 class TestMomentForest:

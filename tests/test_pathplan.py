@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wsurf import pathplan
 from wsurf.catalog import get_equation
-from wsurf.errors import PathPlanningFailure
+from wsurf.errors import OutOfRange, PathPlanningFailure
 from wsurf.geometry import Obstacles, seg_point_distance
 from wsurf.pathplan import (MAX_WAYPOINTS, _candidates, _visibility_graph,
                             plan_path)
@@ -92,6 +92,19 @@ def test_laguerre_grid_reachable(rng):
         path = plan_path(anchor, z, exclusions, cuts)
         assert len(path.waypoints) <= MAX_WAYPOINTS
         assert path_clearance(path, 0j) >= 0.02 * (1 - 1e-9) - 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(2j, 1e200 + 0j), (-1e160j, 1 + 1j),
+                                  (0j, 2.0 ** 500 * (1 + 1j))])
+def test_endpoint_beyond_the_coordinate_range(monkeypatch, a, b):
+    # squared distances to such a point overflow: it fails before the
+    # search, and a point at the limit itself is planned
+    if abs(b.real) == 2.0 ** 500:
+        assert plan_path(a, b).segments() == [(a, b)]
+        return
+    monkeypatch.setattr(pathplan, "_route", None)
+    with pytest.raises(OutOfRange):
+        plan_path(a, b, exclusions=((0.5 + 0j, 0.1),), cuts=((0j, -1 + 0j),))
 
 
 def test_no_route_raises():
