@@ -8,9 +8,8 @@ every construction step verifiable numerically.
 """
 
 from .catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec, LinearODE,
-                      classical_solution, coefficient_ratios, get_equation,
-                      get_fixture, load_user_ode, parse_user_ode,
-                      reference_surface)
+                      coefficient_ratios, get_equation, get_fixture,
+                      load_user_ode, parse_user_ode, reference_surface)
 from .contour import ContourPath, contour_quad, holo_derivative, straight_path
 from .errors import (BranchCutViolation, DomainError, EmptyMesh,
                      EvaluationFailure, IoFailure, PathPlanningFailure,
@@ -34,7 +33,7 @@ __all__ = [
     "LinearODE", "PathPlanningFailure", "SingularPoint", "SolutionOverflow",
     "StepSizeUnderflow", "SurfaceMesh", "ToleranceNotReached", "UnknownEquation", "Wavefunction",
     "WeierstrassData", "WsurfError", "build_mesh", "build_numeric_data",
-    "classical_solution", "closed_form_data", "coefficient_ratios",
+    "closed_form_data", "coefficient_ratios",
     "contour_quad", "ei", "ew_cache", "ew_integrals", "export_mesh",
     "geometry_report", "get_equation", "get_fixture", "holo_derivative",
     "immersion_at", "integrate_wavefunction", "load_user_ode",

@@ -1,27 +1,26 @@
 """Registry of the classical second-order ODEs and their figure fixtures.
 
-Each catalog equation is one record: its default parameters, the
-builder of its coefficients p, q, r of
+Each catalog equation is one record: its default parameters, its
+coefficients p, q, r of
 
     p(nu; z) w'' + q(nu; z) w' + r(nu; z) w = 0
 
-as vectorized complex callables bound to a parameter set, the singular
-points, the branch-cut rays used when comparing against principal-branch
-closed forms, a default grid on which the surface is well resolved, the
-base point of its Weierstrass pair and, for jacobi, a validity region.
-User-defined equations can be loaded from a flat key/value text file.
+as texts in the user-ODE grammar, the singular points, the branch-cut
+rays used when comparing against principal-branch closed forms, a
+default grid on which the surface is well resolved, the base point of
+its Weierstrass pair and, for jacobi, a validity region.  A user file's
+flat key/value text becomes the same record, and one constructor makes
+either into a LinearODE, compiling each text once per parameter set.
 """
 
 import ast
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import hermite as _herm
-from numpy.polynomial import laguerre as _lag
-from numpy.polynomial import legendre as _leg
 
 from . import special
 from .errors import (EvaluationFailure, OutsideFixtureDomain, SingularPoint,
@@ -120,70 +119,6 @@ _NEG_AXIS_CUT = ((0j, -1.0 + 0j),)
 _PLUS_MINUS_ONE = (1 + 0j, -1 + 0j)
 
 
-def _legendre(par):
-    a = par["alpha"]
-    return (lambda z: 1 - z * z,
-            lambda z: -2 * z,
-            lambda z: a * (a + 1) * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _legendre_assoc(par):
-    a, m = par["alpha"], par["m"]
-    return (lambda z: 1 - z * z,
-            lambda z: -2 * z,
-            lambda z: a * (a + 1) - m * m / (1 - z * z))
-
-
-def _bessel(par):
-    nu = par["p"]
-    return (lambda z: z * z,
-            lambda z: z,
-            lambda z: z * z - nu * nu)
-
-
-def _chebyshev(n_eff_sq):
-    return (lambda z: 1 - z * z,
-            lambda z: -z,
-            lambda z: n_eff_sq * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _laguerre(par):
-    a = par["alpha"]
-    return (lambda z: np.asarray(z, dtype=complex),
-            lambda z: 1 - z,
-            lambda z: a * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _laguerre_assoc(par):
-    a, n = par["alpha"], par["n"]
-    return (lambda z: np.asarray(z, dtype=complex),
-            lambda z: a + 1 - z,
-            lambda z: n * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _hermite(par):
-    n = par["n"]
-    return (lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-            lambda z: -2 * z,
-            lambda z: -2 * n * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _gegenbauer(par):
-    # first-derivative coefficient kept exactly as printed in the
-    # source table: constant -(2*alpha+1), with no factor of z
-    a, n = par["alpha"], par["n"]
-    return (lambda z: 1 - z * z,
-            lambda z: -(2 * a + 1) * np.ones_like(np.asarray(z, dtype=complex)),
-            lambda z: n * (n + 2 * a) * np.ones_like(np.asarray(z, dtype=complex)))
-
-
-def _jacobi(par):
-    a, b, n = par["alpha"], par["beta"], par["n"]
-    return (lambda z: 1 - z * z,
-            lambda z: b - a - (a + b + 2) * z,
-            lambda z: n * (n + a + b + 1) * np.ones_like(np.asarray(z, dtype=complex)))
-
-
 def _jacobi_region(par):
     two_abs_alpha = 2 * abs(par["alpha"])
 
@@ -195,13 +130,13 @@ def _jacobi_region(par):
 
 @dataclass(frozen=True)
 class _Entry:
-    """One cataloged equation: its default parameters, the builder of
-    its coefficients (parameters -> (p, q, r)), singular points, cut
-    rays, default grid, the base point of its Weierstrass pair and the
-    builder of its validity region (parameters -> (z -> bool)), if any."""
+    """One equation: its default parameters, its coefficient texts (p,
+    q, r), whose order of operations fixes their rounding, singular
+    points, cut rays, default grid, the base point of its Weierstrass
+    pair and its validity region's builder (params -> (z -> bool))."""
 
     params: dict
-    coefficients: object
+    coefficients: tuple
     singularities: tuple
     cut_rays: tuple
     domain: GridSpec
@@ -211,45 +146,52 @@ class _Entry:
 
 _CATALOG = {
     "legendre": _Entry(
-        {"alpha": 1}, _legendre, _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        {"alpha": 1}, ("1 - z*z", "-2*z", "alpha*(alpha + 1)"),
+        _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
         GridSpec("polar", ((0.02, 8.0), (0.0, 6 * np.pi)), (50, 50),
                  0.5 + 1j)),
     "legendre_assoc": _Entry(
-        {"alpha": 1, "m": 1}, _legendre_assoc, _PLUS_MINUS_ONE,
-        _REAL_AXIS_CUTS,
+        {"alpha": 1, "m": 1},
+        ("1 - z*z", "-2*z", "alpha*(alpha + 1) - m*m/(1 - z*z)"),
+        _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
         GridSpec("polar", ((0.02, 5.0), (0.0, 2 * np.pi)), (50, 50),
                  -1 - 1j)),
     "bessel": _Entry(
-        {"p": 0.0}, _bessel, (0j,), _NEG_AXIS_CUT,
+        {"p": 0.0}, ("z*z", "z", "z*z - p*p"), (0j,), _NEG_AXIS_CUT,
         GridSpec("polar", ((0.01, 2.0), (0.0, 2 * np.pi)), (50, 50), 1 + 0j),
         pair_base=1 + 0j),
     "chebyshev1": _Entry(
-        {"n": 1}, lambda par: _chebyshev(par["n"] ** 2), _PLUS_MINUS_ONE,
-        _REAL_AXIS_CUTS,
+        {"n": 1}, ("1 - z*z", "-z", "n^2"), _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
         GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)), (50, 50),
                  1 + 0j)),
     "chebyshev2": _Entry(
-        {"n": 1}, lambda par: _chebyshev(par["n"] * (par["n"] + 2)),
-        _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        {"n": 1}, ("1 - z*z", "-z", "n*(n + 2)"), _PLUS_MINUS_ONE,
+        _REAL_AXIS_CUTS,
         GridSpec("polar", ((0.02, 10.0), (0.0, 2 * np.pi)), (50, 50),
                  1 + 0j)),
     "laguerre": _Entry(
-        {"alpha": 1}, _laguerre, (0j,), _NEG_AXIS_CUT,
+        {"alpha": 1}, ("z", "1 - z", "alpha"), (0j,), _NEG_AXIS_CUT,
         GridSpec("polar", ((0.02, 3.0), (0.0, 2 * np.pi)), (50, 50), 1 + 1j),
         pair_base=1 + 0j),
     "laguerre_assoc": _Entry(
-        {"alpha": 1, "n": 2}, _laguerre_assoc, (0j,), _NEG_AXIS_CUT,
+        {"alpha": 1, "n": 2}, ("z", "alpha + 1 - z", "n"), (0j,),
+        _NEG_AXIS_CUT,
         GridSpec("cartesian", ((-3.0, 3.0), (1 / 64, 3.0)), (50, 50), 3 + 3j),
         pair_base=1 + 0j),
     "hermite": _Entry(
-        {"n": 1}, _hermite, (), (),
+        {"n": 1}, ("1", "-2*z", "-2*n"), (), (),
         GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), 1 + 3j)),
     "gegenbauer": _Entry(
-        {"alpha": 0.5, "n": 1}, _gegenbauer, _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
+        # first-derivative coefficient kept exactly as printed in the
+        # source table: constant -(2*alpha+1), with no factor of z
+        {"alpha": 0.5, "n": 1},
+        ("1 - z*z", "-(2*alpha + 1)", "n*(n + 2*alpha)"),
+        _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
         GridSpec("polar", ((0.01, 10.0), (0.0, 2 * np.pi)), (50, 50), 0j)),
     "jacobi": _Entry(
-        {"alpha": 1, "beta": 2, "n": 1}, _jacobi, _PLUS_MINUS_ONE,
-        _REAL_AXIS_CUTS,
+        {"alpha": 1, "beta": 2, "n": 1},
+        ("1 - z*z", "beta - alpha - (alpha + beta + 2)*z",
+         "n*(n + alpha + beta + 1)"), _PLUS_MINUS_ONE, _REAL_AXIS_CUTS,
         GridSpec("cartesian", ((-0.99, 0.0), (0.0, 0.99)), (50, 50), 0j),
         region=_jacobi_region),
 }
@@ -259,7 +201,10 @@ DEFAULT_PARAMS = {eq_id: entry.params for eq_id, entry in _CATALOG.items()}
 
 
 def get_equation(eq_id, params=None):
-    """Fully populated LinearODE for one of the cataloged equations."""
+    """Fully populated LinearODE for one of the cataloged equations;
+    ValueError for a parameter that is not a number (bool excluded) or
+    that makes a coefficient's z-free part overflow, as for a user
+    file."""
     entry = _CATALOG.get(eq_id)
     if entry is None:
         raise UnknownEquation(eq_id)
@@ -268,68 +213,24 @@ def get_equation(eq_id, params=None):
         unknown = set(params) - set(par)
         if unknown:
             raise ValueError(f"unknown parameters for {eq_id}: {sorted(unknown)}")
+        for name, value in params.items():
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Number)):
+                raise ValueError(f"parameter {name} of {eq_id} is not a "
+                                 f"number: {value!r}")
         par.update(params)
-    p, q, r = entry.coefficients(par)
-    region = None if entry.region is None else entry.region(par)
+    return _linear_ode(eq_id, entry, par)
+
+
+def _linear_ode(ode_id, entry, params):
+    """The LinearODE of a record at the parameter values params."""
+    items = tuple((name, value, repr(value)) for name, value in params.items())
+    p, q, r = (_compiled(text, items) for text in entry.coefficients)
     return LinearODE(
-        id=eq_id, params=par, p=p, q=q, r=r,
+        id=ode_id, params=params, p=p, q=q, r=r,
         singularities=entry.singularities, default_domain=entry.domain,
-        valid_region=region, cut_rays=entry.cut_rays,
-        pair_base=entry.pair_base)
-
-
-# ---------------------------------------------------------------------------
-# classical solutions (for residual checks only)
-
-def classical_solution(eq_id, params):
-    """A known solution of the cataloged ODE, or None if out of scope.
-
-    Only families expressible with polynomial recurrences or scipy's
-    complex-capable functions are provided; they are used purely as
-    residual-test inputs.
-    """
-    par = dict(DEFAULT_PARAMS[eq_id])
-    par.update(params or {})
-    if eq_id == "laguerre":
-        a = int(par["alpha"])
-        c = np.zeros(a + 1)
-        c[a] = 1.0
-        return lambda z: _lag.lagval(np.asarray(z, dtype=complex), c)
-    if eq_id == "legendre":
-        a = int(par["alpha"])
-        c = np.zeros(a + 1)
-        c[a] = 1.0
-        return lambda z: _leg.legval(np.asarray(z, dtype=complex), c)
-    if eq_id == "chebyshev1":
-        n = int(par["n"])
-        c = np.zeros(n + 1)
-        c[n] = 1.0
-        return lambda z: _cheb.chebval(np.asarray(z, dtype=complex), c)
-    if eq_id == "hermite":
-        # the catalog's r = -2n, so H_m solves it with n = -m
-        m = -int(par["n"])
-        if m < 0:
-            return None
-        c = np.zeros(m + 1)
-        c[m] = 1.0
-        return lambda z: _herm.hermval(np.asarray(z, dtype=complex), c)
-    # the rest need scipy, which `import wsurf` does not load
-    from scipy import special as sps
-    if eq_id == "laguerre_assoc":
-        n, a = int(par["n"]), par["alpha"]
-        poly = sps.genlaguerre(n, a)
-        return lambda z: poly(np.asarray(z, dtype=complex))
-    if eq_id == "jacobi":
-        n, a, b = int(par["n"]), par["alpha"], par["beta"]
-        poly = sps.jacobi(n, a, b)
-        return lambda z: poly(np.asarray(z, dtype=complex))
-    if eq_id == "bessel":
-        nu = par["p"]
-        return lambda z: sps.jv(nu, np.asarray(z, dtype=complex))
-    # chebyshev2 (non-integer order after the n -> sqrt(n)sqrt(n+2)
-    # substitution) and the as-printed gegenbauer equation have no
-    # polynomial solutions in scope
-    return None
+        valid_region=None if entry.region is None else entry.region(params),
+        cut_rays=entry.cut_rays, pair_base=entry.pair_base)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +394,7 @@ class _ConstantFolder(ast.NodeTransformer):
 
     def visit_Name(self, node):
         if node.id in self.params:
-            return self._fold(node, float, self.params[node.id])
+            return self._fold(node, operator.pos, self.params[node.id])
         return node
 
     def visit_BinOp(self, node):
@@ -519,7 +420,7 @@ class _ConstantFolder(ast.NodeTransformer):
         return node
 
 
-def _compile_expr(text, param_names):
+def _compile_expr(text, params):
     """Compile an arithmetic expression over z and named parameters.
 
     Grammar: + - * / ^ exp log parentheses and numeric literals; ^ means
@@ -542,14 +443,14 @@ def _compile_expr(text, param_names):
                 continue
             raise ValueError(f"disallowed call in expression: {text!r}")
         if isinstance(node, ast.Name):
-            if node.id in _FUNCTIONS or node.id == "z" or node.id in param_names:
+            if node.id in _FUNCTIONS or node.id == "z" or node.id in params:
                 continue
             raise ValueError(f"unknown symbol {node.id!r} in {text!r}")
         if isinstance(node, ast.Load):
             continue
         raise ValueError(f"disallowed syntax in expression: {text!r}")
     tree = ast.fix_missing_locations(
-        _ConstantFolder(text, dict(param_names)).visit(tree))
+        _ConstantFolder(text, params).visit(tree))
     code = compile(tree, "<ode-expression>", "eval")
 
     def fn(z, _code=code):
@@ -561,6 +462,13 @@ def _compile_expr(text, param_names):
         return value
 
     return fn
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(text, items):
+    """_compile_expr over (name, value, repr(value)) items: the reprs
+    tell -0.0 from 0.0, which fold to constants of different signs."""
+    return _compile_expr(text, {name: value for name, value, _ in items})
 
 
 def parse_complex(text):
@@ -612,15 +520,9 @@ def parse_user_ode(text):
             continue
         name, _, value = item.partition("=")
         params[name.strip()] = float(value)
-    p = _compile_expr(entries["p"], params)
-    q = _compile_expr(entries["q"], params)
-    r = _compile_expr(entries["r"], params)
     sing = tuple(parse_complex(s)
                  for s in entries.get("singularities", "").split(",") if s.strip())
     domain = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (50, 50), 0j)
-    return LinearODE(
-        id=ode_id, params=params, p=p, q=q, r=r,
-        singularities=sing, default_domain=domain,
-        valid_region=None, cut_rays=(),
-    )
-
+    entry = _Entry(params, (entries["p"], entries["q"], entries["r"]), sing,
+                   (), domain)
+    return _linear_ode(ode_id, entry, params)

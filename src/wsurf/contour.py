@@ -49,6 +49,16 @@ MAX_DEPTH = 40
 # live panels on every level; this cap turns that into
 # ToleranceNotReached instead of 2^MAX_DEPTH panels.
 MAX_LIVE_PANELS = 4096
+# A rejected panel's GK15 sums round at about ROUNDING_FLOOR |h| sum |w f|
+# in each component (QUADPACK's qk15 estimate, 50 machine epsilons), and
+# bisection halves that floor and the share of tol alike.  So a component
+# above its share fails its segment at once when its error is within the
+# floor and fell by less than STALL under the last bisection (truncation
+# error falls by about 2^15 per halving, rounding error by about 2), or
+# when its share is below one unit roundoff of the panel's sum, floor /
+# 50, which two rounded sums meet only by agreeing to the last bits.
+ROUNDING_FLOOR = 50 * np.finfo(float).eps
+STALL = 16
 # Panels per integrand call; bounds the memory of one level.
 CHUNK_PANELS = 1024
 
@@ -142,10 +152,13 @@ def _eval_vectorized(f, nodes):
     return vals.reshape(nodes.shape + (math.prod(vals.shape[1:]),))
 
 
-def _gk15_chunk(f, lo, hi):
+def _gk15_chunk(f, lo, hi, ptol, prev):
     """GK15 estimates and their errors, shapes (p, k), on the panels
-    lo[i] -> hi[i] of one chunk, and {panel: WsurfError} for the panels
-    where f raised one or returned a non-finite value.
+    lo[i] -> hi[i] of one chunk, a mask (p,) of the panels stuck at their
+    rounding floor -- some component above its share ptol[i] is stuck
+    by the ROUNDING_FLOOR rules, given prev, the error (p, k) of each
+    panel's parent (inf on the first level) -- and {panel: WsurfError}
+    for the panels where f raised one or returned a non-finite value.
 
     One integrand call; isolate_failures bisects the panels down to the
     failing ones only when it raises a WsurfError.
@@ -162,17 +175,28 @@ def _gk15_chunk(f, lo, hi):
     # the failed panels' sums are meaningless, so they may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         k15 = half * (_WK @ vals)
-        return k15, np.abs(k15 - half * (_WG @ vals[:, 1::2])), failed
+        err = np.abs(k15 - half * (_WG @ vals[:, 1::2]))
+        stuck = np.zeros(len(lo), dtype=bool)
+        rows = np.flatnonzero((err > ptol[:, None]).any(axis=1))
+        if rows.size:
+            err_r, share = err[rows], ptol[rows, None]
+            floor = ROUNDING_FLOOR * np.abs(half[rows]) * (
+                _WK @ np.abs(vals[rows]))
+            stuck[rows] = ((err_r > share)
+                           & ((err_r <= floor) & (STALL * err_r >= prev[rows])
+                              | (floor > 50 * share))).any(axis=1)
+        return k15, err, stuck, failed
 
 
-def _gk15_chunks(f, lo, hi, starts):
+def _gk15_chunks(f, lo, hi, ptol, prev, starts):
     """_gk15_chunk on the chunks of CHUNK_PANELS panels that begin at
     the panel indices starts, in their order."""
-    return [_gk15_chunk(f, lo[s:s + CHUNK_PANELS], hi[s:s + CHUNK_PANELS])
+    return [_gk15_chunk(f, *(x[s:s + CHUNK_PANELS]
+                             for x in (lo, hi, ptol, prev)))
             for s in starts]
 
 
-def _gk15_panels(f, lo, hi):
+def _gk15_panels(f, lo, hi, ptol, prev):
     """_gk15_chunk on the panels lo[i] -> hi[i], one chunk of
     CHUNK_PANELS panels at a time, so that a level's memory stays
     bounded.  The chunks of an integrand marked thread_safe are shared
@@ -180,14 +204,15 @@ def _gk15_panels(f, lo, hi):
     """
     starts = range(0, len(lo), CHUNK_PANELS)
     if len(starts) <= 1:
-        return _gk15_chunk(f, lo, hi)
-    run = partial(_gk15_chunks, f, lo, hi)
+        return _gk15_chunk(f, lo, hi, ptol, prev)
+    run = partial(_gk15_chunks, f, lo, hi, ptol, prev)
     parts = (_in_shares(run, starts) if getattr(f, "thread_safe", False)
              else run(starts))
-    failed = {s + i: exc for s, (_, _, bad) in zip(starts, parts)
+    failed = {s + i: exc for s, (*_, bad) in zip(starts, parts)
               for i, exc in bad.items()}
-    k15, err = (np.concatenate([part[j] for part in parts]) for j in (0, 1))
-    return k15, err, failed
+    k15, err, stuck = (np.concatenate([part[j] for part in parts])
+                       for j in (0, 1, 2))
+    return k15, err, stuck, failed
 
 
 @cache
@@ -263,8 +288,9 @@ def gk15_segments(f, a, b, tol):
     completion to its WsurfError -- EvaluationFailure naming the first
     non-finite node, an error the integrand raised, or
     ToleranceNotReached (with the segment's summed GK15 error estimate)
-    when a panel is still above its share of tol at MAX_DEPTH or one
-    level needed more than MAX_LIVE_PANELS panels.  Entries of failed
+    when a panel is still above its share of tol at MAX_DEPTH, one
+    level needed more than MAX_LIVE_PANELS panels or a panel is stuck at
+    its rounding floor (ROUNDING_FLOOR).  Entries of failed
     segments are meaningless.  With no segments, values has the shape
     of f's values on no nodes, and failures is empty.
     """
@@ -273,37 +299,40 @@ def gk15_segments(f, a, b, tol):
     m = len(lo)
     tol = np.asarray(tol, dtype=float)
     tol_min = tol.min(initial=np.inf)
-    seg = ptol = values = errors = None
+    ptol = np.broadcast_to(tol, (m,))
+    prev = np.full((m, 1), np.inf)
+    seg = values = errors = None
     failures = {}
     depth = 0
     while seg is None or seg.size:
-        k15, err, failed = _gk15_panels(f, lo, hi)
+        k15, err, stuck, failed = _gk15_panels(f, lo, hi, ptol, prev)
         if seg is None:
             # one panel per segment, all within tolerance: the common
             # case returns here
             if not failed and err.max(initial=0.0) <= tol_min:
                 return _squeezed(k15), failures
             seg = np.arange(m)
-            ptol = np.broadcast_to(tol, (m,))
             values = np.zeros((m, k15.shape[1]), dtype=complex)
             errors = np.zeros((m, k15.shape[1]))
         if failed:
             for i in sorted(failed):
                 failures.setdefault(int(seg[i]), failed[i])
             live = ~np.isin(seg, list(failures))
-            seg, lo, hi, ptol, k15, err = (
-                x[live] for x in (seg, lo, hi, ptol, k15, err))
+            seg, lo, hi, ptol, k15, err, stuck = (
+                x[live] for x in (seg, lo, hi, ptol, k15, err, stuck))
         done = err.max(1) <= ptol
         np.add.at(values, seg[done], k15[done])
         np.add.at(errors, seg[done], err[done])
         more = ~done
-        seg, lo, hi, ptol, k15, err = (
-            x[more] for x in (seg, lo, hi, ptol, k15, err))
-        # the segments that would bisect past MAX_DEPTH, or keep more
-        # than MAX_LIVE_PANELS panels live, fail
+        seg, lo, hi, ptol, k15, err, stuck = (
+            x[more] for x in (seg, lo, hi, ptol, k15, err, stuck))
+        # the segments that would bisect past MAX_DEPTH, keep more than
+        # MAX_LIVE_PANELS panels live or bisect a panel at its rounding
+        # floor, fail
         limit = 0 if depth >= MAX_DEPTH else MAX_LIVE_PANELS
-        if 2 * len(seg) > limit:
+        if 2 * len(seg) > limit or stuck.any():
             over = 2 * np.bincount(seg, minlength=m) > limit
+            over[seg[stuck]] = True
             for s in np.flatnonzero(over):
                 rest = seg == s
                 best = values[s] + k15[rest].sum(axis=0)
@@ -311,12 +340,13 @@ def gk15_segments(f, a, b, tol):
                     best[0] if len(best) == 1 else best,
                     float(np.max(errors[s] + err[rest].sum(axis=0)))))
             keep = ~over[seg]
-            seg, lo, hi, ptol = seg[keep], lo[keep], hi[keep], ptol[keep]
-        mid = 0.5 * (lo + hi)
+            seg, lo, hi, ptol, err = (
+                x[keep] for x in (seg, lo, hi, ptol, err))
+        ends = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
         seg = np.repeat(seg, 2)
         ptol = np.repeat(0.5 * ptol, 2)
-        lo = np.stack([lo, mid], axis=1).ravel()
-        hi = np.stack([mid, hi], axis=1).ravel()
+        prev = np.repeat(err, 2, axis=0)
+        lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
         depth += 1
     return _squeezed(values), failures
 

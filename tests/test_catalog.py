@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import hermite as _herm
 from numpy.polynomial import laguerre as _lag
@@ -12,9 +14,8 @@ from numpy.polynomial import legendre as _leg
 from scipy import special as sps
 
 from wsurf.catalog import (DEFAULT_PARAMS, EQUATION_IDS, GridSpec,
-                           classical_solution, coefficient_ratios,
-                           get_equation, get_fixture, load_user_ode,
-                           parse_user_ode, reference_surface)
+                           coefficient_ratios, get_equation, get_fixture,
+                           load_user_ode, parse_user_ode, reference_surface)
 from wsurf.cli import run_pipeline
 from wsurf.errors import (OutsideFixtureDomain, SingularPoint,
                           UnknownEquation)
@@ -93,6 +94,149 @@ def test_unknown_equation():
 def test_unknown_parameter_rejected():
     with pytest.raises(ValueError):
         get_equation("laguerre", {"beta": 1})
+    for value in ("2", True, np.array(2.0)):
+        with pytest.raises(ValueError, match="parameter alpha of jacobi"):
+            get_equation("jacobi", {"alpha": value})
+
+
+# Reference builders of each catalog id's coefficients in plain numpy,
+# one operation order each: the compiled texts must match them bit for
+# bit.
+
+def _legendre(par):
+    a = par["alpha"]
+    return (lambda z: 1 - z * z,
+            lambda z: -2 * z,
+            lambda z: a * (a + 1) * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _legendre_assoc(par):
+    a, m = par["alpha"], par["m"]
+    return (lambda z: 1 - z * z,
+            lambda z: -2 * z,
+            lambda z: a * (a + 1) - m * m / (1 - z * z))
+
+
+def _bessel(par):
+    nu = par["p"]
+    return (lambda z: z * z,
+            lambda z: z,
+            lambda z: z * z - nu * nu)
+
+
+def _chebyshev(n_eff_sq):
+    return (lambda z: 1 - z * z,
+            lambda z: -z,
+            lambda z: n_eff_sq * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _laguerre(par):
+    a = par["alpha"]
+    return (lambda z: np.asarray(z, dtype=complex),
+            lambda z: 1 - z,
+            lambda z: a * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _laguerre_assoc(par):
+    a, n = par["alpha"], par["n"]
+    return (lambda z: np.asarray(z, dtype=complex),
+            lambda z: a + 1 - z,
+            lambda z: n * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _hermite(par):
+    n = par["n"]
+    return (lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+            lambda z: -2 * z,
+            lambda z: -2 * n * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _gegenbauer(par):
+    a, n = par["alpha"], par["n"]
+    return (lambda z: 1 - z * z,
+            lambda z: -(2 * a + 1) * np.ones_like(np.asarray(z, dtype=complex)),
+            lambda z: n * (n + 2 * a) * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+def _jacobi(par):
+    a, b, n = par["alpha"], par["beta"], par["n"]
+    return (lambda z: 1 - z * z,
+            lambda z: b - a - (a + b + 2) * z,
+            lambda z: n * (n + a + b + 1) * np.ones_like(np.asarray(z, dtype=complex)))
+
+
+_REFERENCE_COEFFICIENTS = {
+    "legendre": _legendre, "legendre_assoc": _legendre_assoc,
+    "bessel": _bessel,
+    "chebyshev1": lambda par: _chebyshev(par["n"] ** 2),
+    "chebyshev2": lambda par: _chebyshev(par["n"] * (par["n"] + 2)),
+    "laguerre": _laguerre, "laguerre_assoc": _laguerre_assoc,
+    "hermite": _hermite, "gegenbauer": _gegenbauer, "jacobi": _jacobi,
+}
+
+
+def _same_bits(got, want):
+    """got and want as complex arrays of one shape and the same bytes:
+    signed zeros, infinities and nan payloads included."""
+    got, want = (np.asarray(v, dtype=complex) for v in (got, want))
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(-4, 4, allow_nan=False))
+# parameters as the CLI and user files give them, floats: an int is
+# folded as its float, so an exact zero such as legendre's alpha*(alpha
+# + 1) at alpha = -1 takes an IEEE sign, where int arithmetic has none
+_PARAM = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-4, 6).map(float),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eq=st.sampled_from(EQUATION_IDS), data=st.data(),
+       parts=st.lists(st.tuples(_PART, _PART), min_size=1, max_size=8))
+def test_coefficients_match_reference_bit_for_bit(eq, data, parts):
+    par = {name: data.draw(_PARAM, label=name) for name in DEFAULT_PARAMS[eq]}
+    ode = get_equation(eq, par)
+    reference = _REFERENCE_COEFFICIENTS[eq](dict(DEFAULT_PARAMS[eq], **par))
+    z = np.array([complex(x, y) for x, y in parts])
+    # a zero of 1 - z*z makes legendre_assoc's r infinite in both
+    with np.errstate(all="ignore"):
+        for got, want in zip((ode.p, ode.q, ode.r), reference):
+            assert _same_bits(got(z), want(z)), (eq, par)
+            # a point reaches coefficient_ratios as a Python complex,
+            # which hands it to p, q and r as a 0-d array
+            for w in map(complex, z):
+                w = np.asarray(w, dtype=complex)
+                assert _same_bits(got(w), want(w)), (eq, par, w)
+    # a cache keyed on == would give -0.0 the constants of 0.0, or the
+    # other way round
+    for n in (0.0, -0.0):
+        got = get_equation("chebyshev2", {"n": n}).r(z)
+        assert _same_bits(got, _chebyshev(n * (n + 2))[2](z)), n
+
+
+@pytest.mark.parametrize("eq", EQUATION_IDS)
+def test_complex_parameters(eq, rng):
+    # equal values; a product with (1+0j) may flip the sign of a zero
+    # imaginary part, so not always the same bits
+    par = {name: complex(*rng.uniform(-3, 3, 2)) for name in DEFAULT_PARAMS[eq]}
+    ode = get_equation(eq, par)
+    z = rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20)
+    for got, want in zip((ode.p, ode.q, ode.r),
+                         _REFERENCE_COEFFICIENTS[eq](par)):
+        assert np.array_equal(got(z), want(z))
+
+
+@pytest.mark.parametrize("eq", EQUATION_IDS)
+def test_ratios_do_not_depend_on_the_batch(eq, rng):
+    # numpy may reuse a large temporary on the right of a product, and
+    # swapping a complex product's operands changes its rounding
+    z = rng.uniform(-3, 3, (1000, 24)) + 1j * rng.uniform(-3, 3, (1000, 24))
+    ode = get_equation(eq)
+    qp, rp = ode.ratios(z)
+    for i, row in enumerate(z):
+        row_qp, row_rp = ode.ratios(row)
+        assert _same_bits(qp[i], row_qp) and _same_bits(rp[i], row_rp), i
 
 
 class TestCoefficientRatios:
@@ -169,6 +313,55 @@ def _solution_derivatives(eq_id, params):
                 lambda z: -sps.jv(0, np.asarray(z, dtype=complex))
                 + sps.jv(1, np.asarray(z, dtype=complex)) / z)
     raise KeyError(eq_id)
+
+
+def classical_solution(eq_id, params):
+    """A known solution of the cataloged ODE, or None if out of scope.
+
+    Only families expressible with polynomial recurrences or scipy's
+    complex-capable functions are provided; they are used purely as
+    residual-test inputs.
+    """
+    par = dict(DEFAULT_PARAMS[eq_id])
+    par.update(params or {})
+    if eq_id == "laguerre":
+        a = int(par["alpha"])
+        c = np.zeros(a + 1)
+        c[a] = 1.0
+        return lambda z: _lag.lagval(np.asarray(z, dtype=complex), c)
+    if eq_id == "legendre":
+        a = int(par["alpha"])
+        c = np.zeros(a + 1)
+        c[a] = 1.0
+        return lambda z: _leg.legval(np.asarray(z, dtype=complex), c)
+    if eq_id == "chebyshev1":
+        n = int(par["n"])
+        c = np.zeros(n + 1)
+        c[n] = 1.0
+        return lambda z: _cheb.chebval(np.asarray(z, dtype=complex), c)
+    if eq_id == "hermite":
+        # the catalog's r = -2n, so H_m solves it with n = -m
+        m = -int(par["n"])
+        if m < 0:
+            return None
+        c = np.zeros(m + 1)
+        c[m] = 1.0
+        return lambda z: _herm.hermval(np.asarray(z, dtype=complex), c)
+    if eq_id == "laguerre_assoc":
+        n, a = int(par["n"]), par["alpha"]
+        poly = sps.genlaguerre(n, a)
+        return lambda z: poly(np.asarray(z, dtype=complex))
+    if eq_id == "jacobi":
+        n, a, b = int(par["n"]), par["alpha"], par["beta"]
+        poly = sps.jacobi(n, a, b)
+        return lambda z: poly(np.asarray(z, dtype=complex))
+    if eq_id == "bessel":
+        nu = par["p"]
+        return lambda z: sps.jv(nu, np.asarray(z, dtype=complex))
+    # chebyshev2 (non-integer order after the n -> sqrt(n)sqrt(n+2)
+    # substitution) and the as-printed gegenbauer equation have no
+    # polynomial solutions in scope
+    return None
 
 
 _SOLUTION_CASES = [

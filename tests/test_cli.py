@@ -421,6 +421,22 @@ class TestNonFinite:
         assert run_pipeline(argv) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("argv, text", [
+        (["surface", "--eq", "legendre", "--param", "alpha=1e200"],
+         "alpha*(alpha + 1)"),
+        (["verify", "--eq", "chebyshev2", "--param", "n=1e200"],
+         "n*(n + 2)")], ids=["legendre-surface", "chebyshev2-verify"])
+    def test_overflowing_param_is_a_usage_error(self, argv, text, tmp_path,
+                                                capsys):
+        # a catalog coefficient's z-free parts are folded once, as a user
+        # file's are: one that overflows is refused before any node runs
+        if argv[0] == "surface":
+            argv = argv + ["--out", str(tmp_path / "o.obj")]
+        assert run_pipeline(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: constant subexpression is not finite (overflow, "
+            f"division by zero or a log outside its domain) in {text!r}\n")
+
     def test_nan_param_is_a_usage_error(self, tmp_path):
         done = _cli(["verify", "--eq", "hermite", "--param", "n=nan"],
                     tmp_path)

@@ -225,8 +225,10 @@ class TestSegmentBatch:
             assert np.max(np.abs(values[k] - exact)) <= 1e-10
 
     def test_segment_above_tol_at_max_depth_fails(self):
-        # 1/sqrt(z) from 0 keeps one panel above its share of tol down to
-        # MAX_DEPTH; that segment fails, the other one is untouched
+        # 1/sqrt(z) from 0 keeps the panels next to 0 above their share
+        # of tol until that share asks for less than their rounding
+        # error (depth 33); that segment fails, the other one is
+        # untouched
         f = lambda z: 1.0 / np.sqrt(z)
         a = np.array([0j, 1 + 0j])
         b = np.array([1 + 0j, 2 + 0j])
@@ -236,6 +238,92 @@ class TestSegmentBatch:
         assert failures[0].achieved_error > 1e-10
         assert abs(failures[0].best_estimate - 2.0) <= 1e-5
         assert abs(values[1] - 2 * (np.sqrt(2) - 1)) <= 1e-14
+
+    def test_segment_at_its_rounding_floor_fails_at_once(self):
+        # 1e20 e^z sums round at about 4e4 on [0, 1], far above tol 1e-10,
+        # and bisection halves that unit and the share of tol alike: the
+        # segment fails on the first level, with its one-panel estimate
+        # (17 integrand calls before the floor rules), and the other
+        # segment is untouched
+        calls = []
+
+        def f(z):
+            calls.append(len(z))
+            return np.where(z.real < 1.5, 1e20, 1.0) * np.exp(z)
+
+        values, failures = gk15_segments(f, np.array([0j, 2 + 0j]),
+                                         np.array([1 + 0j, 3 + 0j]), 1e-10)
+        assert len(calls) == 1 and list(failures) == [0]
+        assert isinstance(failures[0], ToleranceNotReached)
+        assert abs(failures[0].best_estimate - 1e20 * (np.e - 1)) <= 1e6
+        assert abs(values[1] - (np.exp(3) - np.exp(2))) <= 1e-13
+
+    def test_stalled_error_within_the_floor_fails(self):
+        # 1e3 e^{5z} has a floor (3e-10) above tol 1e-10, and its error,
+        # rounding, halves with each bisection instead of falling by 2^15:
+        # the segment fails on the third level, not the 19th
+        calls = []
+
+        def f(z):
+            calls.append(len(z))
+            return 1e3 * np.exp(5 * z)
+
+        _, failures = gk15_segments(f, [0j], [1 + 0j], 1e-10)
+        assert len(calls) == 3
+        assert isinstance(failures[0], ToleranceNotReached)
+        assert abs(failures[0].best_estimate - 200 * np.expm1(5)) <= 1e-9
+
+    def test_truncation_error_passing_the_floor_converges(self):
+        # on this leg one panel's error falls 7500-fold over one
+        # bisection, to 1.6 times its share, and lands within its floor
+        # (2.2 shares): it is truncation still falling, and the next
+        # level meets tol
+        f = ew_integrand(make_data(get_equation("laguerre_assoc")))
+        values, failures = gk15_segments(f, [0.2 + 0.3j], [0.06 + 0j],
+                                         1.6808149245371335e-12)
+        assert not failures
+        coarse, _ = gk15_segments(f, [0.2 + 0.3j], [0.06 + 0j], 1e-10)
+        assert np.max(np.abs(values - coarse)) <= 1e-10
+
+    def test_floor_above_tol_with_error_below_it_converges(self):
+        # 300 e^{5z} on [0, 1] has a rounding floor (5e-10) above tol, but
+        # its rounding error stays within each panel's share: a floor
+        # above tol alone fails nothing
+        values, failures = gk15_segments(lambda z: 300 * np.exp(5 * z),
+                                         [0j], [1 + 0j], 1e-10)
+        assert not failures
+        assert abs(values[0] - 60 * np.expm1(5)) <= 1e-10
+
+    def test_large_converged_component_leaves_the_other_to_bisect(self):
+        # the 1e15 e^z component meets tol 10 on the first panel although
+        # its floor (about 20) is above it; the narrow peak is rejected
+        # for truncation, and bisection resolves it
+        calls = []
+
+        def f(z):
+            calls.append(len(z))
+            return np.stack([1e15 * np.exp(z),
+                             100 / ((z - 0.5) ** 2 + 1e-4)], axis=-1)
+
+        values, failures = gk15_segments(f, [0j], [1 + 0j], 10.0)
+        assert not failures and len(calls) > 1
+        assert abs(values[0, 0] - 1e15 * np.expm1(1)) <= 10
+        assert abs(values[0, 1] - 2e4 * np.arctan(50)) <= 10
+
+    def test_jump_fails_at_max_depth(self):
+        # a jump keeps its panel's error above its share on every level,
+        # far above the panel's rounding floor: bisection stops at
+        # MAX_DEPTH, one integrand call per level
+        calls = []
+
+        def f(z):
+            calls.append(len(z))
+            return np.where(z.real < 1 / 3, 0.0, 1.0) + 0j
+
+        _, failures = gk15_segments(f, [0j], [1 + 0j], 1e-10)
+        assert len(calls) == contour.MAX_DEPTH + 1
+        assert isinstance(failures[0], ToleranceNotReached)
+        assert abs(failures[0].best_estimate - 2 / 3) <= 1e-13
 
     def test_scalar_integrand_shape(self):
         values, failures = gk15_segments(
