@@ -18,9 +18,9 @@ from .errors import (BranchCutViolation, DomainError, EmptyMesh,
 from .immersion import (GeometryReport, ew_integrals, geometry_report,
                         pauli_decompose, sym_tafel)
 from .linearproblem import (Wavefunction, integrate_wavefunction, lp_residual,
-                            potential_matrix, zcc_residual)
+                            potential_matrix)
 from .mesh import (ImmersionSample, SurfaceMesh, build_mesh, ew_cache,
-                   export_mesh, immersion_at, sample_grid)
+                   export_mesh, immersion_at)
 from .pathplan import plan_path
 from .special import EULER_GAMMA, ei
 from .weierstrass import (WeierstrassData, build_numeric_data,
@@ -38,8 +38,8 @@ __all__ = [
     "geometry_report", "get_equation", "get_fixture", "holo_derivative",
     "immersion_at", "integrate_wavefunction", "load_user_ode",
     "lp_residual", "make_data", "parse_user_ode", "pauli_decompose",
-    "plan_path", "potential_matrix", "reference_surface", "sample_grid",
-    "straight_path", "sym_tafel", "verify_weierstrass",
+    "plan_path", "potential_matrix", "reference_surface", "straight_path",
+    "sym_tafel", "verify_weierstrass",
 ]
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as _chebyshev
+from numpy.polynomial import legendre as _legendre
 
 from .errors import (EvaluationFailure, SolutionOverflow, StepSizeUnderflow,
                      ToleranceNotReached, isolate_failures)
@@ -82,6 +83,19 @@ PANEL_S = (_chebyshev.chebvander(_X, PANEL_POINTS) @ _chebyshev.chebint(
     np.eye(PANEL_POINTS), lbnd=-1) @ _VALUES_TO_COEFFS) / 2
 PANEL_S[0] = 0.0
 PANEL_TAIL = _VALUES_TO_COEFFS[-3:]
+# A GK15 panel mid + half x, x in [-1, 1], is sampled at x = _XK.  GK_S
+# maps values g there to the integrals of their degree-14 interpolant
+# from the midpoint to each node, over half: int_mid^node g = half GK_S g
+# up to the interpolant's error (its row 7, the midpoint's, is exactly
+# 0).  GK_TAIL maps them to the interpolant's last two Legendre
+# coefficients, which bound that error (see gk15_carry).
+_GK_VALUES_TO_COEFFS = np.linalg.inv(_legendre.legvander(_XK, 14))
+GK_S = (_legendre.legvander(_XK, 15)
+        @ _legendre.legint(np.eye(15), lbnd=0) @ _GK_VALUES_TO_COEFFS)
+GK_S[7] = 0.0
+GK_TAIL = _GK_VALUES_TO_COEFFS[-2:]
+# both, as one (15, 17) right-hand factor of gk15_carry's products
+_GK_CARRY = np.concatenate([GK_S, GK_TAIL]).T.astype(complex)
 # the shortest panel, as a part of its lane, and the most panels of a
 # lane: a lane approaching a singular point or varying too fast to
 # resolve fails with StepSizeUnderflow instead of hanging
@@ -152,6 +166,43 @@ def _eval_vectorized(f, nodes):
     return vals.reshape(nodes.shape + (math.prod(vals.shape[1:]),))
 
 
+def _eval_panels(f, nodes, half, rows):
+    """f.panels on the rows of the (p, 15) GK15 nodes and (p,) half
+    widths, as values of shape (rows, 15, k); raises TypeError unless it
+    gives one value per node."""
+    vals = np.asarray(f.panels(nodes[rows], half[rows]), dtype=complex)
+    if vals.shape[:2] != (len(rows), 15):
+        raise TypeError(f"integrand panels returned values of shape "
+                        f"{vals.shape} for {len(rows)} panels")
+    return vals.reshape(vals.shape[:2] + (math.prod(vals.shape[2:]),))
+
+
+def gk15_carry(g):
+    """(C, ok) for the (p, 15) values g of p functions at the GK15 nodes
+    mid + half _XK of their panels: C = GK_S g, so that half C[:, j] is
+    the integral of g's interpolant from mid to node j, and ok, a (p,)
+    mask of the panels where that is g's own integral up to rounding.
+
+    Where g's Legendre coefficients fall past degree 14 (as an entire
+    function's do on a short panel), the interpolant's error in any of
+    these integrals is below its last two coefficients (GK_TAIL g): the
+    carry of P_n, 15 <= n <= 31, misses by less than 0.17.  A panel is
+    ok when that tail is within ROUNDING_FLOOR sum_k w_k |g_k|, which
+    bounds, over |half|, the rounding of GK15's own sum of g on the
+    panel (QUADPACK's estimate); a panel with a value that is not finite
+    never is.
+    The products are per panel (1 x 15 by 15 x 17), as in
+    weierstrass._lane_integrals: so a row's bits do not depend on the
+    number of rows, and no product is large enough for a threaded BLAS
+    to run beside the GK15 pool.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = (g[:, None, :] @ _GK_CARRY)[:, 0]
+        tail = np.abs(both[:, 15:]).max(axis=1)
+        scale = (np.abs(g) * _WK).sum(axis=1)
+    return both[:, :15], (tail <= ROUNDING_FLOOR * scale) & (scale < np.inf)
+
+
 def _gk15_chunk(f, lo, hi, ptol, prev):
     """GK15 estimates and their errors, shapes (p, k), on the panels
     lo[i] -> hi[i] of one chunk, a mask (p,) of the panels stuck at their
@@ -160,12 +211,18 @@ def _gk15_chunk(f, lo, hi, ptol, prev):
     panel's parent (inf on the first level) -- and {panel: WsurfError}
     for the panels where f raised one or returned a non-finite value.
 
-    One integrand call; isolate_failures bisects the panels down to the
-    failing ones only when it raises a WsurfError.
+    One integrand call -- of f.panels(nodes, half) on the (p, 15) nodes
+    and (p,) half widths, when f has a panels attribute -- and
+    isolate_failures bisects the panels down to the failing ones only
+    when it raises a WsurfError.
     """
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-    vals, failed = isolate_failures(partial(_eval_vectorized, f), nodes)
+    if hasattr(f, "panels"):
+        vals, failed = isolate_failures(
+            partial(_eval_panels, f, nodes, half), np.arange(len(lo)))
+    else:
+        vals, failed = isolate_failures(partial(_eval_vectorized, f), nodes)
     if not np.isfinite(vals).all():
         finite = np.isfinite(vals).all(axis=2)
         for i in np.flatnonzero(~finite.all(axis=1)):
@@ -275,13 +332,18 @@ def gk15_segments(f, a, b, tol):
     calls made one by one; the chunks of its multi-chunk levels are then
     evaluated concurrently on every CPU the process may use, each in a
     copy of the caller's contextvars context, so that f sees the
-    caller's np.errstate.  Such an f must not itself call gk15_segments
-    with a thread_safe integrand: its chunks would wait on the worker
-    threads running f.  Each chunk's arithmetic, the chunk size and the
-    order in which chunks are joined are those of the serial loop, so
-    values and failures are bit-identical to it, and an exception f
-    raises (other than a WsurfError) is the one of the first chunk in
-    panel order that raised.
+    caller's np.errstate.  An f with a ``panels(nodes, half)`` attribute
+    is called through it instead, once per chunk, on the (p, 15) GK15
+    nodes mid + half _XK of its p panels and their (p,) half widths,
+    and gives values of shape (p, 15) or (p, 15, k), those of f on the
+    nodes up to rounding (see gk15_carry); thread_safe promises the
+    same of concurrent panels calls.  Such an f must not itself call
+    gk15_segments with a thread_safe integrand: its chunks would wait on
+    the worker threads running f.  Each chunk's arithmetic, the chunk
+    size and the order in which chunks are joined are those of the
+    serial loop, so values and failures are bit-identical to it, and an
+    exception f raises (other than a WsurfError) is the one of the first
+    chunk in panel order that raised.
 
     Returns ``(values, failures)``: values has shape (m,) or (m, k), and
     failures maps the index of every segment that did not run to

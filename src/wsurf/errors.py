@@ -46,15 +46,19 @@ class EvaluationFailure(WsurfError):
 
 
 class ToleranceNotReached(WsurfError):
-    """Adaptive quadrature ran out of depth before hitting the tolerance."""
+    """Adaptive quadrature ran out of depth before hitting the tolerance.
+
+    The message is formatted when it is read: most of these errors are
+    caught and counted, never printed."""
 
     def __init__(self, best_estimate, achieved_error):
         self.best_estimate = best_estimate
         self.achieved_error = achieved_error
-        super().__init__(
-            f"quadrature error {achieved_error:.3e} above tolerance; "
-            f"best estimate {best_estimate}"
-        )
+        super().__init__(best_estimate, achieved_error)
+
+    def __str__(self):
+        return (f"quadrature error {self.achieved_error:.3e} above "
+                f"tolerance; best estimate {self.best_estimate}")
 
 
 class PathPlanningFailure(WsurfError):

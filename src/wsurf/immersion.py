@@ -24,10 +24,12 @@ IDENTITY2 = np.eye(2, dtype=complex)
 def ew_integrand(data):
     """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3).
 
-    One call of data.pair per evaluation.  A closed-form pair's
-    integrand is marked thread_safe, so that gk15_segments may evaluate
-    its chunks concurrently: it is numpy arithmetic on its argument
-    alone.  A numeric pair's is not: its pair call is a lookup of a
+    One call of data.pair per evaluation; a pair with a panels method
+    (hermite's) gives the integrand one too, which gk15_segments calls
+    on its GK15 panels.  A closed-form pair's integrand is marked
+    thread_safe, so that gk15_segments may evaluate its chunks
+    concurrently: it is numpy arithmetic on its argument alone.  A
+    numeric pair's is not: its pair call is a lookup of a
     CachedAntiderivative store that inserts the points it reaches, and
     concurrent lookups would race on the store, with the order of their
     inserts deciding later nearest-point ties.  The numeric route runs
@@ -37,12 +39,17 @@ def ew_integrand(data):
     """
     pair = data.pair
 
-    def integrand(z):
-        e, x = map(np.asarray, pair(z))
+    def fused(e, x):
+        e, x = np.asarray(e), np.asarray(x)
         # an overflow is not finite, and quadrature names its point
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([e, x ** 2 * e, x * e], axis=-1)
 
+    def integrand(z):
+        return fused(*pair(z))
+
+    if hasattr(pair, "panels"):
+        integrand.panels = lambda nodes, half: fused(*pair.panels(nodes, half))
     integrand.thread_safe = data.source == "closed_form"
     return integrand
 

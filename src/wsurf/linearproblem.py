@@ -197,14 +197,3 @@ def _norm(v):
     """np.linalg.norm over the last axis, summed in the order it uses
     for one vector, so a point's value does not depend on the batch."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def zcc_residual(data, z):
-    """Antiholomorphy residual ||dbar U|| of the potential matrix.
-
-    With the holomorphic gauge the second potential vanishes, so the
-    zero-curvature condition reduces to dbar U = 0.
-    """
-    _, _, cr = holo_derivative(
-        lambda w: potential_matrix(data, w).reshape(w.shape + (4,)), z)
-    return float(cr.max())

@@ -361,24 +361,6 @@ def _sample_mask(data, grid, with_residuals, tol):
         failures=int(allowed.sum() - ok.sum()))
 
 
-def sample_grid(data, grid=None, with_residuals=True, tol=1e-10):
-    """Immersion samples of a Weierstrass pair over a grid, row-major,
-    masked nodes dropped; the grid defaults to the default domain of the
-    pair's equation.  Raises EvaluationFailure when more than half of
-    the admissible nodes fail.
-    """
-    samples = _sample_with_mask(data, grid, with_residuals, tol)
-    n = len(samples.points)
-    return [ImmersionSample(
-        z=complex(samples.points[k]), F=samples.F[k],
-        Ftilde=combine_quaternionic(*samples.integrals[k]),
-        Fst=sym_tafel(samples.chi[k]), u=float(samples.u[k]),
-        Q=complex(samples.Q[k]),
-        residuals={name: float(column[k])
-                   for name, column in samples.residuals.items()})
-        for k in range(n)]
-
-
 def _sample_with_mask(data, grid=None, with_residuals=True, tol=1e-10):
     """_sample_mask on the grid, or on the equation's default domain;
     raises EmptyMesh without admissible nodes and EvaluationFailure when

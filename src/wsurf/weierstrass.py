@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_segments,
-                      holo_derivative, panel_lanes, straight_path)
+from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_carry,
+                      gk15_segments, holo_derivative, panel_lanes,
+                      straight_path)
 from .errors import (EvaluationFailure, OutOfRange, WsurfError,
                      isolate_failures)
 from .geometry import Obstacles, in_range
@@ -95,6 +96,36 @@ def _hyp2f1_terminating(a_neg_int, b, c, w):
     return total
 
 
+def _hermite_pair(n, c1, c2, lam):
+    """Hermite's pair (c1^2 e^{z^2}, k (sqrt(pi)/2) erf z + c2/lambda),
+    k = 2n/(lambda c1^2), with a panels method for contour.gk15_segments:
+    on a GK15 panel, one erf at its midpoint, carried to the other nodes
+    by chi' = k e^{-z^2} (contour.gk15_carry).  A panel where the carry
+    is not its integral up to rounding takes erf at every node."""
+    from scipy.special import erf       # only hermite needs scipy here
+    k = 2 * n / (lam * c1 ** 2)
+    scale = k * (math.sqrt(math.pi) / 2)
+
+    def chi(z):
+        return scale * erf(np.asarray(z, dtype=complex)) + c2 / lam
+
+    def pair(z):
+        return c1 ** 2 * np.exp(z * z), chi(z)
+
+    def panels(nodes, half):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e2 = np.exp(nodes * nodes)
+            carried, ok = gk15_carry(1 / e2)
+            chi_nodes = chi(nodes[:, 7])[:, None] + (k * half)[:, None] \
+                * carried
+            if not ok.all():
+                chi_nodes[~ok] = chi(nodes[~ok])
+            return c1 ** 2 * e2, chi_nodes
+
+    pair.panels = panels
+    return pair
+
+
 def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     """Closed-form WeierstrassData for a cataloged equation; the base
     point defaults to ode.pair_base.
@@ -142,11 +173,7 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
         pair = lambda z: (np.exp(z) / (c1 * z ** (a + 1)),
                           (n * c1 * _upper_gamma_int(a + 1, z) + c2) / lam)
     elif eq == "hermite":
-        from scipy.special import erf       # only hermite needs scipy here
-        n = par["n"]
-        pair = lambda z: (c1 ** 2 * np.exp(z * z),
-                          (2 * n / (lam * c1 ** 2)) * (math.sqrt(math.pi) / 2)
-                          * erf(np.asarray(z, dtype=complex)) + c2 / lam)
+        pair = _hermite_pair(par["n"], c1, c2, lam)
     elif eq == "gegenbauer":
         a, n = par["alpha"], par["n"]
         d2, d3 = n * (n + 2 * a), 2 * a + 1

@@ -20,12 +20,14 @@ from wsurf.immersion import (IDENTITY2, PAULI, combine_euclidean,
                              geometry_report, sym_tafel)
 from wsurf.linearproblem import (closed_form_wavefunction,
                                  integrate_wavefunction, lp_residual)
-from wsurf.mesh import ew_cache, sample_grid
+from wsurf.mesh import ew_cache
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
 from wsurf.weierstrass import (build_numeric_data, closed_form_data,
                                make_data, verify_weierstrass)
 from wsurf.cli import run_pipeline
+
+from test_mesh import sample_grid
 
 
 def _laguerre_reference_setup():

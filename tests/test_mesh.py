@@ -16,15 +16,15 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
                            reference_surface)
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
-from wsurf.immersion import combine_euclidean
+from wsurf.immersion import (combine_euclidean, combine_quaternionic,
+                             sym_tafel)
 import wsurf.mesh as mesh
 import wsurf.weierstrass as weierstrass
-from wsurf.mesh import (_RENDERERS, SurfaceMesh, _allowed_nodes, _grid_edges,
-                        _grid_graph, _neighbours, _parent_edges, _rows,
-                        _sample_mask, _sample_with_mask,
+from wsurf.mesh import (_RENDERERS, ImmersionSample, SurfaceMesh,
+                        _allowed_nodes, _grid_edges, _grid_graph, _neighbours,
+                        _parent_edges, _rows, _sample_mask, _sample_with_mask,
                         _search, _tree_integrals, build_mesh, ew_cache,
-                        export_mesh, immersion_at, import_csv, sample_grid,
-                        sample_point)
+                        export_mesh, immersion_at, import_csv, sample_point)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
                                make_data)
@@ -32,6 +32,23 @@ from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
 from test_contour import pooled_gk15
 from test_geometry import (reference_segment_crosses_ray,
                            reference_segment_hits_disc)
+
+
+def sample_grid(data, grid=None, with_residuals=True, tol=1e-10):
+    """Immersion samples of a Weierstrass pair over a grid, row-major,
+    masked nodes dropped; the grid defaults to the default domain of the
+    pair's equation.  Raises EvaluationFailure when more than half of
+    the admissible nodes fail.
+    """
+    samples = _sample_with_mask(data, grid, with_residuals, tol)
+    return [ImmersionSample(
+        z=complex(samples.points[k]), F=samples.F[k],
+        Ftilde=combine_quaternionic(*samples.integrals[k]),
+        Fst=sym_tafel(samples.chi[k]), u=float(samples.u[k]),
+        Q=complex(samples.Q[k]),
+        residuals={name: float(column[k])
+                   for name, column in samples.residuals.items()})
+        for k in range(len(samples.points))]
 
 
 def unit_square_grid(n=2):

@@ -12,6 +12,7 @@ from wsurf.catalog import EQUATION_IDS, get_equation, parse_user_ode
 from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
 import wsurf.weierstrass as weierstrass
+from wsurf import contour
 from wsurf.contour import gk15_segments, straight_path
 from wsurf.geometry import Obstacles
 from wsurf.immersion import ew_integrand
@@ -19,6 +20,8 @@ from wsurf.linearproblem import integrate_wavefunction, potential_matrix
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
                                make_data, verify_weierstrass)
+
+from test_contour import _outcome, pooled_gk15, same_failures
 
 SAFE_POINTS = (2 + 1j, 0.5 + 0.8j, -0.7 + 1.4j, 1.5 + 0.3j, -1.2 + 2j)
 
@@ -585,3 +588,108 @@ class TestEdgeMoments:
         assert np.isnan(got[1]).all()
         keep = [0, 2, 3]
         assert np.array_equal(got[keep], want[keep])
+
+
+def _hermite_panels(mids, halves):
+    """The GK15 nodes mid + half _XK of the panels, and the halves."""
+    mid, half = np.asarray(mids, complex), np.asarray(halves, complex)
+    return mid[:, None] + half[:, None] * contour._XK, half
+
+
+def _carry_band(data, n, nodes, half, chi):
+    """The rounding band of hermite's carried chi against the pair's at
+    each node: the carry's truncation allowance, the rule that accepts a
+    panel, |k half| ROUNDING_FLOOR sum_k w_k |g_k| (k = 2n/(lambda c1^2),
+    g = e^{-z^2}); then 16 units of roundoff (gamma_15 for the 15-term
+    product, one for the sums) of what rounds:
+    - the carry's terms |k half| |S_jk| |g_k|, each g_k off by about
+      |z_k|^2 + 1 units from the rounding of z_k^2;
+    - scipy's erf at the node and at the midpoint, each off by erf'
+      times the rounding of z^2 over 2z, |k| |g| |z| in chi, and by a
+      few units of 1 + |erf z| (it subtracts e^{-z^2} w(iz) from 1; up
+      to 8.6 units of 1 near |z| = 0.05 against mpmath), so of
+      |k| sqrt(pi)/2 plus the values of chi and of c2/lambda."""
+    u = np.finfo(float).eps / 2
+    k = 2 * n / (data.lam * data.c1 ** 2)
+    g = 1 / np.abs(np.exp(nodes * nodes))
+    r = np.abs(nodes)
+    kh = np.abs(k * half)[:, None]
+    carry = kh * ((g * (1 + r * r)) @ np.abs(contour.GK_S).T)
+    conditioning = np.abs(k) * (g * r + (g * r)[:, 7:8])
+    values = (np.abs(chi) + np.abs(chi[:, 7:8]) + 2 * np.abs(
+        k * np.sqrt(np.pi) / 2) + 2 * np.abs(data.c2 / data.lam))
+    trunc = kh * contour.ROUNDING_FLOOR * (g @ contour._WK)[:, None]
+    return trunc + 16 * u * (carry + conditioning + values)
+
+
+_NONZERO = st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0)
+
+
+class TestHermitePanels:
+    """Hermite's pair.panels: one erf per GK15 panel, carried to its
+    nodes, equal to the pair up to rounding, and the pair's own bits on
+    a panel the carry cannot resolve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 2.5, 7]), c1=_NONZERO, lam=_NONZERO,
+           c2=st.complex_numbers(max_magnitude=100.0),
+           panels=st.lists(st.tuples(
+               st.complex_numbers(max_magnitude=4.0),
+               st.floats(-3, 0.5), st.floats(0, 2 * np.pi)),
+               min_size=1, max_size=12))
+    def test_carried_chi_matches_erf(self, n, c1, lam, c2, panels):
+        data = closed_form_data(get_equation("hermite", {"n": n}),
+                                c1, c2, lam)
+        mid, size, angle = map(np.array, zip(*panels))
+        nodes, half = _hermite_panels(mid, 10 ** size * np.exp(1j * angle))
+        eta_sq, chi = data.pair.panels(nodes, half)
+        want_eta, want_chi = data.pair(nodes)
+        assert np.array_equal(eta_sq, want_eta)
+        _, ok = contour.gk15_carry(np.exp(-nodes * nodes))
+        band = _carry_band(data, n, nodes, half, want_chi)
+        assert np.all(np.abs(chi - want_chi)[ok] <= band[ok])
+        assert np.array_equal(chi[~ok], want_chi[~ok])
+
+    def test_unresolved_panel_is_the_pair_bit_for_bit(self):
+        # a 6-unit panel from 1 + 3i and a panel that overflows take erf at
+        # every node; the short one between them carries
+        data = closed_form_data(get_equation("hermite"), 0.5 + 1j, 2, 0.3j)
+        nodes, half = _hermite_panels([1 + 3j, 0.2 + 0.1j, 27 + 0j],
+                                      [3 + 0j, 0.01j, 0.5 + 0j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, ok = contour.gk15_carry(1 / np.exp(nodes * nodes))
+        assert ok.tolist() == [False, True, False]
+        got, want = data.pair.panels(nodes, half), data.pair(nodes)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[[0, 2]], w[[0, 2]], equal_nan=True)
+        assert not np.array_equal(got[1][1], want[1][1])
+
+    def test_ew_integrand_forwards_panels(self):
+        hermite = closed_form_data(get_equation("hermite"), lam=-0.5 + 0.2j)
+        f = ew_integrand(hermite)
+        nodes, half = _hermite_panels([0.3 - 0.4j, -1 + 1.5j], [0.02, 0.1j])
+        e, x = hermite.pair.panels(nodes, half)
+        assert np.array_equal(f.panels(nodes, half),
+                              np.stack([e, x ** 2 * e, x * e], axis=-1))
+        laguerre = closed_form_data(get_equation("laguerre"))
+        assert not hasattr(ew_integrand(laguerre), "panels")
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bits_do_not_depend_on_chunks_or_threads(self, chunk, workers):
+        # short edges, legs that bisect (some of whose panels take erf at
+        # every node), and legs into the overflow beyond |z| = 26
+        data = closed_form_data(get_equation("hermite"), lam=-0.5 + 0.2j)
+        f = ew_integrand(data)
+        serial = lambda z: f(z)
+        serial.panels = f.panels
+        a = np.array([0j, 0.1 + 0.1j, 1 + 3j, -2 + 1j, 20 + 0j, 0.5j, 3 - 2j])
+        b = np.array([0.02 + 0j, 0.1 + 0.13j, -1 - 2j, 2.5 - 1j, 27 + 0j,
+                      28j, 3.3 - 2.1j])
+        want = _outcome(serial, a, b, 1e-10)
+        assert sorted(want[1]) == [4, 5]
+        with pooled_gk15(workers, chunk):
+            for g in (serial, f):
+                got = _outcome(g, a, b, 1e-10)
+                assert np.array_equal(got[0], want[0], equal_nan=True)
+                assert same_failures(got[1], want[1])
