@@ -420,12 +420,32 @@ class _ConstantFolder(ast.NodeTransformer):
         return node
 
 
+class _WrittenProducts(ast.NodeTransformer):
+    """Replaces every product a * b by a call of np.multiply on (a, b).
+
+    For a * b with a large temporary b, the operator lets numpy reuse b
+    in place and compute b * a, and a complex product's rounding depends
+    on the order of its operands: so the expression would round a point
+    differently in a large batch than alone.  The call keeps the written
+    order in every batch.
+    """
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Mult):
+            return ast.copy_location(ast.Call(
+                ast.Name("_multiply", ast.Load()), [node.left, node.right],
+                []), node)
+        return node
+
+
 def _compile_expr(text, params):
     """Compile an arithmetic expression over z and named parameters.
 
     Grammar: + - * / ^ exp log parentheses and numeric literals; ^ means
     power.  Subexpressions free of z are folded to floating-point
-    constants here, once.
+    constants here, once.  Products keep their written operand order in
+    every batch (_WrittenProducts).
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
@@ -449,12 +469,13 @@ def _compile_expr(text, params):
         if isinstance(node, ast.Load):
             continue
         raise ValueError(f"disallowed syntax in expression: {text!r}")
-    tree = ast.fix_missing_locations(
-        _ConstantFolder(text, params).visit(tree))
+    tree = _ConstantFolder(text, params).visit(tree)
+    tree = ast.fix_missing_locations(_WrittenProducts().visit(tree))
     code = compile(tree, "<ode-expression>", "eval")
 
     def fn(z, _code=code):
-        env = dict(_FUNCTIONS, z=np.asarray(z, dtype=complex))
+        env = dict(_FUNCTIONS, _multiply=np.multiply,
+                   z=np.asarray(z, dtype=complex))
         value = eval(_code, {"__builtins__": {}}, env)
         if np.shape(value) != np.shape(z):
             # a z-free expression is one constant; give it z's shape

@@ -5,12 +5,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import (CIRCLE, CIRCLE_POINTS, contour_quad, gk15_segments,
-                      holo_derivative)
+from .contour import CIRCLE, CIRCLE_POINTS, contour_quad, holo_derivative
 from .errors import (EvaluationFailure, OutOfRange, StencilOutsideDomain,
                      isolate_failures)
 from .geometry import in_range
-from .weierstrass import compose, edge_moments, u_of_pair
+from .weierstrass import carry, edge_rows, ew_integrand, u_of_pair
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -19,39 +18,6 @@ PAULI = (
 )
 
 IDENTITY2 = np.eye(2, dtype=complex)
-
-
-def ew_integrand(data):
-    """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3).
-
-    One call of data.pair per evaluation; a pair with a panels method
-    (hermite's) gives the integrand one too, which gk15_segments calls
-    on its GK15 panels.  A closed-form pair's integrand is marked
-    thread_safe, so that gk15_segments may evaluate its chunks
-    concurrently: it is numpy arithmetic on its argument alone.  A
-    numeric pair's is not: its pair call is a lookup of a
-    CachedAntiderivative store that inserts the points it reaches, and
-    concurrent lookups would race on the store, with the order of their
-    inserts deciding later nearest-point ties.  The numeric route runs
-    it only on the legs of ew_cache lookups (grid roots, sample points)
-    and in ew_integrals; grid edges and circle legs take edge moments
-    (weierstrass.edge_moments) instead.
-    """
-    pair = data.pair
-
-    def fused(e, x):
-        e, x = np.asarray(e), np.asarray(x)
-        # an overflow is not finite, and quadrature names its point
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.stack([e, x ** 2 * e, x * e], axis=-1)
-
-    def integrand(z):
-        return fused(*pair(z))
-
-    if hasattr(pair, "panels"):
-        integrand.panels = lambda nodes, half: fused(*pair.panels(nodes, half))
-    integrand.thread_safe = data.source == "closed_form"
-    return integrand
 
 
 def ew_integrals(data, path, tol=1e-10):
@@ -131,52 +97,42 @@ def _distance_to_exclusions(data, xi):
     return np.abs(xi[:, None] - centers).min(axis=1, initial=np.inf)
 
 
-def _circle_legs(data, xi, h, tol, live, failures):
-    """(n, CIRCLE_POINTS, 3) ew_integrals along the legs from xi to the
-    points xi + h CIRCLE of its circle, the legs of all live nodes in one
-    gk15_segments call.  A node with a failed leg goes into failures
-    with that leg's error and out of live."""
-    legs = np.full((len(xi), CIRCLE_POINTS, 3), np.nan, dtype=complex)
-    idx = np.flatnonzero(live)
-    if idx.size == 0:
-        return legs
-    ends = xi[idx, None] + h[idx, None] * CIRCLE
-    values, failed = gk15_segments(
-        ew_integrand(data), np.repeat(xi[idx], CIRCLE_POINTS), ends.ravel(),
-        tol)
-    legs[idx] = values.reshape(-1, CIRCLE_POINTS, 3)
-    for leg in sorted(failed):
-        failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
-    live[list(failures)] = False
-    return legs
+def _circle_legs(data, xi, h, tol, live, failures, pair):
+    """The legs from xi to the points xi + h CIRCLE of its circle, as
+    (point, legs, u): point is _point_data's (n, 5) at xi (from pair, if
+    given), legs the (n, CIRCLE_POINTS, 3) integrals along the legs and
+    u the (n, CIRCLE_POINTS) log conformal factor at their ends, nan at
+    the nodes that are not live.
 
-
-def _moment_legs(data, xi, h, start, tol, live, failures):
-    """(n, CIRCLE_POINTS, 3) ew_integrals along the legs from xi to the
-    points xi + h CIRCLE of its circle, and (n, CIRCLE_POINTS) u at those
-    points, on the numeric route: the legs of all live nodes are the
-    lanes of one weierstrass.edge_moments call, composed with the (n, 2)
-    pair (eta^2, chi) start at xi.  A node with a failed leg goes into
-    failures with that leg's error and out of live."""
-    legs = np.full((len(xi), CIRCLE_POINTS, 3), np.nan, dtype=complex)
-    u = np.full((len(xi), CIRCLE_POINTS), np.nan)
+    The legs of all live nodes are one weierstrass.edge_rows call, whose
+    rows need no start; weierstrass.carry then takes the pair at xi
+    along them, and the pair at the legs' ends gives u.  A node whose
+    leg fails, or whose point data fails, goes into failures with the
+    first of those errors and out of live.
+    """
+    n = len(xi)
+    rows = np.full((n, CIRCLE_POINTS, 5), np.nan, dtype=complex)
     idx = np.flatnonzero(live)
-    if idx.size == 0:
-        return legs, u
-    ends = xi[idx, None] + h[idx, None] * CIRCLE
-    moments, failed = edge_moments(data.ode, data.lam,
-                                   np.repeat(xi[idx], CIRCLE_POINTS),
+    if idx.size:
+        ends = xi[idx, None] + h[idx, None] * CIRCLE
+        values, failed = edge_rows(data, np.repeat(xi[idx], CIRCLE_POINTS),
                                    ends.ravel(), tol)
-    eta_sq, chi, values = compose(
-        *np.repeat(start[idx], CIRCLE_POINTS, axis=0).T, moments)
-    legs[idx] = values.reshape(-1, CIRCLE_POINTS, 3)
-    # a u that is not finite fails its node in _circle_values
+        rows[idx] = values.reshape(-1, CIRCLE_POINTS, 5)
+        for leg in sorted(failed):
+            failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
+        live[list(failures)] = False
+    point = _live_values(
+        lambda i: _point_data(data, xi[i], None if pair is None
+                              else (pair[0][i], pair[1][i])),
+        xi, live, failures, 5)
+    # the legs start with no integral: -0.0 keeps the rows' own bits
+    start = np.full((n, 1, 5), complex(-0.0, -0.0))
+    start[:, 0, 3:] = point[:, 3:]
+    # a state that is not finite fails its node in _circle_values
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u[idx] = u_of_pair(eta_sq, chi).reshape(-1, CIRCLE_POINTS)
-    for leg in sorted(failed):
-        failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
-    live[list(failures)] = False
-    return legs, u
+        state = carry(data, start, rows)
+        u = u_of_pair(state[..., 3], state[..., 4])
+    return point, state[..., :3], u
 
 
 def _live_values(fn, xi, live, failures, k):
@@ -200,11 +156,10 @@ def _live_values(fn, xi, live, failures, k):
 
 
 def _point_data(data, z, pair=None):
-    """(n, 5) values (u, e^u, Q, eta^2, chi) at the points z, u, e^u and
-    Q as log_conformal_factor, conformal_factor and hopf give them, from
-    one pair evaluation, or from the pair (eta^2, chi) at z if given; Q
-    only where u and e^u are finite, so that a point fails on them
-    first."""
+    """(n, 5) values (u, e^u, Q, eta^2, chi) at the points z, from one
+    pair evaluation, or from the pair (eta^2, chi) at z if given; Q
+    (WeierstrassData.hopf) only where u and e^u are finite, so that a
+    point fails on them first."""
     eta_sq, chi = data.pair(z) if pair is None else pair
     half = np.abs(eta_sq) * (1 + np.abs(chi) ** 2)
     values = np.full((len(z), 5), np.nan, dtype=complex)
@@ -215,14 +170,13 @@ def _point_data(data, z, pair=None):
     return values
 
 
-def _circle_values(data, xi, h, u_circle=None):
+def _circle_values(data, xi, h, u_circle):
     """(n, 2) circle means of u and antiholomorphy residuals of Q, from
-    one holo_derivative call on the stacked (u, Q); u on the circles is
-    u_circle, (n, CIRCLE_POINTS), if given, else it comes from the pair.
-    Q only once u is finite on every circle, so that a circle fails on u
-    first."""
+    one holo_derivative call on the stacked (u, Q), u on the circles
+    given as u_circle, (n, CIRCLE_POINTS).  Q only once u is finite on
+    every circle, so that a circle fails on u first."""
     def u_and_hopf(w):
-        u = data.u_and_chi(w)[0] if u_circle is None else u_circle.T
+        u = u_circle.T
         finite = np.isfinite(u).ravel()
         if not finite.all():
             raise EvaluationFailure(complex(w.ravel()[np.argmin(finite)]))
@@ -248,18 +202,15 @@ def geometry_report(data, xi, tol=1e-12, pair=None):
 
     xi is a point or a 1-D array of points.  A point gives Python scalar
     fields and raises the WsurfError of a failed report.  An array gives
-    (n,) array fields, with one gk15_segments call for all N n legs and
-    two passes over the pair's data: _point_data at the points and
-    _circle_values on their circles.  On the numeric route the legs are
-    instead the lanes of one weierstrass.edge_moments call, composed
-    with the pair at xi (its one lookup, so _point_data comes first),
-    and u on the circles comes from the legs' ends: no store lookup on
-    a circle.  pair, the (eta^2, chi) arrays at the array xi if the
-    caller has them (a grid on the numeric route), replaces the pair's
-    evaluation at xi.  A point whose report fails (it lies on a singular point,
-    a leg fails, or an evaluation raises a WsurfError or is not finite)
-    gets inf residuals and nan data, its error in ``failures``, and does
-    not affect the other points.
+    (n,) array fields, from one weierstrass.edge_rows call for all N n
+    legs (_circle_legs) and two passes over the pair's data: _point_data
+    at the points and _circle_values on their circles, with u on the
+    circles taken from the legs' ends.  pair, the (eta^2, chi) arrays at
+    the array xi if the caller has them (a grid's forest), replaces the
+    pair's evaluation at xi.  A point whose report fails (it lies on a
+    singular point, a leg fails, or an evaluation raises a WsurfError or
+    is not finite) gets inf residuals and nan data, its error in
+    ``failures``, and does not affect the other points.
     """
     scalar = np.ndim(xi) == 0
     xi = np.asarray(xi, dtype=complex).reshape(-1)
@@ -281,28 +232,16 @@ def geometry_report(data, xi, tol=1e-12, pair=None):
 
     # The legs carry the full Weierstrass integrand as F's z-derivative
     # (twice the displayed F), which is the normalization in which
-    # (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.  The numeric
-    # route's legs start from the pair at xi, so they come after it.
-    numeric = data.source == "numeric"
-    if not numeric:
-        legs = _circle_legs(data, xi, h, tol, live, failures)
-    point = _live_values(
-        lambda i: _point_data(data, xi[i],
-                              None if pair is None else (pair[0][i],
-                                                         pair[1][i])),
-        xi, live, failures, 5)
-    u_circle = None
-    if numeric:
-        legs, u_circle = _moment_legs(data, xi, h, point[:, 3:], tol, live,
-                                      failures)
+    # (dF|dbarF) = e^u/2 and Q = -eta^2 chi' hold exactly.
+    point, legs, u_circle = _circle_legs(data, xi, h, tol, live, failures,
+                                         pair)
     F = 2.0 * np.moveaxis(combine_euclidean(*np.moveaxis(legs, 2, 0)), 0, 2)
     c = np.fft.fft(F, axis=1) / CIRCLE_POINTS
 
     u, e_u, q = point[:, :3].T
     u, e_u = u.real, e_u.real
     u_mean, hopf_holomorphy = _live_values(
-        lambda i: _circle_values(data, xi[i], h[i],
-                                 None if u_circle is None else u_circle[i]),
+        lambda i: _circle_values(data, xi[i], h[i], u_circle[i]),
         xi, live, failures, 2).real.T
 
     hh = h[:, None]

@@ -170,13 +170,6 @@ def integrate_wavefunction(data, init, path):
     return Wavefunction(data, state_at)
 
 
-def closed_form_wavefunction(data, psi1, dpsi1):
-    """The Wavefunction of analytic (psi1, psi1') callables; a callable
-    giving a constant is broadcast to the points it is called on."""
-    return Wavefunction(data, lambda z: np.array(
-        np.broadcast_arrays(psi1(z), dpsi1(z), z)[:2], dtype=complex))
-
-
 def lp_residual(data, wf, z):
     """Relative linear-problem residual and antiholomorphy residual at z.
 

@@ -6,14 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import contour_quad, gk15_segments, straight_path
+from .contour import contour_quad, straight_path
 from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
                      isolate_failures)
 from .geometry import Obstacles, in_range
 from .immersion import (combine_euclidean, combine_quaternionic,
-                        ew_integrand, geometry_report, sym_tafel)
-from .weierstrass import (CachedAntiderivative, compose, edge_moments,
-                          u_of_pair)
+                        geometry_report, sym_tafel)
+from .weierstrass import (CachedAntiderivative, carry, edge_rows,
+                          ew_integrand, u_of_pair)
 
 
 @dataclass(frozen=True)
@@ -179,38 +179,33 @@ def _parent_edges(table, edge, depth):
     return parent_edge[:-1]
 
 
-def _tree_integrals(points, allowed, edges, cache, data=None):
-    """Antiderivative values (n1 * n2, 3) at the allowed nodes, and the
-    mask of nodes that failed; with the numeric pair data, values
-    (n1 * n2, 5) whose last two columns are eta^2 and chi.
+def _tree_integrals(points, allowed, edges, cache, data):
+    """Node states (n1 * n2, 5) at the allowed nodes: the three
+    Weierstrass integrals and (eta^2, chi), as in weierstrass.carry; and
+    the mask of nodes that failed.
 
     The legal grid edges, _grid_edges' masks, form a graph.  Each
     connected component is rooted at its node nearest the cache anchor,
-    whose value is one cache lookup (and, with data, one data.pair
-    lookup); a root whose lookup raises a WsurfError counts as a failed
-    node, its edges leave the graph, and the next-nearest node becomes
-    the root.  The edges of a breadth-first spanning forest (_search,
-    _parent_edges) are integrated in one call, and node values come
-    level by level down the tree.  Without data, that is one
-    gk15_segments call of the cache's integrand over the edges, and a
-    node's value is its parent's plus its edge's.  With data, it is one
-    weierstrass.edge_moments call over the edges, each from parent to
-    child, and weierstrass.compose carries the parent's (eta^2, chi)
-    and integrals along the edge: no store lookup past the roots.  Any
-    edge that fails is dropped and the forest is rebuilt around it.
+    whose state is one cache lookup and one data.pair lookup; a root
+    whose lookups raise a WsurfError or are not finite counts as a
+    failed node, its edges leave the graph, and the next-nearest node
+    becomes the root.  The edges of a breadth-first spanning forest
+    (_search, _parent_edges), each from parent to child, are one
+    weierstrass.edge_rows call, and states come level by level down the
+    tree by weierstrass.carry: no store lookup past the roots.  Any edge
+    that fails is dropped and the forest is rebuilt around it.
     """
     z = points.ravel()
     n = z.size
     u, v, edge = _grid_graph(*edges)
-    # an edge's key is its index in u, v; on the moment route the edge
-    # from v to u has its own key, its index plus len(u)
+    # an edge's key is its index in u, v from u to v, and its index plus
+    # len(u) from v to u
     tail, head = np.concatenate([u, v]), np.concatenate([v, u])
     live = np.ones(len(u), dtype=bool)
-    # the values of the integrated edges, kept across forest rebuilds:
+    # the rows of the integrated edges, kept across forest rebuilds:
     # row slot[k] of the concatenated rows for key k, -1 until integrated
     slot = np.full(2 * len(u), -1)
-    width = 3 if data is None else 5
-    rows = [np.zeros((0, width), dtype=complex)]
+    rows = [np.zeros((0, 5), dtype=complex)]
     done = 0
     # nodes on a cut ray (except the anchor) fail without a lookup:
     # plan_path refuses them as endpoints and every edge to them crosses it
@@ -235,9 +230,10 @@ def _tree_integrals(points, allowed, edges, cache, data=None):
             k += fresh[0]
             node = candidates[k]
             try:
-                value = cache(complex(z[node]))
-                if data is not None:
-                    value = np.append(value, data.pair(complex(z[node])))
+                # the pair on an array, as at the other nodes: a Python
+                # complex would take Python's arithmetic in a closed form
+                value = np.append(cache(complex(z[node])),
+                                  data.pair(z[node:node + 1]))
                 if not np.isfinite(value).all():
                     raise EvaluationFailure(complex(z[node]))
             except WsurfError:
@@ -250,29 +246,23 @@ def _tree_integrals(points, allowed, edges, cache, data=None):
         parent_edge = _parent_edges(table, edge, depth)
         child = np.flatnonzero(parent_edge >= 0)
         tree = parent_edge[child]
-        if data is not None:
-            tree = np.where(v[tree] == child, tree, tree + len(u))
+        tree = np.where(v[tree] == child, tree, tree + len(u))
         todo = tree[slot[tree] < 0]
         if todo.size == 0:
             break
-        if data is None:
-            values, failures = gk15_segments(
-                cache.integrand, z[tail[todo]], z[head[todo]], cache.tol)
-        else:
-            values, failures = edge_moments(
-                data.ode, data.lam, z[tail[todo]], z[head[todo]], cache.tol)
+        values, failures = edge_rows(data, z[tail[todo]], z[head[todo]],
+                                     cache.tol)
         bad = np.zeros(len(todo), dtype=bool)
         bad[list(failures)] = True
         good = todo[~bad]
         slot[good] = np.arange(done, done + len(good))
         done += len(good)
-        values = values.reshape(len(todo), -1)
         rows.append(values[~bad] if failures else values)
         if not failures:
             break
         live[todo[bad] % len(u)] = False
 
-    value = np.full((n, width), np.nan, dtype=complex)
+    value = np.full((n, 5), np.nan, dtype=complex)
     for node, root_value in roots.items():
         value[node] = root_value
     # the tree nodes level by level, each with its parent and its edge's
@@ -282,20 +272,13 @@ def _tree_integrals(points, allowed, edges, cache, data=None):
     e = parent_edge[nodes]
     forward = v[e] == nodes
     parent = np.where(forward, u[e], v[e])
+    # one batch of rows, the common case, is read in place
+    rows = rows[-1] if len(rows) <= 2 else np.concatenate(rows)
+    step = rows.take(slot[np.where(forward, e, e + len(u))], axis=0)
     ends = np.cumsum(np.bincount(depth[nodes]))
-    if data is None:
-        step = np.concatenate(rows)[slot[e]]
-        np.negative(step, out=step, where=~forward[:, None])
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            value[nodes[lo:hi]] = value[parent[lo:hi]] + step[lo:hi]
-        return value, failed
-    step = np.concatenate(rows)[slot[np.where(forward, e, e + len(u))]]
     for lo, hi in zip(ends[:-1], ends[1:]):
-        start = value[parent[lo:hi]]
-        eta_sq, chi, increments = compose(start[:, 3], start[:, 4],
-                                          step[lo:hi])
-        value[nodes[lo:hi]] = np.column_stack(
-            [start[:, :3] + increments, eta_sq, chi])
+        value[nodes[lo:hi]] = carry(data, value.take(parent[lo:hi], axis=0),
+                                    step[lo:hi])
     return value, failed
 
 
@@ -318,47 +301,37 @@ class GridSamples:
 def _sample_mask(data, grid, with_residuals, tol):
     """GridSamples over the grid, with the geometry residuals if asked.
 
-    Makes no per-node quadrature: the integrals come from
-    _tree_integrals, and Q from one array call.  On the numeric route
-    (u, chi) come from the forest's (eta^2, chi) too, else from one array
-    call of the pair.  A node fails when its root lookup fails, its
-    immersion (or, on the numeric route, its pair) is not finite, or
-    (u, chi) or Q raise a WsurfError there; a node whose residual report
-    fails gets inf residuals instead.
+    Makes no per-node quadrature: the integrals and (u, chi) come from
+    _tree_integrals' node states, and Q from one array call.  A node
+    fails when its root lookup fails, its state is not finite, or Q
+    raises a WsurfError there; a node whose residual report fails gets
+    inf residuals instead.
     """
     points = grid.points()
     allowed = _allowed_nodes(points, data)
     cache = ew_cache(data, grid.base_point, tol)
     edges = _grid_edges(points, allowed, cache.obstacles)
-    numeric = data.source == "numeric"
-    value, failed = _tree_integrals(points, allowed, edges, cache,
-                                    data if numeric else None)
+    value, failed = _tree_integrals(points, allowed, edges, cache, data)
     ok = allowed.ravel() & ~failed
     with np.errstate(invalid="ignore"):
         ok[ok] = (np.isfinite(combine_euclidean(*value[ok, :3].T)).all(axis=0)
                   & np.isfinite(value[ok, 3:]).all(axis=1))
     zs = points.ravel()[ok]
-    if numeric:
-        eta_sq, chi = value[ok, 3], value[ok, 4]
-        u, failed_u = u_of_pair(eta_sq, chi), {}
-    else:
-        (u, chi), failed_u = isolate_failures(data.u_and_chi, zs)
     Q, failed_q = isolate_failures(data.hopf, zs)
     good = np.ones(len(zs), dtype=bool)
-    good[list(failed_u) + list(failed_q)] = False
+    good[list(failed_q)] = False
     ok[ok] = good
-    zs, u, chi, Q = zs[good], u[good].real, chi[good], Q[good]
+    zs, Q, state = zs[good], Q[good], value[ok]
+    integrals, eta_sq, chi = state[:, :3], state[:, 3], state[:, 4]
     residuals = {}
     if with_residuals:
-        pair = (eta_sq[good], chi) if numeric else None
         residuals = geometry_report(data, zs, tol=min(tol, 1e-12),
-                                    pair=pair).as_dict()
-    integrals = value[ok, :3]
+                                    pair=(eta_sq, chi)).as_dict()
     return GridSamples(
         mask=ok.reshape(points.shape), edges=edges, points=zs,
         integrals=integrals, F=combine_euclidean(*integrals.T).T,
-        u=u.astype(float), chi=chi, Q=Q.astype(complex), residuals=residuals,
-        failures=int(allowed.sum() - ok.sum()))
+        u=u_of_pair(eta_sq, chi), chi=chi, Q=Q.astype(complex),
+        residuals=residuals, failures=int(allowed.sum() - ok.sum()))
 
 
 def _sample_with_mask(data, grid=None, with_residuals=True, tol=1e-10):
@@ -746,10 +719,6 @@ def _render_csv(mesh):
 
 
 _FORMATS = {"obj": _render_obj, "ply": _render_ply, "csv": _render_csv}
-# each format's whole text as one str; export_mesh writes the blocks
-_RENDERERS = {fmt: (lambda mesh, render=render:
-                    b"".join(render(mesh)).decode("ascii"))
-              for fmt, render in _FORMATS.items()}
 
 
 def export_mesh(mesh, fmt, destination):

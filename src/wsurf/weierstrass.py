@@ -6,6 +6,8 @@ a Chebyshev-panel chain on the coefficient ratios, anchored at a base
 point so that numeric and closed-form data agree wherever both exist.
 Along a straight edge, the edge moments (edge_moments) carry any start
 state of the pair and the Weierstrass integrals with no store (compose).
+edge_rows and carry move a node state, the integrals and the pair, along
+straight edges on either route: the one place that tells them apart.
 """
 
 import math
@@ -45,16 +47,6 @@ class WeierstrassData:
         """Hopf differential coefficient Q = -eta^2 chi' = r/(lambda p):
         r/p = -lambda eta^2 chi' holds for every pair of the ODE."""
         return self.ode.ratios(z)[1] / self.lam
-
-    def conformal_factor(self, z):
-        """e^u with e^(u/2) = |eta|^2 (1 + |chi|^2)."""
-        eta_sq, chi = self.pair(np.asarray(z, dtype=complex))
-        half = np.abs(eta_sq) * (1 + np.abs(chi) ** 2)
-        return float(half * half) if np.ndim(z) == 0 else half * half
-
-    def log_conformal_factor(self, z):
-        u = self.u_and_chi(z)[0]
-        return float(u) if np.ndim(z) == 0 else u
 
     def u_and_chi(self, z):
         """(u, chi) at z from one pair evaluation, u the log conformal
@@ -475,6 +467,80 @@ def compose(eta_sq, chi, moments):
         i2 = (i3 + m1) * chi + m2 / eta_sq
         return (np.exp(-ell) * eta_sq, a / eta_sq + chi,
                 np.stack([i1, i2, i3], axis=-1))
+
+
+def ew_integrand(data):
+    """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3).
+
+    One call of data.pair per evaluation; a pair with a panels method
+    (hermite's) gives the integrand one too, which gk15_segments calls
+    on its GK15 panels.  A closed-form pair's integrand is marked
+    thread_safe, so that gk15_segments may evaluate its chunks
+    concurrently: it is numpy arithmetic on its argument alone.  A
+    numeric pair's is not: its pair call is a lookup of a
+    CachedAntiderivative store that inserts the points it reaches, and
+    concurrent lookups would race on the store, with the order of their
+    inserts deciding later nearest-point ties.  The numeric route runs
+    it only on the legs of ew_cache lookups (grid roots, sample points)
+    and in ew_integrals; its grid edges and circle legs take edge
+    moments instead (edge_rows).
+    """
+    pair = data.pair
+
+    def fused(e, x):
+        e, x = np.asarray(e), np.asarray(x)
+        # an overflow is not finite, and quadrature names its point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([e, x ** 2 * e, x * e], axis=-1)
+
+    def integrand(z):
+        return fused(*pair(z))
+
+    if hasattr(pair, "panels"):
+        integrand.panels = lambda nodes, half: fused(*pair.panels(nodes, half))
+    integrand.thread_safe = data.source == "closed_form"
+    return integrand
+
+
+# A node state is (int eta^2, int chi^2 eta^2, int chi eta^2, eta^2, chi):
+# the three Weierstrass integrals from the immersion's base point and the
+# pair at the node.
+
+def edge_rows(data, a, b, tol):
+    """Rows (n, 5) of the straight edges a[i] -> b[i] (1-D complex
+    arrays), which carry takes from a state at a[i] to the state at
+    b[i], and {edge: WsurfError} of the edges that failed (their rows
+    meaningless).
+
+    On a closed form a row is the three Weierstrass integrals along the
+    edge, by one gk15_segments call of ew_integrand held to tol, and the
+    pair at b[i], nan where it raises a WsurfError there.  A pair that
+    is not finite at b[i] does not fail the edge: it makes the state at
+    b[i] alone not finite, and the callers fail that node.  On the
+    numeric route a row is the edge's moments (edge_moments), which
+    carry any start state with no store lookup.
+    """
+    if data.source == "numeric":
+        return edge_moments(data.ode, data.lam, a, b, tol)
+    values, failures = gk15_segments(ew_integrand(data), a, b, tol)
+    (eta_sq, chi), _ = isolate_failures(data.pair, b)
+    return np.column_stack([values, eta_sq, chi]), failures
+
+
+def carry(data, start, rows):
+    """The states (..., 5) at the ends of edges with edge_rows' rows,
+    started from the states start at their beginnings: the integrals
+    add up, and the pair is the row's on a closed form, or composed
+    from the start's and the edge's moments on the numeric route
+    (compose).  A start of -0.0, the additive identity of IEEE
+    arithmetic, gives the increments' own bits."""
+    if data.source == "numeric":
+        eta_sq, chi, increments = compose(start[..., 3], start[..., 4], rows)
+        return np.concatenate([start[..., :3] + increments, eta_sq[..., None],
+                               chi[..., None]], axis=-1)
+    state = rows.copy()
+    state[..., :3] += start[..., :3]
+    return state
 
 
 def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):

@@ -18,8 +18,7 @@ from wsurf.errors import EmptyMesh
 from wsurf.immersion import (IDENTITY2, PAULI, combine_euclidean,
                              combine_quaternionic, ew_integrals,
                              geometry_report, sym_tafel)
-from wsurf.linearproblem import (closed_form_wavefunction,
-                                 integrate_wavefunction, lp_residual)
+from wsurf.linearproblem import integrate_wavefunction, lp_residual
 from wsurf.mesh import ew_cache
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
@@ -27,6 +26,7 @@ from wsurf.weierstrass import (build_numeric_data, closed_form_data,
                                make_data, verify_weierstrass)
 from wsurf.cli import run_pipeline
 
+from test_linearproblem import closed_form_wavefunction
 from test_mesh import sample_grid
 
 

@@ -227,12 +227,23 @@ def test_complex_parameters(eq, rng):
         assert np.array_equal(got(z), want(z))
 
 
-@pytest.mark.parametrize("eq", EQUATION_IDS)
+# user equations: the README's, and one whose p has a large temporary on
+# the right of a product
+_BATCH_USER_ODES = {
+    "readme-ode": "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+                  "singularities = 0.5\n",
+    "temporary-on-the-right": "p = z*(1 - z)\nq = 1 - z\nr = 2\n"
+                              "singularities = 0, 1\n",
+}
+
+
+@pytest.mark.parametrize("eq", EQUATION_IDS + tuple(_BATCH_USER_ODES))
 def test_ratios_do_not_depend_on_the_batch(eq, rng):
     # numpy may reuse a large temporary on the right of a product, and
     # swapping a complex product's operands changes its rounding
     z = rng.uniform(-3, 3, (1000, 24)) + 1j * rng.uniform(-3, 3, (1000, 24))
-    ode = get_equation(eq)
+    ode = (parse_user_ode(_BATCH_USER_ODES[eq]) if eq in _BATCH_USER_ODES
+           else get_equation(eq))
     qp, rp = ode.ratios(z)
     for i, row in enumerate(z):
         row_qp, row_rp = ode.ratios(row)

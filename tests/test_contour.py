@@ -17,9 +17,8 @@ from wsurf.contour import (ContourPath, contour_quad, gk15_segments,
                            holo_derivative, straight_path)
 from wsurf.errors import (EvaluationFailure, SingularPoint,
                           ToleranceNotReached, WsurfError)
-from wsurf.immersion import ew_integrand
 from wsurf.pathplan import plan_path
-from wsurf.weierstrass import make_data
+from wsurf.weierstrass import ew_integrand, make_data
 from wsurf.special import ei
 
 

@@ -11,21 +11,20 @@ from hypothesis import strategies as st
 
 from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation, parse_user_ode
 from wsurf.contour import (CIRCLE, CIRCLE_POINTS, contour_quad,
-                           holo_derivative, straight_path)
+                           gk15_segments, holo_derivative, straight_path)
 from wsurf.errors import (EvaluationFailure, OutOfRange, SingularPoint,
                           StencilOutsideDomain, WsurfError)
 from wsurf.immersion import (IDENTITY2, PAULI, RESIDUAL_COLUMNS,
-                             _circle_legs, _distance_to_exclusions,
-                             _moment_legs, combine_euclidean,
+                             _distance_to_exclusions, combine_euclidean,
                              combine_quaternionic, ew_integrals,
-                             ew_integrand, geometry_report, pauli_decompose,
-                             sym_tafel)
+                             geometry_report, pauli_decompose, sym_tafel)
 from wsurf.geometry import Obstacles
 from wsurf.mesh import _allowed_nodes
 from wsurf.pathplan import plan_path
 from wsurf.special import ei
 from wsurf.weierstrass import (WeierstrassData, build_numeric_data,
-                               closed_form_data, make_data)
+                               closed_form_data, compose, edge_moments,
+                               ew_integrand, make_data, u_of_pair)
 
 
 # the equation of the pair eta^2 = 1, chi = z / 10 at lambda = 1
@@ -207,6 +206,11 @@ class TestGeometryReport:
             assert np.isfinite(getattr(rep, name)[1]), name
 
 
+def log_conformal_factor(data, z):
+    """u at z, from the pair."""
+    return u_of_pair(*data.pair(np.asarray(z, dtype=complex)))
+
+
 def reference_report(data, xi, tol=1e-12):
     """The report at one point, computed point by point: one contour_quad
     per leg of the circle, and the circle's Fourier coefficients of F as
@@ -229,15 +233,17 @@ def reference_report(data, xi, tol=1e-12):
     dF = coefficient(1) / h
     d2F = 2.0 * coefficient(2) / h ** 2
     lap = 4.0 * coefficient(0).real / h ** 2
-    u = data.log_conformal_factor(xi)
-    e_u = data.conformal_factor(xi)
+    eta_sq, chi = data.pair(np.asarray(xi, dtype=complex))
+    half = float(np.abs(eta_sq) * (1 + np.abs(chi) ** 2))
+    u, e_u = 2.0 * math.log(half), half * half
     q = data.hopf(xi)
     # F_x = 2 Re F_z and F_y = -2 Im F_z
     normal = np.cross(dF.real, -dF.imag)
     normal = normal / np.linalg.norm(normal)
     # rounding costs the circle mean of u about ulp(u) / h^2 in Delta u,
     # so it is summed in the report's own order
-    u_mean, _, _ = holo_derivative(data.log_conformal_factor, xi, r=h)
+    u_mean, _, _ = holo_derivative(lambda w: log_conformal_factor(data, w),
+                                   xi, r=h)
     _, _, hopf_holomorphy = holo_derivative(data.hopf, xi, r=h)
     return dict(
         u=u, conformal_factor=e_u, hopf=q, step=h,
@@ -460,17 +466,25 @@ class TestMomentLegs:
 
     @pytest.mark.parametrize("eq", EQUATION_IDS)
     def test_moment_legs_match_gk15_legs(self, eq):
-        data, grid = default_case(eq, 6)
-        xi, h = self.legal_circles(data, grid)
-        live = np.ones(len(xi), dtype=bool)
-        want = _circle_legs(data, xi, h, 1e-12, live.copy(), {})
-        failures = {}
-        legs, u = _moment_legs(data, xi, h, np.stack(data.pair(xi), -1),
-                               1e-12, live.copy(), failures)
+        # on the numeric pair, the circle legs by GK15 of its integrand
+        # (every node a store lookup) and by edge moments composed with
+        # the pair at the point (no lookup on the legs)
+        closed, grid = default_case(eq, 6)
+        data = build_numeric_data(closed.ode)
+        xi, h = self.legal_circles(closed, grid)
+        a = np.repeat(xi, CIRCLE_POINTS)
+        b = (xi[:, None] + h[:, None] * CIRCLE).ravel()
+        want, failures = gk15_segments(ew_integrand(data), a, b, 1e-12)
         assert failures == {}
+        moments, failures = edge_moments(data.ode, data.lam, a, b, 1e-12)
+        assert failures == {}
+        eta_sq, chi, legs = compose(*np.repeat(np.stack(data.pair(xi)),
+                                               CIRCLE_POINTS, axis=1),
+                                    moments)
+        want, legs = (x.reshape(-1, CIRCLE_POINTS, 3) for x in (want, legs))
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert np.max(np.abs(legs - want) / scale) <= 1e-13
-        exact = data.u_and_chi(xi[:, None] + h[:, None] * CIRCLE)[0]
+        u, exact = u_of_pair(eta_sq, chi), log_conformal_factor(closed, b)
         assert np.max(np.abs(u - exact) / np.maximum(1.0, np.abs(exact))) \
             <= 1e-13
 

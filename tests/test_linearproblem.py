@@ -18,11 +18,17 @@ from wsurf.contour import (PANEL_POINTS, PANEL_S, PANEL_TAIL, PANEL_U,
                            ContourPath, holo_derivative, straight_path)
 from wsurf.errors import SingularPoint, SolutionOverflow, StepSizeUnderflow
 from wsurf.geometry import seg_point_distance
-from wsurf.linearproblem import (closed_form_wavefunction,
-                                 integrate_wavefunction, lp_residual,
-                                 potential_matrix, transport)
+from wsurf.linearproblem import (Wavefunction, integrate_wavefunction,
+                                 lp_residual, potential_matrix, transport)
 from wsurf.special import ei
 from wsurf.weierstrass import closed_form_data
+
+
+def closed_form_wavefunction(data, psi1, dpsi1):
+    """The Wavefunction of analytic (psi1, psi1') callables; a callable
+    giving a constant is broadcast to the points it is called on."""
+    return Wavefunction(data, lambda z: np.array(
+        np.broadcast_arrays(psi1(z), dpsi1(z), z)[:2], dtype=complex))
 
 
 def laguerre_data(lam=1.0):

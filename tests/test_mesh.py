@@ -1,6 +1,7 @@
 """Grid sampling, mesh assembly and export formats."""
 
 import dataclasses
+import functools
 import math
 import os
 import tempfile
@@ -17,10 +18,10 @@ from wsurf.catalog import (EQUATION_IDS, SINGULARITY_RADIUS, GridSpec,
 from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import (combine_euclidean, combine_quaternionic,
-                             sym_tafel)
+                             geometry_report, sym_tafel)
 import wsurf.mesh as mesh
 import wsurf.weierstrass as weierstrass
-from wsurf.mesh import (_RENDERERS, ImmersionSample, SurfaceMesh,
+from wsurf.mesh import (_FORMATS, ImmersionSample, SurfaceMesh,
                         _allowed_nodes, _grid_edges, _grid_graph, _neighbours,
                         _parent_edges, _rows, _sample_mask, _sample_with_mask,
                         _search, _tree_integrals, build_mesh, ew_cache,
@@ -32,6 +33,12 @@ from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
 from test_contour import pooled_gk15
 from test_geometry import (reference_segment_crosses_ray,
                            reference_segment_hits_disc)
+
+
+# each format's whole text as one str; export_mesh writes its blocks
+_RENDERERS = {fmt: (lambda mesh, render=render:
+                    b"".join(render(mesh)).decode("ascii"))
+              for fmt, render in _FORMATS.items()}
 
 
 def sample_grid(data, grid=None, with_residuals=True, tol=1e-10):
@@ -106,27 +113,27 @@ class TestSampling:
         self.check_one_node_raising("hopf")
 
     def test_raising_pair_at_a_node_masks_only_its_node(self):
-        # (u, chi) raises at one node, so that array call is bisected down
-        # to that node and both halves keep the other nodes' values
-        self.check_one_node_raising("u_and_chi")
+        # the pair raises at one node, which no quadrature node hits: the
+        # pair's array call at the forest's edge ends is bisected down to
+        # that node, whose state is not finite, and the edges to it stay,
+        # so the other nodes keep their values
+        self.check_one_node_raising("pair")
 
-    def check_one_node_raising(self, method):
+    def check_one_node_raising(self, name):
         ode = get_equation("hermite")
         grid = GridSpec("cartesian", ((-1.0, 1.0), (-1.0, 1.0)), (5, 5), 0j)
         data = make_data(ode, base_point=0j)
         bad = complex(grid.points()[1, 2])
+        faulty = dataclasses.replace(data)
+        fn = getattr(faulty, name)
 
-        class Faulty(WeierstrassData):
-            pass
-
-        def raising(self, z):
+        @functools.wraps(fn)            # hermite's pair keeps its panels
+        def raising(z):
             if np.any(np.asarray(z) == bad):
                 raise SingularPoint(bad)
-            return getattr(WeierstrassData, method)(self, z)
+            return fn(z)
 
-        setattr(Faulty, method, raising)
-        faulty = Faulty(**{f.name: getattr(data, f.name)
-                           for f in dataclasses.fields(data)})
+        setattr(faulty, name, raising)
         ref = _sample_with_mask(data, grid)
         got = _sample_with_mask(faulty, grid)
         assert ref.failures == 0 and got.failures == 1
@@ -273,10 +280,12 @@ class TestSpanningForest:
         allowed = np.ones(points.shape, dtype=bool)
         edges = np.zeros((2, 3), dtype=bool), np.zeros((3, 2), dtype=bool)
         value, failed = _tree_integrals(points, allowed, edges,
-                                        ew_cache(plane_data, 0j))
+                                        ew_cache(plane_data, 0j), plane_data)
         # int_0^z (1, 0, 0) from one root lookup per node
-        assert not failed.any() and not value[:, 1:].any()
+        assert not failed.any() and not value[:, 1:3].any()
         assert np.allclose(value[:, 0], points.ravel(), rtol=0, atol=1e-14)
+        eta_sq, chi = plane_data.pair(points.ravel())
+        assert np.array_equal(value[:, 3:], np.column_stack([eta_sq, chi]))
 
 
 # the user equation of the README's "User-defined equations" section
@@ -334,6 +343,63 @@ def test_samples_evaluate_the_pair_once_per_point():
     calls.clear()
     sample_point(counted, cache, 1 + 1j)
     assert sum(np.array_equal(z, [1 + 1j]) for z in calls) == 1
+
+
+def test_closed_form_samples_evaluate_the_pair_once_per_node():
+    # a closed form's pair at a node comes with the row of the forest edge
+    # to it (or the root's lookup), and the geometry report reads it off
+    # the forest: no grid node is evaluated twice, residuals included
+    data = make_data(get_equation("hermite"))
+    calls = []
+
+    def pair(z):
+        calls.append(np.atleast_1d(z).copy())
+        return data.pair(z)
+
+    counted = dataclasses.replace(data, pair=pair)
+    grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0j)
+    samples = _sample_mask(counted, grid, True, 1e-10)
+    assert samples.failures == 0 and len(samples.points) == 64
+    seen = np.concatenate(calls)
+    assert np.array_equal(np.sort_complex(seen[np.isin(seen, samples.points)]),
+                          np.sort_complex(samples.points))
+
+
+def forest(eq, n=20):
+    """(data, nodes, node states, sampled mask) of _tree_integrals on
+    the default domain of a catalog id at n x n."""
+    data, grid = default_case(eq, n)
+    points = grid.points()
+    allowed = _allowed_nodes(points, data)
+    cache = ew_cache(data, grid.base_point, 1e-10)
+    edges = _grid_edges(points, allowed, cache.obstacles)
+    value, failed = _tree_integrals(points, allowed, edges, cache, data)
+    ok = allowed.ravel() & ~failed & np.isfinite(value).all(axis=1)
+    return data, points.ravel(), value, ok
+
+
+class TestNodeState:
+    """The forest's node states on closed forms: the three integrals and
+    the pair, carried by weierstrass.edge_rows and carry."""
+
+    @pytest.mark.parametrize("eq", ["laguerre", "hermite", "bessel"])
+    def test_pair_columns_are_the_pair(self, eq):
+        data, z, value, ok = forest(eq)
+        assert ok.sum() >= 300
+        eta_sq, chi = data.pair(z[ok])
+        assert same_bits(value[ok, 3], eta_sq)
+        assert same_bits(value[ok, 4], chi)
+
+    @pytest.mark.parametrize("eq", ["laguerre", "hermite", "bessel"])
+    def test_report_reads_the_forest_pair(self, eq):
+        data, z, value, ok = forest(eq)
+        want = geometry_report(data, z[ok])
+        got = geometry_report(data, z[ok], pair=(value[ok, 3], value[ok, 4]))
+        assert got.failures.keys() == want.failures.keys()
+        for f in dataclasses.fields(want):
+            if f.name != "failures":
+                assert same_bits(getattr(got, f.name),
+                                 getattr(want, f.name)), f.name
 
 
 def spotted(data, spot, radius=0.01):

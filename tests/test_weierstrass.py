@@ -15,11 +15,11 @@ import wsurf.weierstrass as weierstrass
 from wsurf import contour
 from wsurf.contour import gk15_segments, straight_path
 from wsurf.geometry import Obstacles
-from wsurf.immersion import ew_integrand
 from wsurf.linearproblem import integrate_wavefunction, potential_matrix
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
-                               make_data, verify_weierstrass)
+                               ew_integrand, make_data, u_of_pair,
+                               verify_weierstrass)
 
 from test_contour import _outcome, pooled_gk15, same_failures
 
@@ -52,8 +52,8 @@ class TestClosedForms:
         z = 1.3 + 0.4j
         half = (abs(complex(data.pair(z)[0]))
                 * (1 + abs(complex(data.pair(z)[1])) ** 2))
-        assert abs(data.conformal_factor(z) - half * half) <= 1e-13
-        assert abs(data.log_conformal_factor(z) - 2 * np.log(half)) <= 1e-13
+        assert abs(u_of_pair(*data.pair(z)) - 2 * np.log(half)) <= 1e-13
+        assert abs(data.u_and_chi(z)[0] - 2 * np.log(half)) <= 1e-13
 
     def test_all_catalog_rows_satisfy_identities(self):
         for eq in ("laguerre", "legendre", "legendre_assoc", "bessel",
@@ -153,8 +153,7 @@ class TestNumericRoute:
                                     straight_path(2 + 1j, 1 + 2j))
         consumers = {
             "ew_integrand": ew_integrand(data),
-            "conformal_factor": data.conformal_factor,
-            "log_conformal_factor": data.log_conformal_factor,
+            "u_and_chi": data.u_and_chi,
             "potential_matrix": lambda z: potential_matrix(data, z),
             "psi": wf.psi,
             "verify_weierstrass": lambda z: verify_weierstrass(
@@ -378,14 +377,14 @@ class TestArrayCalls:
                  "numeric": build_numeric_data}[source]
         data = build(get_equation("laguerre"))
         zs = np.array(SAFE_POINTS)
-        for name, kind in (("log_conformal_factor", float), ("hopf", complex),
-                           ("conformal_factor", float)):
-            fn = getattr(data, name)
+        for name, fn in (("u", lambda z: data.u_and_chi(z)[0]),
+                         ("chi", lambda z: data.u_and_chi(z)[1]),
+                         ("hopf", data.hopf)):
             scalar = [fn(z) for z in SAFE_POINTS]
-            assert all(type(v) is kind for v in scalar), name
             batch = fn(zs)
             assert batch.shape == zs.shape
             assert np.allclose(batch, scalar, rtol=rtol, atol=0), name
+        assert all(type(data.hopf(z)) is complex for z in SAFE_POINTS)
 
 
 def _per_point(cache, z):
