@@ -179,6 +179,21 @@ def _parent_edges(table, edge, depth):
     return parent_edge[:-1]
 
 
+def _along_runs(tail, head, shape):
+    """The order of the grid edges tail[k] -> head[k] (row-major node
+    indices of a grid of the shape) that puts each straight run of
+    them, edges in one direction along one grid line, one after the
+    other in its direction."""
+    n1, n2 = shape
+    step = head - tail
+    down = np.abs(step) == n2
+    # along the line: row-major for rows, column-major for columns
+    along = np.where(down, tail % n2 * n1 + tail // n2, tail)
+    key = 2 * down + (step > 0)
+    return np.argsort(key * 2 * n1 * n2 + np.where(step > 0, along, -along),
+                      kind="stable")
+
+
 def _tree_integrals(points, allowed, edges, cache, data):
     """Node states (n1 * n2, 5) at the allowed nodes: the three
     Weierstrass integrals and (eta^2, chi), as in weierstrass.carry; and
@@ -191,7 +206,9 @@ def _tree_integrals(points, allowed, edges, cache, data):
     failed node, its edges leave the graph, and the next-nearest node
     becomes the root.  The edges of a breadth-first spanning forest
     (_search, _parent_edges), each from parent to child, are one
-    weierstrass.edge_rows call, and states come level by level down the
+    weierstrass.edge_rows call, in _along_runs' order, so that a closed
+    form's straight runs of edges share GK15 panels (contour.gk15_runs);
+    rows stay per edge, and states come level by level down the
     tree by weierstrass.carry: no store lookup past the roots.  Any edge
     that fails is dropped and the forest is rebuilt around it.
     """
@@ -250,6 +267,7 @@ def _tree_integrals(points, allowed, edges, cache, data):
         todo = tree[slot[tree] < 0]
         if todo.size == 0:
             break
+        todo = todo[_along_runs(tail[todo], head[todo], points.shape)]
         values, failures = edge_rows(data, z[tail[todo]], z[head[todo]],
                                      cache.tol)
         bad = np.zeros(len(todo), dtype=bool)
@@ -690,14 +708,15 @@ def _render_obj(mesh):
 
 
 def _render_ply(mesh):
-    """ASCII PLY text blocks: the header, then vertex and face rows."""
+    """ASCII PLY text blocks: the header, then vertex and face rows; the
+    coordinates are doubles, as their %.17g rows are."""
     lines = [
         "ply",
         "format ascii 1.0",
         f"element vertex {len(mesh.vertices)}",
-        "property float x",
-        "property float y",
-        "property float z",
+        "property double x",
+        "property double y",
+        "property double z",
         f"element face {len(mesh.faces)}",
         "property list uchar int vertex_indices",
         "end_header",

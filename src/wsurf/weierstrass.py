@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_carry,
-                      gk15_segments, holo_derivative, panel_lanes,
-                      straight_path)
+                      gk15_runs, gk15_segments, holo_derivative,
+                      panel_lanes, straight_path)
 from .errors import (EvaluationFailure, OutOfRange, WsurfError,
                      isolate_failures)
 from .geometry import Obstacles, in_range
@@ -513,8 +513,11 @@ def edge_rows(data, a, b, tol):
     meaningless).
 
     On a closed form a row is the three Weierstrass integrals along the
-    edge, by one gk15_segments call of ew_integrand held to tol, and the
-    pair at b[i], nan where it raises a WsurfError there.  A pair that
+    edge, by one contour.gk15_runs call of ew_integrand held to tol, and
+    the pair at b[i], nan where it raises a WsurfError there: edges that
+    follow each other along a straight line with equal vectors share a
+    GK15 panel per run of up to contour.MAX_RUN of them, and others
+    take gk15_segments' panels bit for bit.  A pair that
     is not finite at b[i] does not fail the edge: it makes the state at
     b[i] alone not finite, and the callers fail that node.  On the
     numeric route a row is the edge's moments (edge_moments), which
@@ -522,7 +525,7 @@ def edge_rows(data, a, b, tol):
     """
     if data.source == "numeric":
         return edge_moments(data.ode, data.lam, a, b, tol)
-    values, failures = gk15_segments(ew_integrand(data), a, b, tol)
+    values, failures = gk15_runs(ew_integrand(data), a, b, tol)
     (eta_sq, chi), _ = isolate_failures(data.pair, b)
     return np.column_stack([values, eta_sq, chi]), failures
 

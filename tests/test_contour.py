@@ -586,6 +586,242 @@ class TestGk15Carry:
             gk15_segments(f, [0j], [1 + 0j], 1e-10)
 
 
+def legendre_parts(coeffs, k):
+    """The integrals of the Legendre series coeffs over the k equal
+    parts of [-1, 1]."""
+    legendre = np.polynomial.legendre
+    x = -1 + 2 * np.arange(k + 1) / k
+    return np.diff(legendre.legval(x, legendre.legint(coeffs, lbnd=-1)))
+
+
+class TestRunWeights:
+    """contour.run_weights(k): a GK15 panel's sums, GK_TAIL and the
+    integrals of the degree-14 interpolant over its k equal parts."""
+
+    @pytest.mark.parametrize("k", range(2, contour.MAX_RUN + 1))
+    def test_integrates_polynomials_over_each_part(self, k, rng):
+        # as TestGk15Carry: the product's rounding, gamma_15 of
+        # sum_k |W_jk p(x_k)|, plus that of the weights' own entries,
+        # each a difference of two antiderivative rows of GK_S's
+        # conditioning, times the largest |p(x_k)|, plus the rounding of
+        # the exact value
+        legendre = np.polynomial.legendre
+        x = contour._XK
+        weights = contour.run_weights(k)[4:]
+        cond = np.linalg.cond(legendre.legvander(x, 14))
+        for degree in range(15):
+            combo = (rng.normal(size=degree + 1)
+                     + 1j * rng.normal(size=degree + 1))
+            for coeffs in (np.eye(degree + 1)[degree],
+                           legendre.poly2leg(np.eye(degree + 1)[degree]),
+                           combo):
+                values = legendre.legval(x, coeffs)
+                exact = legendre_parts(coeffs, k)
+                band = _U * (15 * (np.abs(weights) @ np.abs(values))
+                             + 2 * cond * np.abs(values).max()
+                             + np.abs(exact))
+                assert np.all(np.abs(weights @ values - exact) <= band)
+
+    @pytest.mark.parametrize("k", range(2, contour.MAX_RUN + 1))
+    def test_sums_and_tail_rows(self, k):
+        weights = contour.run_weights(k)
+        gauss = np.zeros(15)
+        gauss[1::2] = contour._WG
+        assert weights.shape == (k + 4, 15) and weights.dtype == float
+        assert np.array_equal(weights[0], contour._WK)
+        assert np.array_equal(weights[1], gauss)
+        assert np.array_equal(weights[2:4], contour.GK_TAIL)
+        # the parts add up to the whole panel, up to _WK's 15 digits
+        assert np.max(np.abs(weights[4:].sum(axis=0) - contour._WK)) < 2e-15
+
+    @pytest.mark.parametrize("k", range(2, contour.MAX_RUN + 1))
+    def test_higher_legendre_terms_miss_every_part_by_less_than_0_17(self, k):
+        # gk15_carry's bound, so its tail rule certifies each part: the
+        # interpolant of P_n, 15 <= n <= 31, misses its integral over
+        # every part by less than 0.17 (0.166 at k = 2, 0.056 at k = 8)
+        legendre = np.polynomial.legendre
+        weights = contour.run_weights(k)[4:]
+        for n in range(15, 32):
+            p_n = np.eye(n + 1)[n]
+            got = weights @ legendre.legval(contour._XK, p_n)
+            assert np.max(np.abs(got - legendre_parts(p_n, k))) < 0.17
+
+
+def chain(start, step, k):
+    """The k segments between the points start + j step, j = 0 .. k."""
+    z = start + np.arange(k + 1) * step
+    return z[:-1], z[1:]
+
+
+def exp_poly(rate, coeffs):
+    """z -> (exp(rate z) poly(z), poly(z)), poly's coefficients lowest
+    first."""
+    poly = np.polynomial.polynomial
+
+    def f(z):
+        p = poly.polyval(z, coeffs)
+        return np.stack([np.exp(rate * z) * p, p], axis=-1)
+
+    return f
+
+
+class TestGk15Runs:
+    """gk15_runs: one GK15 panel per straight run of segments, each
+    part's integral from run_weights, single segments by gk15_segments."""
+
+    def test_straight_runs(self):
+        eps = np.finfo(float).eps
+        a, b = chain(0.5 + 0.25j, 0.1 + 0.05j, 20)
+        first, parts = contour.straight_runs(a, b)
+        # 20 edges in pieces of near-equal length, at most MAX_RUN
+        assert parts.tolist() == [7, 7, 6] and first.tolist() == [0, 7, 14]
+
+        def joined(scale, gap=0.0):
+            # a chain of 5 steps, then one of 6 steps scaled by scale
+            # from gap past its end
+            head = chain(0.5 + 0.25j, 0.1 + 0.05j, 5)
+            tail = chain(head[1][-1] + gap, (0.1 + 0.05j) * scale, 6)
+            a, b = (np.concatenate(x) for x in zip(head, tail))
+            return contour.straight_runs(a, b)[1].tolist()
+
+        # equal vectors to within a few units of roundoff join; vectors
+        # further apart, or a segment that does not start where the one
+        # before ends, do not
+        assert joined(1 + 4 * eps) == [6, 5]
+        assert joined(1 + 1e-9) == [5, 6]
+        assert joined(1, gap=1e-12) == [5, 6]
+        star = np.zeros(6, dtype=complex)
+        assert contour.straight_runs(star, star + np.arange(1, 7))[1].tolist() \
+            == [1] * 6
+        none = np.array([], dtype=complex)
+        assert [x.tolist() for x in contour.straight_runs(none, none)] \
+            == [[], []]
+
+    @pytest.mark.parametrize("tol", [1e-10, np.array([1e-10] * 8)])
+    def test_segments_outside_runs_are_gk15_segments_bit_for_bit(self, tol):
+        # a star of legs and a chain with a kink at every node: no runs
+        f = _strip_integrand(5.3 + 0.01j, set(), {3}, set())
+        a = np.repeat([0.3 + 0.2j, 3.2 + 0.5j], 4)
+        b = a + np.tile([0.5, 0.5j, 0.9 + 0.1j, 0.4 - 0.3j], 2)
+        want = gk15_segments(f, a, b, tol)
+        got = contour.gk15_runs(f, a, b, tol)
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert same_failures(got[1], want[1]) and list(got[1]) == [4, 5, 6, 7]
+
+    def test_scalar_integrand_and_no_segments(self):
+        a, b = chain(0.1j, 0.05, 16)
+        values, failures = contour.gk15_runs(np.exp, a, b, 1e-12)
+        assert values.shape == (16,) and not failures
+        assert np.max(np.abs(values - (np.exp(b) - np.exp(a)))) <= 1e-14
+        none = np.array([], dtype=complex)
+        for f, shape in ((np.exp, (0,)), (exp_poly(1, [1]), (0, 2))):
+            values, failures = contour.gk15_runs(f, none, none, 1e-10)
+            assert values.shape == shape and failures == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+           angle=st.floats(0, 2 * np.pi), length=st.floats(0.005, 0.6),
+           k=st.integers(2, 20), rate=st.tuples(st.floats(-3, 3),
+                                                st.floats(-3, 3)),
+           coeffs=st.lists(st.floats(-2, 2), min_size=1, max_size=5))
+    def test_runs_match_single_segments(self, start, angle, length, k, rate,
+                                        coeffs):
+        rate = complex(*rate)
+        assume(abs(rate) > 0.1)
+        f = exp_poly(rate, coeffs)
+        a, b = chain(complex(*start), length * np.exp(1j * angle), k)
+        # tol relative to the integrals' size, above their rounding
+        tol = 1e-10 * max(1.0, k * length * np.abs(f(b)).max())
+        got, failures = contour.gk15_runs(f, a, b, tol)
+        want, want_failures = gk15_segments(f, a, b, tol)
+        assert not failures and not want_failures
+        assert np.all(np.abs(got - want) <= run_band(f, a, b))
+
+    def test_a_run_near_a_pole_splits_down_to_single_segments(self):
+        # 1/(z - pole) 0.02 off the middle of edge 3 of a run of 8: the
+        # run panel cannot resolve it, so the edges next to the pole are
+        # integrated alone, bit for bit as gk15_segments does, and every
+        # edge still meets tol
+        pole = 0.35 + 0.02j
+        seen = []
+
+        def f(z):
+            return np.stack([np.exp(z), 1 / (z - pole)], axis=-1)
+
+        def panels(nodes, half):
+            seen.append(np.abs(half))
+            return f(nodes)
+
+        g = lambda z: f(z)
+        g.panels = panels
+        a, b = chain(0j, 0.1, 8)
+        got, failures = contour.gk15_runs(g, a, b, 1e-10)
+        assert not failures
+        assert np.isclose(seen[0], [0.4]).all()      # one panel, 8 parts
+        single, _ = gk15_segments(f, a[3:4], b[3:4], 1e-10)
+        assert np.array_equal(got[3], single[0])
+        exact = np.stack([np.exp(b) - np.exp(a),
+                          np.log((b - pole) / (a - pole))], axis=-1)
+        assert np.max(np.abs(got - exact)) <= 1e-10
+
+    def test_failures_are_those_of_single_segments(self):
+        # a WsurfError and a nan in two strips: the runs over them split
+        # down to their single segments, which fail as in gk15_segments
+        f = _strip_integrand(20 + 1j, {5}, {2}, set())
+        a, b = chain(0.05 + 0.3j, 0.45, 16)
+        got, failures = contour.gk15_runs(f, a, b, 1e-10)
+        want, want_failures = gk15_segments(f, a, b, 1e-10)
+        assert same_failures(failures, want_failures)
+        ok = np.isin(np.arange(16), list(failures), invert=True)
+        smooth = _strip_integrand(20 + 1j, set(), set(), set())
+        assert np.all(np.abs(got[ok] - want[ok])
+                      <= run_band(smooth, a, b)[ok])
+
+    @pytest.mark.parametrize("workers, chunk", [(1, 2), (3, 5)])
+    def test_pooled_runs_match_serial(self, workers, chunk):
+        # runs of every length up to MAX_RUN, some of which split
+        f = _strip_integrand(3.05 + 0.02j, set(), set(), set())
+        pieces = [chain(j + 0.1j * k, 0.9 / k, k) for j, k in
+                  enumerate(range(1, contour.MAX_RUN + 1))]
+        a, b = (np.concatenate(x) for x in zip(*pieces))
+        serial = contour.gk15_runs(f, a, b, 1e-10)
+        with pooled_gk15(workers, chunk):
+            f.thread_safe = True
+            pooled = contour.gk15_runs(f, a, b, 1e-10)
+        assert np.array_equal(serial[0], pooled[0])
+        assert not serial[1] and not pooled[1]
+
+
+def run_band(f, a, b):
+    """A bound, per segment and component, on the distance between
+    gk15_runs' and gk15_segments' integrals of an integrand that both
+    resolve to rounding: on a run panel of half width h over the run's
+    segments, the carry's truncation (below 0.17 of the accepted tail,
+    ROUNDING_FLOOR sum_k w_k |g_k|) and the rounding of the parts'
+    products and weights, and on a segment's own panel the rounding of
+    its sum and of _WK's 15-digit weights; and f, at its largest on the
+    panels, times twice the furthest any node lies from its place on
+    its run, a few units of roundoff of the largest |z|: the pieces and
+    halves gk15_runs may take all have their ends on the nodes."""
+    def panel(lo, hi):
+        half = np.abs(0.5 * (hi - lo))
+        g = np.abs(f((0.5 * (lo + hi))[:, None]
+                     + 0.5 * (hi - lo)[:, None] * contour._XK))
+        return half[:, None], (contour._WK[:, None] * g).sum(axis=1), \
+            g.max(axis=1)
+
+    x = contour._XK
+    cond = np.linalg.cond(np.polynomial.legendre.legvander(x, 14))
+    h, s, top = panel(a[:1], b[-1:])
+    e_h, e_s, e_top = panel(a, b)
+    z_max = np.abs(np.concatenate([a, b])).max()
+    offset = 2 * 4 * _U * z_max
+    run = h * (0.17 * contour.ROUNDING_FLOOR * s + 15 * _U * s
+               + 2 * cond * _U * top)
+    own = e_h * (15 * _U * e_s + 15 * 5e-16 * e_top)
+    return run + own + 2 * np.maximum(top, e_top) * offset
+
+
 def erf_of(z):
     """erf at a complex point, to double precision."""
     return complex(mpmath.erf(mpmath.mpc(z.real, z.imag)))

@@ -1,5 +1,6 @@
 """Grid sampling, mesh assembly and export formats."""
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -19,6 +20,7 @@ from wsurf.errors import EmptyMesh, IoFailure, SingularPoint, WsurfError
 from wsurf.geometry import Obstacles, segment_crosses_ray, segment_hits_disc
 from wsurf.immersion import (combine_euclidean, combine_quaternionic,
                              geometry_report, sym_tafel)
+import wsurf.contour as contour
 import wsurf.mesh as mesh
 import wsurf.weierstrass as weierstrass
 from wsurf.mesh import (_FORMATS, ImmersionSample, SurfaceMesh,
@@ -348,7 +350,10 @@ def test_samples_evaluate_the_pair_once_per_point():
 def test_closed_form_samples_evaluate_the_pair_once_per_node():
     # a closed form's pair at a node comes with the row of the forest edge
     # to it (or the root's lookup), and the geometry report reads it off
-    # the forest: no grid node is evaluated twice, residuals included
+    # the forest: no grid node is evaluated twice, residuals included.
+    # The quadrature's own nodes go through the pair's panels method and
+    # are not counted: the middle node of a GK15 panel over a straight
+    # run of an even number of edges may be a grid node
     data = make_data(get_equation("hermite"))
     calls = []
 
@@ -356,6 +361,7 @@ def test_closed_form_samples_evaluate_the_pair_once_per_node():
         calls.append(np.atleast_1d(z).copy())
         return data.pair(z)
 
+    pair.panels = data.pair.panels
     counted = dataclasses.replace(data, pair=pair)
     grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0j)
     samples = _sample_mask(counted, grid, True, 1e-10)
@@ -363,6 +369,64 @@ def test_closed_form_samples_evaluate_the_pair_once_per_node():
     seen = np.concatenate(calls)
     assert np.array_equal(np.sort_complex(seen[np.isin(seen, samples.points)]),
                           np.sort_complex(samples.points))
+
+
+@contextlib.contextmanager
+def gk15_setting(workers, chunk):
+    """gk15_segments and gk15_runs with CHUNK_PANELS = chunk and a pool
+    of the given number of worker threads, none for 0."""
+    if workers:
+        with pooled_gk15(workers, chunk):
+            yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contour, "CHUNK_PANELS", chunk)
+        patch.setattr(contour, "_pool", lambda pid: (None, 0))
+        yield
+
+
+class TestStraightRuns:
+    """The forest's tree edges reach weierstrass.edge_rows in straight
+    runs, whose shared GK15 panels regroup edges across chunks."""
+
+    CASES = {
+        "hermite-30": (make_data(get_equation("hermite")),
+                       GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)),
+                                (30, 30), 0j)),
+        "bessel-figure": figure_case(*FIGURE_GRIDS[2]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_obj_does_not_depend_on_chunks_or_threads(self, case):
+        data, grid = self.CASES[case]
+        texts = set()
+        for workers, chunk in ((0, 1024), (0, 7), (1, 7), (1, 1024)):
+            with gk15_setting(workers, chunk):
+                m = build_mesh(data, grid, with_residuals=False, tol=1e-10)
+            texts.add(_RENDERERS["obj"](m))
+        assert len(texts) == 1
+
+    def test_tree_edges_come_in_runs_along_grid_lines(self, monkeypatch):
+        # hermite has no obstacles: the tree edges of one direction on
+        # one grid line form one straight run, in that direction
+        data, grid = self.CASES["hermite-30"]
+        seen = []
+        edge_rows = weierstrass.edge_rows
+        monkeypatch.setattr(mesh, "edge_rows", lambda data, a, b, tol: (
+            seen.append((a, b)) or edge_rows(data, a, b, tol)))
+        samples = _sample_mask(data, grid, False, 1e-10)
+        assert samples.failures == 0
+        (a, b), = seen
+        n1, n2 = grid.resolution
+        index = {z: k for k, z in enumerate(grid.points().ravel())}
+        tail = np.array([index[z] for z in a])
+        step = np.array([index[z] for z in b]) - tail
+        line = np.where(np.abs(step) == n2, tail % n2, tail // n2)
+        lines = len({(int(s), int(x)) for s, x in zip(step, line)})
+        assert len(a) == n1 * n2 - 1
+        monkeypatch.setattr(contour, "MAX_RUN", len(a))
+        first, parts = contour.straight_runs(a, b)
+        assert len(parts) == lines
 
 
 def forest(eq, n=20):
@@ -699,7 +763,8 @@ def reference_render(mesh, fmt):
     elif fmt == "ply":
         lines = ["ply", "format ascii 1.0",
                  f"element vertex {len(mesh.vertices)}",
-                 "property float x", "property float y", "property float z",
+                 "property double x", "property double y",
+                 "property double z",
                  f"element face {len(mesh.faces)}",
                  "property list uchar int vertex_indices", "end_header"]
         lines += reference_rows("%.17g %.17g %.17g", mesh.vertices)
