@@ -293,23 +293,36 @@ def _run_chunk(f, lo, hi, parts, rtol):
     products are per run, on the values' real and imaginary parts, so a
     row's bits do not depend on the chunk."""
     _, half, vals, _ = _panel_values(f, lo, hi)
-    width = vals.shape[2]
-    rows = np.empty((parts.sum(), width), dtype=complex)
-    first = np.cumsum(parts) - parts
-    ok = np.empty(len(lo), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = _WK @ np.abs(vals)
-        for k in np.unique(parts):
+        ks = np.unique(parts)
+        if ks.size == 1:         # as the circle's diameters: no regrouping
+            return _run_rows(ks[0], half, vals, rtol)
+        rows = np.empty((parts.sum(), vals.shape[2]), dtype=complex)
+        first = np.cumsum(parts) - parts
+        ok = np.empty(len(lo), dtype=bool)
+        for k in ks:
             runs = np.flatnonzero(parts == k)
-            both = (run_weights(k) @ vals[runs].view(float)).view(complex)
-            h = half[runs, None]
-            tail = np.abs(both[:, 2:4]).max(axis=1)
-            ok[runs] = ((np.abs(h * both[:, 0] - h * both[:, 1])
-                         <= rtol[runs, None])
-                        & (tail <= ROUNDING_FLOOR * scale[runs])).all(axis=1)
-            rows[(first[runs, None] + np.arange(k)).ravel()] = (
-                h[:, None] * both[:, 4:]).reshape(-1, width)
+            rows[(first[runs, None] + np.arange(k)).ravel()], ok[runs] = (
+                _run_rows(k, half[runs], vals[runs], rtol[runs]))
     return rows, ok
+
+
+def _run_rows(k, half, vals, rtol):
+    """_run_chunk's rows and mask for runs of k parts each, given their
+    half widths and values."""
+    both = (run_weights(k) @ vals.view(float)).view(complex)
+    h = half[:, None]
+    tail = np.abs(both[:, 2:4]).max(axis=1)
+    ok = (np.abs(h * both[:, 0] - h * both[:, 1]) <= rtol[:, None]).all(axis=1)
+    # The floor's sum_k w_k |g_k| is at least |sum_k w_k g_k|, the Kronrod
+    # sum, up to a few units of roundoff: |g| is taken only for the runs
+    # whose tail does not pass below the floor of that sum.
+    check = np.flatnonzero(ok & ~(
+        tail <= ROUNDING_FLOOR * (1 - 1e-13) * np.abs(both[:, 0])).all(axis=1))
+    if check.size:
+        ok[check] = (tail[check] <= ROUNDING_FLOOR
+                     * (_WK @ np.abs(vals[check]))).all(axis=1)
+    return (h[:, None] * both[:, 4:]).reshape(-1, vals.shape[2]), ok
 
 
 def _chunks(chunk, f, arrays, starts):
@@ -491,26 +504,43 @@ def _squeezed(values):
 
 
 def straight_runs(a, b):
-    """(first, parts) of the straight runs of the segments a[i] -> b[i]:
-    consecutive segments, each starting where the one before ends, with
-    equal vectors to within RUN_SLACK units of roundoff of their outer
-    ends' moduli.  A maximal run is cut into pieces of near-equal
-    length, at most MAX_RUN; a segment outside any run is a piece of
-    one.  Pieces are in segment order."""
+    """(first, parts, flip) of the straight runs of the segments a[i] ->
+    b[i]: consecutive segments, each starting where the one before ends,
+    with equal vectors to within RUN_SLACK units of roundoff of their
+    outer ends' moduli.  A segment that starts where the next one starts,
+    with the opposite vector (to within the same slack), joins it as its
+    run's first part, traversed backwards: two legs from one point that
+    make a diameter are one run.  A maximal run is cut into pieces of
+    near-equal length, at most MAX_RUN; a segment outside any run is a
+    piece of one.  Pieces are in segment order, and flip marks those
+    whose first part is such a reversed segment."""
     joined = b[:-1] == a[1:]
-    if not joined.any():
-        return np.arange(len(a)), np.ones(len(a), dtype=int)
+    flip = (a[:-1] == a[1:]) & ~joined
+    if not (joined.any() or flip.any()):
+        return (np.arange(len(a)), np.ones(len(a), dtype=int),
+                np.zeros(len(a), dtype=bool))
+    slack = RUN_SLACK * np.finfo(float).eps
+    d = b - a
     i = np.flatnonzero(joined)
-    joined[i] = np.abs((b[i + 1] - a[i + 1]) - (b[i] - a[i])) <= (
-        RUN_SLACK * np.finfo(float).eps * (np.abs(a[i]) + np.abs(b[i + 1])))
-    start = np.flatnonzero(np.concatenate([[True], ~joined]))
+    joined[i] = np.abs(d[i + 1] - d[i]) <= (
+        slack * (np.abs(a[i]) + np.abs(b[i + 1])))
+    i = np.flatnonzero(flip)
+    flip[i] = np.abs(d[i + 1] + d[i]) <= (
+        slack * (np.abs(b[i]) + np.abs(b[i + 1])))
+    link = joined | flip
+    link[:-1] &= ~flip[1:]           # a reversed segment starts its run
+    start = np.flatnonzero(np.concatenate([[True], ~link]))
     length = np.diff(np.append(start, len(a)))
-    pieces = -(-length // MAX_RUN)
-    run = np.repeat(np.arange(len(start)), pieces)
-    j = np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    base, extra = length[run] // pieces[run], length[run] % pieces[run]
-    parts = base + (j < extra)
-    return start[run] + j * base + np.minimum(j, extra), parts
+    first, parts = start, length
+    if length.max() > MAX_RUN:
+        pieces = -(-length // MAX_RUN)
+        run = np.repeat(np.arange(len(start)), pieces)
+        j = np.arange(len(run)) - np.repeat(np.cumsum(pieces) - pieces,
+                                            pieces)
+        base, extra = length[run] // pieces[run], length[run] % pieces[run]
+        parts = base + (j < extra)
+        first = start[run] + j * base + np.minimum(j, extra)
+    return first, parts, np.append(flip & link, False)[first]
 
 
 def gk15_runs(f, a, b, tol):
@@ -519,45 +549,55 @@ def gk15_runs(f, a, b, tol):
     The straight runs of the segments (straight_runs) of two parts or
     more are integrated with one GK15 panel each, over the whole piece,
     and the integral over each part comes from run_weights: exact for
-    the panel's degree-14 interpolant.  A run is accepted when its GK15
-    error is within the least tol[i] of its segments and, in every
-    component, its last two Legendre coefficients are within
-    gk15_carry's rounding floor; then each part's integral is the
-    segment's own up to rounding.  A run that is not accepted (its
-    integrand is not resolved, not finite or raised a WsurfError) splits
-    in two, and so on; its single segments, and those outside any run,
-    go to one gk15_segments call, so they get its values and failures
-    bit for bit.  The run levels evaluate their chunks as gk15_segments
-    does (see there for thread_safe and panels).  A node off its place
-    on the run moves its segments' integrals by f there times the
-    offset, which straight_runs keeps at the rounding of the node's
-    coordinates.  Returns (values, failures) as gk15_segments does.
+    the panel's degree-14 interpolant.  A piece whose first part is a
+    reversed segment is integrated from that segment's end, and the
+    segment gets its part's integral negated, which is exact.  A run is
+    accepted when its GK15 error is within the least tol[i] of its
+    segments and, in every component, its last two Legendre
+    coefficients are within gk15_carry's rounding floor; then each
+    part's integral is the segment's own up to rounding.  A run that is
+    not accepted (its integrand is not resolved, not finite or raised a
+    WsurfError) splits in two, and so on; its single segments, reversed
+    ones in their own orientation, and those outside any run, go to one
+    gk15_segments call, so they get its values and failures bit for
+    bit.  The run levels evaluate their chunks as gk15_segments does
+    (see there for thread_safe and panels).  A node off its place on the
+    run moves its segments' integrals by f there times the offset, which
+    straight_runs keeps at the rounding of the node's coordinates.
+    Returns (values, failures) as gk15_segments does.
     """
     lo = np.asarray(a, dtype=complex).reshape(-1)
     hi = np.asarray(b, dtype=complex).reshape(-1)
     m = len(lo)
     ptol = np.broadcast_to(np.asarray(tol, dtype=float), (m,))
-    first, parts = straight_runs(lo, hi)
+    first, parts, flip = straight_runs(lo, hi)
     single = []
     values = None
     while True:
         single.append(first[parts == 1])
-        first, parts = first[parts > 1], parts[parts > 1]
+        run = parts > 1
+        first, parts, flip = first[run], parts[run], flip[run]
         if not first.size:
             break
         offset = np.cumsum(parts) - parts
         edges = np.repeat(first - offset, parts) + np.arange(parts.sum())
-        rows, ok = _in_chunks(_run_chunk, f, lo[first],
+        rows, ok = _in_chunks(_run_chunk, f,
+                              np.where(flip, hi[first], lo[first]),
                               hi[first + parts - 1], parts,
                               np.minimum.reduceat(ptol[edges], offset))
         if values is None:
             values = np.empty((m, rows.shape[1]), dtype=complex)
+        back = offset[flip]
+        rows[back] = -rows[back]
         done = np.repeat(ok, parts)
         values[edges[done]] = rows[done]
-        first, parts = first[~ok], parts[~ok]
+        if ok.all():
+            break
+        first, parts, flip = first[~ok], parts[~ok], flip[~ok]
         head = parts // 2
         first = np.stack([first, first + head], axis=1).ravel()
         parts = np.stack([head, parts - head], axis=1).ravel()
+        flip = np.stack([flip, np.zeros_like(flip)], axis=1).ravel()
     if values is None:
         return gk15_segments(f, lo, hi, tol)
     single = np.sort(np.concatenate(single))

@@ -8,7 +8,7 @@ import numpy as np
 from .contour import CIRCLE, CIRCLE_POINTS, contour_quad, holo_derivative
 from .errors import (EvaluationFailure, OutOfRange, StencilOutsideDomain,
                      isolate_failures)
-from .geometry import in_range
+from .geometry import Obstacles, in_range
 from .weierstrass import carry, edge_rows, ew_integrand, u_of_pair
 
 PAULI = (
@@ -97,6 +97,12 @@ def _distance_to_exclusions(data, xi):
     return np.abs(xi[:, None] - centers).min(axis=1, initial=np.inf)
 
 
+# Each node's legs k and k + 4 back to back (0, 4, 1, 5, ...): one
+# diameter of its circle, which contour.gk15_runs integrates with one
+# GK15 panel.
+DIAMETERS = np.arange(CIRCLE_POINTS).reshape(2, -1).T.ravel()
+
+
 def _circle_legs(data, xi, h, tol, live, failures, pair):
     """The legs from xi to the points xi + h CIRCLE of its circle, as
     (point, legs, u): point is _point_data's (n, 5) at xi (from pair, if
@@ -104,22 +110,30 @@ def _circle_legs(data, xi, h, tol, live, failures, pair):
     u the (n, CIRCLE_POINTS) log conformal factor at their ends, nan at
     the nodes that are not live.
 
-    The legs of all live nodes are one weierstrass.edge_rows call, whose
-    rows need no start; weierstrass.carry then takes the pair at xi
-    along them, and the pair at the legs' ends gives u.  A node whose
-    leg fails, or whose point data fails, goes into failures with the
-    first of those errors and out of live.
+    The legs of all live nodes are one weierstrass.edge_rows call, each
+    node's in DIAMETERS' order, so that on a closed form opposite legs
+    share one GK15 panel.  A node on a cut ray keeps the order 0 .. N-1,
+    one panel per leg: along the cut the closed form's branch follows
+    the sign of a zero imaginary part, which a diameter's nodes on one
+    leg would take from the other side.  The rows come back per leg and
+    need no start; weierstrass.carry then takes the pair at xi along
+    them, and the pair at the legs' ends gives u.  A node whose leg
+    fails (the first in leg order), or whose point data fails, goes into
+    failures with that error and out of live.
     """
     n = len(xi)
     rows = np.full((n, CIRCLE_POINTS, 5), np.nan, dtype=complex)
     idx = np.flatnonzero(live)
     if idx.size:
-        ends = xi[idx, None] + h[idx, None] * CIRCLE
+        on_ray = Obstacles(rays=data.ode.cut_rays).on_ray(xi[idx])
+        order = np.where(on_ray[:, None], np.arange(CIRCLE_POINTS), DIAMETERS)
+        ends = xi[idx, None] + h[idx, None] * CIRCLE[order]
         values, failed = edge_rows(data, np.repeat(xi[idx], CIRCLE_POINTS),
                                    ends.ravel(), tol)
-        rows[idx] = values.reshape(-1, CIRCLE_POINTS, 5)
-        for leg in sorted(failed):
-            failures.setdefault(int(idx[leg // CIRCLE_POINTS]), failed[leg])
+        rows[idx[:, None], order] = values.reshape(-1, CIRCLE_POINTS, 5)
+        for k in sorted(failed, key=lambda k: (k // CIRCLE_POINTS,
+                                               order.flat[k])):
+            failures.setdefault(int(idx[k // CIRCLE_POINTS]), failed[k])
         live[list(failures)] = False
     point = _live_values(
         lambda i: _point_data(data, xi[i], None if pair is None
@@ -203,7 +217,9 @@ def geometry_report(data, xi, tol=1e-12, pair=None):
     xi is a point or a 1-D array of points.  A point gives Python scalar
     fields and raises the WsurfError of a failed report.  An array gives
     (n,) array fields, from one weierstrass.edge_rows call for all N n
-    legs (_circle_legs) and two passes over the pair's data: _point_data
+    legs (_circle_legs: on a closed form, one GK15 panel per diameter,
+    legs k and k + N/2, except at points on a cut ray) and two passes
+    over the pair's data: _point_data
     at the points and _circle_values on their circles, with u on the
     circles taken from the legs' ends.  pair, the (eta^2, chi) arrays at
     the array xi if the caller has them (a grid's forest), replaces the

@@ -200,11 +200,11 @@ def _tree_integrals(points, allowed, edges, cache, data):
     the mask of nodes that failed.
 
     The legal grid edges, _grid_edges' masks, form a graph.  Each
-    connected component is rooted at its node nearest the cache anchor,
-    whose state is one cache lookup and one data.pair lookup; a root
-    whose lookups raise a WsurfError or are not finite counts as a
-    failed node, its edges leave the graph, and the next-nearest node
-    becomes the root.  The edges of a breadth-first spanning forest
+    connected component is rooted at its node nearest the cache anchor
+    (the lowest node index among equals), whose state is one cache
+    lookup and one data.pair lookup; a root whose lookups raise a
+    WsurfError or are not finite counts as a failed node, its edges
+    leave the graph, and the next-nearest node becomes the root.  The edges of a breadth-first spanning forest
     (_search, _parent_edges), each from parent to child, are one
     weierstrass.edge_rows call, in _along_runs' order, so that a closed
     form's straight runs of edges share GK15 panels (contour.gk15_runs);
@@ -229,8 +229,9 @@ def _tree_integrals(points, allowed, edges, cache, data):
     failed = allowed.ravel() & cache.obstacles.on_ray(z) & (z != cache.anchor)
     roots = {}
     candidates = np.flatnonzero(allowed.ravel())
-    candidates = candidates[np.argsort(np.abs(z[candidates] - cache.anchor),
-                                       kind="stable")]
+    # a nan distance ranks with the infinite ones, after every finite one
+    distance = np.abs(z[candidates] - cache.anchor)
+    distance[np.isnan(distance)] = np.inf
     while True:
         keep = live & ~failed[u] & ~failed[v]
         table = _neighbours(u, v, edge, keep)
@@ -238,14 +239,14 @@ def _tree_integrals(points, allowed, edges, cache, data):
         depth[n] = -2
         for node in roots:
             _search(table, node, depth)
-        k = 0
         while True:
-            rest = candidates[k:]
-            fresh = np.flatnonzero((depth[rest] < 0) & ~failed[rest])
+            # the nearest candidate not reached and not failed, the
+            # lowest index among equals
+            fresh = np.flatnonzero((depth[candidates] < 0)
+                                   & ~failed[candidates])
             if not fresh.size:
                 break
-            k += fresh[0]
-            node = candidates[k]
+            node = candidates[fresh[np.argmin(distance[fresh])]]
             try:
                 # the pair on an array, as at the other nodes: a Python
                 # complex would take Python's arithmetic in a closed form

@@ -516,8 +516,10 @@ def edge_rows(data, a, b, tol):
     edge, by one contour.gk15_runs call of ew_integrand held to tol, and
     the pair at b[i], nan where it raises a WsurfError there: edges that
     follow each other along a straight line with equal vectors share a
-    GK15 panel per run of up to contour.MAX_RUN of them, and others
-    take gk15_segments' panels bit for bit.  A pair that
+    GK15 panel per run of up to contour.MAX_RUN of them, as do two
+    edges from one point with opposite vectors (a diameter, the first
+    edge traversed backwards), and others take gk15_segments' panels
+    bit for bit.  A pair that
     is not finite at b[i] does not fail the edge: it makes the state at
     b[i] alone not finite, and the callers fail that node.  On the
     numeric route a row is the edge's moments (edge_moments), which

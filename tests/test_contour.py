@@ -672,7 +672,8 @@ class TestGk15Runs:
     def test_straight_runs(self):
         eps = np.finfo(float).eps
         a, b = chain(0.5 + 0.25j, 0.1 + 0.05j, 20)
-        first, parts = contour.straight_runs(a, b)
+        first, parts, flip = contour.straight_runs(a, b)
+        assert not flip.any()
         # 20 edges in pieces of near-equal length, at most MAX_RUN
         assert parts.tolist() == [7, 7, 6] and first.tolist() == [0, 7, 14]
 
@@ -695,7 +696,32 @@ class TestGk15Runs:
             == [1] * 6
         none = np.array([], dtype=complex)
         assert [x.tolist() for x in contour.straight_runs(none, none)] \
-            == [[], []]
+            == [[], [], []]
+
+        # legs from one point with opposite vectors, back to back, join
+        # as runs of 2 whose first part is reversed; legs k and k + 1 of
+        # a circle are not opposite
+        centre = np.full(8, 0.3 - 1.7j)
+        legs = 1e-3 * contour.CIRCLE[[0, 4, 1, 5, 2, 6, 3, 7]]
+        first, parts, flip = contour.straight_runs(centre, centre + legs)
+        assert first.tolist() == [0, 2, 4, 6] and parts.tolist() == [2] * 4
+        assert flip.all()
+        circle = centre + 1e-3 * contour.CIRCLE
+        assert contour.straight_runs(centre, circle)[1].tolist() == [1] * 8
+
+        def reversed_first(scale):
+            # a leg back from the start of a chain of 5 steps, its vector
+            # the chain's times -scale
+            a, b = chain(0.5 + 0.25j, 0.1 + 0.05j, 5)
+            back = a[0] - (0.1 + 0.05j) * scale
+            return contour.straight_runs(np.append(a[0], a),
+                                         np.append(back, b))
+
+        first, parts, flip = reversed_first(1 + 4 * eps)
+        assert first.tolist() == [0] and parts.tolist() == [6]
+        assert flip.tolist() == [True]
+        first, parts, flip = reversed_first(1 + 1e-9)
+        assert parts.tolist() == [1, 5] and not flip.any()
 
     @pytest.mark.parametrize("tol", [1e-10, np.array([1e-10] * 8)])
     def test_segments_outside_runs_are_gk15_segments_bit_for_bit(self, tol):
@@ -736,6 +762,85 @@ class TestGk15Runs:
         want, want_failures = gk15_segments(f, a, b, tol)
         assert not failures and not want_failures
         assert np.all(np.abs(got - want) <= run_band(f, a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(centre=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+           angle=st.floats(0, 2 * np.pi), length=st.floats(1e-4, 0.3),
+           rate=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+           coeffs=st.lists(st.floats(-2, 2), min_size=1, max_size=5))
+    def test_diameters_match_single_legs(self, centre, angle, length, rate,
+                                         coeffs):
+        # pairs of opposite legs from random centres, as the geometry
+        # report's circles give them: each leg is per-leg gk15_segments'
+        # within run_band, plus f times the distance of the diameter's
+        # midpoint, where its parts meet, from the centre
+        rate = complex(*rate)
+        assume(abs(rate) > 0.1)
+        f = exp_poly(rate, coeffs)
+        c = complex(*centre) + np.array([0, 0.5, 1j])
+        # four legs from each centre, legs 2k and 2k + 1 opposite
+        turns = np.pi * np.array([0, 1, 0.5, 1.5])
+        a = np.repeat(c, 4)
+        b = (c[:, None] + length * np.exp(1j * (angle + turns))).ravel()
+        tol = 1e-10 * max(1.0, 2 * length * np.abs(f(b)).max())
+        got, failures = contour.gk15_runs(f, a, b, tol)
+        want, want_failures = gk15_segments(f, a, b, tol)
+        assert not failures and not want_failures
+        for k in range(0, len(a), 2):
+            pair = slice(k, k + 2)
+            lo, hi = b[k:k + 1], b[k + 1:k + 2]
+            split = np.abs(0.5 * (lo + hi) - a[k])
+            top = np.abs(f(np.concatenate([lo, hi, a[k:k + 1]]))).max(axis=0)
+            band = run_band(f, a[pair], b[pair], lo, hi) + top * split
+            assert np.all(np.abs(got[pair] - want[pair]) <= band)
+
+    @pytest.mark.parametrize("case", ["pole", "cut"])
+    def test_a_diameter_it_cannot_resolve_splits_to_single_legs(self, case):
+        # a diameter passing 0.002 from a pole, or crossing np.log's cut
+        # with one leg: its panel is not accepted, and both legs are
+        # gk15_segments', bit for bit, the leg across the cut failing; a
+        # diameter far from either is one panel
+        if case == "pole":
+            centre, step = 0.4 + 0.3j, 0.05
+            f = lambda z: np.stack(
+                [np.exp(z), 1 / (z - (centre + 0.002j))], axis=-1)
+        else:
+            centre, step = -1 + 0.0031j, 0.01j
+            f = lambda z: np.stack([np.exp(z), np.log(z)], axis=-1)
+        a = np.repeat([centre, centre + 0.5j], 2)
+        b = a + np.array([step, -step, 1j * step, -1j * step])
+        got, failures = contour.gk15_runs(f, a, b, 1e-10)
+        want, want_failures = gk15_segments(f, a, b, 1e-10)
+        assert same_failures(failures, want_failures)
+        assert list(failures) == ([] if case == "pole" else [1])
+        ok = [k for k in range(2) if k not in failures]
+        assert np.array_equal(got[ok], want[ok])
+        assert not np.array_equal(got[2:], want[2:])
+        assert np.all(np.abs(got[2:] - want[2:]) <= run_band(
+            f, a[2:], b[2:], b[2:3], b[3:]) + np.abs(f(a[2:3])) * np.abs(
+                0.5 * (b[2] + b[3]) - a[2]))
+
+    def test_run_mask_is_the_rounding_floor_rule(self):
+        # runs of 2 parts over an oscillating and a growing exponential,
+        # their tails from far below the floor to far above it: the mask
+        # is the rule on every run, including those whose tail passes
+        # the floor of |Kronrod sum| but not of sum_k w_k |g_k|
+        def f(z):
+            return np.stack([np.exp(9j * z), np.exp(2 * z)], axis=-1)
+
+        lo = np.full(60, 0.1j)
+        hi = lo + np.geomspace(0.02, 1.5, 60)
+        rows, ok = contour._run_chunk(f, lo, hi, np.full(60, 2),
+                                      np.full(60, np.inf))
+        g = f((0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None]
+              * contour._XK)
+        both = (contour.run_weights(2) @ g.view(float)).view(complex)
+        tail = np.abs(both[:, 2:4]).max(axis=1)
+        floor = contour.ROUNDING_FLOOR
+        assert np.array_equal(
+            ok, (tail <= floor * (contour._WK @ np.abs(g))).all(axis=1))
+        near = ~(tail <= floor * np.abs(both[:, 0])).all(axis=1)
+        assert (ok & near).any() and (~ok).any()
 
     def test_a_run_near_a_pole_splits_down_to_single_segments(self):
         # 1/(z - pole) 0.02 off the middle of edge 3 of a run of 8: the
@@ -792,7 +897,7 @@ class TestGk15Runs:
         assert not serial[1] and not pooled[1]
 
 
-def run_band(f, a, b):
+def run_band(f, a, b, lo=None, hi=None):
     """A bound, per segment and component, on the distance between
     gk15_runs' and gk15_segments' integrals of an integrand that both
     resolve to rounding: on a run panel of half width h over the run's
@@ -802,7 +907,8 @@ def run_band(f, a, b):
     its sum and of _WK's 15-digit weights; and f, at its largest on the
     panels, times twice the furthest any node lies from its place on
     its run, a few units of roundoff of the largest |z|: the pieces and
-    halves gk15_runs may take all have their ends on the nodes."""
+    halves gk15_runs may take all have their ends on the nodes.  The
+    run's panel goes from lo to hi, by default a[0] and b[-1]."""
     def panel(lo, hi):
         half = np.abs(0.5 * (hi - lo))
         g = np.abs(f((0.5 * (lo + hi))[:, None]
@@ -812,7 +918,8 @@ def run_band(f, a, b):
 
     x = contour._XK
     cond = np.linalg.cond(np.polynomial.legendre.legvander(x, 14))
-    h, s, top = panel(a[:1], b[-1:])
+    h, s, top = panel(a[:1] if lo is None else lo, b[-1:] if hi is None
+                      else hi)
     e_h, e_s, e_top = panel(a, b)
     z_max = np.abs(np.concatenate([a, b])).max()
     offset = 2 * 4 * _U * z_max

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsurf import immersion, weierstrass
 from wsurf.catalog import EQUATION_IDS, GridSpec, get_equation, parse_user_ode
 from wsurf.contour import (CIRCLE, CIRCLE_POINTS, contour_quad,
                            gk15_segments, holo_derivative, straight_path)
@@ -442,6 +443,75 @@ class TestBatchedReport:
         for name in RESIDUAL_FIELDS + ("u", "conformal_factor", "step"):
             assert type(getattr(rep, name)) is float, name
         assert rep.failures == {}
+
+
+def report_legs(data, zs, monkeypatch):
+    """(a, b, rows, tol) of the one weierstrass.edge_rows call of the
+    report at zs."""
+    seen = []
+
+    def spy(data, a, b, tol):
+        rows, failures = weierstrass.edge_rows(data, a, b, tol)
+        seen.append((a, b, rows, tol))
+        return rows, failures
+
+    monkeypatch.setattr(immersion, "edge_rows", spy)
+    geometry_report(data, zs)
+    monkeypatch.undo()
+    (call,) = seen
+    return call
+
+
+class TestCircleDiameters:
+    """The report's legs k and k + 4 are one diameter, one GK15 panel on
+    a closed form, except at points on a cut ray; on the numeric route
+    their rows are those of the legs in their own order."""
+
+    @pytest.mark.parametrize("eq", ["legendre_assoc", "chebyshev1",
+                                    "chebyshev2"])
+    def test_points_on_a_cut_ray_take_one_panel_per_leg(self, eq,
+                                                        monkeypatch):
+        data, grid = default_case(eq)
+        zs = allowed_points(data, grid)
+        on_ray = Obstacles(rays=data.ode.cut_rays).on_ray(zs)
+        assert on_ray.any() and not on_ray.all()
+        a, b, rows, tol = report_legs(data, zs, monkeypatch)
+        dist = _distance_to_exclusions(data, zs)
+        h = 1e-3 * np.minimum(np.maximum(1.0, np.abs(zs)),
+                              np.where(np.isfinite(dist), dist, 1.0))
+        for z, r, ray in zip(zs, h, on_ray):
+            legs = np.flatnonzero(a == z)
+            ends = z + r * CIRCLE
+            if not ray:
+                # the other points' legs come as diameters
+                assert np.array_equal(b[legs],
+                                      ends[immersion.DIAMETERS])
+                continue
+            assert np.array_equal(b[legs], ends)
+            for k in legs:
+                one, failures = weierstrass.edge_rows(data, a[k:k + 1],
+                                                      b[k:k + 1], tol)
+                assert not failures
+                assert np.array_equal(rows[k], one[0])
+
+    def test_numeric_route_rows_are_those_of_the_legs_in_order(
+            self, monkeypatch):
+        data = build_numeric_data(parse_user_ode(
+            "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
+            "singularities = 0.5\n"))
+        grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (5, 5), 0j)
+        zs = allowed_points(data, grid)
+        a, b, rows, tol = report_legs(data, zs, monkeypatch)
+        back = np.argsort(immersion.DIAMETERS)
+        a, b, rows = (x.reshape(len(zs), CIRCLE_POINTS, -1)[:, back]
+                      .reshape(len(a), -1) for x in (a, b, rows))
+        want, failures = weierstrass.edge_rows(data, a[:, 0], b[:, 0], tol)
+        assert not failures and np.array_equal(rows, want)
+        got = geometry_report(data, zs)
+        monkeypatch.setattr(immersion, "DIAMETERS", np.arange(CIRCLE_POINTS))
+        want = geometry_report(data, zs)
+        for name in RESIDUAL_FIELDS + ("u", "conformal_factor", "hopf"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestMomentLegs:

@@ -425,8 +425,8 @@ class TestStraightRuns:
         lines = len({(int(s), int(x)) for s, x in zip(step, line)})
         assert len(a) == n1 * n2 - 1
         monkeypatch.setattr(contour, "MAX_RUN", len(a))
-        first, parts = contour.straight_runs(a, b)
-        assert len(parts) == lines
+        first, parts, flip = contour.straight_runs(a, b)
+        assert len(parts) == lines and not flip.any()
 
 
 def forest(eq, n=20):
