@@ -6,8 +6,7 @@ import numpy as np
 from .contour import (PANEL_POINTS, PANEL_S, PANEL_TAIL, holo_derivative,
                       panel_lanes)
 from .errors import SingularPoint
-from .geometry import Obstacles
-from .weierstrass import reach
+from .weierstrass import CachedAntiderivative
 
 # transport's tails must be below this times their component's largest
 # value on the panel, or the smallest normal float (for subnormals)
@@ -132,42 +131,27 @@ def integrate_wavefunction(data, init, path):
     """Transport (psi1, psi1') of the pair's ODE from the path start
     along a ContourPath.
 
-    init is the pair (psi1, dpsi1/dz) at path.start.  The state is stored
-    at the Chebyshev points of the accepted panels of every segment.  An
-    off-node query is transported from its nearest node along the legal
-    legs of weierstrass.reach, so that it stays on the path's sheet
-    across a cut ray; the legs of one query are the lanes of one
-    transport per round of reach.
+    init is the pair (psi1, dpsi1/dz) at path.start.  The state is
+    stored at the Chebyshev points of the accepted panels of every
+    segment, in a weierstrass.CachedAntiderivative whose legs are
+    transport.  An off-node query is transported from its nearest
+    stored point along the legal legs of weierstrass.reach, so that it
+    stays on the path's sheet across a cut ray, and is stored; the legs
+    of one query are the lanes of one transport per round of reach.
     """
     ode = data.ode
     state = np.array([[complex(init[0])], [complex(init[1])]])
-    nodes = [np.array([path.start], dtype=complex)]
-    states = [state]
+    store = CachedAntiderivative(
+        lambda a, b, start: (transport(ode, a, b, start.T)[0].T, {}),
+        path.start, ode.exclusions(), ode.cut_rays, state[:, 0])
+    nodes, states = [], []
     for a, b in path.segments():
         state, panels = transport(ode, [a], [b], state)
         # a panel's first point is the previous one's last
         nodes.extend(z[0, 1:] for _, z, _ in panels)
-        states.extend(y[0, :, 1:] for _, _, y in panels)
-    nodes = np.concatenate(nodes)
-    states = np.concatenate(states, axis=1)
-    obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
-    legs = lambda a, b, start: (transport(ode, a, b, start.T)[0].T, {})
-
-    def state_at(z):
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        idx = np.argmin(np.abs(nodes[None, :] - flat[:, None]), axis=1)
-        out = states[:, idx]
-        off = nodes[idx] != flat
-        if off.any():
-            values, failures = reach(obstacles, legs, nodes[idx[off]],
-                                     out[:, off].T, flat[off])
-            if failures:
-                raise failures[min(failures)]
-            out[:, off] = values.T
-        return out.reshape((2,) + z.shape)
-
-    return Wavefunction(data, state_at)
+        states.extend(y[0, :, 1:].T for _, _, y in panels)
+    store.insert(np.concatenate(nodes), np.concatenate(states))
+    return Wavefunction(data, lambda z: np.moveaxis(store(z), -1, 0))
 
 
 def lp_residual(data, wf, z):

@@ -12,8 +12,8 @@ from .errors import (EmptyMesh, EvaluationFailure, IoFailure, WsurfError,
 from .geometry import Obstacles, in_range
 from .immersion import (combine_euclidean, combine_quaternionic,
                         geometry_report, sym_tafel)
-from .weierstrass import (CachedAntiderivative, carry, edge_rows,
-                          ew_integrand, u_of_pair)
+from .weierstrass import (carry, edge_rows, ew_integrand, state_store,
+                          u_of_pair)
 
 
 @dataclass(frozen=True)
@@ -55,39 +55,41 @@ def _regularized_leg(f, a, b, tol):
 
 
 def ew_cache(data, xi0, tol=1e-11):
-    """Memoized antiderivative of ew_integrand(data) from xi0.
+    """Store of node states from xi0 (weierstrass.state_store).
 
-    ``i1, i2, i3 = cache(z)`` are int eta^2, int chi^2 eta^2 and
-    int chi eta^2 from xi0 to z.  When xi0 lies on a singular point with
-    integrable integrands, the first leg is integrated under a
-    regularizing substitution and the cache is anchored at a nearby
-    regular staging point instead.
+    ``cache(z)`` is (int eta^2, int chi^2 eta^2, int chi eta^2, eta^2,
+    chi) at z, the integrals from xi0.  The store is anchored at xi0
+    with the state (0, 0, 0) and the pair there, from data.pair.  When
+    xi0 lies on a singular point with integrable integrands, the first
+    leg is integrated under a regularizing substitution and the store
+    is anchored at a nearby regular staging point instead.
     """
     xi0 = complex(xi0)
-    f = ew_integrand(data)
-    exclusions, cuts = data.ode.exclusions(), data.ode.cut_rays
-    staging = _staging_point(Obstacles(exclusions, cuts), xi0)
-    anchor, start = (xi0, np.zeros(3)) if staging is None else (
-        staging, _regularized_leg(f, xi0, staging, tol))
-    return CachedAntiderivative(f, anchor, exclusions, cuts, tol,
-                                initial_value=start)
+    staging = _staging_point(
+        Obstacles(data.ode.exclusions(), data.ode.cut_rays), xi0)
+    anchor, integrals = (xi0, np.zeros(3)) if staging is None else (
+        staging, _regularized_leg(ew_integrand(data), xi0, staging, tol))
+    return state_store(data, anchor,
+                       np.append(integrals, data.pair(np.array([anchor]))),
+                       tol)
 
 
 def immersion_at(data, xi0, z, tol=1e-11):
     """(F, Ftilde) at z for the immersion vanishing at xi0."""
-    i1, i2, i3 = ew_cache(data, xi0, tol)(z)
+    i1, i2, i3 = ew_cache(data, xi0, tol)(z)[:3]
     return combine_euclidean(i1, i2, i3), combine_quaternionic(i1, i2, i3)
 
 
 def sample_point(data, cache, z):
-    """ImmersionSample at z, without residuals, from an ew_cache."""
+    """ImmersionSample at z, without residuals, from one lookup of an
+    ew_cache."""
     z = complex(z)
-    i1, i2, i3 = cache(z)
-    u, chi = data.u_and_chi(z)
+    i1, i2, i3, eta_sq, chi = cache(z)
     return ImmersionSample(
         z=z, F=combine_euclidean(i1, i2, i3),
         Ftilde=combine_quaternionic(i1, i2, i3),
-        Fst=sym_tafel(complex(chi)), u=float(u), Q=data.hopf(z))
+        Fst=sym_tafel(complex(chi)), u=float(u_of_pair(eta_sq, chi)),
+        Q=data.hopf(z))
 
 
 def _allowed_nodes(points, data):
@@ -201,16 +203,17 @@ def _tree_integrals(points, allowed, edges, cache, data):
 
     The legal grid edges, _grid_edges' masks, form a graph.  Each
     connected component is rooted at its node nearest the cache anchor
-    (the lowest node index among equals), whose state is one cache
-    lookup and one data.pair lookup; a root whose lookups raise a
-    WsurfError or are not finite counts as a failed node, its edges
-    leave the graph, and the next-nearest node becomes the root.  The edges of a breadth-first spanning forest
-    (_search, _parent_edges), each from parent to child, are one
-    weierstrass.edge_rows call, in _along_runs' order, so that a closed
-    form's straight runs of edges share GK15 panels (contour.gk15_runs);
-    rows stay per edge, and states come level by level down the
-    tree by weierstrass.carry: no store lookup past the roots.  Any edge
-    that fails is dropped and the forest is rebuilt around it.
+    (the lowest node index among equals), whose state is one lookup of
+    the cache, an ew_cache; a root whose lookup raises a WsurfError or
+    is not finite counts as a failed node, its edges leave the graph,
+    and the next-nearest node becomes the root.  The edges of a
+    breadth-first spanning forest (_search, _parent_edges), each from
+    parent to child, are one weierstrass.edge_rows call, in _along_runs'
+    order, so that a closed form's straight runs of edges share GK15
+    panels (contour.gk15_runs); rows stay per edge, and states come
+    level by level down the tree by weierstrass.carry: no store lookup
+    past the roots.  Any edge that fails is dropped and the forest is
+    rebuilt around it.
     """
     z = points.ravel()
     n = z.size
@@ -248,10 +251,7 @@ def _tree_integrals(points, allowed, edges, cache, data):
                 break
             node = candidates[fresh[np.argmin(distance[fresh])]]
             try:
-                # the pair on an array, as at the other nodes: a Python
-                # complex would take Python's arithmetic in a closed form
-                value = np.append(cache(complex(z[node])),
-                                  data.pair(z[node:node + 1]))
+                value = cache(complex(z[node]))
                 if not np.isfinite(value).all():
                     raise EvaluationFailure(complex(z[node]))
             except WsurfError:

@@ -1,13 +1,14 @@
 """Construction of the Weierstrass pair (eta^2, chi) for an ODE.
 
 Closed-form overrides are provided for the cataloged equations; the
-numeric route is one memoized store of (log eta^2, chi) whose legs run
-a Chebyshev-panel chain on the coefficient ratios, anchored at a base
-point so that numeric and closed-form data agree wherever both exist.
-Along a straight edge, the edge moments (edge_moments) carry any start
-state of the pair and the Weierstrass integrals with no store (compose).
-edge_rows and carry move a node state, the integrals and the pair, along
-straight edges on either route: the one place that tells them apart.
+numeric route is one memoized store of node states (state_store) whose
+legs run the edge moments (edge_moments) on the coefficient ratios,
+anchored at a base point so that numeric and closed-form data agree
+wherever both exist.  Along a straight edge, the edge moments carry any
+start state of the pair and the Weierstrass integrals with no store
+(compose).  edge_rows and carry move a node state, the integrals and the
+pair, along straight edges on either route, and state_store looks node
+states up on either: the one place that tells the routes apart.
 """
 
 import math
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (PANEL_S, PANEL_TAIL, contour_quad, gk15_carry,
-                      gk15_runs, gk15_segments, holo_derivative,
-                      panel_lanes, straight_path)
+                      gk15_runs, holo_derivative, panel_lanes, straight_path)
 from .errors import (EvaluationFailure, OutOfRange, WsurfError,
                      isolate_failures)
 from .geometry import Obstacles, in_range
@@ -25,7 +25,7 @@ from .geometry import Obstacles, in_range
 from .geometry import segment_crosses_ray, segment_hits_disc  # noqa: F401
 from .pathplan import MAX_WAYPOINTS, plan_path
 
-# the numeric pair's chain holds each panel's tails to this (_pair_legs)
+# the numeric pair's store holds its edge moments to this (build_numeric_data)
 PAIR_TOL = 1e-11
 
 
@@ -47,12 +47,6 @@ class WeierstrassData:
         """Hopf differential coefficient Q = -eta^2 chi' = r/(lambda p):
         r/p = -lambda eta^2 chi' holds for every pair of the ODE."""
         return self.ode.ratios(z)[1] / self.lam
-
-    def u_and_chi(self, z):
-        """(u, chi) at z from one pair evaluation, u the log conformal
-        factor."""
-        eta_sq, chi = self.pair(np.asarray(z, dtype=complex))
-        return u_of_pair(eta_sq, chi), chi
 
 
 def u_of_pair(eta_sq, chi):
@@ -200,31 +194,31 @@ def closed_form_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
 # numeric route
 
 class CachedAntiderivative:
-    """Memoized contour antiderivative of a complex integrand.
+    """Memoized values at points, carried along legal legs: the node
+    states of state_store, or a wavefunction's (psi1, psi1').
 
-    The integrand may be vector-valued (see contour_quad); then
-    ``initial_value`` must have its shape, e.g. ``np.zeros(3)``.  Values
-    are extended from the nearest already-integrated point, found by a
-    dense scan of the store, by a short straight segment when that
-    segment is legal, otherwise along a freshly planned path (see
-    reach).  The scan costs queries x stored points, which stays small
-    because the numeric route's grid edges and circle legs run on edge
-    moments, not on the store.  A leg adds its GK15 integral,
-    held to tol, unless integrand is None and ``legs(a, b, start)``
-    carries the values start along legs a[i] -> b[i] instead.  A scalar
-    z gives one value, an array z values of shape ``z.shape + value
-    shape``; returned values are never views of the store.
+    Values are extended from the nearest stored point, found by a dense
+    scan of the store, along the legs of reach: a short straight leg
+    when it is legal, otherwise a freshly planned path.  ``legs(a, b,
+    start)`` carries the values start along the legs a[i] -> b[i] and
+    returns (ends, {leg: WsurfError}).  ``point(start, legs, z)``, if
+    given, is the route of a scalar z instead: the value at z from the
+    value start at the nearest stored point and the list of legs (a, b)
+    from there to z.  A scalar z gives one value, an array z values of
+    shape ``z.shape + value shape``; returned values are never views of
+    the store.  tol is the tolerance the legs hold, for callers that
+    integrate beside the store.
     """
 
-    def __init__(self, integrand, anchor, exclusions=(), cuts=(), tol=1e-11,
-                 initial_value=0j, legs=None):
-        self.integrand = integrand
+    def __init__(self, legs, anchor, exclusions=(), cuts=(), initial_value=0j,
+                 tol=None, point=None):
         self.anchor = complex(anchor)
         if np.isfinite(self.anchor) and not in_range(self.anchor):
             raise OutOfRange(self.anchor)
         self.obstacles = Obstacles(exclusions, cuts)
         self.tol = tol
-        self._legs = legs or self._gk15_legs
+        self._legs = legs
+        self._point = point
         value = np.asarray(initial_value, dtype=complex)
         self._points = np.full(16, self.anchor)
         self._values = np.empty((16,) + value.shape, dtype=complex)
@@ -232,7 +226,7 @@ class CachedAntiderivative:
         self._size = 1
 
     def __call__(self, z):
-        if np.ndim(z) != 0 or self.integrand is None:
+        if np.ndim(z) != 0 or self._point is None:
             return self._lookup_array(np.asarray(z, dtype=complex))
         z = complex(z)
         if np.isfinite(z) and not in_range(z):
@@ -248,16 +242,9 @@ class CachedAntiderivative:
             # simply connected, so route from the nearest cached point
             legs = plan_path(zc, z, self.obstacles.discs,
                              self.obstacles.rays).segments()
-        value = self._values[idx]
-        for a, b in legs:
-            value = value + contour_quad(self.integrand, straight_path(a, b),
-                                         self.tol)
-        self._insert(np.array([z]), np.asarray(value)[None])
+        value = self._point(self._values[idx], legs, z)
+        self.insert(np.array([z]), np.asarray(value)[None])
         return value
-
-    def _gk15_legs(self, a, b, start):
-        values, failed = gk15_segments(self.integrand, a, b, self.tol)
-        return start + values.reshape(start.shape), failed
 
     def _lookup_array(self, z):
         """__call__ on an array: each distinct point is a stored point or
@@ -282,13 +269,14 @@ class CachedAntiderivative:
                                         points[idx])
             failures.update((int(idx[k]), exc) for k, exc in failed.items())
         done = idx[np.isin(idx, list(failures), invert=True)]
-        self._insert(points[done], values[done])
+        self.insert(points[done], values[done])
         if failures:
             first = np.flatnonzero(np.isin(inverse, list(failures)))[0]
             raise failures[int(inverse[first])]
         return values[inverse].reshape(z.shape + values.shape[1:])
 
-    def _insert(self, points, values):
+    def insert(self, points, values):
+        """Store the values at the points, which are not stored yet."""
         n, m = self._size, len(points)
         if n + m > len(self._points):
             size = max(2 * len(self._points), n + m)
@@ -389,23 +377,6 @@ def _lane_tails(c, *values):
     return np.abs(c) * tail
 
 
-def _pair_legs(ode, lam, eta0):
-    """Legs of the store of (L, chi), eta^2 = eta0 e^-L, in
-    contour.panel_lanes: on a panel L = L0 + c S (q/p), then
-    chi = chi0 - (c/lambda) S ((r/p) e^L / eta0) (Greengard, 1991).  A
-    panel is accepted when both integrands' tails times |c| are within
-    PAIR_TOL h, an absolute rule: a relative one fails where q/p is 0."""
-    def step(y, c, h, qp, rp):
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_eta = _lane_integrals(qp, c) + y[:, :1]
-            g = np.exp(log_eta) * rp / eta0
-            chi = _lane_integrals(g, -c / lam) + y[:, 1:]
-            ok = _lane_tails(c, qp, g) <= PAIR_TOL * h
-        return np.stack([log_eta, chi], axis=1), ok
-
-    return lambda a, b, start: (panel_lanes(ode, a, b, start, step)[0], {})
-
-
 def _moment_step(lam, tol):
     """edge_moments' panel rule for contour.panel_lanes: on a panel
     l = l0 + c S (q/p), a = a0 - (c/lambda) S ((r/p) e^l), and
@@ -469,6 +440,14 @@ def compose(eta_sq, chi, moments):
                 np.stack([i1, i2, i3], axis=-1))
 
 
+def _fused(eta_sq, chi):
+    """(eta^2, chi^2 eta^2, chi eta^2) stacked on a last axis."""
+    e, x = np.asarray(eta_sq), np.asarray(chi)
+    # an overflow is not finite, and quadrature names its point
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([e, x ** 2 * e, x * e], axis=-1)
+
+
 def ew_integrand(data):
     """Fused integrand z -> (eta^2, chi^2 eta^2, chi eta^2); shape (..., 3).
 
@@ -477,27 +456,21 @@ def ew_integrand(data):
     on its GK15 panels.  A closed-form pair's integrand is marked
     thread_safe, so that gk15_segments may evaluate its chunks
     concurrently: it is numpy arithmetic on its argument alone.  A
-    numeric pair's is not: its pair call is a lookup of a
-    CachedAntiderivative store that inserts the points it reaches, and
-    concurrent lookups would race on the store, with the order of their
-    inserts deciding later nearest-point ties.  The numeric route runs
-    it only on the legs of ew_cache lookups (grid roots, sample points)
-    and in ew_integrals; its grid edges and circle legs take edge
-    moments instead (edge_rows).
+    numeric pair's is not: its pair call is a lookup of a state_store
+    that inserts the points it reaches, and concurrent lookups would
+    race on the store, with the order of their inserts deciding later
+    nearest-point ties.  The numeric route runs it only in ew_integrals
+    and on the regularized first leg of mesh.ew_cache; its stores, grid
+    edges and circle legs take edge moments instead (edge_rows).
     """
     pair = data.pair
 
-    def fused(e, x):
-        e, x = np.asarray(e), np.asarray(x)
-        # an overflow is not finite, and quadrature names its point
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.stack([e, x ** 2 * e, x * e], axis=-1)
-
     def integrand(z):
-        return fused(*pair(z))
+        return _fused(*pair(z))
 
     if hasattr(pair, "panels"):
-        integrand.panels = lambda nodes, half: fused(*pair.panels(nodes, half))
+        integrand.panels = lambda nodes, half: _fused(*pair.panels(nodes,
+                                                                   half))
     integrand.thread_safe = data.source == "closed_form"
     return integrand
 
@@ -548,15 +521,54 @@ def carry(data, start, rows):
     return state
 
 
+def _quadrature_point(data, tol):
+    """state_store's route of a scalar z on a closed form: the integrals
+    of its legs by contour_quad, and the pair at z evaluated on a
+    one-point array, as the grid forest's nodes take it.  The integrand
+    has no panels method, so the pair is evaluated at every node."""
+    pair = data.pair
+
+    def integrand(z):
+        return _fused(*pair(z))
+
+    def point(start, legs, z):
+        value = start[:3]
+        for a, b in legs:
+            value = value + contour_quad(integrand, straight_path(a, b), tol)
+        return np.append(value, pair(np.array([z])))
+
+    return point
+
+
+def state_store(data, anchor, state, tol):
+    """CachedAntiderivative of node states, anchored at anchor with the
+    state (5,) there: its legs are carry(data, start, edge_rows(data, a,
+    b, tol)), so on the numeric route no leg looks up another store.  On
+    a closed form a scalar lookup integrates its legs with contour_quad
+    instead (_quadrature_point)."""
+    def legs(a, b, start):
+        rows, failures = edge_rows(data, a, b, tol)
+        # a failed leg's row, and so its end state, is meaningless
+        with np.errstate(over="ignore", invalid="ignore"):
+            return carry(data, start, rows), failures
+
+    point = (_quadrature_point(data, tol) if data.source == "closed_form"
+             else None)
+    return CachedAntiderivative(legs, anchor, data.ode.exclusions(),
+                                data.ode.cut_rays, state, tol, point)
+
+
 def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
     """Numeric WeierstrassData (integral route) for any LinearODE.
 
     eta^2(z) = eta^2(z0) exp(-L(z)) with L = int_{z0}^{z} q/p, and
     chi(z) = chi(z0) - (1/lambda) int_{z0}^{z} (r/p) / eta^2, so both
-    coefficient identities hold by construction; (L, chi) is one store
-    with _pair_legs, looked up once per call of the pair.  The base
-    point z0 defaults to ode.pair_base; the values there are the closed
-    form's where the catalog has one, else 1/c1 and c2/lambda.
+    coefficient identities hold by construction.  The pair is one
+    state_store anchored at z0 with the state (0, 0, 0, eta^2(z0),
+    chi(z0)), its legs held to PAIR_TOL, and reads columns 3 and 4 of
+    one lookup per call.  The base point z0 defaults to ode.pair_base;
+    the values there are the closed form's where the catalog has one,
+    else 1/c1 and c2/lambda.
     """
     cf = closed_form_data(ode, c1, c2, lam, base_point)
     c1, c2, lam = complex(c1), complex(c2), complex(lam)
@@ -565,18 +577,17 @@ def build_numeric_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):
         eta0, chi0 = map(complex, cf.pair(z0))
     else:
         eta0, chi0 = 1.0 / c1, c2 / lam
-    store = CachedAntiderivative(
-        None, z0, ode.exclusions(), ode.cut_rays,
-        initial_value=np.array([0, chi0]), legs=_pair_legs(ode, lam, eta0))
 
     def pair(z):
         # [()] makes a point's value a scalar and leaves arrays alone
-        value = store(z)
-        return eta0 * np.exp(-value[..., 0][()]), value[..., 1][()]
+        state = store(z)
+        return state[..., 3][()], state[..., 4][()]
 
-    return WeierstrassData(
+    data = WeierstrassData(
         pair=pair, c1=c1, c2=c2, lam=lam, base_point=z0,
         source="numeric", ode=ode)
+    store = state_store(data, z0, np.array([0, 0, 0, eta0, chi0]), PAIR_TOL)
+    return data
 
 
 def make_data(ode, c1=1.0, c2=0.0, lam=1.0, base_point=None):

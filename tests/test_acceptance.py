@@ -54,7 +54,7 @@ def test_criterion_01_euclidean_immersion_vs_closed_form(criterion, rng):
     cache = ew_cache(data, fx.base_point, tol=1e-11)
     worst = 0.0
     for z in _upper_half_points(rng, 50, 0.1, 3.0):
-        F = combine_euclidean(*cache(z))
+        F = combine_euclidean(*cache(z)[:3])
         worst = max(worst, float(np.max(np.abs(F - reference_surface(fx, z)))))
     elapsed = time.perf_counter() - start
     criterion(1, "laguerre Euclidean immersion matches the closed form "
@@ -69,7 +69,7 @@ def test_criterion_02_quaternionic_immersion(criterion, rng):
     cache = ew_cache(data, z0, tol=1e-11)
     worst_entry = worst_pauli = 0.0
     for z in _upper_half_points(rng, 20, 0.1, 3.0):
-        i1, i2, i3 = cache(z)
+        i1, i2, i3 = cache(z)[:3]
         ftilde = combine_quaternionic(i1, i2, i3)
         ref = combine_quaternionic(ei(z) - ei(z0),
                                    ei(-z) - ei(-z0),
@@ -153,7 +153,7 @@ def test_criterion_04_caption_surfaces(criterion, rng):
                                 fx.constants["lambda"], fx.base_point)
         cache = ew_cache(data, fx.base_point, tol=1e-11)
         for z in _fixture_domain_points(fx, rng, 20):
-            F = combine_euclidean(*cache(z))
+            F = combine_euclidean(*cache(z)[:3])
             worst = max(worst,
                         float(np.max(np.abs(F - reference_surface(fx, z)))))
     excluded = "; ".join(_CAPTION_EXCLUDED)

@@ -30,7 +30,7 @@ from wsurf.mesh import (_FORMATS, ImmersionSample, SurfaceMesh,
                         export_mesh, immersion_at, import_csv, sample_point)
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
-                               make_data)
+                               make_data, u_of_pair)
 
 from test_contour import pooled_gk15
 from test_geometry import (reference_segment_crosses_ray,
@@ -196,7 +196,7 @@ def per_node_reference(data, grid, tol=1e-10):
         if ode.valid_region is not None and not ode.valid_region(z):
             continue
         try:
-            value = combine_euclidean(*cache(z))
+            value = combine_euclidean(*cache(z)[:3])
             if not np.all(np.isfinite(value)):
                 raise WsurfError(z)
         except WsurfError:
@@ -320,10 +320,11 @@ def test_only_closed_form_pairs_run_off_the_main_thread(source):
 
 
 def test_samples_evaluate_the_pair_once_per_point():
-    # on the numeric route u and chi at the nodes come off the forest's
-    # edge moments, and the geometry report starts its circle legs from
-    # them: the pair is looked up at the root of the grid's one
-    # component alone, and sample_point still makes one call
+    # on the numeric route the node states come off edge moments: the
+    # forest's edges, and the root's ew_cache lookup, which carries the
+    # state at the anchor; the geometry report starts its circle legs
+    # from them.  So the pair is evaluated once, at the anchor, and at
+    # no grid node; sample_point takes u and chi from its one lookup
     data = build_numeric_data(parse_user_ode(
         "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
         "singularities = 0.5\n"))
@@ -337,14 +338,14 @@ def test_samples_evaluate_the_pair_once_per_point():
     grid = GridSpec("cartesian", ((-2.0, 2.0), (-2.0, 2.0)), (8, 8), 0j)
     zs = np.array([s.z for s in sample_grid(counted, grid, True)])
     assert len(zs) == 64
-    root = zs[np.argmin(np.abs(zs))]
-    seen = np.concatenate(calls)
-    assert np.isin(zs, seen).tolist() == (zs == root).tolist()
-    assert sum(np.array_equal(z, [root]) for z in calls) == 1
+    assert [z.tolist() for z in calls] == [[0j]]
     cache = ew_cache(counted, 0j)
     calls.clear()
-    sample_point(counted, cache, 1 + 1j)
-    assert sum(np.array_equal(z, [1 + 1j]) for z in calls) == 1
+    s = sample_point(counted, cache, 1 + 1j)
+    assert calls == []
+    eta_sq, chi = data.pair(1 + 1j)
+    assert abs(s.u - u_of_pair(eta_sq, chi)) <= 1e-13 * abs(s.u)
+    assert np.max(np.abs(s.Fst - sym_tafel(chi))) <= 1e-13
 
 
 def test_closed_form_samples_evaluate_the_pair_once_per_node():
@@ -689,7 +690,7 @@ class TestAnchoredImmersion:
         cache = ew_cache(data, fx.base_point)
         from wsurf.immersion import combine_euclidean
         for z in (0.5j, 2j, -0.5 + 1j):
-            F = combine_euclidean(*cache(z))
+            F = combine_euclidean(*cache(z)[:3])
             assert np.max(np.abs(F - reference_surface(fx, z))) <= 1e-8
 
 

@@ -13,9 +13,12 @@ from wsurf.errors import (EvaluationFailure, PathPlanningFailure,
                           SingularPoint)
 import wsurf.weierstrass as weierstrass
 from wsurf import contour
-from wsurf.contour import gk15_segments, straight_path
+from wsurf.contour import contour_quad, gk15_segments, straight_path
 from wsurf.geometry import Obstacles
+from wsurf.immersion import ew_integrals
 from wsurf.linearproblem import integrate_wavefunction, potential_matrix
+from wsurf.mesh import ew_cache
+from wsurf.pathplan import MAX_WAYPOINTS, plan_path
 from wsurf.weierstrass import (CachedAntiderivative, WeierstrassData,
                                build_numeric_data, closed_form_data,
                                ew_integrand, make_data, u_of_pair,
@@ -52,8 +55,8 @@ class TestClosedForms:
         z = 1.3 + 0.4j
         half = (abs(complex(data.pair(z)[0]))
                 * (1 + abs(complex(data.pair(z)[1])) ** 2))
-        assert abs(u_of_pair(*data.pair(z)) - 2 * np.log(half)) <= 1e-13
-        assert abs(data.u_and_chi(z)[0] - 2 * np.log(half)) <= 1e-13
+        for w in (z, np.asarray(z)):
+            assert abs(u_of_pair(*data.pair(w)) - 2 * np.log(half)) <= 1e-13
 
     def test_all_catalog_rows_satisfy_identities(self):
         for eq in ("laguerre", "legendre", "legendre_assoc", "bessel",
@@ -124,8 +127,8 @@ class TestNumericRoute:
             assert np.max(np.abs(q - exact) / np.abs(exact)) <= 1e-14
 
     def test_hopf_needs_no_lookup(self, monkeypatch):
-        # Q = r/(lambda p) comes from the ODE alone, never from the store
-        # of (log eta^2, chi) behind the numeric pair or its panel chain
+        # Q = r/(lambda p) comes from the ODE alone, never from the state
+        # store behind the numeric pair or its edge moments
         ode = parse_user_ode("params = alpha=2\np = z - 0.5\nq = 1.5 - z\n"
                              "r = alpha\nsingularities = 0.5\n")
         data = build_numeric_data(ode)
@@ -145,7 +148,8 @@ class TestNumericRoute:
 
     def test_one_lookup_per_pair_consumer(self, monkeypatch):
         # every consumer reads eta^2 and chi from one call of the pair,
-        # so one lookup of the (log eta^2, chi) store per evaluation
+        # so one lookup of the pair's state store, anchored at the base
+        # point, per evaluation (the wavefunction's own store aside)
         data = build_numeric_data(parse_user_ode(
             "params = alpha=2\np = z - 0.5\nq = 1.5 - z\nr = alpha\n"
             "singularities = 0.5\n"))
@@ -153,7 +157,7 @@ class TestNumericRoute:
                                     straight_path(2 + 1j, 1 + 2j))
         consumers = {
             "ew_integrand": ew_integrand(data),
-            "u_and_chi": data.u_and_chi,
+            "u_of_pair": lambda z: u_of_pair(*data.pair(z)),
             "potential_matrix": lambda z: potential_matrix(data, z),
             "psi": wf.psi,
             "verify_weierstrass": lambda z: verify_weierstrass(
@@ -163,7 +167,8 @@ class TestNumericRoute:
         lookup = CachedAntiderivative._lookup_array
         monkeypatch.setattr(
             CachedAntiderivative, "_lookup_array",
-            lambda store, z: lookups.append(z) or lookup(store, z))
+            lambda store, z: (store.anchor == data.base_point
+                              and lookups.append(z)) or lookup(store, z))
         for name, consumer in consumers.items():
             for z in (SAFE_POINTS[0], np.array(SAFE_POINTS)):
                 lookups.clear()
@@ -261,7 +266,8 @@ class TestVerification:
 
 
 class TestPanelChain:
-    """The numeric pair's Chebyshev-panel chain against closed forms."""
+    """The numeric pair's store, on Chebyshev-panel edge moments, against
+    closed forms."""
 
     @pytest.mark.parametrize("eq", EQUATION_IDS)
     def test_matches_closed_form(self, eq):
@@ -292,14 +298,32 @@ class TestPanelChain:
                                rtol=1e-12, atol=0)
 
 
+def integrand_store(integrand, anchor, exclusions=(), cuts=(),
+                    initial_value=0j, tol=1e-11):
+    """CachedAntiderivative of an integrand: GK15 legs for an array
+    lookup, and contour_quad along each leg of a scalar one."""
+    def legs(a, b, start):
+        values, failed = gk15_segments(integrand, a, b, tol)
+        return start + values.reshape(start.shape), failed
+
+    def point(start, legs, z):
+        value = start
+        for a, b in legs:
+            value = value + contour_quad(integrand, straight_path(a, b), tol)
+        return value
+
+    return CachedAntiderivative(legs, anchor, exclusions, cuts, initial_value,
+                                tol, point)
+
+
 class TestCachedAntiderivative:
     def test_matches_closed_form(self):
-        cache = CachedAntiderivative(lambda z: np.exp(z), 0j)
+        cache = integrand_store(lambda z: np.exp(z), 0j)
         for z in (1 + 1j, -2 + 0.5j, 3j):
             assert abs(cache(z) - (np.exp(z) - 1)) <= 1e-10
 
     def test_initial_value_offsets(self):
-        cache = CachedAntiderivative(lambda z: 2 * z, 1 + 0j, initial_value=5.0)
+        cache = integrand_store(lambda z: 2 * z, 1 + 0j, initial_value=5.0)
         # F(z) = z^2 + 4 with F(1) = 5
         assert abs(cache(2 + 1j) - ((2 + 1j) ** 2 + 4)) <= 1e-10
 
@@ -310,7 +334,7 @@ class TestCachedAntiderivative:
     ], ids=["scalar", "vector"])
     def test_order_independent(self, integrand, anchor_value, primitive):
         def fresh():
-            return CachedAntiderivative(
+            return integrand_store(
                 integrand, 1 + 0j, exclusions=((0j, 0.02),),
                 cuts=((0j, -1 + 0j),), initial_value=anchor_value)
         a = fresh()
@@ -340,7 +364,7 @@ class TestCachedAntiderivative:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weierstrass, "_SCAN_ITEMS", scan)
             for size in data.draw(sizes):
-                cache._insert(points(size), np.zeros(size))
+                cache.insert(points(size), np.zeros(size))
                 stored = cache._points[:cache._size]
                 picks = st.lists(st.integers(0, len(stored) - 1),
                                  max_size=8)
@@ -359,7 +383,7 @@ class TestCachedAntiderivative:
                               <= dense * (1 + 2 * np.finfo(float).eps))
 
     def test_routes_around_obstacles(self):
-        cache = CachedAntiderivative(
+        cache = integrand_store(
             lambda z: 1.0 / z, 1 + 0j,
             exclusions=((0j, 0.5),), cuts=((0j, -1 + 0j),))
         # -1+0.01j needs a detour; the value is still log of the endpoint
@@ -377,8 +401,8 @@ class TestArrayCalls:
                  "numeric": build_numeric_data}[source]
         data = build(get_equation("laguerre"))
         zs = np.array(SAFE_POINTS)
-        for name, fn in (("u", lambda z: data.u_and_chi(z)[0]),
-                         ("chi", lambda z: data.u_and_chi(z)[1]),
+        for name, fn in (("u", lambda z: u_of_pair(*data.pair(z))),
+                         ("chi", lambda z: data.pair(z)[1]),
                          ("hopf", data.hopf)):
             scalar = [fn(z) for z in SAFE_POINTS]
             batch = fn(zs)
@@ -475,7 +499,7 @@ class TestBatchedAntiderivative:
         integrand, primitive, anchor, exclusions, cuts = _OBSTACLE_CASES[case]
 
         def fresh():
-            return CachedAntiderivative(integrand, anchor, exclusions, cuts)
+            return integrand_store(integrand, anchor, exclusions, cuts)
         batched, reference = fresh(), fresh()
         first = np.array(_ACROSS_CUTS[::2] + tuple(points[:stored]))
         second = np.array(_ACROSS_CUTS[1::2] + tuple(points)
@@ -490,7 +514,7 @@ class TestBatchedAntiderivative:
     def test_failed_point_raises_its_error(self):
         integrand, primitive, anchor, exclusions, cuts = \
             _OBSTACLE_CASES["bessel"]
-        cache = CachedAntiderivative(integrand, anchor, exclusions, cuts)
+        cache = integrand_store(integrand, anchor, exclusions, cuts)
         inside = 0.005 + 0.005j                       # in the disc at 0
         good = np.array([2 + 1j, -1 + 1j, -1 - 0.5j])
         with pytest.raises(PathPlanningFailure, match="inside exclusion"):
@@ -508,8 +532,8 @@ class TestBatchedAntiderivative:
 
         def integrand(z):
             return np.where(broken[0] & (np.abs(z) < 0.5), np.nan, 1.0 / z)
-        cache = CachedAntiderivative(integrand, 1 + 0j, ((0j, 0.02),),
-                                     ((0j, -1 + 0j),))
+        cache = integrand_store(integrand, 1 + 0j, ((0j, 0.02),),
+                                ((0j, -1 + 0j),))
         cache(-1.5 + 0.3j)
         broken[0] = True
         with pytest.raises(EvaluationFailure):
@@ -519,7 +543,7 @@ class TestBatchedAntiderivative:
         assert _close(cache(z), np.log(z))
 
     def test_values_are_not_views_of_the_store(self):
-        cache = CachedAntiderivative(
+        cache = integrand_store(
             lambda z: np.stack([np.exp(z), 2 * z], axis=-1), 0j,
             initial_value=np.array([1.0, 0.0]))
         z = np.array([[1 + 1j, 0j], [-1 + 0.5j, 1 + 1j]])
@@ -531,6 +555,126 @@ class TestBatchedAntiderivative:
         assert _close(cache(z)[..., 0], np.exp(z))
         assert _close(cache(z)[..., 1], z * z)
         assert _close(cache(1 + 1j), [np.exp(1 + 1j), 2j])
+
+
+def _carried(data, waypoints, tol):
+    """The state at the last waypoint, carried from the state (0, 0, 0,
+    eta^2, chi) at the first by one edge_rows call and carry per leg."""
+    state = np.append(np.zeros(3), data.pair(waypoints[:1]))
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        rows, failed = weierstrass.edge_rows(data, np.array([a]),
+                                             np.array([b]), tol)
+        assert failed == {}
+        state = weierstrass.carry(data, state[None], rows)[0]
+    return state
+
+
+def _state_band(tol, legs, state):
+    """The band of two states carried to one point along routes of at
+    most ``legs`` legs in all, each leg held to tol in its integrals (on
+    the numeric route, in its moments): compose scales the moments by
+    up to (1 + |chi|)^2 max(|eta^2|, 1/|eta^2|), and a sum of ``legs``
+    of them rounds to a few units of roundoff of the state."""
+    eta_sq, chi = abs(state[3]), abs(state[4])
+    scale = (1 + chi) ** 2 * max(eta_sq, 1 / eta_sq)
+    return legs * tol * scale + 16 * np.finfo(float).eps * np.abs(state).max()
+
+
+# the README ODE's upper half, where every route from 0 keeps to one side
+# of its pole 0.5, and legendre's plane, cut outward from its poles +-1
+_STORE_POINTS = {
+    "user": st.builds(complex, st.floats(-2, 2), st.floats(0.3, 2)),
+    "legendre": st.complex_numbers(max_magnitude=3.0).filter(
+        lambda z: abs(z.imag) > 1e-3 and min(abs(z - 1), abs(z + 1)) > 0.05),
+}
+
+
+class TestStateStore:
+    """The one store of node states (state_store, mesh.ew_cache) against
+    the state carried along a planned path, the nested quadrature it
+    replaced on the numeric route, and the root's scalar route."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def data(eq):
+        ode = parse_user_ode(_README_ODE) if eq == "user" else \
+            get_equation(eq)
+        return make_data(ode, base_point=0j)
+
+    @settings(max_examples=25, deadline=None)
+    @given(eq=st.sampled_from(sorted(_STORE_POINTS)), data=st.data())
+    def test_lookups_match_planned_paths(self, eq, data):
+        # batches of array lookups, each point reached from its nearest
+        # stored one, against edge_rows and carry along plan_path's
+        # waypoints from the anchor
+        wdata = self.data(eq)
+        ode = wdata.ode
+        cache = ew_cache(wdata, 0j, self.TOL)
+        batches = data.draw(st.lists(st.lists(_STORE_POINTS[eq], min_size=1,
+                                              max_size=6),
+                                     min_size=1, max_size=3))
+        looked_up = 0
+        for batch in batches:
+            z = np.array(batch)
+            got = cache(z)
+            assert got.shape == (len(z), 5)
+            looked_up += len(z)
+            for w, state in zip(z, got):
+                path = plan_path(0j, w, ode.exclusions(), ode.cut_rays)
+                want = _carried(wdata, np.array(path.waypoints), self.TOL)
+                legs = MAX_WAYPOINTS * (looked_up + 1)
+                assert np.max(np.abs(state - want)) \
+                    <= _state_band(self.TOL, legs, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(points=st.lists(_STORE_POINTS["user"], min_size=1, max_size=8))
+    def test_numeric_integrals_match_the_nested_quadrature(self, points):
+        # edge moments against GK15 of ew_integrand, each of whose nodes
+        # is a lookup of the numeric pair's own store
+        wdata = self.data("user")
+        z = np.array(points)
+        got = ew_cache(wdata, 0j, self.TOL)(z)
+        for w, state in zip(z, got):
+            want = ew_integrals(wdata, straight_path(0j, w), self.TOL)
+            band = _state_band(self.TOL, 2, state)
+            assert np.max(np.abs(state[:3] - want)) <= band
+            # the pair's store holds its legs to PAIR_TOL
+            pair = np.array(wdata.pair(w))
+            assert np.max(np.abs(state[3:] - pair)) \
+                <= _state_band(weierstrass.PAIR_TOL, 2, state)
+
+    @pytest.mark.parametrize("eq", EQUATION_IDS)
+    def test_closed_form_scalar_lookup_is_the_roots_state(self, eq):
+        # the grid forest's root: the legs' integrals by contour_quad of
+        # the Weierstrass integrand, evaluated at every node (no panels
+        # method), and the pair at z on a one-point array, bit for bit
+        ode = get_equation(eq)
+        xi0 = ode.default_domain.base_point
+        wdata = make_data(ode, base_point=xi0)
+        f = ew_integrand(wdata)
+        obstacles = Obstacles(ode.exclusions(), ode.cut_rays)
+        checked = 0
+        for z in SAFE_POINTS + (-1.5 + 0.3j, 0.3 - 1.2j, 0.3 + 0.2j,
+                                -0.4 - 0.1j):
+            if (min((abs(z - c) - r for c, r in ode.exclusions()),
+                    default=1.0) < 0.05 or obstacles.on_ray(z)
+                    or (ode.valid_region is not None
+                        and not ode.valid_region(z))):
+                continue
+            cache = ew_cache(wdata, xi0, 1e-10)
+            anchor = cache.anchor
+            path = plan_path(anchor, z, ode.exclusions(), ode.cut_rays)
+            want = cache(anchor)[:3]
+            for a, b in path.segments():
+                want = want + contour_quad(lambda w: f(w), straight_path(a, b),
+                                           1e-10)
+            want = np.append(want, wdata.pair(np.array([z])))
+            got = cache(z)
+            assert got.shape == (5,)
+            assert np.array_equal(got, want), (eq, z)
+            checked += 1
+        assert checked >= 3
 
 
 class TestEdgeMoments:
@@ -644,7 +788,9 @@ class TestHermitePanels:
         eta_sq, chi = data.pair.panels(nodes, half)
         want_eta, want_chi = data.pair(nodes)
         assert np.array_equal(eta_sq, want_eta)
-        _, ok = contour.gk15_carry(np.exp(-nodes * nodes))
+        # the mask of the panels method itself: 1/e^{z^2}, which rounds
+        # differently from e^{-z^2} and so may resolve another panel
+        _, ok = contour.gk15_carry(1 / np.exp(nodes * nodes))
         band = _carry_band(data, n, nodes, half, want_chi)
         assert np.all(np.abs(chi - want_chi)[ok] <= band[ok])
         assert np.array_equal(chi[~ok], want_chi[~ok])
